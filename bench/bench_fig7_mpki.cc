@@ -72,8 +72,9 @@ main(int argc, char **argv)
         // Candidates: one deterministic Pin run per layout.
         std::vector<std::vector<pinsim::PredictorResult>> per_layout;
         for (u32 i = 0; i < scale.layouts; ++i)
-            per_layout.push_back(sim.run(camp.program(), camp.trace(),
-                                         camp.codeLayoutFor(i)));
+            per_layout.push_back(sim.replay(
+                camp.plan(),
+                trace::LayoutTables(camp.plan(), camp.codeLayoutFor(i))));
         auto avg = pinsim::averageMpki(per_layout);
 
         table.beginRow();

@@ -70,8 +70,9 @@ main(int argc, char **argv)
 
         std::vector<std::vector<pinsim::PredictorResult>> per_layout;
         for (u32 i = 0; i < scale.layouts; ++i)
-            per_layout.push_back(sim.run(camp.program(), camp.trace(),
-                                         camp.codeLayoutFor(i)));
+            per_layout.push_back(sim.replay(
+                camp.plan(),
+                trace::LayoutTables(camp.plan(), camp.codeLayoutFor(i))));
         auto mpki = pinsim::averageMpki(per_layout);
 
         PredictorEvaluator eval(model, model.meanCpi());

@@ -127,8 +127,9 @@ main(int argc, char **argv)
     pinsim::PinSim sim({"ltage"});
     std::vector<std::vector<pinsim::PredictorResult>> runs;
     for (u32 i = 0; i < std::min(layouts, 16u); ++i)
-        runs.push_back(sim.run(campaign.program(), campaign.trace(),
-                               campaign.codeLayoutFor(i)));
+        runs.push_back(sim.replay(
+            campaign.plan(),
+            trace::LayoutTables(campaign.plan(), campaign.codeLayoutFor(i))));
     double ltage_mpki = pinsim::averageMpki(runs)[0];
     auto ltage = eval.evaluate("ltage", ltage_mpki);
     std::cout << "L-TAGE-class predictor:       "

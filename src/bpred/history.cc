@@ -10,53 +10,4 @@ GlobalHistory::GlobalHistory(u32 bits) : width_(bits)
     INTERF_ASSERT(bits >= 1 && bits <= 64);
 }
 
-void
-FoldedHistory::configure(u32 orig_len, u32 folded_len)
-{
-    INTERF_ASSERT(folded_len >= 1 && folded_len <= 32);
-    origLen_ = orig_len;
-    foldedLen_ = folded_len;
-    outPoint_ = orig_len % folded_len;
-    value_ = 0;
-}
-
-void
-FoldedHistory::update(bool new_bit, bool old_bit)
-{
-    // Classic TAGE circular-shift folding: rotate left by one, insert
-    // the new bit, remove the bit that exits the window.
-    value_ = (value_ << 1) | (new_bit ? 1u : 0u);
-    value_ ^= (old_bit ? 1u : 0u) << outPoint_;
-    value_ ^= value_ >> foldedLen_;
-    value_ &= (u32{1} << foldedLen_) - 1;
-}
-
-LongHistory::LongHistory(u32 capacity)
-    : ring_(capacity, 0), capacity_(capacity)
-{
-    INTERF_ASSERT(capacity >= 1);
-}
-
-void
-LongHistory::push(bool taken)
-{
-    head_ = (head_ + 1) % capacity_;
-    ring_[head_] = taken ? 1 : 0;
-}
-
-bool
-LongHistory::bitAt(u32 i) const
-{
-    INTERF_ASSERT(i < capacity_);
-    u32 idx = (head_ + capacity_ - i % capacity_) % capacity_;
-    return ring_[idx] != 0;
-}
-
-void
-LongHistory::reset()
-{
-    std::fill(ring_.begin(), ring_.end(), u8{0});
-    head_ = 0;
-}
-
 } // namespace interf::bpred

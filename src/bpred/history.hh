@@ -1,17 +1,14 @@
 /**
  * @file
- * Global branch history registers, plain and folded.
+ * Global branch history shift register.
  *
- * Two-level predictors index their tables with recent branch outcomes;
- * TAGE needs the same history *folded* down to index/tag widths via
- * circular-shift registers so very long histories stay cheap to hash.
+ * Two-level predictors index their tables with recent branch outcomes.
+ * (L-TAGE's folded histories over a long outcome ring live with the
+ * predictor, in bpred/ltage.hh.)
  */
 
 #ifndef INTERF_BPRED_HISTORY_HH
 #define INTERF_BPRED_HISTORY_HH
-
-#include <cstddef>
-#include <vector>
 
 #include "util/types.hh"
 
@@ -51,60 +48,6 @@ class GlobalHistory
   private:
     u64 value_ = 0;
     u32 width_;
-};
-
-/**
- * A folded (compressed) history register as used by TAGE: maintains
- * hash = history[0..origLen) folded by XOR into `foldedLen` bits,
- * updated incrementally in O(1) per branch.
- *
- * Requires the cooperating caller to keep a byte ring of the full
- * history so the outgoing bit is known (see LongHistory).
- */
-class FoldedHistory
-{
-  public:
-    FoldedHistory() = default;
-
-    /** Configure for folding origLen bits down to foldedLen bits. */
-    void configure(u32 orig_len, u32 folded_len);
-
-    /** Update with the newest bit entering and the oldest leaving. */
-    void update(bool new_bit, bool old_bit);
-
-    /** Current folded value. */
-    u32 value() const { return value_; }
-
-    void reset() { value_ = 0; }
-
-  private:
-    u32 value_ = 0;
-    u32 origLen_ = 0;
-    u32 foldedLen_ = 0;
-    u32 outPoint_ = 0;
-};
-
-/**
- * Arbitrarily long global history kept as a byte ring, with helpers to
- * read the bit that is about to fall out of any window length.
- */
-class LongHistory
-{
-  public:
-    explicit LongHistory(u32 capacity = 1024);
-
-    /** Shift in one outcome. */
-    void push(bool taken);
-
-    /** The outcome i branches ago (i = 0 is the most recent). */
-    bool bitAt(u32 i) const;
-
-    void reset();
-
-  private:
-    std::vector<u8> ring_;
-    u32 head_ = 0; ///< Position of the most recent bit.
-    u32 capacity_;
 };
 
 } // namespace interf::bpred

@@ -1,6 +1,7 @@
 #include "bpred/ltage.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -8,100 +9,110 @@
 namespace interf::bpred
 {
 
-LtagePredictor::LtagePredictor(LtageConfig config)
-    : cfg_(config), history_(config.maxHistory + 8), allocRng_(0xdead)
+namespace ltage
 {
-    INTERF_ASSERT(cfg_.numTables >= 2 && cfg_.numTables <= 64);
+
+namespace
+{
+
+u32
+ringCapacity(u32 min_capacity)
+{
+    INTERF_ASSERT(min_capacity >= 1 && min_capacity <= (u32{1} << 31));
+    return std::bit_ceil(min_capacity);
+}
+
+} // anonymous namespace
+
+HistoryRing::HistoryRing(u32 min_capacity)
+    : ring_(ringCapacity(min_capacity), 0),
+      mask_(static_cast<u32>(ring_.size()) - 1)
+{
+}
+
+void
+HistoryRing::reset()
+{
+    std::fill(ring_.begin(), ring_.end(), u8{0});
+    head_ = 0;
+}
+
+} // namespace ltage
+
+LtagePredictor::LtagePredictor(LtageConfig config)
+    : cfg_(config), history_(config.maxHistory + 8),
+      untilAging_(config.uResetPeriod), allocRng_(0xdead)
+{
+    INTERF_ASSERT(cfg_.numTables >= 2 && cfg_.numTables <= kMaxTables);
     INTERF_ASSERT(cfg_.minHistory >= 2);
     INTERF_ASSERT(cfg_.maxHistory > cfg_.minHistory);
+    // Entries hold a 16-bit tag; the flat table is indexed with u32.
+    INTERF_ASSERT(cfg_.tagBitsShort >= 1 && cfg_.tagBitsShort <= 16);
+    INTERF_ASSERT(cfg_.tagBitsLong >= 1 && cfg_.tagBitsLong <= 16);
+    INTERF_ASSERT(cfg_.logTaggedEntries >= 1 && cfg_.logTaggedEntries <= 24);
+    INTERF_ASSERT(cfg_.logLoopEntries <= 24);
+    // Usefulness aging counts down from this period; zero never ages.
+    INTERF_ASSERT(cfg_.uResetPeriod > 0);
+
+    const u32 n = cfg_.numTables;
 
     // Geometric history lengths L(i) = L1 * r^(i-1), r chosen so the
     // last table reaches maxHistory.
-    histLen_.resize(cfg_.numTables);
     double ratio = std::pow(
         static_cast<double>(cfg_.maxHistory) / cfg_.minHistory,
-        1.0 / static_cast<double>(cfg_.numTables - 1));
+        1.0 / static_cast<double>(n - 1));
     double len = cfg_.minHistory;
-    for (u32 i = 0; i < cfg_.numTables; ++i) {
+    for (u32 i = 0; i < n; ++i) {
         histLen_[i] = std::max<u32>(
             static_cast<u32>(len + 0.5),
             i > 0 ? histLen_[i - 1] + 1 : cfg_.minHistory);
         len *= ratio;
     }
-    histLen_.back() = cfg_.maxHistory;
+    histLen_[n - 1] = cfg_.maxHistory;
 
-    u32 entries = u32{1} << cfg_.logTaggedEntries;
-    tables_.assign(cfg_.numTables, std::vector<TaggedEntry>(entries));
-    tagBits_.resize(cfg_.numTables);
-    indexFold_.resize(cfg_.numTables);
-    tagFold1_.resize(cfg_.numTables);
-    tagFold2_.resize(cfg_.numTables);
-    for (u32 i = 0; i < cfg_.numTables; ++i) {
-        tagBits_[i] = i < cfg_.numTables / 2 ? cfg_.tagBitsShort
-                                             : cfg_.tagBitsLong;
-        indexFold_[i].configure(histLen_[i], cfg_.logTaggedEntries);
-        tagFold1_[i].configure(histLen_[i], tagBits_[i]);
-        tagFold2_[i].configure(histLen_[i],
-                               std::max<u32>(tagBits_[i] - 1, 1));
+    entryMask_ = (u32{1} << cfg_.logTaggedEntries) - 1;
+    bimodalMask_ = (u64{1} << cfg_.logBimodalEntries) - 1;
+    loopMask_ = (u32{1} << cfg_.logLoopEntries) - 1;
+    tagged_.assign(size_t{n} << cfg_.logTaggedEntries, TaggedEntry());
+
+    groups_[0] = {0, n / 2, cfg_.tagBitsShort,
+                  std::max<u32>(cfg_.tagBitsShort - 1, 1)};
+    groups_[1] = {n / 2, n, cfg_.tagBitsLong,
+                  std::max<u32>(cfg_.tagBitsLong - 1, 1)};
+    for (const TagGroup &g : groups_) {
+        for (u32 t = g.begin; t < g.end; ++t) {
+            indexOutMask_[t] = u32{1}
+                               << (histLen_[t] % cfg_.logTaggedEntries);
+            tag1OutMask_[t] = u32{1} << (histLen_[t] % g.bits);
+            tag2OutMask_[t] = u32{1} << (histLen_[t] % g.fold2Bits);
+        }
     }
+
     bimodal_ = counter2::CounterTable(
         static_cast<u32>(u64{1} << cfg_.logBimodalEntries), 2);
     loop_.assign(u64{1} << cfg_.logLoopEntries, LoopEntry());
 }
 
-u32
-LtagePredictor::bimodalIndex(Addr pc) const
-{
-    u64 mask = (u64{1} << cfg_.logBimodalEntries) - 1;
-    return static_cast<u32>((pc ^ (pc >> 17)) & mask);
-}
-
-u32
-LtagePredictor::taggedIndex(Addr pc, u32 table) const
-{
-    u32 bits = cfg_.logTaggedEntries;
-    u32 mask = (u32{1} << bits) - 1;
-    u32 pc_mix = static_cast<u32>(pc ^ (pc >> bits) ^ (pc >> (2 * bits)));
-    return (pc_mix ^ indexFold_[table].value() ^ (table + 1)) & mask;
-}
-
-u32
-LtagePredictor::taggedTag(Addr pc, u32 table) const
-{
-    u32 bits = tagBits_[table];
-    u32 mask = (u32{1} << bits) - 1;
-    u32 pc_mix = static_cast<u32>(pc ^ (pc >> (bits + 3)));
-    return (pc_mix ^ tagFold1_[table].value() ^
-            (tagFold2_[table].value() << 1)) & mask;
-}
-
+// lint:hot-begin L-TAGE per-branch predict/update path
 bool
-LtagePredictor::loopLookup(Addr pc, Prediction &pr)
+LtagePredictor::loopLookup(Addr pc, u32 loop_idx, bool &loop_pred) const
 {
-    if (!cfg_.enableLoopPredictor)
-        return false;
-    u32 mask = (u32{1} << cfg_.logLoopEntries) - 1;
-    u32 idx = static_cast<u32>(pc ^ (pc >> cfg_.logLoopEntries)) & mask;
-    u16 tag = static_cast<u16>((pc >> 4) & 0x3fff);
-    pr.loopIndex = idx;
-    const LoopEntry &e = loop_[idx];
+    const u16 tag = static_cast<u16>((pc >> 4) & 0x3fff);
+    const LoopEntry &e = loop_[loop_idx];
     if (!e.valid || e.tag != tag || e.confidence < 3)
         return false;
     // Predict taken while inside the loop body, not-taken on the exit
     // iteration.
-    pr.loopPred = (e.currentIter + 1) < e.pastIter;
+    loop_pred = (e.currentIter + 1) < e.pastIter;
     return true;
 }
 
 void
-LtagePredictor::loopUpdate(Addr pc, bool taken, const Prediction &pr,
-                           bool tage_pred)
+LtagePredictor::loopUpdate(Addr pc, u32 loop_idx, bool taken,
+                           bool used_loop, bool loop_pred, bool tage_pred)
 {
-    if (!cfg_.enableLoopPredictor)
-        return;
-    u32 idx = pr.loopIndex;
-    u16 tag = static_cast<u16>((pc >> 4) & 0x3fff);
-    LoopEntry &e = loop_[idx];
+    const u16 tag = static_cast<u16>((pc >> 4) & 0x3fff);
+    LoopEntry &e = loop_[loop_idx];
 
     if (e.valid && e.tag == tag) {
         if (taken) {
@@ -132,8 +143,8 @@ LtagePredictor::loopUpdate(Addr pc, bool taken, const Prediction &pr,
             e.currentIter = 0;
         }
         // Track whether the loop predictor beats TAGE for this branch.
-        if (e.confidence >= 3 && pr.usedLoop) {
-            bool loop_correct = pr.loopPred == taken;
+        if (e.confidence >= 3 && used_loop) {
+            bool loop_correct = loop_pred == taken;
             bool tage_correct = tage_pred == taken;
             if (loop_correct != tage_correct) {
                 loopConfCtr_ += loop_correct ? 1 : -1;
@@ -159,78 +170,110 @@ LtagePredictor::loopUpdate(Addr pc, bool taken, const Prediction &pr,
     }
 }
 
-LtagePredictor::Prediction
-LtagePredictor::lookup(Addr pc)
-{
-    Prediction pr;
-    bool bim = counter2::predict(bimodal_.get(bimodalIndex(pc)));
-    pr.pred = bim;
-    pr.altPred = bim;
-
-    // Find provider (longest-history tag hit) and the alternate.
-    for (int t = static_cast<int>(cfg_.numTables) - 1; t >= 0; --t) {
-        u32 idx = taggedIndex(pc, t);
-        const TaggedEntry &e = tables_[t][idx];
-        if (e.tag != taggedTag(pc, t))
-            continue;
-        if (pr.provider < 0) {
-            pr.provider = t;
-            pr.providerIndex = idx;
-        } else {
-            pr.altProvider = t;
-            pr.altIndex = idx;
-            break;
-        }
-    }
-
-    if (pr.provider >= 0) {
-        const TaggedEntry &prov = tables_[pr.provider][pr.providerIndex];
-        bool prov_pred = prov.ctr >= 0;
-        if (pr.altProvider >= 0) {
-            const TaggedEntry &alt = tables_[pr.altProvider][pr.altIndex];
-            pr.altPred = alt.ctr >= 0;
-        } else {
-            pr.altPred = bim;
-        }
-        // Newly-allocated weak entries: optionally trust the alternate.
-        bool weak = (prov.ctr == 0 || prov.ctr == -1) && prov.u == 0;
-        pr.pred = (weak && useAltOnNa_ >= 0) ? pr.altPred : prov_pred;
-    }
-    return pr;
-}
-
 void
 LtagePredictor::updateHistories(bool taken)
 {
-    bool bits_out[64];
-    // Capture outgoing bits before pushing (bitAt(len-1) leaves the
-    // window of length len once the new bit enters).
-    for (u32 t = 0; t < cfg_.numTables; ++t)
-        bits_out[t] = history_.bitAt(histLen_[t] - 1);
+    // Every window's outgoing bit is read before the push: the ring
+    // holds more than maxHistory outcomes, so the push cannot
+    // overwrite one of them.
+    const u32 n = cfg_.numTables;
+    u32 old[kMaxTables];
+    for (u32 t = 0; t < n; ++t)
+        old[t] = history_.bitAt(histLen_[t] - 1);
     history_.push(taken);
-    for (u32 t = 0; t < cfg_.numTables; ++t) {
-        indexFold_[t].update(taken, bits_out[t]);
-        tagFold1_[t].update(taken, bits_out[t]);
-        tagFold2_[t].update(taken, bits_out[t]);
+
+    const u32 in = taken;
+    const u32 index_bits = cfg_.logTaggedEntries;
+    for (const TagGroup g : groups_) { // by value: the stores below
+                                       // cannot alias the bounds
+        for (u32 t = g.begin; t < g.end; ++t) {
+            indexFold_[t] = ltage::foldStep(indexFold_[t], in, old[t],
+                                            indexOutMask_[t], index_bits);
+            tagFold1_[t] = ltage::foldStep(tagFold1_[t], in, old[t],
+                                           tag1OutMask_[t], g.bits);
+            tagFold2_[t] = ltage::foldStep(tagFold2_[t], in, old[t],
+                                           tag2OutMask_[t], g.fold2Bits);
+        }
     }
 }
 
-void
-LtagePredictor::update(Addr pc, bool taken, const Prediction &pr)
+bool
+LtagePredictor::step(Addr pc, bool taken)
 {
-    bool correct = pr.pred == taken;
+    const u32 n = cfg_.numTables;
+    const u32 log_entries = cfg_.logTaggedEntries;
+
+    // Each component's flat-table slot and tag, computed once and
+    // shared by lookup and allocation (the folds do not move until
+    // updateHistories).
+    u32 slot[kMaxTables];
+    u32 tag[kMaxTables];
+    const u32 pc_index = static_cast<u32>(pc ^ (pc >> log_entries) ^
+                                          (pc >> (2 * log_entries)));
+    for (const TagGroup &g : groups_) {
+        const u32 pc_tag = static_cast<u32>(pc ^ (pc >> (g.bits + 3)));
+        const u32 mask = (u32{1} << g.bits) - 1;
+        for (u32 t = g.begin; t < g.end; ++t) {
+            slot[t] = (t << log_entries) |
+                      ((pc_index ^ indexFold_[t] ^ (t + 1)) & entryMask_);
+            tag[t] = (pc_tag ^ tagFold1_[t] ^ (tagFold2_[t] << 1)) & mask;
+        }
+    }
+
+    // Provider: the longest-history tag hit; alternate: the next one.
+    // Collected as a bit mask so no host branch depends on a tag.
+    u64 hits = 0;
+    for (u32 t = 0; t < n; ++t)
+        hits |= u64{tagged_[slot[t]].tag == tag[t]} << t;
+    const u32 bi = static_cast<u32>((pc ^ (pc >> 17)) & bimodalMask_);
+    const bool bim = counter2::predict(bimodal_.get(bi));
+    int provider = -1;
+    int alt = -1;
+    if (hits != 0) {
+        provider = 63 - std::countl_zero(hits);
+        hits &= ~(u64{1} << provider);
+        if (hits != 0)
+            alt = 63 - std::countl_zero(hits);
+    }
+
+    bool tage_pred = bim;
+    bool alt_pred = bim;
+    bool weak = false;
+    if (provider >= 0) {
+        const TaggedEntry &prov = tagged_[slot[provider]];
+        if (alt >= 0)
+            alt_pred = tagged_[slot[alt]].ctr >= 0;
+        // Newly-allocated weak entries: optionally trust the alternate.
+        weak = (prov.ctr == 0 || prov.ctr == -1) && prov.u == 0;
+        tage_pred = (weak && useAltOnNa_ >= 0) ? alt_pred : prov.ctr >= 0;
+    }
+
+    // The loop predictor overrides TAGE once it has earned trust.
+    bool final_pred = tage_pred;
+    bool used_loop = false;
+    bool loop_pred = false;
+    if (cfg_.enableLoopPredictor) {
+        const u32 loop_idx =
+            static_cast<u32>(pc ^ (pc >> cfg_.logLoopEntries)) & loopMask_;
+        if (loopLookup(pc, loop_idx, loop_pred)) {
+            // Tracked even while untrusted, to score it against TAGE.
+            used_loop = true;
+            if (loopConfCtr_ >= 0)
+                final_pred = loop_pred;
+        }
+        loopUpdate(pc, loop_idx, taken, used_loop, loop_pred, tage_pred);
+    }
 
     // Usefulness and use-alt bookkeeping.
-    if (pr.provider >= 0) {
-        TaggedEntry &prov = tables_[pr.provider][pr.providerIndex];
-        bool prov_pred = prov.ctr >= 0;
-        bool weak = (prov.ctr == 0 || prov.ctr == -1) && prov.u == 0;
-        if (weak && prov_pred != pr.altPred) {
+    if (provider >= 0) {
+        TaggedEntry &prov = tagged_[slot[provider]];
+        const bool prov_pred = prov.ctr >= 0;
+        if (weak && prov_pred != alt_pred) {
             // Track whether trusting the alternate would have helped.
-            useAltOnNa_ += (pr.altPred == taken) ? 1 : -1;
+            useAltOnNa_ += (alt_pred == taken) ? 1 : -1;
             useAltOnNa_ = std::clamp<i64>(useAltOnNa_, -8, 7);
         }
-        if (prov_pred != pr.altPred) {
+        if (prov_pred != alt_pred) {
             if (prov_pred == taken) {
                 if (prov.u < 3)
                     ++prov.u;
@@ -238,32 +281,30 @@ LtagePredictor::update(Addr pc, bool taken, const Prediction &pr)
                 --prov.u;
             }
         }
-        prov.ctr = std::clamp<i64>(prov.ctr + (taken ? 1 : -1), -4, 3);
+        prov.ctr = static_cast<std::int8_t>(
+            std::clamp(prov.ctr + (taken ? 1 : -1), -4, 3));
         // Also train the base predictor when the provider is weak, so
         // the bimodal stays a usable fallback.
-        if (prov.ctr == 0 || prov.ctr == -1) {
-            const u32 bi = bimodalIndex(pc);
+        if (prov.ctr == 0 || prov.ctr == -1)
             bimodal_.set(bi, counter2::update(bimodal_.get(bi), taken));
-        }
     } else {
-        const u32 bi = bimodalIndex(pc);
         bimodal_.set(bi, counter2::update(bimodal_.get(bi), taken));
     }
 
-    // Allocation on misprediction: claim an entry in a longer-history
-    // table with u == 0, preferring shorter of the candidates.
-    if (!correct && pr.provider < static_cast<int>(cfg_.numTables) - 1) {
-        u32 start = static_cast<u32>(pr.provider + 1);
+    // Allocation on a TAGE misprediction: claim an entry in a
+    // longer-history table with u == 0, preferring shorter of the
+    // candidates.
+    if (tage_pred != taken && provider < static_cast<int>(n) - 1) {
+        u32 start = static_cast<u32>(provider + 1);
         // Seznec's trick: sometimes skip the first candidate so
         // allocations spread over tables.
-        if (start + 1 < cfg_.numTables && (allocRng_.next() & 1))
+        if (start + 1 < n && (allocRng_.next() & 1))
             ++start;
         bool allocated = false;
-        for (u32 t = start; t < cfg_.numTables; ++t) {
-            u32 idx = taggedIndex(pc, t);
-            TaggedEntry &e = tables_[t][idx];
+        for (u32 t = start; t < n; ++t) {
+            TaggedEntry &e = tagged_[slot[t]];
             if (e.u == 0) {
-                e.tag = taggedTag(pc, t);
+                e.tag = static_cast<u16>(tag[t]);
                 e.ctr = taken ? 0 : -1;
                 allocated = true;
                 break;
@@ -272,8 +313,8 @@ LtagePredictor::update(Addr pc, bool taken, const Prediction &pr)
         if (!allocated) {
             // All candidates useful: age them so future allocations
             // can succeed.
-            for (u32 t = start; t < cfg_.numTables; ++t) {
-                TaggedEntry &e = tables_[t][taggedIndex(pc, t)];
+            for (u32 t = start; t < n; ++t) {
+                TaggedEntry &e = tagged_[slot[t]];
                 if (e.u > 0)
                     --e.u;
             }
@@ -281,51 +322,42 @@ LtagePredictor::update(Addr pc, bool taken, const Prediction &pr)
     }
 
     // Periodic global aging of usefulness counters.
-    if (++branchCount_ % cfg_.uResetPeriod == 0) {
-        for (auto &table : tables_)
-            for (auto &e : table)
-                e.u >>= 1;
+    if (--untilAging_ == 0) {
+        untilAging_ = cfg_.uResetPeriod;
+        for (TaggedEntry &e : tagged_)
+            e.u >>= 1;
     }
 
     updateHistories(taken);
+    return final_pred;
 }
 
 bool
 LtagePredictor::predictAndTrain(Addr pc, bool taken)
 {
-    Prediction pr = lookup(pc);
-    bool tage_pred = pr.pred;
-    bool final_pred = tage_pred;
-
-    bool loop_hit = loopLookup(pc, pr);
-    if (loop_hit && loopConfCtr_ >= 0) {
-        pr.usedLoop = true;
-        final_pred = pr.loopPred;
-    } else if (loop_hit) {
-        pr.usedLoop = true; // still track its accuracy vs TAGE
-    }
-
-    loopUpdate(pc, taken, pr, tage_pred);
-    update(pc, taken, pr);
-    return final_pred;
+    return step(pc, taken);
 }
+
+Count
+LtagePredictor::replayStream(const BranchStream &stream)
+{
+    return streamMispredicts(*this, stream);
+}
+// lint:hot-end
 
 void
 LtagePredictor::reset()
 {
-    for (auto &table : tables_)
-        std::fill(table.begin(), table.end(), TaggedEntry());
+    std::fill(tagged_.begin(), tagged_.end(), TaggedEntry());
     bimodal_.fill(2);
     std::fill(loop_.begin(), loop_.end(), LoopEntry());
-    for (u32 t = 0; t < cfg_.numTables; ++t) {
-        indexFold_[t].reset();
-        tagFold1_[t].reset();
-        tagFold2_[t].reset();
-    }
+    indexFold_.fill(0);
+    tagFold1_.fill(0);
+    tagFold2_.fill(0);
     history_.reset();
     useAltOnNa_ = 0;
     loopConfCtr_ = 0;
-    branchCount_ = 0;
+    untilAging_ = cfg_.uResetPeriod;
     allocRng_ = Rng(0xdead);
 }
 
@@ -340,9 +372,10 @@ u64
 LtagePredictor::sizeBits() const
 {
     u64 bits = 0;
-    for (u32 t = 0; t < cfg_.numTables; ++t) {
-        u64 entry_bits = 3 + tagBits_[t] + 2; // ctr + tag + u
-        bits += (u64{1} << cfg_.logTaggedEntries) * entry_bits;
+    for (const TagGroup &g : groups_) {
+        u64 entry_bits = 3 + g.bits + 2; // ctr + tag + u
+        bits += u64{g.end - g.begin} *
+                (u64{1} << cfg_.logTaggedEntries) * entry_bits;
     }
     bits += (u64{1} << cfg_.logBimodalEntries) * 2;
     if (cfg_.enableLoopPredictor)
@@ -354,7 +387,7 @@ LtagePredictor::sizeBits() const
 u32
 LtagePredictor::historyLength(u32 table) const
 {
-    INTERF_ASSERT(table < histLen_.size());
+    INTERF_ASSERT(table < cfg_.numTables);
     return histLen_[table];
 }
 

@@ -20,6 +20,7 @@
 #define INTERF_BPRED_PREDICTOR_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +29,38 @@
 
 namespace interf::bpred
 {
+
+/**
+ * A conditional-branch stream in execution order, borrowed from a
+ * compiled plan and a layout's tables: branch j sits at
+ * sitePc[site[j]] and resolves taken iff taken[j] != 0.
+ */
+struct BranchStream
+{
+    const u32 *site = nullptr;    ///< ReplayPlan::condSite.
+    const u8 *taken = nullptr;    ///< ReplayPlan::condTaken.
+    size_t size = 0;              ///< Branches in the stream.
+    const Addr *sitePc = nullptr; ///< LayoutTables::branchAddr.
+};
+
+/**
+ * Predict and train @p pred on every branch of @p stream in order;
+ * returns the mispredictions. With P a `final` predictor class the
+ * per-branch call is direct and inlinable, so a whole stream costs one
+ * virtual call.
+ */
+template <class P>
+Count
+streamMispredicts(P &pred, const BranchStream &stream)
+{
+    Count miss = 0;
+    for (size_t j = 0; j < stream.size; ++j) {
+        const bool taken = stream.taken[j] != 0;
+        miss += pred.predictAndTrain(stream.sitePc[stream.site[j]],
+                                     taken) != taken;
+    }
+    return miss;
+}
 
 /**
  * Abstract conditional branch direction predictor.
@@ -50,6 +83,17 @@ class BranchPredictor
      * @return The predicted direction.
      */
     virtual bool predictAndTrain(Addr pc, bool taken) = 0;
+
+    /**
+     * predictAndTrain() every branch of @p stream in order, from the
+     * current state; returns the mispredictions. `final` predictors
+     * override this with streamMispredicts(*this, stream) to drop the
+     * per-branch virtual call.
+     */
+    virtual Count replayStream(const BranchStream &stream)
+    {
+        return streamMispredicts(*this, stream);
+    }
 
     /** Restore the power-on state. */
     virtual void reset() = 0;

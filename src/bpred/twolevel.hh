@@ -26,7 +26,7 @@ namespace interf::bpred
 enum class TwoLevelScheme { GAs, Gshare };
 
 /** Global-history two-level predictor (GAs or gshare indexing). */
-class TwoLevelPredictor : public BranchPredictor
+class TwoLevelPredictor final : public BranchPredictor
 {
   public:
     /**
@@ -45,6 +45,11 @@ class TwoLevelPredictor : public BranchPredictor
         table_.set(i, counter2::update(ctr, taken));
         history_.push(taken);
         return prediction;
+    }
+
+    Count replayStream(const BranchStream &stream) override
+    {
+        return streamMispredicts(*this, stream);
     }
 
     void reset() override;

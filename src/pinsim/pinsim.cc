@@ -43,27 +43,9 @@ std::vector<PredictorResult>
 PinSim::run(const trace::Program &prog, const trace::Trace &trace,
             const layout::CodeLayout &code)
 {
-    std::vector<PredictorResult> results(predictors_.size());
-    for (size_t i = 0; i < predictors_.size(); ++i) {
-        predictors_[i]->reset();
-        results[i].name = names_[i];
-        results[i].instructions = trace.instCount;
-    }
-
-    for (const auto &ev : trace.events) {
-        const trace::BasicBlock &bb = prog.block(ev.proc, ev.block);
-        if (!bb.branch.isConditional())
-            continue;
-        Addr pc = code.branchAddr(ev.proc, ev.block);
-        bool taken = ev.taken != 0;
-        for (size_t i = 0; i < predictors_.size(); ++i) {
-            bool pred = predictors_[i]->predictAndTrain(pc, taken);
-            ++results[i].branches;
-            if (pred != taken)
-                ++results[i].mispredicts;
-        }
-    }
-    return results;
+    trace::ReplayPlan plan(prog, trace);
+    trace::LayoutTables tables(plan, code);
+    return replay(plan, tables);
 }
 
 std::vector<PredictorResult>
@@ -73,25 +55,24 @@ PinSim::replay(const trace::ReplayPlan &plan,
     INTERF_ASSERT(tables.branchAddr.size() == plan.siteCount());
     std::vector<PredictorResult> results(predictors_.size());
     for (size_t i = 0; i < predictors_.size(); ++i) {
-        predictors_[i]->reset();
         results[i].name = names_[i];
+        results[i].branches = plan.condSite.size();
         results[i].instructions = plan.instCount;
     }
 
-    const u32 *cond_site = plan.condSite.data();
-    const u8 *cond_taken = plan.condTaken.data();
-    const Addr *branch_addr = tables.branchAddr.data();
-    const size_t n = plan.condSite.size();
-    for (size_t j = 0; j < n; ++j) {
-        Addr pc = branch_addr[cond_site[j]];
-        bool taken = cond_taken[j] != 0;
-        for (size_t i = 0; i < predictors_.size(); ++i) {
-            bool pred = predictors_[i]->predictAndTrain(pc, taken);
-            ++results[i].branches;
-            if (pred != taken)
-                ++results[i].mispredicts;
-        }
+    // Predictor-major: each predictor runs the whole stream from
+    // power-on state in one replayStream call, so its state stays hot
+    // in the host caches and no per-branch virtual call is made.
+    const bpred::BranchStream stream{plan.condSite.data(),
+                                     plan.condTaken.data(),
+                                     plan.condSite.size(),
+                                     tables.branchAddr.data()};
+    // lint:hot-begin PinSim stream loop
+    for (size_t i = 0; i < predictors_.size(); ++i) {
+        predictors_[i]->reset();
+        results[i].mispredicts = predictors_[i]->replayStream(stream);
     }
+    // lint:hot-end
     return results;
 }
 

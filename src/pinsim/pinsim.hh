@@ -10,9 +10,11 @@
  * the simulator and Pin is not affected by system-level events, there
  * is no variance in the simulation result."
  *
- * PinSim replays a trace's conditional-branch stream (with the physical
- * branch addresses of a given layout) through any number of predictor
- * models simultaneously — functional only, no timing, deterministic.
+ * PinSim replays a trace's conditional-branch stream (with the branch
+ * addresses of a given layout) through a set of predictor models, one
+ * predictor at a time: each runs the whole stream from power-on state
+ * in a single BranchPredictor::replayStream call (DESIGN.md §5l).
+ * Functional only, no timing, deterministic.
  */
 
 #ifndef INTERF_PINSIM_PINSIM_HH
@@ -43,7 +45,7 @@ struct PredictorResult
 
 /**
  * The instrumentation engine: owns a set of predictors and replays
- * traces through all of them at once.
+ * traces through each of them.
  */
 class PinSim
 {
@@ -52,18 +54,18 @@ class PinSim
     explicit PinSim(const std::vector<std::string> &specs);
 
     /**
-     * Replay one (trace, layout) pair through every predictor from
-     * power-on state. Deterministic.
+     * One (trace, layout) pair: compiles the plan and code tables and
+     * calls replay(). Sweeps over many layouts of one trace should
+     * compile the plan once and call replay() directly.
      */
     std::vector<PredictorResult> run(const trace::Program &prog,
                                      const trace::Trace &trace,
                                      const layout::CodeLayout &code);
 
     /**
-     * As run(), but over a compiled plan's conditional-branch
-     * substream and a layout's flat address tables — the hot path when
-     * the same trace replays under many layouts (Figure 7/8 sweeps).
-     * Bit-identical results to run() on the same (trace, layout).
+     * Replay a compiled plan's conditional-branch substream, at a
+     * layout's branch addresses, through every predictor from power-on
+     * state. Deterministic.
      */
     std::vector<PredictorResult> replay(const trace::ReplayPlan &plan,
                                         const trace::LayoutTables &tables);

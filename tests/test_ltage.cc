@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bpred/history.hh"
 #include "bpred/ltage.hh"
 #include "bpred/twolevel.hh"
 #include "util/random.hh"
@@ -16,47 +15,92 @@ using namespace interf::bpred;
 TEST(FoldedHistory, DependsOnlyOnWindowContents)
 {
     // Two folded registers fed the same window contents agree, even if
-    // their earlier (expired) histories differed.
+    // their earlier (expired) histories differed. Window 16 folded to
+    // 8 bits (outgoing bit at 16 % 8), over a ring of 40 (rounded up to 64)
+    // so the longer prefix wraps it.
     auto run = [](const std::vector<int> &prefix,
                   const std::vector<int> &window) {
-        FoldedHistory fh;
-        fh.configure(16, 8);
-        LongHistory hist(64);
-        for (int b : prefix) {
-            fh.update(b != 0, hist.bitAt(15));
+        u32 folded = 0;
+        ltage::HistoryRing hist(40);
+        auto push = [&](int b) {
+            folded = ltage::foldStep(folded, b != 0, hist.bitAt(15),
+                                     1u << (16 % 8), 8);
             hist.push(b != 0);
-        }
-        for (int b : window) {
-            fh.update(b != 0, hist.bitAt(15));
-            hist.push(b != 0);
-        }
-        return fh.value();
+        };
+        for (int b : prefix)
+            push(b);
+        for (int b : window)
+            push(b);
+        return folded;
     };
     std::vector<int> window;
     for (int i = 0; i < 16; ++i)
         window.push_back(i % 3 == 0);
+    std::vector<int> long_prefix;
+    for (int i = 0; i < 150; ++i)
+        long_prefix.push_back(i % 5 < 2);
     u32 a = run({1, 1, 0, 1, 0, 0, 1}, window);
     u32 b = run({0, 0, 0}, window);
     u32 c = run({}, window);
     EXPECT_EQ(a, b);
     EXPECT_EQ(b, c);
+    EXPECT_EQ(run(long_prefix, window), c);
     // Different window contents (usually) give a different fold.
     std::vector<int> other(16, 0);
     other[3] = 1;
     EXPECT_NE(run({}, other), a);
     // All-zero window folds to zero.
     EXPECT_EQ(run({1, 0, 1, 1}, std::vector<int>(16, 0)), 0u);
+
+    // A window that is not a multiple of the folded width (13 into 5
+    // bits, outgoing bit at 3) equals the direct XOR of its 5-bit chunks,
+    // newest outcome in bit 0.
+    Rng rng(5);
+    std::vector<bool> bits;
+    u32 folded = 0;
+    ltage::HistoryRing hist(13);
+    for (int i = 0; i < 200; ++i) {
+        const bool bit = rng.bernoulli(0.5);
+        folded = ltage::foldStep(folded, bit, hist.bitAt(12),
+                                 1u << (13 % 5), 5);
+        hist.push(bit);
+        bits.push_back(bit);
+        u32 direct = 0;
+        for (u32 k = 0; k < 13 && k < bits.size(); ++k)
+            direct ^= static_cast<u32>(bits[bits.size() - 1 - k])
+                      << (k % 5);
+        ASSERT_EQ(folded, direct) << "after " << i + 1 << " pushes";
+    }
 }
 
 TEST(LongHistory, RingSemantics)
 {
-    LongHistory hist(8);
+    ltage::HistoryRing hist(8);
+    EXPECT_EQ(hist.capacity(), 8u);
     hist.push(true);
     hist.push(false);
     hist.push(true);
     EXPECT_TRUE(hist.bitAt(0));  // newest
     EXPECT_FALSE(hist.bitAt(1));
     EXPECT_TRUE(hist.bitAt(2));
+    EXPECT_FALSE(hist.bitAt(3)); // never pushed: zero
+
+    // A capacity that is not a power of two rounds up, and the ring
+    // keeps the newest capacity() outcomes across many wraps.
+    ltage::HistoryRing odd(10);
+    EXPECT_EQ(odd.capacity(), 16u);
+    std::vector<bool> pushed;
+    for (int i = 0; i < 100; ++i) {
+        const bool bit = (i * 7) % 3 == 0;
+        odd.push(bit);
+        pushed.push_back(bit);
+    }
+    for (u32 i = 0; i < odd.capacity(); ++i)
+        EXPECT_EQ(odd.bitAt(i), pushed[pushed.size() - 1 - i]) << i;
+
+    odd.reset();
+    for (u32 i = 0; i < odd.capacity(); ++i)
+        EXPECT_FALSE(odd.bitAt(i)) << i;
 }
 
 TEST(Ltage, GeometricHistoryLengths)
@@ -211,11 +255,71 @@ TEST(Ltage, SmallConfigurationWorks)
     EXPECT_TRUE(pred.predictAndTrain(pc, true));
 }
 
+/** replayStream over a branch stream equals one predictAndTrain call
+ *  per branch, and continues from (does not reset) the current state. */
+TEST(Ltage, ReplayStreamMatchesPerBranchCalls)
+{
+    Rng rng(17);
+    std::vector<Addr> site_pc;
+    for (int s = 0; s < 97; ++s)
+        site_pc.push_back(0x400000 + 24 * s + (rng.next() & 7));
+    std::vector<u32> site;
+    std::vector<u8> taken;
+    for (int i = 0; i < 20000; ++i) {
+        const u32 s = static_cast<u32>(rng.next() % site_pc.size());
+        site.push_back(s);
+        taken.push_back(s % 3 == 0 ? rng.bernoulli(0.5)
+                                   : (i / 7 + s) % 5 != 0);
+    }
+    const BranchStream stream{site.data(), taken.data(), site.size(),
+                              site_pc.data()};
+
+    LtageConfig aging;
+    aging.uResetPeriod = 1 << 10;
+    for (const LtageConfig &cfg : {LtageConfig(), aging}) {
+        LtagePredictor a(cfg), b(cfg);
+        Count per_branch = 0;
+        for (int pass = 0; pass < 2; ++pass)
+            for (size_t j = 0; j < site.size(); ++j)
+                per_branch += a.predictAndTrain(site_pc[site[j]],
+                                                taken[j] != 0) !=
+                              (taken[j] != 0);
+        // Through the base-class interface, as PinSim calls it.
+        BranchPredictor &base = b;
+        const Count streamed =
+            base.replayStream(stream) + base.replayStream(stream);
+        EXPECT_EQ(streamed, per_branch);
+        EXPECT_GT(streamed, 0u);
+    }
+}
+
 TEST(LtageDeathTest, BadConfigPanics)
 {
     LtageConfig bad;
     bad.numTables = 1;
     EXPECT_DEATH(LtagePredictor{bad}, "assertion");
+
+    // Aging period zero would never age (and used to divide by zero).
+    LtageConfig no_aging;
+    no_aging.uResetPeriod = 0;
+    EXPECT_DEATH(LtagePredictor{no_aging}, "assertion");
+
+    // Tags wider than the entry's 16 bits.
+    LtageConfig wide_short;
+    wide_short.tagBitsShort = 17;
+    EXPECT_DEATH(LtagePredictor{wide_short}, "assertion");
+    LtageConfig wide_long;
+    wide_long.tagBitsLong = 17;
+    EXPECT_DEATH(LtagePredictor{wide_long}, "assertion");
+
+    // 16-bit tags are the widest that fit, and work.
+    LtageConfig widest;
+    widest.tagBitsShort = 16;
+    widest.tagBitsLong = 16;
+    LtagePredictor ok(widest);
+    for (int i = 0; i < 100; ++i)
+        ok.predictAndTrain(0x400600, true);
+    EXPECT_TRUE(ok.predictAndTrain(0x400600, true));
 }
 
 } // anonymous namespace

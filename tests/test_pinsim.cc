@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "bpred/factory.hh"
+#include "bpred/ltage.hh"
 #include "layout/linker.hh"
 #include "pinsim/pinsim.hh"
 #include "trace/generator.hh"
+#include "trace/replay.hh"
 #include "workloads/builder.hh"
+#include "workloads/spec.hh"
 
 namespace
 {
@@ -137,6 +140,167 @@ TEST(PinSim, CandidateSetRunsOnSuiteWorkload)
     for (const auto &r : res) {
         EXPECT_GT(r.branches, 0u);
         EXPECT_GT(r.accuracy(), 0.5);
+    }
+}
+
+// --- Golden mispredict counts ---------------------------------------
+//
+// Exact counts captured from the reference L-TAGE implementation (a
+// vector-of-vectors of 16-byte entries and out-of-line folded-history
+// registers). Any change to the predictors' hot paths must reproduce
+// them bit for bit: the Figure 7/8 MPKIs are fed to the regression, so
+// a "harmless" one-mispredict drift changes the paper's numbers.
+
+constexpr u64 kGoldenInstructions = 100000;
+constexpr size_t kGoldenProfiles = 3;
+constexpr size_t kGoldenLayouts = 4;
+const char *const kGoldenProfileNames[kGoldenProfiles] = {
+    "403.gcc", "429.mcf", "445.gobmk"};
+
+struct GoldenWorkload
+{
+    trace::Program prog;
+    trace::Trace trace;
+    trace::ReplayPlan plan;
+    std::vector<layout::CodeLayout> codes;
+    std::vector<trace::LayoutTables> tables;
+
+    explicit GoldenWorkload(const workloads::WorkloadProfile &profile)
+        : prog(workloads::buildProgram(profile)),
+          trace(trace::TraceGenerator(prog, profile.behaviourSeed)
+                    .makeTrace(kGoldenInstructions)),
+          plan(prog, trace)
+    {
+        for (u64 seed = 1; seed <= kGoldenLayouts; ++seed) {
+            codes.push_back(layout::Linker().link(
+                prog, layout::LayoutKey{seed, true, true}));
+            tables.emplace_back(plan, codes.back());
+        }
+    }
+};
+
+const std::vector<GoldenWorkload> &
+goldenWorkloads()
+{
+    static const std::vector<GoldenWorkload> all = [] {
+        std::vector<GoldenWorkload> w;
+        for (const char *name : kGoldenProfileNames)
+            w.emplace_back(workloads::specFor(name).profile);
+        return w;
+    }();
+    return all;
+}
+
+/** Mispredicts of @p pred over one layout's branch stream, one
+ *  predictAndTrain call per branch from power-on state. */
+Count
+perBranchMispredicts(bpred::BranchPredictor &pred,
+                     const trace::ReplayPlan &plan,
+                     const trace::LayoutTables &tables)
+{
+    pred.reset();
+    Count miss = 0;
+    for (size_t j = 0; j < plan.condSite.size(); ++j) {
+        const bool taken = plan.condTaken[j] != 0;
+        miss += pred.predictAndTrain(tables.branchAddr[plan.condSite[j]],
+                                     taken) != taken;
+    }
+    return miss;
+}
+
+/** Conditional branches per golden profile (layout-invariant). */
+const Count kGoldenBranches[kGoldenProfiles] = {19810, 16489, 16480};
+
+/** [profile][layout][figureCandidateSpecs() predictor]. */
+const Count kGoldenCandidateMispredicts[kGoldenProfiles][kGoldenLayouts][5] =
+    {
+        {{1426, 1443, 1409, 1298, 783},
+         {1436, 1455, 1400, 1360, 817},
+         {1419, 1421, 1388, 1337, 805},
+         {1445, 1453, 1404, 1307, 790}},
+        {{1587, 1472, 1364, 1354, 970},
+         {1587, 1472, 1411, 1346, 853},
+         {1587, 1472, 1393, 1355, 874},
+         {1587, 1472, 1411, 1342, 892}},
+        {{1380, 1312, 1238, 1100, 741},
+         {1380, 1312, 1188, 1130, 687},
+         {1380, 1312, 1183, 1113, 695},
+         {1380, 1312, 1142, 1082, 664}},
+};
+
+/** [config][profile][layout] for the three direct LtageConfigs below. */
+const Count kGoldenLtageMispredicts[3][kGoldenProfiles][kGoldenLayouts] = {
+    {{1000, 1006, 1038, 1010}, {1243, 1246, 1241, 1260}, {925, 917, 937, 935}},
+    {{782, 824, 805, 790}, {971, 854, 874, 894}, {746, 690, 693, 660}},
+    {{835, 847, 818, 818}, {969, 868, 905, 923}, {778, 730, 734, 669}},
+};
+
+TEST(PinSimGolden, CandidateMispredictsBitIdentical)
+{
+    const auto specs = bpred::figureCandidateSpecs();
+    ASSERT_EQ(specs.size(), 5u);
+    PinSim sim(specs);
+    for (size_t p = 0; p < kGoldenProfiles; ++p) {
+        const GoldenWorkload &w = goldenWorkloads()[p];
+        for (size_t l = 0; l < kGoldenLayouts; ++l) {
+            auto res = sim.replay(w.plan, w.tables[l]);
+            ASSERT_EQ(res.size(), specs.size());
+            for (size_t i = 0; i < res.size(); ++i) {
+                EXPECT_EQ(res[i].branches, kGoldenBranches[p]);
+                EXPECT_EQ(res[i].mispredicts,
+                          kGoldenCandidateMispredicts[p][l][i])
+                    << kGoldenProfileNames[p] << " layout " << l << " "
+                    << specs[i];
+            }
+        }
+    }
+}
+
+TEST(PinSimGolden, LtageConfigMispredictsBitIdentical)
+{
+    // Loop predictor off; aging every 4096 branches (fires several
+    // times per stream); the 4-table small configuration.
+    bpred::LtageConfig no_loop;
+    no_loop.enableLoopPredictor = false;
+    bpred::LtageConfig aging;
+    aging.uResetPeriod = 1 << 12;
+    bpred::LtageConfig small;
+    small.numTables = 4;
+    small.maxHistory = 64;
+    small.logTaggedEntries = 7;
+    small.logBimodalEntries = 9;
+    const bpred::LtageConfig configs[] = {no_loop, aging, small};
+    for (size_t c = 0; c < 3; ++c) {
+        bpred::LtagePredictor pred(configs[c]);
+        for (size_t p = 0; p < kGoldenProfiles; ++p) {
+            const GoldenWorkload &w = goldenWorkloads()[p];
+            for (size_t l = 0; l < kGoldenLayouts; ++l)
+                EXPECT_EQ(perBranchMispredicts(pred, w.plan, w.tables[l]),
+                          kGoldenLtageMispredicts[c][p][l])
+                    << "config " << c << " " << kGoldenProfileNames[p]
+                    << " layout " << l;
+        }
+    }
+}
+
+/** run() (event-walking adapter) and replay() agree on every
+ *  candidate predictor, field by field. */
+TEST(PinSimGolden, RunEqualsReplayForEveryCandidate)
+{
+    const auto specs = bpred::figureCandidateSpecs();
+    PinSim a(specs), b(specs);
+    for (const GoldenWorkload &w : goldenWorkloads()) {
+        for (size_t l = 0; l < kGoldenLayouts; ++l) {
+            auto slow = a.run(w.prog, w.trace, w.codes[l]);
+            auto fast = b.replay(w.plan, w.tables[l]);
+            ASSERT_EQ(slow.size(), fast.size());
+            for (size_t i = 0; i < slow.size(); ++i) {
+                EXPECT_EQ(slow[i].name, fast[i].name);
+                EXPECT_EQ(slow[i].branches, fast[i].branches);
+                EXPECT_EQ(slow[i].mispredicts, fast[i].mispredicts);
+                EXPECT_EQ(slow[i].instructions, fast[i].instructions);
+            }
+        }
     }
 }
 

@@ -13,7 +13,8 @@ Two kinds of hot region, configured in HOT_FILES below:
   * marker regions — `// lint:hot-begin ...` / `// lint:hot-end`
     comment pairs bracketing the event loops in src/core/timing.cc,
     whose enclosing functions legitimately allocate in their setup
-    phase (lane pools, result vectors) before entering the kernel;
+    phase (lane pools, result vectors) before entering the kernel, and
+    the per-branch paths of the Pin-style simulation (L-TAGE, PinSim);
   * function manifests — named inline member functions in the cache /
     BTB headers whose whole body is hot (they are called per event or
     per line from inside the marker regions).
@@ -93,6 +94,24 @@ HOT_FILES = [
         "path": "src/bpred/btb.cc",
         "markers": False,
         "functions": [],
+    },
+    {
+        # Pin-style simulation (DESIGN.md §5l): L-TAGE's per-branch
+        # predict/update path, PinSim's predictor-major stream loop and
+        # the shared per-branch stream loop every predictor runs.
+        "path": "src/bpred/ltage.cc",
+        "markers": True,
+        "functions": [],
+    },
+    {
+        "path": "src/pinsim/pinsim.cc",
+        "markers": True,
+        "functions": [],
+    },
+    {
+        "path": "src/bpred/predictor.hh",
+        "markers": False,
+        "functions": ["streamMispredicts"],
     },
 ]
 
