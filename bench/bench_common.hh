@@ -48,19 +48,17 @@ struct JsonRow
     double eventsPerSec = 0.0; ///< 0 when the bench has no event axis.
     double wallMs = 0.0;       ///< Wall time of one measured batch.
     u64 stateBytesPerLane = 0; ///< Microarchitectural hot state per
-                               ///< replay lane (0 = no lane axis).
-    double verifyRate = 0.0;   ///< Fraction of hinted way probes the
-                               ///< memo answered without a full scan.
+                               ///< replay (0 = not a replay row).
 };
 
 /**
  * Collects JsonRow records and writes them as a single JSON document:
  *
  *   { "schema": "interf-bench-1",
- *     "schemaVersion": 3,
+ *     "schemaVersion": 5,
  *     "rows": [ { "benchmark": ..., "config": ...,
  *                 "layouts_per_sec": ..., "events_per_sec": ...,
- *                 "wall_ms": ... }, ... ],
+ *                 "wall_ms": ..., "state_bytes_per_lane": ... }, ... ],
  *     "phases": [ { "name": ..., "count": ...,
  *                   "wall_ms": ..., "thread_ms": ... }, ... ] }
  *
@@ -70,20 +68,13 @@ struct JsonRow
  * schemaVersion 2 added the version field itself and the "phases"
  * array — where the wall time went, per telemetry phase span, present
  * when telemetry was enabled for the run (--json implies it) and empty
- * otherwise. schemaVersion 3 marks the batched replay sweep: with
- * --batch K, bench_micro_replay emits "micro_replay/batched_k{k}" rows
- * (k lanes per pass over the event stream) whose layouts_per_sec is
- * directly comparable to the "micro_replay/plan" row at the same
- * config. schemaVersion 4 adds two fields to every row:
- * "state_bytes_per_lane" — the microarchitectural hot state one
- * replay lane keeps (cache tag/age/generation arrays, predictor
- * tables, BTB, RAS; 0 for benches with no lane axis), the number the
- * K-sweep trades against the host LLC (plan-sized way memos are
- * reported separately, via the replay.lane_memo_bytes telemetry gauge
- * and the bench's human-readable header) — and "verify_rate" — the
- * fraction of hinted way probes the
- * memo verification answered with a single tag load instead of a full
- * scan (0 for paths that take no hinted probes).
+ * otherwise. schemaVersion 3 added bench_micro_replay's batched-kernel
+ * rows and schemaVersion 4 added "state_bytes_per_lane" and
+ * "verify_rate" to every row. schemaVersion 5 retires the batched
+ * kernel: its rows and "verify_rate" (the way-memo hit fraction) are
+ * gone. "state_bytes_per_lane" stays — the microarchitectural hot
+ * state one replay keeps (cache tag/stamp/generation arrays, predictor
+ * tables, BTB, RAS; 0 for benches that are not replay rows).
  */
 class JsonReport
 {
@@ -99,7 +90,7 @@ class JsonReport
         if (!out)
             fatal("cannot write JSON report to '%s'", path.c_str());
         out << "{\n  \"schema\": \"interf-bench-1\",\n"
-            << "  \"schemaVersion\": 4,\n  \"rows\": [";
+            << "  \"schemaVersion\": 5,\n  \"rows\": [";
         for (size_t i = 0; i < rows_.size(); ++i) {
             const JsonRow &r = rows_[i];
             out << (i ? ",\n" : "\n")
@@ -109,7 +100,7 @@ class JsonReport
                 << ", \"events_per_sec\": " << num(r.eventsPerSec)
                 << ", \"wall_ms\": " << num(r.wallMs)
                 << ", \"state_bytes_per_lane\": " << r.stateBytesPerLane
-                << ", \"verify_rate\": " << num(r.verifyRate) << "}";
+                << "}";
         }
         out << "\n  ],\n  \"phases\": [";
         const auto phases = telemetry::phaseStats();

@@ -22,19 +22,13 @@
  * the bench checks that, making the CI smoke run a correctness probe
  * too.
  *
- * --batch K adds the batched-kernel sweep: batched_k{k} paths for
- * k in {1, 2, 4, 8} with k <= K, each replaying the same layouts as
- * the plan path but k lanes per pass through Machine::replayBatch.
- * Batched checksums must equal the plan path's (same layouts, same
- * results, any grouping) — a mismatch is fatal.
- *
  * --json writes the standard machine-readable report; --smoke shrinks
  * the scale for CI.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -55,38 +49,9 @@ namespace
 using namespace interf;
 using Clock = std::chrono::steady_clock;
 
-enum class Path : u32 { Reference, Plan, PlanIdentity, Batched };
+enum class Path : u32 { Reference, Plan, PlanIdentity };
 
-/** One measured path: a kind plus, for Batched, its lane count. */
-struct PathSpec
-{
-    Path kind;
-    u32 batchK = 0;
-    std::string name;
-};
-
-PathSpec
-makeSpec(Path kind, u32 batch_k = 0)
-{
-    PathSpec s;
-    s.kind = kind;
-    s.batchK = batch_k;
-    switch (kind) {
-      case Path::Reference:
-        s.name = "reference";
-        break;
-      case Path::Plan:
-        s.name = "plan";
-        break;
-      case Path::PlanIdentity:
-        s.name = "plan_identity";
-        break;
-      case Path::Batched:
-        s.name = "batched_k" + std::to_string(batch_k);
-        break;
-    }
-    return s;
-}
+const char *const kPathNames[] = {"reference", "plan", "plan_identity"};
 
 struct PathTiming
 {
@@ -101,11 +66,10 @@ struct PathTiming
  * checksum used for the reference-vs-plan identity check.
  */
 PathTiming
-runBatch(const PathSpec &spec, exec::ThreadPool &pool, u32 layouts,
+runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
          const trace::Program &prog, const trace::Trace &trace,
          const trace::ReplayPlan &plan, const core::MachineConfig &cfg)
 {
-    const Path path = spec.kind;
     std::vector<u64> cycles(layouts, 0);
     auto start = Clock::now();
     exec::parallelForChunks(pool, layouts, [&](size_t lo, size_t hi) {
@@ -125,39 +89,6 @@ runBatch(const PathSpec &spec, exec::ThreadPool &pool, u32 layouts,
             return trace::LayoutTables(plan, code, heap, pages,
                                        cfg.hierarchy.l1i.lineBytes);
         };
-        if (path == Path::Batched) {
-            // Same layouts as the plan path, k lanes per pass (the
-            // final group of a chunk may be ragged). Tables are built
-            // through the direct batched constructor — the same path
-            // the campaign uses — so the row measures the production
-            // batched pipeline, layout generation included.
-            for (size_t i = lo; i < hi; i += spec.batchK) {
-                size_t n = std::min<size_t>(spec.batchK, hi - i);
-                std::vector<layout::CodeLayout> codes;
-                std::vector<layout::HeapLayout> heaps;
-                std::vector<trace::BatchedLayoutTables::LaneSource>
-                    sources(n);
-                codes.reserve(n);
-                heaps.reserve(n);
-                for (size_t l = 0; l < n; ++l) {
-                    u64 seed = static_cast<u64>(i + l) + 1;
-                    codes.push_back(linker.link(
-                        prog, layout::LayoutKey{seed, true, true}));
-                    layout::HeapKey hk;
-                    hk.seed = seed;
-                    hk.randomize = true;
-                    heaps.emplace_back(prog, hk);
-                    sources[l] = {&codes[l], &heaps[l],
-                                  layout::PageMap(seed * 31 + 7)};
-                }
-                trace::BatchedLayoutTables batched(
-                    plan, sources, cfg.hierarchy.l1i.lineBytes);
-                auto res = machine.replayBatch(plan, batched);
-                for (size_t l = 0; l < n; ++l)
-                    cycles[i + l] = res[l].cycles;
-            }
-            return;
-        }
         for (size_t i = lo; i < hi; ++i) {
             u64 seed = static_cast<u64>(i) + 1;
             core::RunResult res;
@@ -185,48 +116,6 @@ runBatch(const PathSpec &spec, exec::ThreadPool &pool, u32 layouts,
     return t;
 }
 
-/**
- * Untimed hinted-probe audit for one batched path: replay the full
- * layout batch once on a single Machine with hint counting enabled
- * and return the fraction of hinted way probes the memo answered with
- * a single tag load. Runs outside the timed rounds so the counters
- * cost the measurement nothing (the unconditional increments they
- * replace measured ~3% of batched throughput — see cache::HintStats).
- */
-double
-measureVerifyRate(const PathSpec &spec, u32 layouts,
-                  const trace::Program &prog,
-                  const trace::ReplayPlan &plan,
-                  const core::MachineConfig &cfg)
-{
-    core::Machine machine(cfg);
-    machine.setHintCounting(true);
-    layout::Linker linker;
-    for (u32 i = 0; i < layouts; i += spec.batchK) {
-        u32 n = std::min(spec.batchK, layouts - i);
-        std::vector<layout::CodeLayout> codes;
-        std::vector<layout::HeapLayout> heaps;
-        std::vector<trace::BatchedLayoutTables::LaneSource> sources(n);
-        codes.reserve(n);
-        heaps.reserve(n);
-        for (u32 l = 0; l < n; ++l) {
-            u64 seed = static_cast<u64>(i + l) + 1;
-            codes.push_back(
-                linker.link(prog, layout::LayoutKey{seed, true, true}));
-            layout::HeapKey hk;
-            hk.seed = seed;
-            hk.randomize = true;
-            heaps.emplace_back(prog, hk);
-            sources[l] = {&codes[l], &heaps[l],
-                          layout::PageMap(seed * 31 + 7)};
-        }
-        trace::BatchedLayoutTables batched(
-            plan, sources, cfg.hierarchy.l1i.lineBytes);
-        machine.replayBatch(plan, batched);
-    }
-    return machine.memoHintStats().rate();
-}
-
 } // anonymous namespace
 
 int
@@ -239,9 +128,6 @@ main(int argc, char **argv)
     opts.addInt("rounds", 5,
                 "interleaved measurement rounds per thread count; the "
                 "per-path minimum is reported");
-    opts.addInt("batch", 0,
-                "batched-kernel sweep: also measure batched_k{k} for "
-                "k in {1,2,4,8} up to this lane count (0 = off)");
     opts.addFlag("smoke",
                  "CI scale: 6 layouts, 60k instructions, 2 rounds");
     opts.parse(argc, argv);
@@ -249,12 +135,6 @@ main(int argc, char **argv)
     u32 rounds = static_cast<u32>(opts.getInt("rounds"));
     if (rounds < 1)
         fatal("--rounds must be >= 1");
-    i64 batch_opt = opts.getInt("batch");
-    if (batch_opt < 0 ||
-        batch_opt > trace::BatchedLayoutTables::kMaxLanes)
-        fatal("--batch must be in [0, %u]",
-              trace::BatchedLayoutTables::kMaxLanes);
-    const u32 batch_max = static_cast<u32>(batch_opt);
     if (opts.getFlag("smoke")) {
         scale.layouts = 6;
         scale.instructions = 60000;
@@ -268,49 +148,34 @@ main(int argc, char **argv)
             .makeTrace(scale.instructions);
     trace::ReplayPlan plan(prog, trace);
     auto cfg = core::MachineConfig::xeonE5440();
-    const u64 lane_bytes = core::Machine(cfg).laneStateBytes();
-    const u64 memo_bytes = core::Machine::laneMemoBytes(plan);
+    const u64 state_bytes = core::Machine(cfg).hotStateBytes();
 
     std::printf("workload: 445.gobmk, %zu events, %llu instructions, "
                 "%u layouts, %u rounds\n",
                 plan.eventCount(),
                 static_cast<unsigned long long>(plan.instCount),
                 scale.layouts, rounds);
-    std::printf("lane state: %llu bytes (%.2f MiB) microarchitectural "
-                "state per replay lane, + %llu bytes way memos\n\n",
-                static_cast<unsigned long long>(lane_bytes),
-                static_cast<double>(lane_bytes) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(memo_bytes));
+    std::printf("machine state: %llu bytes (%.2f MiB) microarchitectural "
+                "state per replay\n\n",
+                static_cast<unsigned long long>(state_bytes),
+                static_cast<double>(state_bytes) / (1024.0 * 1024.0));
     std::printf("%-14s %8s %14s %12s %14s\n", "path", "threads",
                 "ms/layout", "layouts/sec", "events/sec");
 
-    std::vector<PathSpec> paths = {makeSpec(Path::Reference),
-                                   makeSpec(Path::Plan),
-                                   makeSpec(Path::PlanIdentity)};
-    for (u32 k : {1u, 2u, 4u, 8u})
-        if (k <= batch_max)
-            paths.push_back(makeSpec(Path::Batched, k));
+    const Path paths[] = {Path::Reference, Path::Plan, Path::PlanIdentity};
+    constexpr size_t kPaths = std::size(paths);
     std::vector<u32> threadAxis = {1};
     u32 hw = exec::ThreadPool::resolveJobs(scale.jobs);
     if (hw > 1)
         threadAxis.push_back(hw);
 
-    // Hinted-probe audit, once per batched path, before any timing:
-    // the scalar paths take no hinted probes, so their rate stays 0.
-    std::vector<double> verifyRates(paths.size(), 0.0);
-    for (size_t pi = 0; pi < paths.size(); ++pi)
-        if (paths[pi].kind == Path::Batched)
-            verifyRates[pi] = measureVerifyRate(paths[pi], scale.layouts,
-                                                prog, plan, cfg);
-
     bench::JsonReport report;
-    double refSingle = 0.0, planSingle = 0.0, bestBatchSingle = 0.0;
-    std::string bestBatchName;
+    double refSingle = 0.0, planSingle = 0.0;
     for (u32 threads : threadAxis) {
         exec::ThreadPool pool(threads);
-        std::vector<PathTiming> best(paths.size());
+        std::vector<PathTiming> best(kPaths);
         for (u32 round = 0; round < rounds; ++round) {
-            for (size_t pi = 0; pi < paths.size(); ++pi) {
+            for (size_t pi = 0; pi < kPaths; ++pi) {
                 PathTiming t =
                     runBatch(paths[pi], pool, scale.layouts, prog, trace,
                              plan, cfg);
@@ -324,34 +189,18 @@ main(int argc, char **argv)
                   "%llu): the replay kernel broke bit-identity",
                   static_cast<unsigned long long>(best[0].checksum),
                   static_cast<unsigned long long>(best[1].checksum));
-        // The batched paths replay the plan path's exact layouts, so
-        // any grouping must reproduce its checksum bit for bit.
-        for (size_t pi = 0; pi < paths.size(); ++pi)
-            if (paths[pi].kind == Path::Batched &&
-                best[pi].checksum != best[1].checksum)
-                fatal("%s checksum %llu != plan checksum %llu: the "
-                      "batched kernel broke per-lane bit-identity",
-                      paths[pi].name.c_str(),
-                      static_cast<unsigned long long>(best[pi].checksum),
-                      static_cast<unsigned long long>(best[1].checksum));
-        for (size_t pi = 0; pi < paths.size(); ++pi) {
+        for (size_t pi = 0; pi < kPaths; ++pi) {
             double perLayoutMs = best[pi].wallMs / scale.layouts;
             double layoutsPerSec = 1000.0 / perLayoutMs;
             double eventsPerSec =
                 layoutsPerSec * static_cast<double>(plan.eventCount());
             std::printf("%-14s %8u %14.3f %12.1f %14.3e\n",
-                        paths[pi].name.c_str(), threads, perLayoutMs,
+                        kPathNames[pi], threads, perLayoutMs,
                         layoutsPerSec, eventsPerSec);
-            if (threads == 1 && paths[pi].kind == Path::Reference)
+            if (threads == 1 && paths[pi] == Path::Reference)
                 refSingle = perLayoutMs;
-            if (threads == 1 && paths[pi].kind == Path::Plan)
+            if (threads == 1 && paths[pi] == Path::Plan)
                 planSingle = perLayoutMs;
-            if (threads == 1 && paths[pi].kind == Path::Batched &&
-                (bestBatchSingle == 0.0 ||
-                 perLayoutMs < bestBatchSingle)) {
-                bestBatchSingle = perLayoutMs;
-                bestBatchName = paths[pi].name;
-            }
             char config[128];
             std::snprintf(config, sizeof config,
                           "jobs=%u layouts=%u instructions=%llu rounds=%u",
@@ -359,22 +208,15 @@ main(int argc, char **argv)
                           static_cast<unsigned long long>(
                               scale.instructions),
                           rounds);
-            report.add({"micro_replay/" + paths[pi].name, config,
-                        layoutsPerSec, eventsPerSec, best[pi].wallMs,
-                        lane_bytes, verifyRates[pi]});
+            report.add({std::string("micro_replay/") + kPathNames[pi],
+                        config, layoutsPerSec, eventsPerSec,
+                        best[pi].wallMs, state_bytes});
         }
     }
 
     if (planSingle > 0.0)
         std::printf("\nplan vs reference, 1 thread: %.2fx layouts/sec\n",
                     refSingle / planSingle);
-    if (bestBatchSingle > 0.0)
-        std::printf("%s vs plan, 1 thread: %.2fx layouts/sec\n",
-                    bestBatchName.c_str(), planSingle / bestBatchSingle);
-    for (size_t pi = 0; pi < paths.size(); ++pi)
-        if (paths[pi].kind == Path::Batched)
-            std::printf("%s memo verify rate: %.1f%%\n",
-                        paths[pi].name.c_str(), 100.0 * verifyRates[pi]);
     if (!scale.jsonPath.empty()) {
         report.write(scale.jsonPath);
         std::printf("wrote JSON report to %s\n", scale.jsonPath.c_str());

@@ -4,9 +4,8 @@
  *
  * PR 8's hot-state compaction made replay correctness rest on
  * *narrowing invariants*: 48-bit split tags with a 6-bit epoch salt at
- * bits 42..47, u8 LRU ages chosen by the Cache::kNarrowLruLines
- * geometry threshold, a u32 LRU stamp clock restarted per reset, and
- * u32 site-index BTB tags that require per-layout address injectivity.
+ * bits 42..47, a u32 LRU stamp clock restarted per reset, and u32
+ * site-index BTB tags that require per-layout address injectivity.
  * Those invariants hold on the default Xeon E5440 config — tests pin
  * them there — but the fleet roadmap item runs campaigns across many
  * cache/BTB geometries, exactly where a narrowing trick that is sound
@@ -21,8 +20,8 @@
  *     tag bits from the address space the layout engines + page maps
  *     can reach and proves the split tagsLo(u32)/tagsHi(u16) pair plus
  *     epoch-salt bits cover it with no overlap, for every cache and
- *     the BTB; re-derives the narrow-vs-stamp LRU representation
- *     choice and the geometry preconditions as typed diagnostics.
+ *     the BTB; re-derives the geometry preconditions as typed
+ *     diagnostics.
  *   - PlanBounds:        wrap-bound analysis. Bounds LRU clock advance
  *     per replay from a ReplayPlan's event counts and proves the u32
  *     stamp clock (restarted every reset) can never wrap — hence never
@@ -106,11 +105,6 @@ struct AddressSpace
  *  @p line_bytes must be a nonzero power of two. */
 u32 requiredTagBits(u32 line_bytes, Addr ceiling);
 
-/** The narrow-vs-stamp LRU representation the Cache constructor picks
- *  for this geometry (u8 per-set ages at or above kNarrowLruLines
- *  lines, u32 stamps below). False for non-LRU caches. */
-bool narrowLruFor(const cache::CacheConfig &cfg);
-
 /**
  * Upper bounds on LRU clock advance within ONE replay of @p plan —
  * the interval the per-reset stamp-clock restart re-establishes.
@@ -140,9 +134,8 @@ LruAdvanceBounds lruAdvanceBounds(const core::MachineConfig &machine,
 /**
  * @{ Lower-level seams the passes delegate to, exposed (mirroring
  * verify::verifyPlacements and friends) so the seeded-unsoundness
- * matrix in tests/test_analyze.cc can feed hand-built inputs —
- * including representation claims the real constructor could never
- * produce. Cache indices follow EntityKind::Cache: 0 = L1I, 1 = L1D,
+ * matrix in tests/test_analyze.cc can feed hand-built inputs. Cache
+ * indices follow EntityKind::Cache: 0 = L1I, 1 = L1D,
  * 2 = L2.
  */
 
@@ -152,22 +145,15 @@ void auditCacheConfig(const cache::CacheConfig &cfg, u32 cache_index,
                       Addr line_ceiling, const std::string &path,
                       verify::VerifyResult &out);
 
-/** Check a claimed narrow/stamp LRU representation choice against the
- *  geometry threshold and the u8 renormalization headroom. */
-void auditLruRepresentation(const cache::CacheConfig &cfg,
-                            bool claimed_narrow, u32 cache_index,
-                            const std::string &path,
-                            verify::VerifyResult &out);
-
 /** BTB geometry + u32 full-PC tag coverage against @p code_ceiling. */
 void auditBtbConfig(u32 sets, u32 ways, Addr code_ceiling,
                     const std::string &path, verify::VerifyResult &out);
 
-/** Prove a per-replay LRU clock advance bound safe for the cache's
- *  representation (u32 stamp caches must stay below 2^32). */
+/** Prove a per-replay LRU clock advance bound safe: an LRU cache's
+ *  u32 stamp clock must advance fewer than 2^32 times per replay. */
 void checkLruAdvanceBound(const cache::CacheConfig &cfg,
-                          bool claimed_narrow, u64 advance_bound,
-                          u32 cache_index, const std::string &path,
+                          u64 advance_bound, u32 cache_index,
+                          const std::string &path,
                           verify::VerifyResult &out);
 
 /**

@@ -106,16 +106,6 @@ requiredTagBits(u32 line_bytes, Addr ceiling)
     return static_cast<u32>(std::bit_width((ceiling - 1) >> line_shift));
 }
 
-bool
-narrowLruFor(const cache::CacheConfig &cfg)
-{
-    if (cfg.replacement != cache::Replacement::Lru)
-        return false;
-    u64 entries = (cfg.sizeBytes / cfg.lineBytes / cfg.assoc) *
-                  static_cast<u64>(cfg.assoc);
-    return entries >= cache::Cache::kNarrowLruLines;
-}
-
 namespace
 {
 
@@ -139,16 +129,6 @@ auditCacheGeometry(const cache::CacheConfig &cfg, u32 cache_index,
                    strprintf("'%s': associativity must be >= 1",
                              cfg.name.c_str()));
         return false;
-    }
-    if (cfg.replacement == cache::Replacement::Lru && cfg.assoc > 32) {
-        // The u8 age renormalization buffer and the SIMD rank scan
-        // both cap at 32 ways; wider LRU sets would index past them.
-        sink.error(
-            EntityKind::Cache, cache_index,
-            strprintf("'%s': LRU associativity %u exceeds the 32-way "
-                      "u8-age bound; use random replacement",
-                      cfg.name.c_str(), cfg.assoc));
-        ok = false;
     }
     if (!ok)
         return false;
@@ -176,42 +156,6 @@ auditCacheGeometry(const cache::CacheConfig &cfg, u32 cache_index,
         return false;
     }
     return true;
-}
-
-void
-auditLruRepresentationIn(const cache::CacheConfig &cfg,
-                         bool claimed_narrow, u32 cache_index,
-                         verify::Sink &sink)
-{
-    using verify::EntityKind;
-    bool derived = narrowLruFor(cfg);
-    if (claimed_narrow != derived) {
-        u64 entries = cfg.sizeBytes / cfg.lineBytes;
-        sink.error(
-            EntityKind::Cache, cache_index,
-            strprintf("'%s': LRU representation claims %s but the "
-                      "geometry threshold derives %s (%llu lines vs "
-                      "kNarrowLruLines = %u): %s",
-                      cfg.name.c_str(),
-                      claimed_narrow ? "u8 ages" : "u32 stamps",
-                      derived ? "u8 ages" : "u32 stamps",
-                      static_cast<unsigned long long>(entries),
-                      cache::Cache::kNarrowLruLines,
-                      claimed_narrow
-                          ? "a sub-threshold cache on u8 ages pays "
-                            "renormalization with no footprint win"
-                          : "a large cache on u32 stamps quadruples "
-                            "its per-lane LRU footprint"));
-    }
-    if (claimed_narrow && cfg.assoc > 254) {
-        // renormalizeLru reassigns ranks 0..assoc-1 and the per-set
-        // clock then counts up from assoc; both must fit u8 with
-        // headroom for at least one post-renormalization touch.
-        sink.error(EntityKind::Cache, cache_index,
-                   strprintf("'%s': %u ways cannot renormalize into "
-                             "u8 ages",
-                             cfg.name.c_str(), cfg.assoc));
-    }
 }
 
 void
@@ -252,9 +196,6 @@ auditCacheConfigIn(const cache::CacheConfig &cfg, u32 cache_index,
                       Cache::kTagBits - 1,
                       static_cast<unsigned long long>(min_line)));
     }
-
-    auditLruRepresentationIn(cfg, narrowLruFor(cfg), cache_index,
-                             sink);
 }
 
 void
@@ -327,16 +268,6 @@ auditCacheConfig(const cache::CacheConfig &cfg, u32 cache_index,
 {
     verify::Sink sink(out, path, kPassName);
     auditCacheConfigIn(cfg, cache_index, line_ceiling, sink);
-}
-
-void
-auditLruRepresentation(const cache::CacheConfig &cfg,
-                       bool claimed_narrow, u32 cache_index,
-                       const std::string &path,
-                       verify::VerifyResult &out)
-{
-    verify::Sink sink(out, path, kPassName);
-    auditLruRepresentationIn(cfg, claimed_narrow, cache_index, sink);
 }
 
 void

@@ -17,9 +17,10 @@
  *   L2 advance  <= 2 * fetchLines + memCount (demand-miss fill +
  *     prefetch fill probe per line, one probe per data miss).
  *
- * Narrow (u8-age) caches need no bound: renormalization is invoked by
- * the per-set clock itself and is sound for any touch count. The u8
- * BTB recency scheme likewise handles wrap by construction.
+ * Every LRU cache, the L2 included, keeps u32 stamps and is bounded
+ * this way; random-replacement caches keep no stamps. The u8 BTB
+ * recency scheme renormalizes per set and handles wrap by
+ * construction.
  *
  * The same pass checks the plan's index widths against their u32
  * sentinels (site ids vs ReplayPlan::kNoSite, memory-universe ranks),
@@ -44,11 +45,10 @@ constexpr const char *kPassName = "plan-bounds";
 constexpr u64 kU32Wrap = u64{1} << 32;
 
 void
-checkLruAdvanceBoundIn(const cache::CacheConfig &cfg,
-                       bool claimed_narrow, u64 advance_bound,
+checkLruAdvanceBoundIn(const cache::CacheConfig &cfg, u64 advance_bound,
                        u32 cache_index, verify::Sink &sink)
 {
-    if (cfg.replacement != cache::Replacement::Lru || claimed_narrow)
+    if (cfg.replacement != cache::Replacement::Lru)
         return;
     if (advance_bound >= kU32Wrap) {
         sink.error(
@@ -85,8 +85,8 @@ class PlanBounds : public verify::Pass
                                                &m.hierarchy.l1d,
                                                &m.hierarchy.l2};
         for (u32 i = 0; i < 3; ++i)
-            checkLruAdvanceBoundIn(*caches[i], narrowLruFor(*caches[i]),
-                                   bounds.forCache(i), i, sink);
+            checkLruAdvanceBoundIn(*caches[i], bounds.forCache(i), i,
+                                   sink);
 
         // u32 index widths. Site ids share their space with the
         // kNoSite sentinel; memory ranks index the universe table.
@@ -126,13 +126,12 @@ lruAdvanceBounds(const core::MachineConfig &machine,
 }
 
 void
-checkLruAdvanceBound(const cache::CacheConfig &cfg, bool claimed_narrow,
-                     u64 advance_bound, u32 cache_index,
-                     const std::string &path, verify::VerifyResult &out)
+checkLruAdvanceBound(const cache::CacheConfig &cfg, u64 advance_bound,
+                     u32 cache_index, const std::string &path,
+                     verify::VerifyResult &out)
 {
     verify::Sink sink(out, path, kPassName);
-    checkLruAdvanceBoundIn(cfg, claimed_narrow, advance_bound,
-                           cache_index, sink);
+    checkLruAdvanceBoundIn(cfg, advance_bound, cache_index, sink);
 }
 
 std::unique_ptr<verify::Pass>

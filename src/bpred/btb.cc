@@ -37,7 +37,7 @@ Btb::reset()
     // was implemented and measured here too: full-u32-PC tags leave
     // no spare bits to fold an epoch salt into, so every probe had to
     // test a per-set generation tag, and that check alone cost ~3% of
-    // batched replay throughput. The BTB's whole state is ~45 KB —
+    // replay throughput. The BTB's whole state is ~45 KB —
     // the memset is trivial next to a layout replay.
     std::fill(tags_.begin(), tags_.end(), kNoTag);
     std::fill(targets_.begin(), targets_.end(), u32{0});

@@ -11,17 +11,16 @@
  * this adds layout-dependent CPI variance *not* explained by MPKI,
  * which is part of why the paper's branch-only r^2 averages 27%.
  *
- * The representation is compact so batched replay lanes stay small:
- * tags are stored once as u32 (branch PCs are text-segment addresses,
- * far below 2^32 — installs assert it), targets are u32 *tokens* the
- * caller chooses (the replay kernels store plan site indices instead
- * of 8-byte addresses; equality of tokens is equality of targets
- * because block addresses are injective per layout), and recency is a
- * u8 age per way against a u8 per-set clock (free at BTB touch rates;
- * see touchLru). reset() clears eagerly: unlike the caches, the full
- * u32-PC tags leave no spare bits for an epoch salt, and a per-set
- * generation check on every probe measured ~3% of batched replay
- * throughput (see Btb::reset in btb.cc).
+ * The representation is compact: tags are stored once as u32 (branch
+ * PCs are text-segment addresses, far below 2^32 — installs assert
+ * it), targets are u32 *tokens* the caller chooses (the replay kernel
+ * stores plan site indices instead of 8-byte addresses; equality of
+ * tokens is equality of targets because block addresses are injective
+ * per layout), and recency is a u8 age per way against a u8 per-set
+ * clock (free at BTB touch rates; see touchLru). reset() clears
+ * eagerly: unlike the caches, the full u32-PC tags leave no spare bits
+ * for an epoch salt, and a per-set generation check on every probe
+ * measured ~3% of replay throughput (see Btb::reset in btb.cc).
  */
 
 #ifndef INTERF_BPRED_BTB_HH
@@ -48,16 +47,6 @@ struct BtbResult
 {
     bool hit = false;
     u32 target = 0;
-};
-
-/** Cumulative probeWayHinted() outcomes (bench diagnostics; not
- *  cleared by reset(), and only accumulated while
- *  setHintCounting(true) — see cache::HintStats for why the
- *  unconditional increments were evicted from the hot path). */
-struct BtbHintStats
-{
-    u64 probes = 0;
-    u64 verified = 0;
 };
 
 /** Set-associative branch target buffer with LRU replacement. */
@@ -96,75 +85,6 @@ class Btb
         return updateFound(pc, target, probeWay(pc));
     }
 
-    /**
-     * @{ lookupUpdate() split into its scan and commit halves for the
-     * batched replay kernel: the K lanes' probeWay() scans (independent
-     * packed tag compares) issue back-to-back so their set-row loads
-     * overlap, then each lane commits with updateFound(). probeWay()
-     * has no state change; updateFound(pc, target, way) applies
-     * exactly lookupUpdate()'s effects given the scan result.
-     */
-    u32 probeWay(Addr pc) const
-    {
-        const u32 set = setIndex(pc);
-        return findWay(static_cast<size_t>(set) * ways_, tagOf(pc));
-    }
-
-    /**
-     * probeWay() with a verified way hint: a branch occupies at most
-     * one way of its set, so a tag match at @p hint is the answer and
-     * one tag load replaces the packed scan. Stale or out-of-range
-     * hints fall back to the scan — a hint can only change the cost of
-     * the probe, never its result. The batched replay kernel feeds
-     * this from a per-lane way memo keyed by branch site.
-     */
-    u32 probeWayHinted(Addr pc, u32 hint) const
-    {
-        if (countHints_) [[unlikely]]
-            ++hintStats_.probes;
-        if (hint < ways_) {
-            const u32 set = setIndex(pc);
-            if (tags_[static_cast<size_t>(set) * ways_ + hint] ==
-                    tagOf(pc)) {
-                if (countHints_) [[unlikely]]
-                    ++hintStats_.verified;
-                return hint;
-            }
-        }
-        return probeWay(pc);
-    }
-
-    BtbResult updateFound(Addr pc, u32 target, u32 w)
-    {
-        u32 way_now;
-        return updateFoundAt(pc, target, w, way_now);
-    }
-
-    /** updateFound() that also reports the way the entry occupies
-     *  afterwards (the hit way, or the victim a miss installed into)
-     *  so callers can refresh a way memo. */
-    BtbResult updateFoundAt(Addr pc, u32 target, u32 w, u32 &way_now)
-    {
-        const u32 set = setIndex(pc);
-        const size_t base = static_cast<size_t>(set) * ways_;
-        if (w != ways_) {
-            BtbResult before{true, targets_[base + w]};
-            targets_[base + w] = target;
-            touchLru(base, set, w);
-            way_now = w;
-            return before;
-        }
-        const u32 tag = tagOf(pc);
-        INTERF_ASSERT(static_cast<Addr>(tag) == pc && tag != kNoTag);
-        u32 victim = pickVictim(base);
-        tags_[base + victim] = tag;
-        targets_[base + victim] = target;
-        touchLru(base, set, victim);
-        way_now = victim;
-        return {};
-    }
-    /** @} */
-
     /** Install/refresh the target for a branch (LRU update). */
     void update(Addr pc, u32 target)
     {
@@ -177,14 +97,8 @@ class Btb
 
     u32 sets() const { return sets_; }
     u32 ways() const { return ways_; }
-    const BtbHintStats &hintStats() const { return hintStats_; }
 
-    /** Enable/disable hinted-probe outcome counting (off by default;
-     *  see BtbHintStats). */
-    void setHintCounting(bool on) { countHints_ = on; }
-
-    /** Bytes of per-replay mutable state (tag/target/age/generation
-     *  arrays) — what one batched-replay lane keeps hot. */
+    /** Bytes of per-replay mutable state (tag/target/age arrays). */
     u64 hotStateBytes() const
     {
         return tags_.size() * sizeof(u32) +
@@ -196,6 +110,34 @@ class Btb
     u64 sizeBits() const;
 
   private:
+    /** Way holding @p pc's entry, or ways_ if absent; no state change. */
+    u32 probeWay(Addr pc) const
+    {
+        const u32 set = setIndex(pc);
+        return findWay(static_cast<size_t>(set) * ways_, tagOf(pc));
+    }
+
+    /** Apply lookupUpdate()'s effects given probeWay()'s result @p w;
+     *  returns what lookup() would have. */
+    BtbResult updateFound(Addr pc, u32 target, u32 w)
+    {
+        const u32 set = setIndex(pc);
+        const size_t base = static_cast<size_t>(set) * ways_;
+        if (w != ways_) {
+            BtbResult before{true, targets_[base + w]};
+            targets_[base + w] = target;
+            touchLru(base, set, w);
+            return before;
+        }
+        const u32 tag = tagOf(pc);
+        INTERF_ASSERT(static_cast<Addr>(tag) == pc && tag != kNoTag);
+        u32 victim = pickVictim(base);
+        tags_[base + victim] = tag;
+        targets_[base + victim] = target;
+        touchLru(base, set, victim);
+        return {};
+    }
+
     /**
      * Tag of an invalid way; branch PCs are text-segment code
      * addresses far below the all-ones value (installs assert the u32
@@ -308,8 +250,6 @@ class Btb
     std::vector<u8> lru_;      ///< Per-way age; higher = more recent.
     std::vector<u8> setClock_; ///< Per-set age clock.
     /** @} */
-    mutable BtbHintStats hintStats_;
-    bool countHints_ = false;   ///< See setHintCounting().
 };
 
 } // namespace interf::bpred

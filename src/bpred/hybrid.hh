@@ -71,7 +71,7 @@ class HybridPredictor final : public BranchPredictor
   private:
     TwoLevelPredictor gas_;
     BimodalPredictor bimodal_;
-    /** 2-bit chooser counters (packed 4/byte): >=2 selects GAs. */
+    /** 2-bit chooser counters (one byte each): >=2 selects GAs. */
     counter2::CounterTable chooser_;
     u32 chooserMask_;
 };

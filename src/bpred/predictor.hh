@@ -104,8 +104,8 @@ class BranchPredictor
     /** Storage budget in bits (prediction tables + histories). */
     virtual u64 sizeBits() const = 0;
 
-    /** Host bytes of mutable state this predictor keeps per replay
-     *  lane. Defaults to the modeled budget rounded up to bytes —
+    /** Host bytes of mutable state this predictor keeps per replay.
+     *  Defaults to the modeled budget rounded up to bytes —
      *  exact for packed-counter predictors; structured predictors
      *  (L-TAGE) override with their real container sizes. */
     virtual u64 stateBytes() const { return (sizeBits() + 7) / 8; }
@@ -145,13 +145,14 @@ predict(u8 ctr)
  * Table of 2-bit saturating counters, one byte per counter.
  *
  * A 4-per-byte bit-packed variant was implemented and measured for the
- * lane-state compaction work: it shrank predictor tables 4x but cost
+ * hot-state compaction work: it shrank predictor tables 4x but cost
  * ~5% replay throughput, because four hot counters sharing one byte
  * turn independent updates into same-byte load-modify-store chains
  * (the host forwards each store to the next update's load). The tables
- * are a few tens of KB against a ~600 KB lane — the L2 tag arrays
- * dominate — so the byte-per-counter layout stays. The class remains
- * the single place predictors size and account their counter storage.
+ * are a few tens of KB against a Machine's ~1 MB of hot state — the
+ * L2 tag and stamp arrays dominate — so the byte-per-counter layout
+ * stays. The class remains the single place predictors size and
+ * account their counter storage.
  */
 class CounterTable
 {

@@ -15,39 +15,29 @@
  * kNoTag sentinel) rather than an array of line structs: a set's tags
  * share one cache line and the common hit case touches nothing else.
  *
- * The representation is compacted so batched replay lanes fit in the
- * host LLC (each lane carries its own hierarchy):
+ * The representation is kept compact:
  *  - Tags are stored once, split u32-lo / u16-hi (48 bits). Real tags
  *    are line numbers (address >> lineShift), and every address the
  *    layout engines produce is far below 2^48+lineShift bits, which an
  *    install-time assert enforces.
- *  - LRU recency is represented per geometry. L1-class caches keep a
- *    u32 stamp per way from one cache-wide clock, written and never
- *    read on the touch path. Two narrower schemes were implemented
- *    and measured there before settling on stamps: a u8 per-set age
- *    clock quarters the state but its load-increment-store on every
- *    touch forms a store-forwarding chain through per-set bytes that
- *    cost ~10-15% of the whole replay kernel, and u16 stamps with a
- *    rank-renormalizing wrap still lost ~5-9% (16-bit RMW on the
- *    clock plus the wrap's cold excursions); the arrays are ~2 KB per
- *    L1, so narrowing them buys nothing anyway. Megabyte-class LRU
- *    caches (>= kNarrowLruLines lines — the modeled 6 MB L2) keep u8
- *    per-set ages with order-exact rank renormalization instead (the
- *    BTB's scheme): only L1-miss traffic touches them, so the per-set
- *    chain is off the hot path, and a u32 age array at that line
- *    count would be ~0.4 MB of a lane's ~0.65 MB footprint. Victim
- *    choice is bit-identical between the two representations —
- *    renormalization preserves strict age order and the way-index
- *    tie-break — so which one a cache uses is invisible to results.
+ *  - LRU recency is a u32 stamp per way from one cache-wide clock,
+ *    written and never read on the touch path. Narrower schemes were
+ *    measured and lost: a u8 per-set age clock forms a store-forwarding
+ *    chain through per-set bytes (~10-15% of the replay kernel on the
+ *    L1s) and u16 stamps with a rank-renormalizing wrap lost ~5-9%.
+ *    On the L2, u8 ages and stamps measured the same, so one
+ *    representation serves every LRU cache (DESIGN.md §5m). reset()
+ *    restarts the clock, so a wrap would need 2^32 touches within one
+ *    replay; the static analyzer bounds that per plan.
  *  - reset() bumps a per-cache epoch instead of memsetting megabytes.
  *    The epoch is folded into the tag itself (bits 42..47, above any
  *    real line number): a probe key only ever matches a tag installed
  *    in the same epoch, so stale sets miss with zero per-probe checks
  *    — an earlier design that tested a per-set generation tag on
- *    every probe measured ~10% of batched replay throughput. The
- *    generation array survives only on the miss/install path, where a
- *    stale set re-materializes before its first install; the epoch
- *    wrap (every 63 resets) pays for a real clear.
+ *    every probe measured ~10% of replay throughput. The generation
+ *    array survives only on the miss/install path, where a stale set
+ *    re-materializes before its first install; the epoch wrap (every
+ *    63 resets) pays for a real clear.
  */
 
 #ifndef INTERF_CACHE_CACHE_HH
@@ -106,20 +96,6 @@ struct CacheStats
     }
 };
 
-/** Cumulative outcome counts of probeWayHinted() calls: how many ran,
- *  and how many the one-load hint verification answered without the
- *  full scan. Diagnostics only (the bench reports the ratio as the
- *  memo verify rate); never cleared by reset(), and only accumulated
- *  while setHintCounting(true) — the unconditional increments were
- *  two read-modify-writes on the hottest probe path, and replacing
- *  them with a predicted never-taken branch measured ~3% of batched
- *  replay throughput. */
-struct HintStats
-{
-    u64 probes = 0;
-    u64 verified = 0;
-};
-
 /** A set-associative, LRU, tag-only cache. */
 class Cache
 {
@@ -154,29 +130,6 @@ class Cache
     }
 
     /**
-     * Commit half of access(): complete an access whose tag scan
-     * already ran (@p way from probeWay(), with no intervening change
-     * to the set). Statistics, LRU and install effects are exactly
-     * those of access(); the return value is the same hit/miss.
-     *
-     * This is the batched replay kernel's primitive: K lanes' probeWay
-     * scans issue back-to-back — independent packed compares whose set
-     * rows load in parallel — and the branchy commit runs after, so
-     * one event's K tag scans overlap instead of serializing.
-     */
-    bool accessFound(Addr addr, u32 way)
-    {
-        switch (assoc_) {
-          case 8:
-            return accessFoundT<8>(addr, way);
-          case 24:
-            return accessFoundT<24>(addr, way);
-          default:
-            return accessFoundT<0>(addr, way);
-        }
-    }
-
-    /**
      * Way currently holding @p addr's line, or assoc() if absent; no
      * state change. Lets callers that will touch the line again skip
      * the next scan (see MemoryHierarchy's prefetch memo).
@@ -190,53 +143,6 @@ class Cache
             return probeWayT<24>(addr);
           default:
             return probeWayT<0>(addr);
-        }
-    }
-
-    /**
-     * probeWay() with a verified way hint. A line occupies at most one
-     * way of its set, so if the tag at @p hint matches, @p hint *is*
-     * the answer — one tag load replaces the packed scan. A stale or
-     * out-of-range hint (the sentinel 0xff included) falls back to the
-     * full scan, so a hint can only ever change the cost of the probe,
-     * never its result. The batched replay kernel feeds this from
-     * small per-lane way memos keyed by replay-plan indices.
-     */
-    u32 probeWayHinted(Addr addr, u32 hint) const
-    {
-        if (countHints_) [[unlikely]]
-            ++hintStats_.probes;
-        if (hint < assoc_) {
-            const u32 set = setIndex(addr);
-            const size_t base = static_cast<size_t>(set) * assoc_;
-            // The probe key carries the epoch salt, so a tag written
-            // in a stale epoch cannot verify — no liveness check.
-            const Addr tag = tagOf(addr);
-            if (tagsLo_[base + hint] == static_cast<u32>(tag) &&
-                tagsHi_[base + hint] == static_cast<u16>(tag >> 32)) {
-                if (countHints_) [[unlikely]]
-                    ++hintStats_.verified;
-                return hint;
-            }
-        }
-        return probeWay(addr);
-    }
-
-    /**
-     * accessFound() that also reports the way the line occupies after
-     * the access — the hit way, or the victim a miss installed into —
-     * so callers can refresh a way memo. Effects and hit/miss outcome
-     * are exactly accessFound()'s.
-     */
-    u32 accessFoundWay(Addr addr, u32 way)
-    {
-        switch (assoc_) {
-          case 8:
-            return accessFoundWayT<8>(addr, way);
-          case 24:
-            return accessFoundWayT<24>(addr, way);
-          default:
-            return accessFoundWayT<0>(addr, way);
         }
     }
 
@@ -257,7 +163,7 @@ class Cache
         // tests pin the claim instead.
         INTERF_ASSERT(way < assoc_);
         ++stats_.accesses;
-        touchLru(base, set, way);
+        touchLru(base, way);
     }
 
     /**
@@ -288,26 +194,14 @@ class Cache
 
     const CacheConfig &config() const { return cfg_; }
     const CacheStats &stats() const { return stats_; }
-    const HintStats &hintStats() const { return hintStats_; }
 
-    /** Enable/disable hinted-probe outcome counting (off by default;
-     *  see HintStats). */
-    void setHintCounting(bool on) { countHints_ = on; }
-
-    /** Bytes of per-replay mutable state (tag/LRU/generation arrays) —
-     *  what one batched-replay lane keeps hot per cache. */
+    /** Bytes of per-replay mutable state (tag/LRU/generation arrays). */
     u64 hotStateBytes() const
     {
         return tagsLo_.size() * sizeof(u32) +
                tagsHi_.size() * sizeof(u16) +
-               lru_.size() * sizeof(u32) + lru8_.size() +
-               setClock8_.size() + gen_.size();
+               lru_.size() * sizeof(u32) + gen_.size();
     }
-
-    /** Line count at and above which an LRU cache stores u8 per-set
-     *  ages instead of u32 stamps (see the file header; exposed so
-     *  tests can construct caches on either side). */
-    static constexpr u32 kNarrowLruLines = 16384;
 
     /**
      * @{ Compacted-tag representation constants, public so the static
@@ -333,13 +227,13 @@ class Cache
     static constexpr u8 kEpochPeriod = 63;
     /** @} */
 
-    /** Current u32 stamp-clock value (stamp-LRU caches only). Exposed
-     *  so tests can pin the reset-restart invariant: the clock must
-     *  restart at every reset(), or a pooled lane's cumulative touches
-     *  could wrap it mid-sweep and silently invert victim choice —
-     *  2^32 touches is unreachable within one replay, which is the
-     *  bound reset() re-establishes, but reachable across thousands
-     *  of optimizer replays. */
+    /** Current u32 stamp-clock value (LRU caches only). Exposed so
+     *  tests can pin the reset-restart invariant: the clock must
+     *  restart at every reset(), or a reused Machine's cumulative
+     *  touches could wrap it mid-sweep and silently invert victim
+     *  choice — 2^32 touches is unreachable within one replay, which
+     *  is the bound reset() re-establishes, but reachable across
+     *  thousands of optimizer replays. */
     u32 lruClockForTest() const { return lruClock_; }
 
     /** Set index for an address (exposed for tests). */
@@ -367,65 +261,23 @@ class Cache
             tagsLo_[base + w] = static_cast<u32>(kNoTag);
             tagsHi_[base + w] = static_cast<u16>(kNoTag >> 32);
         }
-        if (lruTracked_) {
-            if (narrowLru_) {
-                for (u32 w = 0; w < assoc_; ++w)
-                    lru8_[base + w] = 0;
-                setClock8_[set] = 0;
-            } else {
-                for (u32 w = 0; w < assoc_; ++w)
-                    lru_[base + w] = 0;
-            }
-        }
+        if (lruTracked_)
+            for (u32 w = 0; w < assoc_; ++w)
+                lru_[base + w] = 0;
         gen_[set] = epoch_;
     }
 
     /**
-     * Mark way @p w most-recent in its set. For stamp-tracked caches
-     * the store is the only per-set write — nothing on this path
-     * *reads* per-set replacement state, so consecutive touches of
-     * one set never serialize through it (see the file header for the
-     * narrower schemes this out-measured). Narrow (big-LRU) caches
-     * take the BTB's per-set age-clock path instead; the narrowLru_
-     * branch is loop-invariant per cache instance, and the fixed-
-     * associativity template instantiations keep the L1s' inlined
-     * copies on the stamp side unconditionally predicted.
+     * Mark way @p w most-recent in its set. The store is the only
+     * per-set write — nothing on this path *reads* per-set replacement
+     * state, so consecutive touches of one set never serialize through
+     * it (see the file header for the narrower schemes this
+     * out-measured).
      */
-    void touchLru(size_t base, u32 set, u32 w)
+    void touchLru(size_t base, u32 w)
     {
-        if (!lruTracked_)
-            return;
-        if (narrowLru_) {
-            u8 clock = setClock8_[set];
-            if (clock == 0xff) {
-                renormalizeLru(base);
-                clock = static_cast<u8>(assoc_ - 1);
-            }
-            ++clock;
-            setClock8_[set] = clock;
-            lru8_[base + w] = clock;
-            return;
-        }
-        lru_[base + w] = ++lruClock_;
-    }
-
-    /** Rank-renormalize one set's u8 ages to 0..assoc-1, preserving
-     *  age order with ties (never-touched ways) broken by way index —
-     *  exactly the order pickVictim's min scan observes, so victim
-     *  choice across a renormalization is unchanged. */
-    void renormalizeLru(size_t base)
-    {
-        u8 *ages = lru8_.data() + base;
-        u8 ranked[32]; // validate() caps LRU assoc at 32
-        for (u32 w = 0; w < assoc_; ++w) {
-            u8 r = 0;
-            for (u32 v = 0; v < assoc_; ++v)
-                r += static_cast<u8>(ages[v] < ages[w] ||
-                                     (ages[v] == ages[w] && v < w));
-            ranked[w] = r;
-        }
-        for (u32 w = 0; w < assoc_; ++w)
-            ages[w] = ranked[w];
+        if (lruTracked_)
+            lru_[base + w] = ++lruClock_;
     }
 
     /**
@@ -505,31 +357,10 @@ class Cache
         // No liveness check: a stale set's tags carry an old epoch
         // salt, so the scan misses on its own (see kEpochShift).
         const u32 w = findWay<kAssoc>(base, tagOf(addr));
-        return accessFoundT<kAssoc>(addr, w);
-    }
-
-    /** Commit body shared by accessT and the batched probe/commit
-     *  split; the set/tag recomputation folds away after inlining. */
-    template <u32 kAssoc>
-    bool accessFoundT(Addr addr, u32 w)
-    {
-        const u32 assoc = kAssoc ? kAssoc : assoc_;
-        accessFoundWayT<kAssoc>(addr, w);
-        return w != assoc;
-    }
-
-    /** As accessFoundT, returning the way the line ends up in (the
-     *  hit way unchanged, or the just-installed victim on a miss). */
-    template <u32 kAssoc>
-    u32 accessFoundWayT(Addr addr, u32 w)
-    {
-        const u32 assoc = kAssoc ? kAssoc : assoc_;
         ++stats_.accesses;
-        const u32 set = setIndex(addr);
-        const size_t base = static_cast<size_t>(set) * assoc;
         if (w != assoc) {
-            touchLru(base, set, w);
-            return w;
+            touchLru(base, w);
+            return true;
         }
         ++stats_.misses;
         if (!setLive(set))
@@ -540,8 +371,8 @@ class Cache
         u32 victim = pickVictim<kAssoc>(base);
         tagsLo_[base + victim] = static_cast<u32>(tag);
         tagsHi_[base + victim] = static_cast<u16>(tag >> 32);
-        touchLru(base, set, victim);
-        return victim;
+        touchLru(base, victim);
+        return false;
     }
 
     template <u32 kAssoc>
@@ -566,13 +397,13 @@ class Cache
             materializeSet(base, set);
         u32 w = findWay<kAssoc>(base, tag);
         if (w != assoc) {
-            touchLru(base, set, w);
+            touchLru(base, w);
             return w;
         }
         u32 victim = pickVictim<kAssoc>(base);
         tagsLo_[base + victim] = static_cast<u32>(tag);
         tagsHi_[base + victim] = static_cast<u16>(tag >> 32);
-        touchLru(base, set, victim);
+        touchLru(base, victim);
         return victim;
     }
 
@@ -590,14 +421,6 @@ class Cache
             return invalid;
         if (cfg_.replacement == Replacement::Random)
             return static_cast<u32>(victimRng_.uniformInt(assoc));
-        if (narrowLru_) {
-            const u8 *lru = lru8_.data() + base;
-            u32 victim = 0;
-            for (u32 w = 1; w < assoc; ++w)
-                if (lru[w] < lru[victim])
-                    victim = w;
-            return victim;
-        }
         const u32 *lru = lru_.data() + base;
         u32 victim = 0;
         for (u32 w = 1; w < assoc; ++w)
@@ -615,23 +438,15 @@ class Cache
      *  caches skip the stores — dead writes evict real state from the
      *  host's caches. */
     bool lruTracked_;
-    /** Lru representation: u8 per-set ages (lru8_/setClock8_) for
-     *  caches of >= kNarrowLruLines lines, u32 stamps (lru_) below.
-     *  Fixed by geometry at construction — not a knob. */
-    bool narrowLru_ = false;
     /** Current reset epoch; a set is valid iff gen_[set] == epoch_. */
     u8 epoch_ = 0;
     Rng victimRng_{0x5eed};
     std::vector<u32> tagsLo_;    ///< @{ 48-bit tags, split for the
     std::vector<u16> tagsHi_;    ///< packed scan; row-major by set. @}
-    std::vector<u32> lru_;       ///< Per-way stamp (small Lru caches).
+    std::vector<u32> lru_;       ///< Per-way stamp (Lru caches).
     u32 lruClock_ = 0;           ///< Cache-wide stamp clock.
-    std::vector<u8> lru8_;       ///< Per-way age (narrow Lru caches).
-    std::vector<u8> setClock8_;  ///< Per-set age clock (narrow Lru).
     std::vector<u8> gen_;        ///< Per-set reset generation.
     CacheStats stats_;
-    mutable HintStats hintStats_;
-    bool countHints_ = false;    ///< See setHintCounting().
 };
 
 } // namespace interf::cache

@@ -76,35 +76,6 @@ MeasurementRunner::measureWithTruth(const trace::ReplayPlan &plan,
     return protocol(machine_.replay(plan, tables), noise_seed);
 }
 
-std::vector<Measurement>
-MeasurementRunner::measureBatch(const trace::ReplayPlan &plan,
-                                const trace::BatchedLayoutTables &tables,
-                                const std::vector<u64> &noise_seeds)
-{
-    auto runs = measureBatchWithTruth(plan, tables, noise_seeds);
-    std::vector<Measurement> out;
-    out.reserve(runs.size());
-    for (auto &r : runs)
-        out.push_back(r.sample);
-    return out;
-}
-
-std::vector<MeasuredRun>
-MeasurementRunner::measureBatchWithTruth(
-    const trace::ReplayPlan &plan,
-    const trace::BatchedLayoutTables &tables,
-    const std::vector<u64> &noise_seeds)
-{
-    INTERF_ASSERT(noise_seeds.size() == tables.lanes());
-    INTERF_SPAN("runner.measure_batch");
-    std::vector<RunResult> truths = machine_.replayBatch(plan, tables);
-    std::vector<MeasuredRun> out;
-    out.reserve(truths.size());
-    for (size_t l = 0; l < truths.size(); ++l)
-        out.push_back(protocol(truths[l], noise_seeds[l]));
-    return out;
-}
-
 MeasuredRun
 MeasurementRunner::protocol(RunResult truth_in, u64 noise_seed)
 {

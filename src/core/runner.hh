@@ -131,27 +131,6 @@ class MeasurementRunner
                                  u64 noise_seed);
     /** @} */
 
-    /**
-     * @{ Batched measurement: K layouts through one pass over the
-     * plan's event stream (Machine::replayBatch), then the standard
-     * protocol per lane with that lane's own noise seed. Element i is
-     * bit-identical to measure(plan, tables.lane(i), noise_seeds[i]) —
-     * the protocol consumes only the lane's truth counters and seed,
-     * both unchanged by batching — so campaigns may group lanes
-     * freely without perturbing any sample.
-     *
-     * @param noise_seeds One seed per lane (size == tables.lanes()).
-     */
-    std::vector<Measurement> measureBatch(const trace::ReplayPlan &plan,
-                                          const trace::BatchedLayoutTables &tables,
-                                          const std::vector<u64> &noise_seeds);
-
-    std::vector<MeasuredRun>
-    measureBatchWithTruth(const trace::ReplayPlan &plan,
-                          const trace::BatchedLayoutTables &tables,
-                          const std::vector<u64> &noise_seeds);
-    /** @} */
-
   private:
     /** The three-group median-of-five protocol over one truth run. */
     MeasuredRun protocol(RunResult truth, u64 noise_seed);

@@ -66,17 +66,6 @@ struct CampaignConfig
      * byte-identical samples (see tests/test_campaign.cc).
      */
     u32 jobs = 0;
-    /**
-     * Layouts replayed per pass over the event stream within each
-     * worker (Machine::replayBatch). Each worker's index range is cut
-     * into groups of up to batchLanes lanes; 0 or 1 disables batching
-     * (one layout per pass), values above the kernel's lane cap are
-     * clamped. Like jobs, this is an execution knob: lane i of a batch
-     * is bit-identical to the unbatched measurement of the same
-     * layout, so any value produces byte-identical samples (see
-     * tests/test_campaign.cc) and it is excluded from the store key.
-     */
-    u32 batchLanes = 4;
     /** Model physically-indexed L2 placement (per-layout page maps).
      *  Disable to ablate: a virtually-indexed L2 loses its placement
      *  sensitivity entirely. */
@@ -189,19 +178,6 @@ class Campaign
     /** Link, derive and measure layout @p index with @p runner. */
     core::Measurement measureOne(core::MeasurementRunner &runner,
                                  u32 index) const;
-
-    /**
-     * Measure layouts [first, first + n) as one batched replay pass
-     * (n <= BatchedLayoutTables::kMaxLanes), writing sample l to
-     * out[l]. n == 1 degenerates to measureOne. Only called for
-     * unmeasured layouts, so layout tables are built for exactly the
-     * lanes actually replayed.
-     */
-    void measureGroup(core::MeasurementRunner &runner, u32 first, u32 n,
-                      core::Measurement *out) const;
-
-    /** cfg_.batchLanes clamped to the kernel's [1, kMaxLanes]. */
-    u32 laneWidth() const;
 
     /** Measure [first, first + count) into @p out at @p out_offset. */
     void measureRange(u32 first, u32 count,

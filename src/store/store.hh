@@ -52,9 +52,9 @@ namespace interf::store
  * link order). Two profiles differing only in such knobs must never
  * share a cache entry.
  *
- * Deliberately excluded: `jobs` and `batchLanes` (the executor
- * guarantees byte-identical samples at any worker count and any lane
- * grouping, so serial, parallel and batched runs share cache entries)
+ * Deliberately excluded: `jobs` (the executor guarantees
+ * byte-identical samples at any worker count, so serial and parallel
+ * runs share cache entries)
  * and `storeDir` (where the cache lives cannot affect what it caches).
  */
 u64 campaignKey(const trace::Program &prog, u64 behaviour_seed,

@@ -148,63 +148,12 @@ TEST(Analyze, TagWidthOverflowRejectedForHugeAddressSpace)
             << render(r);
 }
 
-TEST(Analyze, LruAssociativityPastRenormalizationRejected)
-{
-    // 33-way LRU breaks the u8-age renormalization contract (and the
-    // Cache constructor would fatal); the analyzer reports it as a
-    // typed diagnostic instead.
-    auto r = analyze::analyzeMachine(machineWith("l2.assoc=33"));
-    EXPECT_TRUE(hasDiag(r, "config-soundness", EntityKind::Cache, 2))
-        << render(r);
-}
-
 TEST(Analyze, BrokenGeometryRejectedNotFatal)
 {
     // Non-power-of-two line size: a typed diagnostic, no fatal().
     auto r = analyze::analyzeMachine(machineWith("l1d.line=48"));
     EXPECT_TRUE(hasDiag(r, "config-soundness", EntityKind::Cache, 1))
         << render(r);
-}
-
-TEST(Analyze, NarrowLruThresholdMatchesConstructor)
-{
-    const auto machine = core::MachineConfig::xeonE5440();
-    // 32 KiB / 64 B = 512 lines: far below kNarrowLruLines -> stamps.
-    EXPECT_FALSE(analyze::narrowLruFor(machine.hierarchy.l1i));
-    // 6 MiB / 64 B = 98304 lines: narrow u8 ages.
-    EXPECT_TRUE(analyze::narrowLruFor(machine.hierarchy.l2));
-}
-
-TEST(Analyze, ClaimedLruRepresentationMismatchCaught)
-{
-    const auto machine = core::MachineConfig::xeonE5440();
-
-    // A sub-threshold cache claiming narrow u8 ages: the constructor
-    // would pick stamps, so the claim is a seeded unsoundness.
-    VerifyResult narrow_claim;
-    analyze::auditLruRepresentation(machine.hierarchy.l1i,
-                                    /*claimed_narrow=*/true, 0,
-                                    "<claims>", narrow_claim);
-    EXPECT_TRUE(hasDiag(narrow_claim, "config-soundness",
-                        EntityKind::Cache, 0))
-        << render(narrow_claim);
-
-    // And the reverse: a big L2 claiming u32 stamps.
-    VerifyResult stamp_claim;
-    analyze::auditLruRepresentation(machine.hierarchy.l2,
-                                    /*claimed_narrow=*/false, 2,
-                                    "<claims>", stamp_claim);
-    EXPECT_TRUE(hasDiag(stamp_claim, "config-soundness",
-                        EntityKind::Cache, 2))
-        << render(stamp_claim);
-
-    // Truthful claims are clean.
-    VerifyResult truthful;
-    analyze::auditLruRepresentation(machine.hierarchy.l1i, false, 0,
-                                    "<claims>", truthful);
-    analyze::auditLruRepresentation(machine.hierarchy.l2, true, 2,
-                                    "<claims>", truthful);
-    EXPECT_CLEAN(truthful);
 }
 
 TEST(Analyze, BtbTagOverflowRejected)
@@ -238,27 +187,27 @@ TEST(Analyze, StampWrapBoundSeam)
     const auto machine = core::MachineConfig::xeonE5440();
     const u64 wrap = u64{1} << 32;
 
-    // A stamp cache (L1I geometry) whose per-replay advance can reach
+    // An LRU cache (L1I geometry) whose per-replay advance can reach
     // the wrap: victim choice could invert mid-replay.
     VerifyResult over;
-    analyze::checkLruAdvanceBound(machine.hierarchy.l1i,
-                                  /*claimed_narrow=*/false, wrap, 0,
+    analyze::checkLruAdvanceBound(machine.hierarchy.l1i, wrap, 0,
                                   "<plan>", over);
     EXPECT_TRUE(hasDiag(over, "plan-bounds", EntityKind::Cache, 0))
         << render(over);
 
     // One below the wrap is proven safe.
     VerifyResult under;
-    analyze::checkLruAdvanceBound(machine.hierarchy.l1i, false,
-                                  wrap - 1, 0, "<plan>", under);
+    analyze::checkLruAdvanceBound(machine.hierarchy.l1i, wrap - 1, 0,
+                                  "<plan>", under);
     EXPECT_CLEAN(under);
 
-    // Narrow u8-age caches renormalize per touch: wrap-safe by
-    // construction, any bound is fine.
-    VerifyResult narrow;
-    analyze::checkLruAdvanceBound(machine.hierarchy.l2, true,
-                                  wrap * 16, 2, "<plan>", narrow);
-    EXPECT_CLEAN(narrow);
+    // Random-replacement caches keep no stamps: any bound is fine.
+    auto random_l2 = machine.hierarchy.l2;
+    random_l2.replacement = cache::Replacement::Random;
+    VerifyResult random;
+    analyze::checkLruAdvanceBound(random_l2, wrap * 16, 2, "<plan>",
+                                  random);
+    EXPECT_CLEAN(random);
 }
 
 TEST(Analyze, PlanWithWrappingAdvanceBoundRejected)
@@ -275,13 +224,14 @@ TEST(Analyze, PlanWithWrappingAdvanceBoundRejected)
     EXPECT_GE(bounds.l1i, u64{1} << 32);
 
     auto r = analyze::analyzeMachine(machine, &plan);
-    // L1I (stamps) trips the wrap bound; L2 is narrow and wrap-safe,
-    // L1D advance is bounded by the (empty) memory stream.
+    // The L1I and the L2 (both u32 stamps; the L2's advance bound is
+    // 2 * fetchLines) trip the wrap bound; L1D advance is bounded by
+    // the (empty) memory stream.
     EXPECT_TRUE(hasDiag(r, "plan-bounds", EntityKind::Cache, 0))
         << render(r);
     EXPECT_FALSE(hasDiag(r, "plan-bounds", EntityKind::Cache, 1))
         << render(r);
-    EXPECT_FALSE(hasDiag(r, "plan-bounds", EntityKind::Cache, 2))
+    EXPECT_TRUE(hasDiag(r, "plan-bounds", EntityKind::Cache, 2))
         << render(r);
 }
 

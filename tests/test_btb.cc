@@ -122,31 +122,6 @@ TEST(Btb, RepeatedResetNeverResurrectsEntries)
         EXPECT_FALSE(btb.lookup(0x400000 + pc * 4).hit);
 }
 
-TEST(Btb, HintedProbeMatchesUnhinted)
-{
-    // A hint can change the cost of a probe, never its result: for
-    // any hint value (stale, out-of-range, or the 0xff "no hint"
-    // sentinel), probeWayHinted must agree with probeWay.
-    Btb btb(16, 4);
-    btb.setHintCounting(true);
-    for (Addr pc = 0; pc < 128; ++pc)
-        btb.update(0x400000 + pc * 4, static_cast<u32>(pc));
-    for (Addr pc = 0; pc < 160; ++pc) {
-        Addr a = 0x400000 + pc * 4;
-        u32 want = btb.probeWay(a);
-        for (u32 hint : {0u, 1u, 3u, 4u, 17u, 0xffu})
-            EXPECT_EQ(btb.probeWayHinted(a, hint), want)
-                << "pc=" << a << " hint=" << hint;
-    }
-    // Stale hints (the entry moved ways or was evicted) still agree.
-    btb.reset();
-    btb.update(0x400000, 1);
-    for (u32 hint : {0u, 1u, 2u, 3u, 0xffu})
-        EXPECT_EQ(btb.probeWayHinted(0x400000, hint),
-                  btb.probeWay(0x400000));
-    EXPECT_GT(btb.hintStats().probes, 0u);
-}
-
 TEST(Btb, GeometryAccessors)
 {
     Btb btb(1024, 4);

@@ -3,7 +3,6 @@
  *  every counter, for every layout — this is the contract that lets
  *  campaigns run the dense kernel at all. */
 
-#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -83,10 +82,13 @@ expectSameResult(const RunResult &a, const RunResult &b,
 
 /** The golden sweep: >= 3 profiles x 8 layout seeds x identity and
  *  randomized page maps, randomized heap throughout. Every RunResult
- *  field must match the reference model exactly. */
+ *  field must match the reference model exactly. All layouts replay on
+ *  one reused Machine, as a campaign worker does, so every replay after
+ *  the first starts from the per-layout epoch reset(). */
 TEST(ReplayGolden, BitIdenticalToReferenceAcrossLayouts)
 {
     auto cfg = MachineConfig::xeonE5440();
+    Machine machine(cfg);
     for (size_t wi = 0; wi < workloads().size(); ++wi) {
         const Workload &w = workloads()[wi];
         for (u64 seed = 1; seed <= 8; ++seed) {
@@ -102,7 +104,6 @@ TEST(ReplayGolden, BitIdenticalToReferenceAcrossLayouts)
                 std::string what = "workload " + std::to_string(wi) +
                                    " seed " + std::to_string(seed) +
                                    (physical ? " physical" : " identity");
-                Machine machine(cfg);
                 auto ref = machine.runReference(w.prog, w.trace, code,
                                                 heap, pages);
                 LayoutTables tables(w.plan, code, heap, pages,
@@ -114,20 +115,11 @@ TEST(ReplayGolden, BitIdenticalToReferenceAcrossLayouts)
     }
 }
 
-layout::HeapLayout
-heapFor(const Workload &w, u64 seed)
-{
-    layout::HeapKey hk;
-    hk.seed = seed;
-    hk.randomize = true;
-    return layout::HeapLayout(w.prog, hk);
-}
-
-/** The batched golden sweep: for every workload and page-map mode,
- *  measure 8 layouts as batches of K for K in {1, 2, 4, 8} and also
- *  K = 3 (whose final batch holds only 2 live lanes — the ragged
- *  case). Every lane's RunResult must equal the reference model's,
- *  field for field, regardless of how the lanes were grouped. */
+/** A campaign worker holds a batch of layouts' tables and replays them
+ *  one after another on a single Machine. Each lane's result must match
+ *  the reference model run on a fresh Machine, whatever the lane's
+ *  position in the batch: replaying the batch forwards and backwards
+ *  gives the same per-lane results. */
 TEST(ReplayBatched, BitIdenticalToReferencePerLane)
 {
     auto cfg = MachineConfig::xeonE5440();
@@ -140,7 +132,10 @@ TEST(ReplayBatched, BitIdenticalToReferencePerLane)
             tables.reserve(kSeeds);
             for (u64 seed = 1; seed <= kSeeds; ++seed) {
                 auto code = codeFor(w, seed);
-                auto heap = heapFor(w, seed);
+                layout::HeapKey hk;
+                hk.seed = seed;
+                hk.randomize = true;
+                layout::HeapLayout heap(w.prog, hk);
                 layout::PageMap pages =
                     physical ? layout::PageMap(seed * 31 + 7)
                              : layout::PageMap();
@@ -150,113 +145,19 @@ TEST(ReplayBatched, BitIdenticalToReferencePerLane)
                 tables.emplace_back(w.plan, code, heap, pages,
                                     cfg.hierarchy.l1i.lineBytes);
             }
-            for (u32 k : {1u, 2u, 3u, 4u, 8u}) {
+            for (bool reversed : {false, true}) {
                 Machine machine(cfg);
-                for (u32 first = 0; first < kSeeds; first += k) {
-                    u32 n = std::min<u32>(k, kSeeds - first);
-                    std::vector<LayoutTables> lanes(
-                        tables.begin() + first,
-                        tables.begin() + first + n);
-                    BatchedLayoutTables batched(w.plan,
-                                                std::move(lanes));
-                    auto out = machine.replayBatch(w.plan, batched);
-                    ASSERT_EQ(out.size(), n);
-                    for (u32 l = 0; l < n; ++l)
-                        expectSameResult(
-                            ref[first + l], out[l],
-                            "workload " + std::to_string(wi) +
-                                (physical ? " physical" : " identity") +
-                                " K " + std::to_string(k) + " lane " +
-                                std::to_string(first + l));
+                for (u64 i = 0; i < kSeeds; ++i) {
+                    u64 lane = reversed ? kSeeds - 1 - i : i;
+                    expectSameResult(
+                        ref[lane], machine.replay(w.plan, tables[lane]),
+                        "workload " + std::to_string(wi) +
+                            (physical ? " physical" : " identity") +
+                            (reversed ? " reversed" : " forward") +
+                            " lane " + std::to_string(lane));
                 }
             }
         }
-    }
-}
-
-/** Lanes with different page-map modes in one batch fall back to the
- *  generic kernel and must still match per lane. */
-TEST(ReplayBatched, MixedPageModesInOneBatch)
-{
-    auto cfg = MachineConfig::xeonE5440();
-    const Workload &w = workloads()[0];
-    std::vector<RunResult> ref;
-    std::vector<LayoutTables> lanes;
-    for (u64 seed = 1; seed <= 4; ++seed) {
-        auto code = codeFor(w, seed);
-        auto heap = heapFor(w, seed);
-        // Alternate identity and randomized mappings lane by lane.
-        layout::PageMap pages = seed % 2 ? layout::PageMap()
-                                         : layout::PageMap(seed);
-        Machine machine(cfg);
-        ref.push_back(
-            machine.runReference(w.prog, w.trace, code, heap, pages));
-        lanes.emplace_back(w.plan, code, heap, pages,
-                           cfg.hierarchy.l1i.lineBytes);
-    }
-    BatchedLayoutTables batched(w.plan, std::move(lanes));
-    EXPECT_FALSE(batched.allIdentityPages());
-    Machine machine(cfg);
-    auto out = machine.replayBatch(w.plan, batched);
-    ASSERT_EQ(out.size(), 4u);
-    for (u32 l = 0; l < 4; ++l)
-        expectSameResult(ref[l], out[l],
-                         "mixed lane " + std::to_string(l));
-}
-
-/** Batching must hold for non-default geometry too (odd issue width =
- *  the kernel's divide path, as in the single-layout golden test). */
-TEST(ReplayBatched, HoldsForOddMachineWidth)
-{
-    auto cfg = MachineConfig::xeonE5440();
-    cfg.width = 3;
-    const Workload &w = workloads()[0];
-    std::vector<RunResult> ref;
-    std::vector<LayoutTables> lanes;
-    for (u64 seed = 4; seed <= 6; ++seed) {
-        auto code = codeFor(w, seed);
-        auto heap = heapFor(w, seed);
-        Machine machine(cfg);
-        ref.push_back(machine.runReference(w.prog, w.trace, code, heap,
-                                           layout::PageMap()));
-        lanes.emplace_back(w.plan, code, heap, layout::PageMap(),
-                           cfg.hierarchy.l1i.lineBytes);
-    }
-    BatchedLayoutTables batched(w.plan, std::move(lanes));
-    Machine machine(cfg);
-    auto out = machine.replayBatch(w.plan, batched);
-    ASSERT_EQ(out.size(), 3u);
-    for (u32 l = 0; l < 3; ++l)
-        expectSameResult(ref[l], out[l],
-                         "width 3 lane " + std::to_string(l));
-}
-
-/** The batched tables gather lane-major rows from the per-lane
- *  tables: entry (i, lane) sits at [i * lanes + lane]. */
-TEST(ReplayBatched, TablesAreLaneMajor)
-{
-    auto cfg = MachineConfig::xeonE5440();
-    const Workload &w = workloads()[0];
-    std::vector<LayoutTables> lanes;
-    for (u64 seed = 1; seed <= 3; ++seed)
-        lanes.emplace_back(w.plan, codeFor(w, seed), heapFor(w, seed),
-                           layout::PageMap(seed),
-                           cfg.hierarchy.l1i.lineBytes);
-    BatchedLayoutTables batched(w.plan, lanes);
-    ASSERT_EQ(batched.lanes(), 3u);
-    ASSERT_EQ(batched.siteAddr.size(), w.plan.siteCount() * 3);
-    ASSERT_EQ(batched.branchAddr.size(), w.plan.siteCount() * 3);
-    ASSERT_EQ(batched.dataAddr.size(), w.plan.memCount() * 3);
-    for (u32 l = 0; l < 3; ++l) {
-        for (u32 s = 0; s < w.plan.siteCount(); s += 97) {
-            EXPECT_EQ(batched.siteAddr[s * 3 + l],
-                      lanes[l].siteAddr[s]);
-            EXPECT_EQ(batched.branchAddr[s * 3 + l],
-                      lanes[l].branchAddr[s]);
-        }
-        for (size_t m = 0; m < w.plan.memCount(); m += 997)
-            EXPECT_EQ(batched.dataAddr[m * 3 + l],
-                      lanes[l].dataAddr[m]);
     }
 }
 

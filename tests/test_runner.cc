@@ -139,59 +139,6 @@ TEST(Runner, LayoutSeedRecorded)
     EXPECT_EQ(m.layoutSeed, 1234u);
 }
 
-/** measureBatch lane i must reproduce measure() of the same layout
- *  and noise seed, bit for bit — the guarantee that lets campaigns
- *  group lanes freely. Uses noisy runs so the per-lane noise seeds
- *  are genuinely exercised. */
-TEST(Runner, BatchedMeasurementMatchesPerLane)
-{
-    RunnerConfig rc;
-    auto cfg = MachineConfig::xeonE5440();
-    auto &f = fixture();
-    trace::ReplayPlan plan(f.prog, f.trace);
-
-    std::vector<trace::LayoutTables> lanes;
-    std::vector<u64> seeds;
-    std::vector<Measurement> expected;
-    for (u64 i = 0; i < 3; ++i) {
-        auto code = layout::Linker().link(
-            f.prog, layout::LayoutKey{10 + i, true, true});
-        layout::HeapKey hk;
-        hk.seed = 10 + i;
-        hk.randomize = true;
-        layout::HeapLayout heap(f.prog, hk);
-        layout::PageMap pages(100 + i);
-        lanes.emplace_back(plan, code, heap, pages,
-                           cfg.hierarchy.l1i.lineBytes);
-        seeds.push_back(5000 + i);
-        MeasurementRunner runner(cfg, rc);
-        expected.push_back(
-            runner.measure(plan, lanes.back(), seeds.back()));
-    }
-
-    MeasurementRunner runner(cfg, rc);
-    trace::BatchedLayoutTables batched(plan, std::move(lanes));
-    auto got = runner.measureBatch(plan, batched, seeds);
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].layoutSeed, expected[i].layoutSeed);
-        EXPECT_EQ(got[i].cycles, expected[i].cycles);
-        EXPECT_EQ(got[i].instructions, expected[i].instructions);
-        EXPECT_EQ(got[i].condBranches, expected[i].condBranches);
-        EXPECT_EQ(got[i].mispredicts, expected[i].mispredicts);
-        EXPECT_EQ(got[i].l1iMisses, expected[i].l1iMisses);
-        EXPECT_EQ(got[i].l1dMisses, expected[i].l1dMisses);
-        EXPECT_EQ(got[i].l2Misses, expected[i].l2Misses);
-        EXPECT_EQ(got[i].btbMisses, expected[i].btbMisses);
-        EXPECT_EQ(got[i].cpi, expected[i].cpi);
-        EXPECT_EQ(got[i].mpki, expected[i].mpki);
-        EXPECT_EQ(got[i].l1iMpki, expected[i].l1iMpki);
-        EXPECT_EQ(got[i].l1dMpki, expected[i].l1dMpki);
-        EXPECT_EQ(got[i].l2Mpki, expected[i].l2Mpki);
-        EXPECT_EQ(got[i].btbMpki, expected[i].btbMpki);
-    }
-}
-
 TEST(RunnerDeathTest, ZeroRunsIsFatal)
 {
     RunnerConfig rc;

@@ -531,16 +531,13 @@ TEST(StoreKey, EveryConfigFieldChangesTheKey)
 
 TEST(StoreKey, ExecutionOnlyFieldsDoNotChangeTheKey)
 {
-    // jobs and batchLanes cannot change a sample's bytes (the
-    // executor's determinism guarantees across worker counts and lane
-    // groupings) and storeDir is where the cache lives — serial,
-    // parallel, batched and relocated-store runs all share one cache
-    // entry.
+    // jobs cannot change a sample's bytes (the executor's determinism
+    // guarantee across worker counts) and storeDir is where the cache
+    // lives — serial, parallel and relocated-store runs all share one
+    // cache entry.
     const u64 base = campaignKey(keyProgram(), 2, baseConfig());
     auto cfg = baseConfig();
     cfg.jobs = 7;
-    EXPECT_EQ(campaignKey(keyProgram(), 2, cfg), base);
-    cfg.batchLanes = 9;
     EXPECT_EQ(campaignKey(keyProgram(), 2, cfg), base);
     cfg.storeDir = "/somewhere/else";
     EXPECT_EQ(campaignKey(keyProgram(), 2, cfg), base);

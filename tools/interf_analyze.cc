@@ -72,7 +72,6 @@ cacheFacts(const cache::CacheConfig &cfg, Addr line_ceiling,
           analyze::requiredTagBits(cfg.lineBytes, line_ceiling));
     j.set("tagBits", cache::Cache::kTagBits);
     j.set("epochShift", cache::Cache::kEpochShift);
-    j.set("narrowLru", analyze::narrowLruFor(cfg));
     j.set("lruAdvanceBound", lru_advance_bound);
     return j;
 }
@@ -177,7 +176,7 @@ main(int argc, char **argv)
 
     if (opts.getFlag("json")) {
         Json report = Json::object();
-        report.set("schemaVersion", 1);
+        report.set("schemaVersion", 2);
         report.set("tool", "interf_analyze");
         Json jm = Json::object();
         jm.set("name", machine.name);
@@ -216,18 +215,15 @@ main(int argc, char **argv)
             const cache::CacheConfig &c = *caches[i];
             std::printf(
                 "  %-4s %8llu B, %2u-way, %3u B lines, %-6s: "
-                "%2u/%u tag bits%s%s\n",
+                "%2u/%u tag bits%s\n",
                 c.name.c_str(),
                 static_cast<unsigned long long>(c.sizeBytes), c.assoc,
                 c.lineBytes, replacementName(c.replacement),
                 analyze::requiredTagBits(c.lineBytes,
                                          space.lineCeiling),
                 cache::Cache::kTagBits,
-                analyze::narrowLruFor(c) ? ", u8 ages" : "",
-                c.replacement == cache::Replacement::Lru &&
-                        !analyze::narrowLruFor(c)
-                    ? ", u32 stamps"
-                    : "");
+                c.replacement == cache::Replacement::Lru ? ", u32 stamps"
+                                                         : "");
         }
         std::printf("  btb  %u sets x %u ways, u32 full-PC tags\n",
                     machine.btbSets, machine.btbWays);

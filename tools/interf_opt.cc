@@ -3,15 +3,15 @@
  * Layout-space optimizer CLI.
  *
  * Runs one search (src/opt) over a benchmark's layout space using
- * batched replay as the fitness oracle, optionally compares it against
+ * replay as the fitness oracle, optionally compares it against
  * the best-of-N random baseline at the same evaluation budget, and
  * writes the machine-readable artifacts: the SearchTrajectory document
  * (docs/opt-trajectory.schema.json, --out) and a run manifest with the
  * optimizer summary in its "opt" field (docs/manifest.schema.json,
  * --manifest).
  *
- * Fixed --seed means a bit-identical trajectory at any --jobs and any
- * --batch, cold or warm store; --store makes repeated runs pure cache
+ * Fixed --seed means a bit-identical trajectory at any --jobs, cold or
+ * warm store; --store makes repeated runs pure cache
  * hits (0 fresh measurements).
  *
  *   interf_opt --profile 403.gcc --strategy anneal --budget 96 \
@@ -105,7 +105,7 @@ main(int argc, char **argv)
 {
     OptionParser opts("interf_opt",
                       "search the layout space of one benchmark using "
-                      "batched replay as the fitness oracle");
+                      "replay as the fitness oracle");
     opts.addString("profile", "toy",
                    "benchmark: a suite name (e.g. 403.gcc) or a "
                    "default-profile name");
@@ -113,9 +113,6 @@ main(int argc, char **argv)
                    "search strategy: greedy | anneal");
     opts.addInt("budget", 64, "total candidate evaluations");
     opts.addInt("seed", 1, "search seed (proposals + acceptance)");
-    opts.addInt("batch", 4,
-                "layouts measured per replay pass (execution knob; "
-                "never changes results)");
     opts.addInt("jobs", 1,
                 "measurement worker threads, 0 = hardware threads "
                 "(execution knob; never changes results)");
@@ -163,7 +160,6 @@ main(int argc, char **argv)
     cfg.seed = static_cast<u64>(opts.getInt("seed"));
     cfg.budget = static_cast<u32>(opts.getInt("budget"));
     cfg.proposalsPerStep = static_cast<u32>(opts.getInt("proposals"));
-    cfg.batchLanes = static_cast<u32>(opts.getInt("batch"));
     cfg.jobs = static_cast<u32>(opts.getInt("jobs"));
     cfg.blameLayouts = static_cast<u32>(opts.getInt("blame-layouts"));
     cfg.instructionBudget =
