@@ -1,26 +1,31 @@
 /**
  * @file
  * Replay-kernel micro-benchmark: events/sec and layouts/sec of the
- * three per-layout measurement paths, on bench_scaling_parallel's
+ * four per-layout measurement paths, on bench_scaling_parallel's
  * workload (445.gobmk, 300k instructions, 40 layouts by default):
  *
- *   reference      link + heap + runReference() — the event-at-a-time
- *                  pre-plan path (what campaigns paid before the
- *                  compiled ReplayPlan existed);
- *   plan           link + heap + LayoutTables + Machine::replay() with
- *                  a randomized PageMap — the campaign hot path;
- *   plan_identity  same, with the identity PageMap, which replay()
- *                  specializes into a no-translation fast path.
+ *   reference        link + heap + runReference() — the event-at-a-time
+ *                    pre-plan path (what campaigns paid before the
+ *                    compiled ReplayPlan existed);
+ *   plan             link + heap + LayoutTables + Machine::replay()
+ *                    with a randomized PageMap and a randomized heap —
+ *                    one L1D pass per layout;
+ *   plan_identity    same, with the identity PageMap, which replay()
+ *                    specializes into a no-translation fast path;
+ *   plan_shared_l1d  plan with a fixed heap, as campaigns run by
+ *                    default: one L1D pass before the batch, its
+ *                    outcome reused by every layout (DESIGN.md §5n).
  *
  * Each path's per-layout cost includes everything a campaign pays for
- * that layout (layout construction included), so layouts/sec ratios
- * are end-to-end speedups. Rounds are interleaved across paths —
- * reference, plan, identity, repeat — and the per-path minimum over
- * rounds is reported, so machine-noise epochs hit all paths alike
- * rather than whichever ran last. The reference and plan paths must
- * produce bit-identical cycle counts (the replay golden contract);
- * the bench checks that, making the CI smoke run a correctness probe
- * too.
+ * that layout (layout construction included; the shared L1D pass is
+ * inside the batch's time), so layouts/sec ratios are end-to-end
+ * speedups. Rounds are interleaved across paths — reference, plan,
+ * identity, shared, repeat — and the per-path minimum over rounds is
+ * reported, so machine-noise epochs hit all paths alike rather than
+ * whichever ran last. Every replay path must produce the reference
+ * model's cycle counts (the replay golden contract) — the fixed-heap
+ * path against a fixed-heap reference run — and the bench checks
+ * that, making the CI smoke run a correctness probe too.
  *
  * --json writes the standard machine-readable report; --smoke shrinks
  * the scale for CI.
@@ -29,6 +34,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,9 +55,47 @@ namespace
 using namespace interf;
 using Clock = std::chrono::steady_clock;
 
-enum class Path : u32 { Reference, Plan, PlanIdentity };
+enum class Path : u32 { Reference, Plan, PlanIdentity, PlanSharedL1d };
 
-const char *const kPathNames[] = {"reference", "plan", "plan_identity"};
+const char *const kPathNames[] = {"reference", "plan", "plan_identity",
+                                  "plan_shared_l1d"};
+
+/** Layout @p i of the batch: code, heap and page map for @p path. */
+struct BenchLayout
+{
+    layout::CodeLayout code;
+    layout::HeapLayout heap;
+    layout::PageMap pages;
+};
+
+BenchLayout
+layoutFor(Path path, const trace::Program &prog, size_t i)
+{
+    const u64 seed = static_cast<u64>(i) + 1;
+    layout::HeapKey hk = path == Path::PlanSharedL1d
+                             ? layout::HeapKey::deterministic()
+                             : layout::HeapKey{seed, true};
+    return {layout::Linker().link(prog, layout::LayoutKey{seed, true, true}),
+            layout::HeapLayout(prog, hk),
+            path == Path::PlanIdentity ? layout::PageMap()
+                                       : layout::PageMap(seed * 31 + 7)};
+}
+
+/** Sum of the reference model's cycles over the batch's layouts as
+ *  @p path places them (untimed; the checksum each path must match). */
+u64
+referenceChecksum(Path path, u32 layouts, const trace::Program &prog,
+                  const trace::Trace &trace, const core::MachineConfig &cfg)
+{
+    u64 sum = 0;
+    core::Machine machine(cfg);
+    for (size_t i = 0; i < layouts; ++i) {
+        BenchLayout l = layoutFor(path, prog, i);
+        sum += machine.runReference(prog, trace, l.code, l.heap, l.pages)
+                   .cycles;
+    }
+    return sum;
+}
 
 struct PathTiming
 {
@@ -72,38 +116,27 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
 {
     std::vector<u64> cycles(layouts, 0);
     auto start = Clock::now();
+    // The shared path pays its one L1D pass up front, serially, as a
+    // campaign does before its fan-out.
+    std::optional<core::L1dOutcomes> shared;
+    if (path == Path::PlanSharedL1d && layouts > 0) {
+        BenchLayout l = layoutFor(path, prog, 0);
+        shared = core::simulateL1d(
+            cfg, plan, trace::LayoutTables(plan, l.heap, l.pages));
+    }
     exec::parallelForChunks(pool, layouts, [&](size_t lo, size_t hi) {
         core::Machine machine(cfg);
-        layout::Linker linker;
-        auto tablesFor = [&](size_t i) {
-            u64 seed = static_cast<u64>(i) + 1;
-            auto code =
-                linker.link(prog, layout::LayoutKey{seed, true, true});
-            layout::HeapKey hk;
-            hk.seed = seed;
-            hk.randomize = true;
-            layout::HeapLayout heap(prog, hk);
-            layout::PageMap pages = path == Path::PlanIdentity
-                                        ? layout::PageMap()
-                                        : layout::PageMap(seed * 31 + 7);
-            return trace::LayoutTables(plan, code, heap, pages,
-                                       cfg.hierarchy.l1i.lineBytes);
-        };
         for (size_t i = lo; i < hi; ++i) {
-            u64 seed = static_cast<u64>(i) + 1;
+            BenchLayout l = layoutFor(path, prog, i);
             core::RunResult res;
             if (path == Path::Reference) {
-                auto code = linker.link(
-                    prog, layout::LayoutKey{seed, true, true});
-                layout::HeapKey hk;
-                hk.seed = seed;
-                hk.randomize = true;
-                layout::HeapLayout heap(prog, hk);
-                res = machine.runReference(prog, trace, code, heap,
-                                           layout::PageMap(seed * 31 + 7));
+                res = machine.runReference(prog, trace, l.code, l.heap,
+                                           l.pages);
             } else {
-                auto tables = tablesFor(i);
-                res = machine.replay(plan, tables);
+                trace::LayoutTables tables(plan, l.code, l.heap, l.pages,
+                                           cfg.hierarchy.l1i.lineBytes);
+                res = shared ? machine.replay(plan, tables, *shared)
+                             : machine.replay(plan, tables);
             }
             cycles[i] = res.cycles;
         }
@@ -159,16 +192,19 @@ main(int argc, char **argv)
                 "state per replay\n\n",
                 static_cast<unsigned long long>(state_bytes),
                 static_cast<double>(state_bytes) / (1024.0 * 1024.0));
-    std::printf("%-14s %8s %14s %12s %14s\n", "path", "threads",
+    std::printf("%-16s %8s %14s %12s %14s\n", "path", "threads",
                 "ms/layout", "layouts/sec", "events/sec");
 
-    const Path paths[] = {Path::Reference, Path::Plan, Path::PlanIdentity};
+    const Path paths[] = {Path::Reference, Path::Plan, Path::PlanIdentity,
+                          Path::PlanSharedL1d};
     constexpr size_t kPaths = std::size(paths);
     std::vector<u32> threadAxis = {1};
     u32 hw = exec::ThreadPool::resolveJobs(scale.jobs);
     if (hw > 1)
         threadAxis.push_back(hw);
 
+    const u64 sharedRefChecksum = referenceChecksum(
+        Path::PlanSharedL1d, scale.layouts, prog, trace, cfg);
     bench::JsonReport report;
     double refSingle = 0.0, planSingle = 0.0;
     for (u32 threads : threadAxis) {
@@ -184,17 +220,26 @@ main(int argc, char **argv)
                 best[pi].checksum = t.checksum;
             }
         }
-        if (best[0].checksum != best[1].checksum)
-            fatal("reference and plan paths disagree (checksum %llu vs "
-                  "%llu): the replay kernel broke bit-identity",
-                  static_cast<unsigned long long>(best[0].checksum),
-                  static_cast<unsigned long long>(best[1].checksum));
+        for (size_t pi = 1; pi < kPaths; ++pi) {
+            // The identity path replays other page maps than the
+            // reference; the shared path another heap.
+            if (paths[pi] == Path::PlanIdentity)
+                continue;
+            const u64 want = paths[pi] == Path::PlanSharedL1d
+                                 ? sharedRefChecksum
+                                 : best[0].checksum;
+            if (best[pi].checksum != want)
+                fatal("reference and %s paths disagree (checksum %llu vs "
+                      "%llu): the replay kernel broke bit-identity",
+                      kPathNames[pi], static_cast<unsigned long long>(want),
+                      static_cast<unsigned long long>(best[pi].checksum));
+        }
         for (size_t pi = 0; pi < kPaths; ++pi) {
             double perLayoutMs = best[pi].wallMs / scale.layouts;
             double layoutsPerSec = 1000.0 / perLayoutMs;
             double eventsPerSec =
                 layoutsPerSec * static_cast<double>(plan.eventCount());
-            std::printf("%-14s %8u %14.3f %12.1f %14.3e\n",
+            std::printf("%-16s %8u %14.3f %12.1f %14.3e\n",
                         kPathNames[pi], threads, perLayoutMs,
                         layoutsPerSec, eventsPerSec);
             if (threads == 1 && paths[pi] == Path::Reference)

@@ -421,11 +421,17 @@ class Cache
             return invalid;
         if (cfg_.replacement == Replacement::Random)
             return static_cast<u32>(victimRng_.uniformInt(assoc));
+        // The oldest stamp rides in a register: re-loading
+        // lru[victim] put a load on every compare's dependence chain,
+        // which the miss-heavy L1D pass (DESIGN.md §5n) paid per miss.
         const u32 *lru = lru_.data() + base;
         u32 victim = 0;
-        for (u32 w = 1; w < assoc; ++w)
-            if (lru[w] < lru[victim])
-                victim = w;
+        u32 oldest = lru[0];
+        for (u32 w = 1; w < assoc; ++w) {
+            const bool older = lru[w] < oldest;
+            victim = older ? w : victim;
+            oldest = older ? lru[w] : oldest;
+        }
         return victim;
     }
     /** @} */

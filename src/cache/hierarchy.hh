@@ -5,7 +5,12 @@
  * and large shared L2 (Section 5.4).
  *
  * The hierarchy reports which level served each access; the timing
- * model converts levels into latencies (with MLP overlap). An optional
+ * model converts levels into latencies (with MLP overlap). The replay
+ * kernel enters data accesses below the L1D (accessDataBelowL1): the
+ * L1D's outcome per access is simulated once per data stream by
+ * core::simulateL1d and shared across layouts (DESIGN.md §5n), so this
+ * class's own L1D serves only accessData(), the whole-hierarchy entry
+ * that single-structure probes use. An optional
  * next-line instruction prefetcher reduces sequential-fetch misses the
  * way real front ends do, keeping conflict misses (the layout-sensitive
  * kind) as the dominant L1I miss source.
@@ -50,7 +55,8 @@ class MemoryHierarchy
 
     /**
      * Instruction fetch of one line-covered address. Inlined: this and
-     * accessData() are the two hottest calls in the replay kernel.
+     * accessDataBelowL1() are the two hottest calls in the replay
+     * kernel.
      */
     HitLevel fetchInst(Addr addr)
     {
@@ -105,6 +111,16 @@ class MemoryHierarchy
     {
         if (l1d_.access(addr))
             return HitLevel::L1;
+        return accessDataBelowL1(addr);
+    }
+
+    /**
+     * A data access the L1D already missed, whose L1D outcome was
+     * simulated elsewhere (core::simulateL1d): the L2-and-memory half
+     * of accessData(). Never touches this hierarchy's L1D.
+     */
+    HitLevel accessDataBelowL1(Addr addr)
+    {
         if (l2_.access(addr))
             return HitLevel::L2;
         ++l2DataMisses_;

@@ -76,6 +76,16 @@ MeasurementRunner::measureWithTruth(const trace::ReplayPlan &plan,
     return protocol(machine_.replay(plan, tables), noise_seed);
 }
 
+Measurement
+MeasurementRunner::measure(const trace::ReplayPlan &plan,
+                           const trace::LayoutTables &tables,
+                           const L1dOutcomes &l1d, u64 noise_seed)
+{
+    INTERF_SPAN("runner.measure");
+    return protocol(machine_.replay(plan, tables, l1d), noise_seed)
+        .sample;
+}
+
 MeasuredRun
 MeasurementRunner::protocol(RunResult truth_in, u64 noise_seed)
 {

@@ -129,6 +129,13 @@ class MeasurementRunner
     MeasuredRun measureWithTruth(const trace::ReplayPlan &plan,
                                  const trace::LayoutTables &tables,
                                  u64 noise_seed);
+
+    /** With the L1D outcome shared across layouts (see
+     *  core::canShareL1d): the replay reads @p l1d instead of running
+     *  its own L1D pass. */
+    Measurement measure(const trace::ReplayPlan &plan,
+                        const trace::LayoutTables &tables,
+                        const L1dOutcomes &l1d, u64 noise_seed);
     /** @} */
 
   private:

@@ -288,37 +288,98 @@ Machine::hotStateBytes() const
            btb_.hotStateBytes() + ras_.stateBytes();
 }
 
+bool
+canShareL1d(const cache::CacheConfig &l1d, bool same_heap, bool same_pages)
+{
+    if (!same_heap)
+        return false;
+    const u64 index_span =
+        static_cast<u64>(l1d.numSets()) * l1d.lineBytes;
+    return same_pages || index_span <= (u64{1} << layout::PageMap::pageBits);
+}
+
+L1dOutcomes
+simulateL1d(const MachineConfig &machine, const trace::ReplayPlan &plan,
+            const trace::LayoutTables &tables)
+{
+    INTERF_ASSERT(tables.hasData());
+    INTERF_ASSERT(tables.dataAddr.size() == plan.memCount());
+    INTERF_TELEM_COUNT("replay.l1d_passes", 1);
+
+    L1dOutcomes out;
+    out.memCount = plan.memCount();
+    out.hitBits.assign((out.memCount + 63) / 64, 0);
+    cache::Cache l1d(machine.hierarchy.l1d); // power-on state
+    const Addr *data_addr = tables.dataAddr.data();
+    u64 *hit_bits = out.hitBits.data();
+    // lint:hot-begin L1D pass (tools/lint_hotpath.py)
+    for (size_t j = 0; j < out.memCount; ++j)
+        hit_bits[j >> 6] |= static_cast<u64>(l1d.access(data_addr[j]))
+                            << (j & 63);
+    // lint:hot-end
+
+    // The kernel clears its statistics before warmup event
+    // warmup_events, so its L1D misses are the clear bits from that
+    // event's first access on (bits past memCount are never set).
+    const size_t warmup_events = static_cast<size_t>(
+        static_cast<double>(plan.eventCount()) * machine.warmupFraction);
+    size_t warmup_mem = 0;
+    for (size_t e = 0; e < warmup_events; ++e)
+        warmup_mem += plan.nMem[e];
+    Count hits = 0;
+    for (size_t j = warmup_mem; j < out.memCount; j = (j | 63) + 1)
+        hits += static_cast<Count>(
+            std::popcount(hit_bits[j >> 6] >> (j & 63)));
+    out.misses = (out.memCount - warmup_mem) - hits;
+    return out;
+}
+
 RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables)
 {
+    return replay(plan, tables, simulateL1d(cfg_, plan, tables));
+}
+
+RunResult
+Machine::replay(const trace::ReplayPlan &plan,
+                const trace::LayoutTables &tables, const L1dOutcomes &l1d)
+{
     INTERF_ASSERT(tables.hasData());
     INTERF_ASSERT(tables.siteAddr.size() == plan.siteCount());
     INTERF_ASSERT(tables.dataAddr.size() == plan.memCount());
+    if (l1d.memCount != plan.memCount() ||
+        l1d.hitBits.size() != (l1d.memCount + 63) / 64)
+        panic("L1D outcomes cover %zu accesses, the plan has %zu",
+              l1d.memCount, plan.memCount());
     INTERF_TELEM_COUNT("replay.calls", 1);
     INTERF_TELEM_COUNT("replay.events", plan.eventCount());
     if (tables.identityPages())
-        return replayImpl<true, false>(plan, tables);
+        return replayImpl<true, false>(plan, tables, l1d);
     // The pre-translated fetch-line table only applies when it was
     // built for this machine's L1I line size.
     if (tables.fetchLineBytes() == cfg_.hierarchy.l1i.lineBytes &&
         tables.siteLineStart.size() == plan.siteCount() + 1)
-        return replayImpl<false, true>(plan, tables);
-    return replayImpl<false, false>(plan, tables);
+        return replayImpl<false, true>(plan, tables, l1d);
+    return replayImpl<false, false>(plan, tables, l1d);
 }
 
 /**
  * The dense replay kernel. Mirrors runReference() block for block —
  * the per-event model steps and their order are identical, only the
  * operand sources differ: flat plan/table arrays instead of Program
- * traversal and per-access address computation. Any behavioural edit
- * here must be made in runReference() too (test_replay.cc enforces
- * equality).
+ * traversal and per-access address computation, and the L1D's
+ * verdict per data access read from @p l1d instead of simulated in
+ * line (the L1D sees only the data stream, so its outcome cannot
+ * depend on anything this loop does; DESIGN.md §5n). Any behavioural
+ * edit here must be made in runReference() too (test_replay.cc
+ * enforces equality).
  */
 template <bool IdentityPages, bool UseLineTable>
 RunResult
 Machine::replayImpl(const trace::ReplayPlan &plan,
-                    const trace::LayoutTables &tables)
+                    const trace::LayoutTables &tables,
+                    const L1dOutcomes &l1d)
 {
     using trace::ReplayPlan;
 
@@ -351,6 +412,7 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     const u32 *ev_ras_push = plan.rasPushSite.data();
     const u32 *ev_return = plan.returnSite.data();
     const u8 *mem_is_store = plan.memIsStore.data();
+    const u64 *l1d_hit_bits = l1d.hitBits.data();
 
     // Devirtualize the hottest polymorphic call: the standard machine
     // predictor is the hybrid, whose final class lets the direct call
@@ -430,14 +492,19 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
         res.instructions += ev_insts[ev_idx];
 
         // ---- Data accesses (addresses pre-translated in the tables).
-        // L1D hits (the common, well-predicted case) skip the cluster
-        // bookkeeping entirely; a select-based rewrite measured slower
-        // because it puts the bookkeeping on every access's dependence
-        // chain.
+        // The L1D's verdict is a precomputed bit; only its misses
+        // touch the L2. L1D hits (the common, well-predicted case)
+        // skip the cluster bookkeeping entirely; a select-based
+        // rewrite measured slower because it puts the bookkeeping on
+        // every access's dependence chain.
         u32 last_load_latency = 0;
         for (u32 m = ev_nmem[ev_idx]; m > 0; --m, ++mem_cursor) {
+            const bool l1d_hit =
+                (l1d_hit_bits[mem_cursor >> 6] >> (mem_cursor & 63)) & 1;
             cache::HitLevel level =
-                hierarchy_.accessData(data_addr[mem_cursor]);
+                l1d_hit ? cache::HitLevel::L1
+                        : hierarchy_.accessDataBelowL1(
+                              data_addr[mem_cursor]);
             u32 lat = mem_latency(level);
             // Loads update the resolution latency.
             last_load_latency =
@@ -546,7 +613,7 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
 
     auto hs = hierarchy_.stats();
     res.l1iMisses = hs.l1i.misses;
-    res.l1dMisses = hs.l1d.misses;
+    res.l1dMisses = l1d.misses;
     res.l2Misses = hs.l2.misses;
     res.l2InstMisses = hs.l2InstMisses;
     res.l2PrefMisses = hs.l2PrefMisses;

@@ -27,6 +27,7 @@
 #define INTERF_CORE_TIMING_HH
 
 #include <memory>
+#include <vector>
 
 #include "bpred/btb.hh"
 #include "bpred/ras.hh"
@@ -63,6 +64,45 @@ struct RunResult
     double mpki() const;
     double perKilo(Count events) const;
 };
+
+/**
+ * The L1D's hit/miss outcome for one data stream: what core::simulateL1d
+ * computes once and Machine::replay consumes (DESIGN.md §5n).
+ *
+ * The L1D is split from the L1I, so nothing but the data stream
+ * reaches it, and an LRU decision depends only on set indices and tag
+ * equality. One outcome therefore stands for every layout whose data
+ * stream is equivalent (see canShareL1d), however its code is placed.
+ */
+struct L1dOutcomes
+{
+    /** Bit j % 64 of word j / 64 is set iff access j hit. */
+    std::vector<u64> hitBits;
+    Count misses = 0;    ///< L1D misses after warmup.
+    size_t memCount = 0; ///< Accesses covered (plan.memCount()).
+};
+
+/**
+ * Run the L1D alone over @p tables' data stream, from power-on state.
+ * The miss count starts at the first access of the replay kernel's
+ * warmup event, where the kernel clears its statistics. Only the data
+ * half of @p tables is read.
+ */
+L1dOutcomes simulateL1d(const MachineConfig &machine,
+                        const trace::ReplayPlan &plan,
+                        const trace::LayoutTables &tables);
+
+/**
+ * The one sharing predicate: whether an L1dOutcomes computed for one
+ * layout holds for every other layout replaying the same plan. It does
+ * when the layouts share one heap layout (so one virtual data stream)
+ * and either one page map or an L1D whose set index lies inside the
+ * page offset (sets x lineBytes <= the PageMap page size). The page map
+ * is an offset-preserving bijection, so then every set index and every
+ * tag equality survives translation.
+ */
+bool canShareL1d(const cache::CacheConfig &l1d, bool same_heap,
+                 bool same_pages);
 
 /**
  * The machine. Owns its microarchitectural state (caches, predictor,
@@ -107,17 +147,29 @@ class Machine
                   const layout::PageMap &pages);
 
     /**
-     * Replay a compiled plan under one layout's address tables: the
-     * hot path of every campaign. Iterates the plan's flat arrays with
-     * no Program or Trace access, with a specialized fast path when
-     * the page mapping is the identity.
-     *
-     * Bit-identical to runReference() on the same (trace, layout) —
-     * every counter and cycle count — which tests/test_replay.cc
-     * enforces. The tables must carry data addresses (not code-only).
+     * Replay a compiled plan under one layout's address tables:
+     * simulateL1d() over the tables' data stream, then the kernel
+     * below. Bit-identical to runReference() on the same (trace,
+     * layout) — every counter and cycle count — which
+     * tests/test_replay.cc enforces. The tables must carry data
+     * addresses (not code-only).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables);
+
+    /**
+     * The replay kernel: the hot path of every campaign. Iterates the
+     * plan's flat arrays with no Program or Trace access, with a
+     * specialized fast path when the page mapping is the identity.
+     *
+     * The L1D is not simulated here: each data access reads its hit
+     * bit from @p l1d, and only misses reach the L2. Campaigns and the
+     * optimizer pass one outcome to every layout canShareL1d() admits;
+     * @p l1d must cover this plan's memory stream (panics otherwise).
+     */
+    RunResult replay(const trace::ReplayPlan &plan,
+                     const trace::LayoutTables &tables,
+                     const L1dOutcomes &l1d);
 
     /**
      * The event-at-a-time reference implementation: walks Program and
@@ -148,7 +200,8 @@ class Machine
 
     template <bool IdentityPages, bool UseLineTable>
     RunResult replayImpl(const trace::ReplayPlan &plan,
-                         const trace::LayoutTables &tables);
+                         const trace::LayoutTables &tables,
+                         const L1dOutcomes &l1d);
 
     MachineConfig cfg_;
     cache::MemoryHierarchy hierarchy_;

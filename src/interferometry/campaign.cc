@@ -132,7 +132,9 @@ Campaign::measureOne(core::MeasurementRunner &runner, u32 index) const
                                    cfg_.machine.hierarchy.l1i.lineBytes);
     }();
     INTERF_TELEM_COUNT("layout.tables_built", 1);
-    return runner.measure(plan_, tables, cfg_.layoutSeedBase + index);
+    const u64 noise_seed = cfg_.layoutSeedBase + index;
+    return l1d_ ? runner.measure(plan_, tables, *l1d_, noise_seed)
+                : runner.measure(plan_, tables, noise_seed);
 }
 
 void
@@ -154,6 +156,17 @@ Campaign::measureRange(u32 first, u32 count,
         progress_->update(progressDone_, progressCached_,
                           progressDone_ - progressCached_);
     };
+    // The shared L1D pass runs here, serially, so workers only ever
+    // read it and a run served wholly from the store never pays it.
+    if (!l1d_ && core::canShareL1d(cfg_.machine.hierarchy.l1d,
+                                   !cfg_.randomizeHeap,
+                                   !cfg_.physicalPages)) {
+        INTERF_SPAN("replay.l1d_pass");
+        l1d_ = core::simulateL1d(
+            cfg_.machine, plan_,
+            trace::LayoutTables(plan_, heapLayoutFor(first),
+                                pageMapFor(first)));
+    }
     if (jobs <= 1 || count <= 1) {
         INTERF_SPAN_PHASE("replay.batch");
         for (u32 k = 0; k < count; ++k) {

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -197,6 +198,11 @@ class Campaign
     trace::ReplayPlan plan_;
     layout::Linker linker_;
     core::MeasurementRunner runner_; ///< Serial path (jobs == 1).
+    /** The L1D outcome every layout shares when core::canShareL1d
+     *  admits it (fixed heap; identity pages or a page-offset-indexed
+     *  L1D): built once, serially, before the first fresh
+     *  measurement's fan-out, then read-only (DESIGN.md §5n). */
+    std::optional<core::L1dOutcomes> l1d_;
     std::unique_ptr<exec::ThreadPool> pool_; ///< Lazily sized to jobs.
     std::unique_ptr<store::CampaignStore> store_; ///< See store().
     bool storeOpened_ = false;

@@ -169,7 +169,8 @@ FitnessOracle::measureOne(core::MeasurementRunner &runner,
                                    cfg_.machine.hierarchy.l1i.lineBytes);
     }();
     INTERF_TELEM_COUNT("layout.tables_built", 1);
-    return runner.measure(plan_, tables, digest);
+    return l1d_ ? runner.measure(plan_, tables, *l1d_, digest)
+                : runner.measure(plan_, tables, digest);
 }
 
 void
@@ -242,6 +243,20 @@ FitnessOracle::evaluate(const std::vector<CandidateLayout> &cands)
         tick(count - fresh.size(), count - fresh.size(), 0);
 
     if (!fresh.empty()) {
+        // The shared L1D pass runs here, serially, so workers only
+        // ever read it and a search served wholly from the caches
+        // never pays it.
+        if (!l1d_ && core::canShareL1d(cfg_.machine.hierarchy.l1d,
+                                       !cfg_.randomizeHeap, true)) {
+            INTERF_SPAN("replay.l1d_pass");
+            l1d_ = core::simulateL1d(
+                cfg_.machine, plan_,
+                trace::LayoutTables(
+                    plan_,
+                    layout::HeapLayout(program_,
+                                       layout::HeapKey::deterministic()),
+                    pageMap()));
+        }
         const u32 n = static_cast<u32>(fresh.size());
         // Every replay starts from power-on state and each candidate's
         // noise seed is its digest, so scheduling cannot change a byte

@@ -27,6 +27,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -212,6 +213,11 @@ class FitnessOracle
     trace::ReplayPlan plan_;
     layout::Linker linker_;
     core::MeasurementRunner runner_; ///< Serial path (jobs == 1).
+    /** The L1D outcome every candidate shares under a fixed heap (a
+     *  search has one page map; see core::canShareL1d): built serially
+     *  before the first fresh fan-out, read-only after (DESIGN.md
+     *  §5n). */
+    std::optional<core::L1dOutcomes> l1d_;
     std::unique_ptr<exec::ThreadPool> pool_;
     std::unique_ptr<store::FitnessStore> store_;
     std::unordered_map<u64, core::Measurement> memo_;

@@ -202,7 +202,22 @@ LayoutTables::LayoutTables(const ReplayPlan &plan,
     : pages_(pages), hasData_(true)
 {
     fillCode(plan, code);
+    fillData(plan, heap);
+    buildLineTable(plan, fetch_line_bytes);
+}
 
+LayoutTables::LayoutTables(const ReplayPlan &plan,
+                           const layout::HeapLayout &heap,
+                           const layout::PageMap &pages)
+    : pages_(pages), hasData_(true)
+{
+    fillData(plan, heap);
+}
+
+void
+LayoutTables::fillData(const ReplayPlan &plan,
+                       const layout::HeapLayout &heap)
+{
     // Materialize the data-address table over the memory-id universe,
     // pre-translated: the physically-indexed hierarchy is the only
     // consumer of data addresses, so translating here is equivalent to
@@ -223,8 +238,6 @@ LayoutTables::LayoutTables(const ReplayPlan &plan,
     const u32 *rank = plan.memRank.data();
     for (size_t j = 0; j < n_mem; ++j)
         dataAddr[j] = uni_addr[rank[j]];
-
-    buildLineTable(plan, fetch_line_bytes);
 }
 
 void

@@ -166,6 +166,14 @@ class LayoutTables
                  const layout::PageMap &pages = layout::PageMap(),
                  u32 fetch_line_bytes = 64);
 
+    /**
+     * Data-only tables for a (heap, pages) pair: the input of
+     * core::simulateL1d when one L1D pass serves many layouts. Carry
+     * no code addresses, so Machine::replay rejects them.
+     */
+    LayoutTables(const ReplayPlan &plan, const layout::HeapLayout &heap,
+                 const layout::PageMap &pages);
+
     /** @{ Indexed by site id. */
     std::vector<Addr> siteAddr;   ///< Block start (virtual).
     std::vector<Addr> branchAddr; ///< Terminator instruction (virtual).
@@ -198,6 +206,9 @@ class LayoutTables
 
   private:
     void fillCode(const ReplayPlan &plan, const layout::CodeLayout &code);
+
+    /** Build dataAddr (pre-translated through pages_). */
+    void fillData(const ReplayPlan &plan, const layout::HeapLayout &heap);
 
     /** Build linePhys/siteLineStart (non-identity page maps only). */
     void buildLineTable(const ReplayPlan &plan, u32 fetch_line_bytes);

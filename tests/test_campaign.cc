@@ -2,6 +2,7 @@
  *  escalation + artifact-store checkpoint/resume). */
 
 #include <filesystem>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -451,6 +452,80 @@ TEST(CampaignStore, PartiallyCachedRunBuildsTablesOnlyForUnmeasured)
     telemetry::disable();
     telemetry::resetForTest();
     EXPECT_EQ(built, 3u);
+}
+
+/** Value of telemetry counter @p name accumulated while @p body runs
+ *  with telemetry on. */
+u64
+counterDuring(const std::string &name, const std::function<void()> &body)
+{
+    telemetry::resetForTest();
+    telemetry::enable();
+    body();
+    u64 value = 0;
+    for (const auto &c :
+         telemetry::Registry::global().snapshot().counters)
+        if (c.name == name)
+            value = c.value;
+    telemetry::disable();
+    telemetry::resetForTest();
+    return value;
+}
+
+TEST(CampaignL1d, FixedHeapCampaignRunsOneL1dPassAtAnyJobs)
+{
+    // Default mode: fixed heap, physical page maps, the Xeon's
+    // page-offset-indexed L1D. All 8 layouts share one L1D pass, built
+    // serially before the fan-out whatever the worker count.
+    auto profile = workloads::defaultProfile("camp");
+    for (u32 jobs : {1u, 4u}) {
+        auto cfg = quickConfig(8);
+        cfg.jobs = jobs;
+        ASSERT_FALSE(cfg.randomizeHeap);
+        ASSERT_TRUE(cfg.physicalPages);
+        EXPECT_EQ(counterDuring("replay.l1d_passes",
+                                [&] {
+                                    Campaign camp(profile, cfg);
+                                    camp.measureLayouts(0, 8);
+                                }),
+                  1u)
+            << "jobs " << jobs;
+    }
+}
+
+TEST(CampaignL1d, RandomizedHeapRunsOneL1dPassPerLayout)
+{
+    // Every layout issues its own data stream: nothing is shared.
+    auto cfg = quickConfig(8);
+    cfg.randomizeHeap = true;
+    EXPECT_EQ(counterDuring("replay.l1d_passes",
+                            [&] {
+                                Campaign camp(
+                                    workloads::defaultProfile("camp"), cfg);
+                                camp.measureLayouts(0, 8);
+                            }),
+              8u);
+}
+
+TEST(CampaignL1d, WarmStoreRerunRunsNoL1dPass)
+{
+    // The pass is built lazily at the first fresh measurement, never in
+    // the constructor: a rerun served wholly from the store builds none.
+    auto profile = workloads::defaultProfile("camp");
+    TempStore store;
+    auto cfg = quickConfig(8);
+    cfg.storeDir = store.path;
+    {
+        Campaign cold(profile, cfg);
+        cold.measureLayouts(0, 8);
+    }
+    EXPECT_EQ(counterDuring("replay.l1d_passes",
+                            [&] {
+                                Campaign warm(profile, cfg);
+                                warm.measureLayouts(0, 8);
+                                EXPECT_EQ(warm.measuredLayouts(), 0u);
+                            }),
+              0u);
 }
 
 TEST(Campaign, TraceSharedAcrossLayouts)

@@ -28,6 +28,21 @@ TEST(Hierarchy, DataMissFillsAllLevels)
     EXPECT_EQ(hier.accessData(0x10000), HitLevel::L1);
 }
 
+TEST(Hierarchy, BelowL1EntryNeverTouchesL1d)
+{
+    // The replay kernel's data entry: the L1D outcome comes from a
+    // separate pass, so this path must leave the L1D cold.
+    MemoryHierarchy hier(smallHierarchy());
+    EXPECT_EQ(hier.accessDataBelowL1(0x10000), HitLevel::Memory);
+    EXPECT_EQ(hier.accessDataBelowL1(0x10000), HitLevel::L2);
+    auto s = hier.stats();
+    EXPECT_EQ(s.l1d.accesses, 0u);
+    EXPECT_EQ(s.l2DataMisses, 1u);
+    // A whole-hierarchy access still finds the line only in the L2.
+    EXPECT_EQ(hier.accessData(0x10000), HitLevel::L2);
+    EXPECT_EQ(hier.stats().l1d.misses, 1u);
+}
+
 TEST(Hierarchy, L2HoldsL1Victims)
 {
     MemoryHierarchy hier(smallHierarchy());

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +20,9 @@
 #include "opt/optimizer.hh"
 #include "store/fitness.hh"
 #include "store/serialize.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/telemetry.hh"
+#include "trace/generator.hh"
 #include "util/json.hh"
 #include "verify/verify.hh"
 #include "workloads/builder.hh"
@@ -488,6 +492,80 @@ TEST(OptSearch, BudgetAndChampionBookkeepingHold)
         EXPECT_LE(traj.finalCycles, traj.initialCycles);
         EXPECT_EQ(traj.finalCycles, res.bestSample.cycles);
     }
+}
+
+/** Value of telemetry counter @p name accumulated while @p body runs
+ *  with telemetry on. */
+u64
+counterDuring(const std::string &name, const std::function<void()> &body)
+{
+    telemetry::resetForTest();
+    telemetry::enable();
+    body();
+    u64 value = 0;
+    for (const auto &c :
+         telemetry::Registry::global().snapshot().counters)
+        if (c.name == name)
+            value = c.value;
+    telemetry::disable();
+    telemetry::resetForTest();
+    return value;
+}
+
+TEST(OptSearch, FixedHeapSearchRunsOneL1dPass)
+{
+    // With a fixed heap every candidate issues one data stream under
+    // the search's one page map, so the whole search shares one L1D
+    // pass — at any jobs, with the same trajectory — and the champion's
+    // sample equals a replay that runs its own pass.
+    const auto profile = workloads::defaultProfile("opt-l1d");
+    OptConfig cfg = quickSearch(Strategy::Anneal, 5);
+    cfg.randomizeHeap = false;
+    std::string ref_dump;
+    for (u32 jobs : {1u, 4u}) {
+        cfg.jobs = jobs;
+        OptResult res;
+        const u64 passes = counterDuring("replay.l1d_passes", [&] {
+            FitnessOracle oracle(profile, cfg);
+            res = makeOptimizer(oracle, cfg)->run();
+        });
+        EXPECT_EQ(passes, 1u) << "jobs " << jobs;
+        EXPECT_GT(res.freshEvals, 1u);
+        if (ref_dump.empty())
+            ref_dump = res.trajectory.dump();
+        EXPECT_EQ(res.trajectory.dump(), ref_dump) << "jobs " << jobs;
+
+        FitnessOracle oracle(profile, cfg);
+        const trace::ReplayPlan plan(oracle.program(),
+                                     trace::TraceGenerator(
+                                         oracle.program(),
+                                         profile.behaviourSeed)
+                                         .makeTrace(cfg.instructionBudget));
+        const trace::LayoutTables tables(
+            plan, oracle.linker().link(oracle.program(), res.best.code),
+            layout::HeapLayout(oracle.program(),
+                               layout::HeapKey::deterministic()),
+            layout::PageMap(cfg.pageSeed),
+            cfg.machine.hierarchy.l1i.lineBytes);
+        core::MeasurementRunner runner(cfg.machine, cfg.runner);
+        EXPECT_EQ(store::samplesChecksum({runner.measure(
+                      plan, tables, oracle.digestOf(res.best))}),
+                  store::samplesChecksum({res.bestSample}))
+            << "jobs " << jobs;
+    }
+}
+
+TEST(OptSearch, RandomizedHeapSearchRunsOneL1dPassPerFreshEval)
+{
+    const auto profile = workloads::defaultProfile("opt-l1d");
+    const OptConfig cfg = quickSearch(Strategy::Greedy, 5);
+    ASSERT_TRUE(cfg.randomizeHeap);
+    OptResult res;
+    const u64 passes = counterDuring("replay.l1d_passes", [&] {
+        FitnessOracle oracle(profile, cfg);
+        res = makeOptimizer(oracle, cfg)->run();
+    });
+    EXPECT_EQ(passes, res.freshEvals);
 }
 
 TEST(OptSearch, StrategyNamesRoundTrip)

@@ -140,23 +140,26 @@ class PageMapBijection : public ::testing::TestWithParam<u64>
 TEST_P(PageMapBijection, NoCollisionsOffsetsPreserved)
 {
     layout::PageMap map(GetParam());
-    std::set<Addr> seen;
     Rng rng(GetParam() ^ 0x1234);
+    // Both directions over the random sample, local to this seed: the
+    // same virtual page must always map to the same physical page
+    // (forward), and no two virtual pages may share a physical one
+    // (backward: injectivity across the sparse 16 TiB range).
+    std::map<Addr, Addr> forward;
+    std::map<Addr, Addr> backward;
     for (int i = 0; i < 20000; ++i) {
         Addr va = rng.next() & 0xffffffffffull; // low 16 TiB
         Addr pa = map.translate(va);
         EXPECT_EQ(pa & 0xfff, va & 0xfff) << "page offset must survive";
         Addr vpage = va >> 12;
         Addr ppage = pa >> 12;
-        // Same virtual page must always map to the same physical page;
-        // distinct pages must stay distinct.
-        static thread_local std::map<Addr, Addr> forward;
-        auto it = forward.find(vpage);
-        if (it != forward.end()) {
-            EXPECT_EQ(it->second, ppage);
-        }
-        forward[vpage] = ppage;
-        (void)seen;
+        auto fwd = forward.try_emplace(vpage, ppage).first;
+        EXPECT_EQ(fwd->second, ppage)
+            << "page " << vpage << " translated two ways";
+        auto bwd = backward.try_emplace(ppage, vpage).first;
+        EXPECT_EQ(bwd->second, vpage)
+            << "pages " << bwd->second << " and " << vpage
+            << " collided under seed " << GetParam();
     }
     // Explicit injectivity check over a dense page range.
     std::set<u64> phys;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/timing.hh"
+#include "interferometry/campaign.hh"
 #include "layout/heap.hh"
 #include "layout/linker.hh"
 #include "layout/pagemap.hh"
@@ -159,6 +160,150 @@ TEST(ReplayBatched, BitIdenticalToReferencePerLane)
             }
         }
     }
+}
+
+/** One L1D pass serves a whole campaign (DESIGN.md §5n): outcomes built
+ *  from layout 0's tables, reused across 8 layouts with distinct code
+ *  seeds under identity and physical page maps on one Machine, give
+ *  the reference model's result on a fresh Machine every time. */
+TEST(ReplayGolden, SharedL1dOutcomesMatchReferenceAcrossLayouts)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    ASSERT_TRUE(canShareL1d(cfg.hierarchy.l1d, true, false));
+    const layout::HeapKey fixed = layout::HeapKey::deterministic();
+    for (size_t wi = 0; wi < workloads().size(); ++wi) {
+        const Workload &w = workloads()[wi];
+        layout::HeapLayout heap(w.prog, fixed);
+        const L1dOutcomes shared = simulateL1d(
+            cfg, w.plan,
+            LayoutTables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
+                         cfg.hierarchy.l1i.lineBytes));
+        Machine machine(cfg);
+        for (u64 seed = 1; seed <= 8; ++seed) {
+            auto code = codeFor(w, seed);
+            for (bool physical : {false, true}) {
+                layout::PageMap pages =
+                    physical ? layout::PageMap(seed * 31 + 7)
+                             : layout::PageMap();
+                Machine fresh(cfg);
+                auto ref = fresh.runReference(w.prog, w.trace, code, heap,
+                                              pages);
+                LayoutTables tables(w.plan, code, heap, pages,
+                                    cfg.hierarchy.l1i.lineBytes);
+                expectSameResult(ref, machine.replay(w.plan, tables, shared),
+                                 "workload " + std::to_string(wi) +
+                                     " seed " + std::to_string(seed) +
+                                     (physical ? " physical" : " identity"));
+            }
+        }
+    }
+}
+
+/** The L1D pass clears its statistics where the kernel's warmup does:
+ *  at the first access of the warmup event. Swept over warmup
+ *  fractions so the boundary lands on events with and without memory
+ *  references. */
+TEST(ReplayGolden, L1dPassWarmupSplitMatchesReference)
+{
+    for (double frac : {0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9}) {
+        auto cfg = MachineConfig::xeonE5440();
+        cfg.warmupFraction = frac;
+        for (size_t wi = 0; wi < workloads().size(); ++wi) {
+            const Workload &w = workloads()[wi];
+            auto code = codeFor(w, 2);
+            layout::HeapLayout heap(w.prog,
+                                    layout::HeapKey::deterministic());
+            Machine fresh(cfg);
+            const RunResult ref = fresh.runReference(
+                w.prog, w.trace, code, heap, layout::PageMap());
+            LayoutTables tables(w.plan, code, heap);
+            EXPECT_EQ(simulateL1d(cfg, w.plan, tables).misses,
+                      ref.l1dMisses)
+                << "workload " << wi << " warmup " << frac;
+        }
+    }
+}
+
+/** A 64 KiB 8-way L1D indexes with bit 12, past the page offset, so a
+ *  page map moves lines between its sets: the predicate must refuse to
+ *  share across page maps, and ignoring it must show — reused outcomes
+ *  give the wrong l1dMisses on at least one workload. */
+TEST(ReplayGolden, PageSpanningL1dIsNotShareableAcrossPageMaps)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    cfg.hierarchy.l1d = cache::CacheConfig{"L1D", 64 << 10, 8, 64};
+    EXPECT_FALSE(canShareL1d(cfg.hierarchy.l1d, true, false));
+    EXPECT_TRUE(canShareL1d(cfg.hierarchy.l1d, true, true));
+    EXPECT_FALSE(canShareL1d(cfg.hierarchy.l1d, false, true));
+    u32 differing = 0;
+    for (const Workload &w : workloads()) {
+        layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+        auto code = codeFor(w, 3);
+        LayoutTables a(w.plan, code, heap, layout::PageMap(11),
+                       cfg.hierarchy.l1i.lineBytes);
+        LayoutTables b(w.plan, code, heap, layout::PageMap(12),
+                       cfg.hierarchy.l1i.lineBytes);
+        Machine machine(cfg);
+        const RunResult reused =
+            machine.replay(w.plan, b, simulateL1d(cfg, w.plan, a));
+        const RunResult own = machine.replay(w.plan, b);
+        differing += reused.l1dMisses != own.l1dMisses;
+    }
+    EXPECT_GT(differing, 0u)
+        << "the page-offset guard is vacuous on these workloads";
+}
+
+/** Campaigns decide sharing through the same predicate: a fixed-heap,
+ *  physical-page campaign shares one L1D pass under the Xeon's L1D and
+ *  runs one per layout under the 64 KiB one. Either way every sample
+ *  equals the reference model run on a fresh Machine (noise off, so
+ *  cycles compare exactly). */
+TEST(ReplayGolden, FixedHeapCampaignMatchesReferenceWithAnyL1d)
+{
+    for (u64 l1d_bytes : {32u << 10, 64u << 10}) {
+        interferometry::CampaignConfig cc;
+        cc.instructionBudget = 60000;
+        cc.jobs = 1;
+        cc.physicalPages = true;
+        cc.randomizeHeap = false;
+        cc.machine.hierarchy.l1d = cache::CacheConfig{"L1D", l1d_bytes, 8, 64};
+        cc.runner.noise = NoiseConfig::none();
+        interferometry::Campaign camp(workloads::specFor("445.gobmk").profile,
+                                      cc);
+        const auto samples = camp.measureLayouts(0, 6);
+        for (u32 i = 0; i < samples.size(); ++i) {
+            Machine fresh(cc.machine);
+            const RunResult ref = fresh.runReference(
+                camp.program(), camp.trace(), camp.codeLayoutFor(i),
+                camp.heapLayoutFor(i), camp.pageMapFor(i));
+            const core::Measurement &m = samples[i];
+            const std::string what = std::to_string(l1d_bytes >> 10) +
+                                     " KiB L1D, layout " + std::to_string(i);
+            EXPECT_EQ(m.cycles, ref.cycles) << what;
+            EXPECT_EQ(m.instructions, ref.instructions) << what;
+            EXPECT_EQ(m.condBranches, ref.condBranches) << what;
+            EXPECT_EQ(m.mispredicts, ref.mispredicts) << what;
+            EXPECT_EQ(m.l1iMisses, ref.l1iMisses) << what;
+            EXPECT_EQ(m.l1dMisses, ref.l1dMisses) << what;
+            EXPECT_EQ(m.l2Misses, ref.l2Misses) << what;
+            EXPECT_EQ(m.btbMisses, ref.btbMisses) << what;
+        }
+    }
+}
+
+/** Outcomes that do not cover the plan's memory stream must never be
+ *  replayed. */
+TEST(ReplayGoldenDeathTest, MismatchedL1dOutcomesPanic)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    const Workload &w = workloads()[0];
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    LayoutTables tables(w.plan, codeFor(w, 1), heap);
+    L1dOutcomes short_by_one = simulateL1d(cfg, w.plan, tables);
+    short_by_one.memCount -= 1;
+    Machine machine(cfg);
+    EXPECT_DEATH(machine.replay(w.plan, tables, short_by_one),
+                 "L1D outcomes cover");
 }
 
 /** Machine::run is a thin adapter over replay(): identical results. */
