@@ -1,43 +1,42 @@
 /**
  * @file
- * Static soundness analysis of machine configurations.
+ * The machine passes: static soundness analysis of machine
+ * configurations.
  *
- * PR 8's hot-state compaction made replay correctness rest on
- * *narrowing invariants*: 48-bit split tags with a 6-bit epoch salt at
- * bits 42..47, a u32 LRU stamp clock restarted per reset, and u32
- * site-index BTB tags that require per-layout address injectivity.
- * Those invariants hold on the default Xeon E5440 config — tests pin
- * them there — but the fleet roadmap item runs campaigns across many
- * cache/BTB geometries, exactly where a narrowing trick that is sound
- * on one config silently goes wrong on another.
+ * Replay correctness rests on *narrowing invariants* (DESIGN.md §5j):
+ * 48-bit split tags with a 6-bit epoch salt at bits 42..47, a u32 LRU
+ * stamp clock restarted per reset, and u32 site-index BTB target
+ * tokens. Those invariants hold on the default Xeon E5440 config —
+ * tests pin them there — but fleet campaigns sweep cache/BTB
+ * geometries, exactly where a narrowing trick that is sound on one
+ * config silently goes wrong on another.
  *
- * This module *proves* the invariants per MachineConfig before any
- * replay runs, without constructing a Cache or materializing a single
- * layout table, and reports through the verify diagnostics-as-data
- * framework. Three passes (DESIGN.md §5k):
+ * Two passes prove the invariants per MachineConfig before any replay
+ * runs, without constructing a Cache or materializing a layout table.
+ * Both are registered in verify::PassManager::standard() and nowhere
+ * else (DESIGN.md §5k):
  *
- *   - ConfigSoundness:   interval/width analysis. Derives the required
+ *   - ConfigSoundness: interval/width analysis. Derives the required
  *     tag bits from the address space the layout engines + page maps
  *     can reach and proves the split tagsLo(u32)/tagsHi(u16) pair plus
- *     epoch-salt bits cover it with no overlap, for every cache and
- *     the BTB; re-derives the geometry preconditions as typed
- *     diagnostics.
- *   - PlanBounds:        wrap-bound analysis. Bounds LRU clock advance
+ *     epoch-salt bits cover it with no overlap, for every cache, and
+ *     that branch PCs fit the BTB's u32 full-PC tags; reports the
+ *     cache and BTB geometry rules (CacheConfig::geometryError,
+ *     Btb::geometryError) as typed diagnostics.
+ *   - PlanBounds:      wrap-bound analysis. Bounds LRU clock advance
  *     per replay from a ReplayPlan's event counts and proves the u32
  *     stamp clock (restarted every reset) can never wrap — hence never
  *     invert victim choice — within one replay; checks the plan's
  *     index widths against their u32 sentinels.
- *   - LayoutInjectivity: proves, for explicit LayoutSpec permutations,
- *     that every basic-block address is distinct (so u32 site-index
- *     BTB target tokens compare equal iff the targets are equal) by
- *     replaying the linker's address arithmetic abstractly — O(procs)
- *     per spec, generalizing the runtime fillCode check to arbitrary
- *     candidate layouts with no table materialization.
+ *
+ * Branch-target site injectivity, the third invariant, is checked per
+ * built table by verify::checkSiteAddressInjectivity (from
+ * LayoutTables::fillCode under verifyOnTrust()).
  *
  * Trust boundaries: Campaign and opt::FitnessOracle refuse unsound
- * configs fail-closed (always, not only under verifyOnTrust() — the
- * analysis is a few hundred comparisons per campaign). The
- * tools/interf_analyze CLI exposes the same passes for fleet audits.
+ * configs fail-closed through requireSoundMachine (always, not only
+ * under verifyOnTrust() — the analysis is a few hundred comparisons
+ * per campaign). tools/interf_verify runs the same passes on demand.
  */
 
 #ifndef INTERF_ANALYZE_ANALYZE_HH
@@ -45,7 +44,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "verify/verify.hh"
@@ -155,37 +153,23 @@ void checkLruAdvanceBound(const cache::CacheConfig &cfg,
                           u64 advance_bound, u32 cache_index,
                           const std::string &path,
                           verify::VerifyResult &out);
-
-/**
- * Check an explicit site -> address table for branch-target
- * injectivity: no two sites that can be branch targets
- * (site_is_target[s] != 0) may share an address. The static
- * counterpart of the LayoutTables::fillCode runtime check.
- */
-void checkSiteAddressInjectivity(const std::vector<Addr> &site_addr,
-                                 const std::vector<u8> &site_is_target,
-                                 const std::string &path,
-                                 verify::VerifyResult &out);
 /** @} */
 
 /** @{ Pass factories (verify::Pass; see verify/verify.hh). */
 std::unique_ptr<verify::Pass> makeConfigSoundness();
 std::unique_ptr<verify::Pass> makePlanBounds();
-std::unique_ptr<verify::Pass> makeLayoutInjectivity();
 /** @} */
 
-/** All three soundness passes in dependency order. */
-verify::PassManager soundnessPasses();
-
 /**
- * Convenience entry point: analyze @p machine (plus whatever optional
- * artifacts are supplied) and return the merged result.
+ * Convenience entry point: run verify::PassManager::standard() over
+ * @p machine plus whatever optional artifacts are supplied and return
+ * the merged result. With a program bound, the program and plan
+ * passes run too.
  */
 verify::VerifyResult
 analyzeMachine(const core::MachineConfig &machine,
                const trace::ReplayPlan *plan = nullptr,
                const trace::Program *prog = nullptr,
-               const std::vector<layout::LayoutSpec> *specs = nullptr,
                const std::string &path = "<machine>");
 
 /**
@@ -203,8 +187,10 @@ void requireSoundMachine(const core::MachineConfig &machine,
 /**
  * Apply a fleet-override spec ("l1i.line=16,l2.assoc=24,btb.sets=512")
  * to @p machine. Keys: {l1i,l1d,l2}.{size,assoc,line,repl} (repl takes
- * lru|random; sizes accept k/m suffixes) and btb.{sets,ways}. Returns
- * false and sets @p error on a malformed spec.
+ * lru|random; numbers accept k/m suffixes) and btb.{sets,ways}. Returns
+ * false and sets @p error on a malformed spec, including a negative
+ * number, a k/m suffix that overflows 64 bits and a value that does
+ * not fit its field: nothing is silently truncated.
  */
 bool applyConfigOverride(core::MachineConfig &machine,
                          const std::string &spec, std::string *error);

@@ -9,16 +9,17 @@
  * Cache::kTagBits bits with an epoch salt at kEpochShift covers the
  * space iff the width of the largest line number stays at or below
  * kEpochShift; u32 BTB full-PC tags cover it iff the largest PC stays
- * below the all-ones sentinel. The geometry preconditions the Cache
- * constructor enforces with fatal() are re-derived here as typed
- * diagnostics, so a fleet sweep learns *which* config is broken and
- * why instead of dying on the first.
+ * below the all-ones sentinel. The geometry rules themselves live with
+ * the structures (CacheConfig::geometryError, Btb::geometryError);
+ * this pass reports them as typed diagnostics, so a fleet sweep learns
+ * *which* config is broken and why instead of dying on the first.
  */
 
 #include "analyze/analyze.hh"
 
 #include <bit>
 
+#include "bpred/btb.hh"
 #include "core/config.hh"
 #include "layout/heap.hh"
 #include "layout/linker.hh"
@@ -109,63 +110,19 @@ requiredTagBits(u32 line_bytes, Addr ceiling)
 namespace
 {
 
-/** Geometry preconditions (the CacheConfig::validate() fatal()s, as
- *  diagnostics). Returns false when the width analysis below would be
- *  meaningless. */
-bool
-auditCacheGeometry(const cache::CacheConfig &cfg, u32 cache_index,
-                   verify::Sink &sink)
-{
-    using verify::EntityKind;
-    bool ok = true;
-    if (!isPow2(cfg.lineBytes)) {
-        sink.error(EntityKind::Cache, cache_index,
-                   strprintf("'%s': line size %u is not a power of two",
-                             cfg.name.c_str(), cfg.lineBytes));
-        ok = false;
-    }
-    if (cfg.assoc == 0) {
-        sink.error(EntityKind::Cache, cache_index,
-                   strprintf("'%s': associativity must be >= 1",
-                             cfg.name.c_str()));
-        return false;
-    }
-    if (!ok)
-        return false;
-    if (cfg.sizeBytes %
-            (static_cast<u64>(cfg.lineBytes) * cfg.assoc) !=
-        0) {
-        sink.error(EntityKind::Cache, cache_index,
-                   strprintf("'%s': size %llu not divisible by way "
-                             "size %llu",
-                             cfg.name.c_str(),
-                             static_cast<unsigned long long>(
-                                 cfg.sizeBytes),
-                             static_cast<unsigned long long>(
-                                 static_cast<u64>(cfg.lineBytes) *
-                                 cfg.assoc)));
-        return false;
-    }
-    u32 sets = cfg.numSets();
-    if (!isPow2(sets)) {
-        sink.error(EntityKind::Cache, cache_index,
-                   strprintf("'%s': %u sets is not a power of two; "
-                             "set indexing masks low bits, so sets "
-                             "would silently alias",
-                             cfg.name.c_str(), sets));
-        return false;
-    }
-    return true;
-}
-
 void
 auditCacheConfigIn(const cache::CacheConfig &cfg, u32 cache_index,
                    Addr line_ceiling, verify::Sink &sink)
 {
     using cache::Cache;
     using verify::EntityKind;
-    if (!auditCacheGeometry(cfg, cache_index, sink))
+    const std::string geometry = cfg.geometryError();
+    if (!geometry.empty()) {
+        sink.error(EntityKind::Cache, cache_index,
+                   strprintf("'%s': %s", cfg.name.c_str(),
+                             geometry.c_str()));
         return;
+    }
 
     u32 required = requiredTagBits(cfg.lineBytes, line_ceiling);
     if (required > Cache::kTagBits) {
@@ -203,14 +160,9 @@ auditBtbConfigIn(u32 sets, u32 ways, Addr code_ceiling,
                  verify::Sink &sink)
 {
     using verify::EntityKind;
-    if (!isPow2(sets)) {
-        sink.error(EntityKind::Btb, 0,
-                   strprintf("%u sets is not a power of two", sets));
-        return;
-    }
-    if (ways == 0 || ways > 32) {
-        sink.error(EntityKind::Btb, 0,
-                   strprintf("associativity %u outside 1..32", ways));
+    const std::string geometry = bpred::Btb::geometryError(sets, ways);
+    if (!geometry.empty()) {
+        sink.error(EntityKind::Btb, 0, geometry);
         return;
     }
     // Full-PC u32 tags: every branch PC must round-trip through the
@@ -244,8 +196,6 @@ class ConfigSoundness : public verify::Pass
                                  : AddressSpace::engineDefault();
         if (a.lineAddrCeiling)
             space.lineCeiling = a.lineAddrCeiling;
-        if (a.codeAddrCeiling)
-            space.codeCeiling = a.codeAddrCeiling;
 
         verify::Sink sink(out, a.path, kPassName);
         const core::MachineConfig &m = *a.machine;

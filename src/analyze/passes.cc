@@ -1,12 +1,14 @@
 /**
  * @file
- * Soundness pass plumbing: the composed PassManager, the fail-closed
- * trust-boundary helper Campaign/FitnessOracle call, and the fleet
- * config-override parser the analyze CLI and CI sweeps use.
+ * Machine-pass entry points: the convenience analyzeMachine, the
+ * fail-closed trust-boundary helper Campaign/FitnessOracle call, and
+ * the fleet config-override parser interf_verify and CI sweeps use.
  */
 
 #include "analyze/analyze.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "core/config.hh"
@@ -16,30 +18,17 @@
 namespace interf::analyze
 {
 
-verify::PassManager
-soundnessPasses()
-{
-    verify::PassManager pm;
-    pm.add(makeConfigSoundness())
-        .add(makePlanBounds())
-        .add(makeLayoutInjectivity());
-    return pm;
-}
-
 verify::VerifyResult
 analyzeMachine(const core::MachineConfig &machine,
                const trace::ReplayPlan *plan,
-               const trace::Program *prog,
-               const std::vector<layout::LayoutSpec> *specs,
-               const std::string &path)
+               const trace::Program *prog, const std::string &path)
 {
     verify::Artifacts a;
     a.machine = &machine;
     a.plan = plan;
     a.program = prog;
-    a.layoutSpecs = specs;
     a.path = path;
-    return soundnessPasses().run(a);
+    return verify::PassManager::standard().run(a);
 }
 
 void
@@ -47,7 +36,7 @@ requireSoundMachine(const core::MachineConfig &machine,
                     const trace::ReplayPlan *plan, const char *what)
 {
     verify::VerifyResult result = analyzeMachine(
-        machine, plan, nullptr, nullptr,
+        machine, plan, nullptr,
         strprintf("<machine '%s'>", machine.name.c_str()));
     verify::requireClean(result, what);
 }
@@ -55,25 +44,56 @@ requireSoundMachine(const core::MachineConfig &machine,
 namespace
 {
 
-/** Parse "64", "32k", "6m" into bytes; false on garbage. */
+/** Parse "64", "32k", "6m" into @p out; on failure set @p error. */
 bool
-parseSize(const std::string &text, u64 *out)
+parseNumber(const std::string &text, u64 *out, std::string *error)
 {
-    if (text.empty())
+    // strtoull skips leading space and accepts (and wraps) a sign, so
+    // only a leading digit is let through to it.
+    if (!text.empty() && text[0] == '-') {
+        *error = strprintf("negative value '%s'", text.c_str());
         return false;
+    }
+    if (text.empty() ||
+        !std::isdigit(static_cast<unsigned char>(text[0]))) {
+        *error = strprintf("bad numeric value '%s'", text.c_str());
+        return false;
+    }
     char *end = nullptr;
-    u64 value = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str())
-        return false;
-    std::string suffix(end);
-    if (suffix == "" || suffix == "b")
-        *out = value;
-    else if (suffix == "k" || suffix == "K")
-        *out = value << 10;
+    errno = 0;
+    const u64 value = std::strtoull(text.c_str(), &end, 10);
+    const std::string suffix(end);
+    u32 shift = 0;
+    if (suffix == "k" || suffix == "K")
+        shift = 10;
     else if (suffix == "m" || suffix == "M")
-        *out = value << 20;
-    else
+        shift = 20;
+    else if (!suffix.empty() && suffix != "b") {
+        *error = strprintf("bad numeric value '%s'", text.c_str());
         return false;
+    }
+    if (errno == ERANGE || value > (~u64{0} >> shift)) {
+        *error = strprintf("value '%s' overflows 64 bits", text.c_str());
+        return false;
+    }
+    *out = value << shift;
+    return true;
+}
+
+/** Parse @p text into a u32 field named @p what. */
+bool
+parseU32(const std::string &text, const char *what, u32 *out,
+         std::string *error)
+{
+    u64 n = 0;
+    if (!parseNumber(text, &n, error))
+        return false;
+    if (n > ~u32{0}) {
+        *error = strprintf("%s %s does not fit its 32-bit field", what,
+                           text.c_str());
+        return false;
+    }
+    *out = static_cast<u32>(n);
     return true;
 }
 
@@ -81,7 +101,6 @@ bool
 applyCacheKey(cache::CacheConfig &cfg, const std::string &field,
               const std::string &value, std::string *error)
 {
-    u64 n = 0;
     if (field == "repl") {
         if (value == "lru")
             cfg.replacement = cache::Replacement::Lru;
@@ -94,23 +113,15 @@ applyCacheKey(cache::CacheConfig &cfg, const std::string &field,
         }
         return true;
     }
-    if (!parseSize(value, &n)) {
-        *error = strprintf("bad numeric value '%s'", value.c_str());
-        return false;
-    }
     if (field == "size")
-        cfg.sizeBytes = n;
-    else if (field == "assoc")
-        cfg.assoc = static_cast<u32>(n);
-    else if (field == "line")
-        cfg.lineBytes = static_cast<u32>(n);
-    else {
-        *error = strprintf("unknown cache field '%s' "
-                           "(size|assoc|line|repl)",
-                           field.c_str());
-        return false;
-    }
-    return true;
+        return parseNumber(value, &cfg.sizeBytes, error);
+    if (field == "assoc")
+        return parseU32(value, "assoc", &cfg.assoc, error);
+    if (field == "line")
+        return parseU32(value, "line", &cfg.lineBytes, error);
+    *error = strprintf("unknown cache field '%s' (size|assoc|line|repl)",
+                       field.c_str());
+    return false;
 }
 
 } // anonymous namespace
@@ -150,21 +161,16 @@ applyConfigOverride(core::MachineConfig &machine,
             if (!applyCacheKey(cfg, field, value, &err))
                 break;
         } else if (unit == "btb") {
-            u64 n = 0;
-            if (!parseSize(value, &n)) {
-                err = strprintf("bad numeric value '%s'",
-                                value.c_str());
-                break;
-            }
-            if (field == "sets")
-                machine.btbSets = static_cast<u32>(n);
-            else if (field == "ways")
-                machine.btbWays = static_cast<u32>(n);
-            else {
+            u32 *target = field == "sets"   ? &machine.btbSets
+                          : field == "ways" ? &machine.btbWays
+                                            : nullptr;
+            if (target == nullptr) {
                 err = strprintf("unknown btb field '%s' (sets|ways)",
                                 field.c_str());
                 break;
             }
+            if (!parseU32(value, field.c_str(), target, &err))
+                break;
         } else {
             err = strprintf("unknown unit '%s' (l1i|l1d|l2|btb)",
                             unit.c_str());

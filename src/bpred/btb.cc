@@ -7,22 +7,30 @@
 namespace interf::bpred
 {
 
+std::string
+Btb::geometryError(u32 sets, u32 ways)
+{
+    if (sets == 0 || (sets & (sets - 1)) != 0)
+        return strprintf("%u sets is not a power of two; the set index "
+                         "masks low PC bits, so a non-power-of-two "
+                         "count would silently alias sets",
+                         sets);
+    if (ways == 0)
+        return "associativity must be >= 1";
+    if (ways > 32)
+        return strprintf("associativity %u exceeds 32 (u8 per-set ages "
+                         "and the packed scan's u32 mask cap the ways)",
+                         ways);
+    return {};
+}
+
 Btb::Btb(u32 sets, u32 ways) : sets_(sets), ways_(ways)
 {
-    // Typed construction-time diagnostics rather than asserts: a bad
-    // geometry is a configuration error, and a non-power-of-two set
-    // count would otherwise silently alias sets through the index mask.
-    if (sets == 0 || (sets & (sets - 1)) != 0)
-        fatal("btb: %u sets is not a power of two; the set index masks "
-              "low PC bits, so a non-power-of-two count would silently "
-              "alias sets",
-              sets);
-    if (ways == 0)
-        fatal("btb: associativity must be >= 1");
-    if (ways > 32)
-        fatal("btb: associativity %u exceeds 32 (u8 per-set ages and "
-              "the packed scan's u32 mask cap the ways)",
-              ways);
+    // A typed construction-time diagnostic rather than an assert: a bad
+    // geometry is a configuration error.
+    const std::string error = geometryError(sets, ways);
+    if (!error.empty())
+        fatal("btb: %s", error.c_str());
     size_t n = static_cast<size_t>(sets) * ways;
     tags_.resize(n, kNoTag);
     targets_.resize(n, 0);

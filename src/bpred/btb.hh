@@ -60,6 +60,13 @@ class Btb
     Btb(u32 sets, u32 ways);
 
     /**
+     * The geometry rule the constructor enforces: power-of-two sets,
+     * 1..32 ways. Returns why (@p sets, @p ways) is invalid, or an
+     * empty string when it is valid.
+     */
+    static std::string geometryError(u32 sets, u32 ways);
+
+    /**
      * Look up the predicted target for a branch; no state change.
      * Inlined (with SoA tag storage) for the replay kernel, which
      * calls this once per taken branch.

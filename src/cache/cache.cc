@@ -15,26 +15,38 @@ CacheConfig::numSets() const
     return static_cast<u32>(lines / assoc);
 }
 
+std::string
+CacheConfig::geometryError() const
+{
+    if (lineBytes == 0 || (lineBytes & (lineBytes - 1)) != 0)
+        return strprintf("line size %u is not a power of two", lineBytes);
+    if (assoc == 0)
+        return "associativity must be >= 1";
+    const u64 way_bytes = static_cast<u64>(lineBytes) * assoc;
+    if (sizeBytes % way_bytes != 0)
+        return strprintf("size %llu not divisible by way size %llu",
+                         static_cast<unsigned long long>(sizeBytes),
+                         static_cast<unsigned long long>(way_bytes));
+    // Counted in u64: numSets() narrows to u32, which would turn 2^32
+    // sets into 0 and 2^32 + 16 into a valid-looking 16.
+    const u64 sets = sizeBytes / way_bytes;
+    if (sets == 0 || (sets & (sets - 1)) != 0 || sets > ~u32{0})
+        return strprintf("%llu sets is not a power of two below 2^32 "
+                         "(%llu B / %u B lines / %u ways); set indexing "
+                         "masks low bits, so a non-power-of-two count "
+                         "would silently alias sets",
+                         static_cast<unsigned long long>(sets),
+                         static_cast<unsigned long long>(sizeBytes),
+                         lineBytes, assoc);
+    return {};
+}
+
 void
 CacheConfig::validate() const
 {
-    if (lineBytes == 0 || (lineBytes & (lineBytes - 1)) != 0)
-        fatal("cache '%s': line size %u is not a power of two",
-              name.c_str(), lineBytes);
-    if (assoc == 0)
-        fatal("cache '%s': associativity must be >= 1", name.c_str());
-    if (sizeBytes % (static_cast<u64>(lineBytes) * assoc) != 0)
-        fatal("cache '%s': size %llu not divisible by way size",
-              name.c_str(),
-              static_cast<unsigned long long>(sizeBytes));
-    u32 sets = numSets();
-    if (sets == 0 || (sets & (sets - 1)) != 0)
-        fatal("cache '%s': %u sets is not a power of two (%llu B / %u "
-              "B lines / %u ways); set indexing masks low bits, so a "
-              "non-power-of-two count would silently alias sets",
-              name.c_str(), sets,
-              static_cast<unsigned long long>(sizeBytes), lineBytes,
-              assoc);
+    const std::string error = geometryError();
+    if (!error.empty())
+        fatal("cache '%s': %s", name.c_str(), error.c_str());
 }
 
 Cache::Cache(const CacheConfig &config) : cfg_(config)

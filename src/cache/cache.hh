@@ -77,7 +77,14 @@ struct CacheConfig
 
     u32 numSets() const;
 
-    /** Validate geometry (power-of-two sets/lines); fatal() if not. */
+    /**
+     * The geometry rule: power-of-two lines and sets, assoc >= 1, size
+     * divisible by the way size. Returns why the geometry is invalid,
+     * or an empty string when it is valid.
+     */
+    std::string geometryError() const;
+
+    /** fatal() with geometryError() when the geometry is invalid. */
     void validate() const;
 };
 

@@ -1,5 +1,7 @@
 #include "core/config.hh"
 
+#include "bpred/btb.hh"
+
 #include "util/logging.hh"
 
 namespace interf::core
@@ -56,8 +58,10 @@ MachineConfig::validate() const
     if (warmupFraction < 0.0 || warmupFraction >= 1.0)
         fatal("machine '%s': warmupFraction %g out of [0, 1)",
               name.c_str(), warmupFraction);
-    if (btbSets == 0 || (btbSets & (btbSets - 1)) != 0 || btbWays == 0)
-        fatal("machine '%s': bad BTB geometry", name.c_str());
+    const std::string btb_error =
+        bpred::Btb::geometryError(btbSets, btbWays);
+    if (!btb_error.empty())
+        fatal("machine '%s': BTB %s", name.c_str(), btb_error.c_str());
     if (rasDepth == 0)
         fatal("machine '%s': rasDepth must be >= 1", name.c_str());
     hierarchy.l1i.validate();

@@ -144,20 +144,6 @@ FitnessOracle::measureOne(core::MeasurementRunner &runner,
     // Attribute this candidate's spans to its content digest (base key
     // / batch ordinal are already on the thread's context).
     telemetry::ScopedCandidateDigest candidate(digest);
-    // Trust boundary: Neighborhood moves construct these specs by
-    // permutation editing, so they should be injective by
-    // construction — prove it statically (O(procs) per spec, no
-    // tables) before fillCode's runtime check could trip on them.
-    if (verify::verifyOnTrust()) {
-        std::vector<layout::LayoutSpec> specs{cand.code};
-        verify::Artifacts a;
-        a.program = &program_;
-        a.layoutSpecs = &specs;
-        a.path = "<optimizer candidates>";
-        verify::VerifyResult result;
-        analyze::makeLayoutInjectivity()->run(a, result);
-        verify::requireClean(result, "Optimizer candidate layouts");
-    }
     trace::LayoutTables tables = [&] {
         INTERF_SPAN("layout.gen");
         layout::CodeLayout code = linker_.link(program_, cand.code);

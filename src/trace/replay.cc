@@ -173,18 +173,10 @@ LayoutTables::fillCode(const ReplayPlan &plan,
         for (u32 t : plan.targetSite)
             if (t != ReplayPlan::kNoSite)
                 is_target[t] = 1;
-        std::unordered_map<Addr, u32> site_at;
-        for (u32 s = 0; s < n_sites; ++s) {
-            if (!is_target[s])
-                continue;
-            auto [it, fresh] = site_at.try_emplace(siteAddr[s], s);
-            if (!fresh)
-                panic("layout aliases branch-target sites %u and %u at "
-                      "address %llx: site-index BTB tagging would "
-                      "diverge from the address-tagged reference",
-                      it->second, s,
-                      static_cast<unsigned long long>(siteAddr[s]));
-        }
+        verify::VerifyResult result;
+        verify::checkSiteAddressInjectivity(siteAddr, is_target,
+                                            "<layout tables>", result);
+        verify::requireClean(result, "LayoutTables code addresses");
     }
 }
 

@@ -15,6 +15,13 @@
  * (verifyPlacements / verifyPageTable) operating on plain tables, so
  * corruption tests and tools can feed hand-built bad inputs that the
  * Linker/PageMap constructors could never produce.
+ *
+ * checkSiteAddressInjectivity is the one check that branch-target
+ * sites keep distinct addresses in a layout: the replay kernel's BTB
+ * stores u32 site indices as target tokens, which agrees with the
+ * address-tagged reference only under that property.
+ * LayoutTables::fillCode runs it on every table it builds under
+ * verifyOnTrust().
  */
 
 #include <algorithm>
@@ -250,6 +257,45 @@ verifyPageMap(const layout::PageMap &pages, u32 n_pages,
                             << layout::PageMap::pageBits) >>
             layout::PageMap::pageBits);
     verifyPageTable(table, path, out);
+}
+
+void
+checkSiteAddressInjectivity(const std::vector<Addr> &site_addr,
+                            const std::vector<u8> &site_is_target,
+                            const std::string &path, VerifyResult &out)
+{
+    Sink sink(out, path, kPassName);
+    if (site_is_target.size() != site_addr.size()) {
+        sink.error(EntityKind::Artifact, 0,
+                   strprintf("site table sizes disagree: %zu "
+                             "addresses vs %zu target flags",
+                             site_addr.size(), site_is_target.size()));
+        return;
+    }
+    // Sort target sites by address; equal neighbours are aliases.
+    std::vector<u32> targets;
+    targets.reserve(site_addr.size());
+    for (u32 s = 0; s < site_addr.size(); ++s) {
+        if (site_is_target[s])
+            targets.push_back(s);
+    }
+    std::sort(targets.begin(), targets.end(), [&](u32 a, u32 b) {
+        return site_addr[a] != site_addr[b] ? site_addr[a] < site_addr[b]
+                                            : a < b;
+    });
+    for (size_t i = 1; i < targets.size(); ++i) {
+        const u32 prev = targets[i - 1], cur = targets[i];
+        if (site_addr[prev] == site_addr[cur]) {
+            sink.error(
+                EntityKind::Site, cur,
+                strprintf("branch-target sites %u and %u share "
+                          "address %#llx; u32 site tokens would call "
+                          "unequal targets equal",
+                          prev, cur,
+                          static_cast<unsigned long long>(
+                              site_addr[cur])));
+        }
+    }
 }
 
 } // namespace interf::verify

@@ -9,6 +9,7 @@
 
 #include "verify/verify.hh"
 
+#include "analyze/analyze.hh"
 #include "util/logging.hh"
 
 namespace interf::verify
@@ -29,7 +30,9 @@ PassManager::standard()
         .add(makeTraceVerifier())
         .add(makeReplayPlanVerifier())
         .add(makeLayoutVerifier())
-        .add(makeStoreVerifier());
+        .add(makeStoreVerifier())
+        .add(analyze::makeConfigSoundness())
+        .add(analyze::makePlanBounds());
     return pm;
 }
 

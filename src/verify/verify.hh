@@ -25,12 +25,16 @@
  *   - StoreVerifier:      manifest/batch cross-checks beyond the
  *     fail-closed read path: digests recomputed, orphan and truncated
  *     batches detected — without fatal()ing on the first bad entry.
+ *   - ConfigSoundness and PlanBounds (src/analyze): the machine
+ *     passes, proving the replay kernel's compaction invariants for a
+ *     MachineConfig (and a plan's LRU clock advance) before any replay.
  *
  * Where they run (see DESIGN.md §5f): trace::io load paths always;
  * ReplayPlan construction and Campaign inputs in Debug builds or with
- * INTERF_VERIFY=1; store open with INTERF_VERIFY=1; everything on
- * demand through tools/interf_verify. Verification is never on the
- * per-layout replay hot path.
+ * INTERF_VERIFY=1; store open with INTERF_VERIFY=1; the machine passes
+ * at every Campaign/FitnessOracle construction; everything on demand
+ * through tools/interf_verify. Verification is never on the per-layout
+ * replay hot path.
  */
 
 #ifndef INTERF_VERIFY_VERIFY_HH
@@ -52,7 +56,6 @@ namespace interf::layout
 {
 class CodeLayout;
 class PageMap;
-struct LayoutSpec;
 }
 namespace interf::trace
 {
@@ -78,20 +81,14 @@ struct Artifacts
     const layout::CodeLayout *codeLayout = nullptr;
     const layout::PageMap *pageMap = nullptr;
 
-    /** Machine geometry for the src/analyze soundness passes. */
+    /** Machine geometry for the src/analyze machine passes. */
     const core::MachineConfig *machine = nullptr;
-    /** Candidate layout permutations for the injectivity pass. */
-    const std::vector<layout::LayoutSpec> *layoutSpecs = nullptr;
 
     /**
-     * @{ Address-space overrides for the soundness passes (0 = derive
-     * from the engine's layout constants / the bound program). The
-     * ceilings are exclusive upper bounds on, respectively, any
-     * cache-indexed (post-page-map) address and any branch PC.
+     * Exclusive upper bound on any cache-indexed (post-page-map)
+     * address, overriding the engine's layout constants (0 = derive).
      */
     Addr lineAddrCeiling = 0;
-    Addr codeAddrCeiling = 0;
-    /** @} */
 
     /** Store entry to verify: root directory + campaign key. */
     std::string storeRoot;
@@ -137,7 +134,10 @@ class PassManager
   public:
     PassManager &add(std::unique_ptr<Pass> pass);
 
-    /** The full pipeline: all five passes in dependency order. */
+    /**
+     * The one pass list: the five artifact passes in dependency
+     * order, then the two machine passes (analyze/analyze.hh).
+     */
     static PassManager standard();
 
     /** Run applicable passes; merge their diagnostics. */
@@ -183,6 +183,16 @@ void verifyPageTable(const std::vector<u32> &vpn_to_ppn,
 /** Check a PageMap over its first @p pages page numbers. */
 void verifyPageMap(const layout::PageMap &pages, u32 n_pages,
                    const std::string &path, VerifyResult &out);
+
+/**
+ * Check an explicit site -> address table for branch-target
+ * injectivity: no two sites that can be branch targets
+ * (site_is_target[s] != 0) may share an address.
+ */
+void checkSiteAddressInjectivity(const std::vector<Addr> &site_addr,
+                                 const std::vector<u8> &site_is_target,
+                                 const std::string &path,
+                                 VerifyResult &out);
 /** @} */
 
 /**

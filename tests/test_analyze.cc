@@ -5,6 +5,7 @@
  *  fail-closed trust boundary. Mirrors the test_verify.cc
  *  corruption-matrix style. */
 
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 
@@ -91,15 +92,7 @@ TEST(Analyze, BundledProfilesAnalyzeClean)
         trace::TraceGenerator gen(prog, profile.behaviourSeed);
         auto tr = gen.makeTrace(30000);
         trace::ReplayPlan plan(prog, tr);
-        const layout::Linker linker;
-        std::vector<layout::LayoutSpec> specs;
-        for (u64 seed = 0; seed < 3; ++seed) {
-            layout::LayoutKey key;
-            key.seed = seed;
-            specs.push_back(linker.specFor(prog, key));
-        }
-        EXPECT_CLEAN(analyze::analyzeMachine(machine, &plan, &prog,
-                                             &specs, name));
+        EXPECT_CLEAN(analyze::analyzeMachine(machine, &plan, &prog, name));
     }
 }
 
@@ -141,7 +134,7 @@ TEST(Analyze, TagWidthOverflowRejectedForHugeAddressSpace)
     a.machine = &machine;
     a.lineAddrCeiling = Addr{1} << 55;
     a.path = "<huge address space>";
-    auto r = analyze::soundnessPasses().run(a);
+    auto r = verify::PassManager::standard().run(a);
     for (u64 cache : {0u, 1u, 2u})
         EXPECT_TRUE(
             hasDiag(r, "config-soundness", EntityKind::Cache, cache))
@@ -176,6 +169,10 @@ TEST(Analyze, BtbBadGeometryRejected)
     analyze::auditBtbConfig(1000, 4, Addr{1} << 31, "<btb>", r);
     EXPECT_TRUE(hasDiag(r, "config-soundness", EntityKind::Btb, 0))
         << render(r);
+    VerifyResult wide;
+    analyze::auditBtbConfig(64, 33, Addr{1} << 31, "<btb>", wide);
+    EXPECT_TRUE(hasDiag(wide, "config-soundness", EntityKind::Btb, 0))
+        << render(wide);
 }
 
 // ---------------------------------------------------------------------
@@ -260,7 +257,7 @@ TEST(Analyze, AdvanceBoundsFollowPlanCounts)
 }
 
 // ---------------------------------------------------------------------
-// LayoutInjectivity: aliased targets, zero-byte blocks, spec shape.
+// Branch-target site injectivity (verify::checkSiteAddressInjectivity).
 // ---------------------------------------------------------------------
 
 TEST(Analyze, AliasedBranchTargetSitesCaught)
@@ -269,26 +266,26 @@ TEST(Analyze, AliasedBranchTargetSitesCaught)
     // site tokens would call unequal targets equal. The diagnostic
     // names the higher site.
     VerifyResult r;
-    analyze::checkSiteAddressInjectivity(
-        {0x1000, 0x2000, 0x1000}, {1, 1, 1}, "<sites>", r);
-    EXPECT_TRUE(hasDiag(r, "layout-injectivity", EntityKind::Site, 2))
-        << render(r);
+    verify::checkSiteAddressInjectivity({0x1000, 0x2000, 0x1000},
+                                        {1, 1, 1}, "<sites>", r);
+    EXPECT_TRUE(hasDiag(r, "layout", EntityKind::Site, 2)) << render(r);
 
     // An alias is only unsound if both sites can be targets.
     VerifyResult ok;
-    analyze::checkSiteAddressInjectivity({0x1000, 0x1000}, {1, 0},
-                                         "<sites>", ok);
+    verify::checkSiteAddressInjectivity({0x1000, 0x1000}, {1, 0},
+                                        "<sites>", ok);
     EXPECT_CLEAN(ok);
 }
 
-/** Two-file, two-procedure program for the layout matrix. */
-trace::Program
-makeTwoProc(u32 zero_byte_block = ~u32{0})
+TEST(AnalyzeDeathTest, FillCodeRejectsAliasedTargetSites)
 {
+    // Two procedures of two 16-byte blocks each; callee's first block
+    // (dense site 2) has zero bytes, so it shares its address with
+    // site 3. A plan in which both are branch targets must not get
+    // layout tables while verification is on.
     trace::Program prog;
     prog.addFile("a.o");
     prog.addFile("b.o");
-
     u32 site = 0;
     for (u32 p = 0; p < 2; ++p) {
         trace::Procedure proc;
@@ -297,7 +294,7 @@ makeTwoProc(u32 zero_byte_block = ~u32{0})
         proc.align = 16;
         for (u32 b = 0; b < 2; ++b, ++site) {
             trace::BasicBlock blk;
-            blk.bytes = site == zero_byte_block ? 0 : 16;
+            blk.bytes = site == 2 ? 0 : 16;
             blk.nInsts = 4;
             if (b == 1)
                 blk.branch.kind = trace::OpClass::Return;
@@ -306,45 +303,25 @@ makeTwoProc(u32 zero_byte_block = ~u32{0})
         prog.addProcedure(proc);
         prog.placeInFile(p, p);
     }
-    return prog;
-}
+    trace::ReplayPlan plan;
+    plan.siteProc = {0, 0, 1, 1};
+    plan.siteBlock = {0, 1, 0, 1};
+    plan.targetSite = {2, 3};
+    const auto code =
+        layout::Linker().link(prog, layout::LayoutSpec::authored(prog));
 
-TEST(Analyze, ZeroByteBlockDefeatsInjectivity)
-{
-    // Dense site id 3 = callee's second block.
-    auto prog = makeTwoProc(/*zero_byte_block=*/3);
-    std::vector<layout::LayoutSpec> specs = {
-        layout::LayoutSpec::authored(prog)};
-    auto r = analyze::analyzeMachine(core::MachineConfig::xeonE5440(),
-                                     nullptr, &prog, &specs);
-    EXPECT_TRUE(hasDiag(r, "layout-injectivity", EntityKind::Block, 3))
-        << render(r);
-}
-
-TEST(Analyze, MalformedSpecCaughtByIndex)
-{
-    auto prog = makeTwoProc();
-    std::vector<layout::LayoutSpec> specs = {
-        layout::LayoutSpec::authored(prog),
-        layout::LayoutSpec::authored(prog)};
-    specs[1].fileOrder = {0, 0}; // Not a permutation.
-    auto r = analyze::analyzeMachine(core::MachineConfig::xeonE5440(),
-                                     nullptr, &prog, &specs);
-    EXPECT_FALSE(
-        hasDiag(r, "layout-injectivity", EntityKind::Artifact, 0))
-        << render(r);
-    EXPECT_TRUE(
-        hasDiag(r, "layout-injectivity", EntityKind::Artifact, 1))
-        << render(r);
-}
-
-TEST(Analyze, AuthoredSpecsAreInjective)
-{
-    auto prog = makeTwoProc();
-    std::vector<layout::LayoutSpec> specs = {
-        layout::LayoutSpec::authored(prog)};
-    EXPECT_CLEAN(analyze::analyzeMachine(
-        core::MachineConfig::xeonE5440(), nullptr, &prog, &specs));
+    // The threadsafe style re-runs this test in a fresh process, so
+    // verifyOnTrust() reads INTERF_VERIFY there for the first time.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const char *saved = std::getenv("INTERF_VERIFY");
+    const std::string previous = saved ? saved : "";
+    setenv("INTERF_VERIFY", "1", 1);
+    EXPECT_DEATH(trace::LayoutTables(plan, code),
+                 "branch-target sites 2 and 3 share address");
+    if (saved)
+        setenv("INTERF_VERIFY", previous.c_str(), 1);
+    else
+        unsetenv("INTERF_VERIFY");
 }
 
 // ---------------------------------------------------------------------
@@ -376,6 +353,43 @@ TEST(Analyze, ConfigOverrideErrorsAreTyped)
     EXPECT_NE(err.find("bad numeric"), std::string::npos) << err;
     EXPECT_FALSE(analyze::applyConfigOverride(m, "btb.assoc=4", &err));
     EXPECT_NE(err.find("unknown btb field"), std::string::npos) << err;
+
+    // Nothing is truncated to its field: each of these used to be
+    // analyzed as a different, valid machine (64-byte lines, 4 ways,
+    // a 1 MiB L2).
+    const core::MachineConfig before = m;
+    EXPECT_FALSE(
+        analyze::applyConfigOverride(m, "l1i.line=4294967360", &err));
+    EXPECT_NE(err.find("does not fit its 32-bit field"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(
+        analyze::applyConfigOverride(m, "btb.ways=4294967300", &err));
+    EXPECT_NE(err.find("does not fit its 32-bit field"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(
+        analyze::applyConfigOverride(m, "l2.size=17592186044417m", &err));
+    EXPECT_NE(err.find("overflows 64 bits"), std::string::npos) << err;
+    EXPECT_FALSE(analyze::applyConfigOverride(
+        m, "l2.size=99999999999999999999", &err));
+    EXPECT_NE(err.find("overflows 64 bits"), std::string::npos) << err;
+    EXPECT_FALSE(analyze::applyConfigOverride(m, "l1d.assoc=-8", &err));
+    EXPECT_NE(err.find("negative value"), std::string::npos) << err;
+    EXPECT_FALSE(analyze::applyConfigOverride(m, "btb.sets= 512", &err));
+    EXPECT_NE(err.find("bad numeric"), std::string::npos) << err;
+    EXPECT_EQ(m.hierarchy.l1i.lineBytes, before.hierarchy.l1i.lineBytes);
+    EXPECT_EQ(m.hierarchy.l2.sizeBytes, before.hierarchy.l2.sizeBytes);
+    EXPECT_EQ(m.hierarchy.l1d.assoc, before.hierarchy.l1d.assoc);
+    EXPECT_EQ(m.btbWays, before.btbWays);
+
+    // The largest values that do fit are accepted as written.
+    EXPECT_TRUE(
+        analyze::applyConfigOverride(m, "l1i.line=4294967295", &err));
+    EXPECT_EQ(m.hierarchy.l1i.lineBytes, 4294967295u);
+    EXPECT_TRUE(
+        analyze::applyConfigOverride(m, "l2.size=17592186044415m", &err));
+    EXPECT_EQ(m.hierarchy.l2.sizeBytes, u64{17592186044415} << 20);
 }
 
 TEST(AnalyzeDeathTest, RequireSoundMachinePanicsOnUnsoundConfig)

@@ -224,4 +224,25 @@ TEST(LinkerSpec, ProcOrderIsIndexedByAuthoredFile)
     }
 }
 
+TEST(LinkerSpecDeathTest, NonPermutationSpecIsRejected)
+{
+    // LayoutSpec::validate is the one check that a spec permutes the
+    // program's files and each file's procedures (Linker::link runs it
+    // in Debug builds).
+    auto p = prog();
+    const auto spec = LayoutSpec::authored(p);
+    spec.validate(p);
+    ASSERT_GE(p.files().size(), 2u);
+    ASSERT_FALSE(spec.procOrder[0].empty());
+    ASSERT_FALSE(spec.procOrder[1].empty());
+
+    auto repeated_file = spec;
+    repeated_file.fileOrder[1] = repeated_file.fileOrder[0];
+    EXPECT_DEATH(repeated_file.validate(p), "assertion failed");
+
+    auto foreign_proc = spec;
+    foreign_proc.procOrder[0][0] = foreign_proc.procOrder[1][0];
+    EXPECT_DEATH(foreign_proc.validate(p), "assertion failed");
+}
+
 } // anonymous namespace

@@ -252,6 +252,11 @@ TEST(TimingDeathTest, InvalidConfigIsFatal)
     auto cfg = MachineConfig::xeonE5440();
     cfg.width = 0;
     EXPECT_EXIT(Machine{cfg}, ::testing::ExitedWithCode(1), "width");
+    // The BTB geometry rule is Btb's own, ways cap included.
+    auto wide_btb = MachineConfig::xeonE5440();
+    wide_btb.btbWays = 33;
+    EXPECT_EXIT(wide_btb.validate(), ::testing::ExitedWithCode(1),
+                "exceeds 32");
 }
 
 } // anonymous namespace

@@ -1,16 +1,22 @@
 /**
  * @file
- * Run the artifact verifier passes from the command line.
+ * Run the verifier passes from the command line.
  *
- * Front-end to src/verify: builds or loads the requested artifacts and
- * runs every applicable pass, printing diagnostics as text (default) or
- * JSON (--json). The exit code is the machine-readable verdict:
+ * Front-end to verify::PassManager::standard(): builds a MachineConfig
+ * (the default Xeon E5440, optionally rewritten by --config fleet
+ * overrides) plus whatever artifacts are requested, and runs every
+ * applicable pass — the machine passes always. Prints the machine
+ * facts the soundness passes reason over, then the diagnostics, as
+ * text (default) or as one JSON report (--json; schema in
+ * docs/verify-report.schema.json). The exit code is the verdict:
  *
- *   0  every requested artifact verified clean (warnings allowed);
- *   1  at least one error-severity diagnostic;
- *   2  usage error (unknown profile, missing required flag, ...).
+ *   0  everything verified clean (warnings allowed unless --strict);
+ *   1  at least one error diagnostic (--strict: any diagnostic);
+ *   2  usage error (unknown profile, malformed --config, ...).
  *
  * Examples:
+ *   interf_verify                                   # default machine
+ *   interf_verify --config l1i.line=16              # salt collision
  *   interf_verify --profile 400.perlbench --budget 200000 --layouts 8
  *   interf_verify --profile 429.mcf --trace /tmp/mcf.trace
  *   interf_verify --store /tmp/interf-store --json
@@ -20,12 +26,15 @@
 #include <cstdio>
 #include <string>
 
+#include "analyze/analyze.hh"
+#include "core/config.hh"
 #include "layout/linker.hh"
 #include "layout/pagemap.hh"
 #include "trace/generator.hh"
 #include "trace/io.hh"
 #include "trace/replay.hh"
 #include "util/digest.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 #include "verify/verify.hh"
@@ -42,10 +51,38 @@ constexpr int kExitDiagnostics = 1;
 constexpr int kExitUsage = 2;
 
 int
-usageError(const char *msg)
+usageError(const std::string &msg)
 {
-    std::fprintf(stderr, "interf_verify: %s\n", msg);
+    std::fprintf(stderr, "interf_verify: %s\n", msg.c_str());
     return kExitUsage;
+}
+
+const char *
+replacementName(cache::Replacement r)
+{
+    return r == cache::Replacement::Lru ? "lru" : "random";
+}
+
+/** One cache's facts. requiredTagBits presumes a valid geometry (its
+ *  line size must be a power of two), so a cache whose geometry
+ *  ConfigSoundness rejected reports none. */
+Json
+cacheFacts(const cache::CacheConfig &cfg, Addr line_ceiling,
+           u64 lru_advance_bound)
+{
+    Json j = Json::object();
+    j.set("name", cfg.name);
+    j.set("sizeBytes", cfg.sizeBytes);
+    j.set("assoc", cfg.assoc);
+    j.set("lineBytes", cfg.lineBytes);
+    j.set("replacement", replacementName(cfg.replacement));
+    if (cfg.geometryError().empty())
+        j.set("requiredTagBits",
+              analyze::requiredTagBits(cfg.lineBytes, line_ceiling));
+    j.set("tagBits", cache::Cache::kTagBits);
+    j.set("epochShift", cache::Cache::kEpochShift);
+    j.set("lruAdvanceBound", lru_advance_bound);
+    return j;
 }
 
 } // anonymous namespace
@@ -54,8 +91,11 @@ int
 main(int argc, char **argv)
 {
     OptionParser opts("interf_verify",
-                      "run the static-analysis verifier passes over "
-                      "interferometry artifacts");
+                      "run the verifier passes over a machine config "
+                      "and interferometry artifacts");
+    opts.addString("config", "",
+                   "fleet overrides applied to the default machine, "
+                   "e.g. l1i.line=16,l2.assoc=24,btb.sets=512");
     opts.addString("profile", "",
                    "suite benchmark whose program to build and verify "
                    "(e.g. 400.perlbench)");
@@ -75,19 +115,18 @@ main(int argc, char **argv)
     opts.addFlag("shallow",
                  "skip batch payload checksum recomputation in store "
                  "verification");
-    opts.addFlag("json", "print diagnostics as JSON on stdout");
+    opts.addFlag("strict", "any diagnostic (warnings too) exits 1");
+    opts.addFlag("json", "print the report as JSON on stdout");
     opts.parse(argc, argv);
 
     const std::string profile_name = opts.getString("profile");
+    const std::string override_spec = opts.getString("config");
     const std::string trace_path = opts.getString("trace");
     const std::string store_root = opts.getString("store");
     const std::string key_text = opts.getString("key");
     const i64 budget = opts.getInt("budget");
     const i64 layouts = opts.getInt("layouts");
 
-    if (profile_name.empty() && store_root.empty())
-        return usageError("nothing to verify: pass --profile and/or "
-                          "--store (see --help)");
     if (profile_name.empty() &&
         (budget > 0 || layouts > 0 || !trace_path.empty()))
         return usageError("--budget, --layouts and --trace require "
@@ -97,49 +136,56 @@ main(int argc, char **argv)
     if (budget < 0 || layouts < 0)
         return usageError("--budget and --layouts must be >= 0");
 
-    verify::VerifyResult all;
+    core::MachineConfig machine = core::MachineConfig::xeonE5440();
+    std::string err;
+    if (!analyze::applyConfigOverride(machine, override_spec, &err))
+        return usageError("bad --config: " + err);
 
+    // The artifacts the standard pass list runs over. Everything is
+    // kept alive here so the borrowed pointers stay valid.
+    trace::Program prog;
+    trace::Trace tr;
+    trace::ReplayPlan plan;
+    verify::Artifacts arts;
+    arts.machine = &machine;
+    arts.path = "machine:" + machine.name;
     if (!profile_name.empty()) {
         if (!workloads::isSuiteBenchmark(profile_name))
             return usageError(strprintf("unknown profile '%s' (see "
                                         "workloads/spec.hh)",
-                                        profile_name.c_str())
-                                  .c_str());
+                                        profile_name.c_str()));
         const auto &profile = workloads::specFor(profile_name).profile;
-        const trace::Program prog = workloads::buildProgram(profile);
-        const std::string label = "profile:" + profile_name;
-        all.merge(verify::verifyProgram(prog, label));
-
+        prog = workloads::buildProgram(profile);
+        arts.program = &prog;
+        arts.path = "profile:" + profile_name;
         if (budget > 0) {
             trace::TraceGenerator gen(prog, profile.behaviourSeed);
-            const trace::Trace tr =
-                gen.makeTrace(static_cast<u64>(budget));
-            all.merge(verify::verifyTrace(prog, tr, label + ":trace"));
-            const trace::ReplayPlan plan(prog, tr);
-            all.merge(
-                verify::verifyPlan(prog, tr, plan, label + ":plan"));
+            tr = gen.makeTrace(static_cast<u64>(budget));
+            plan = trace::ReplayPlan(prog, tr);
+            arts.trace = &tr;
+            arts.plan = &plan;
         }
-
-        const layout::Linker linker;
-        for (i64 i = 0; i < layouts; ++i) {
-            layout::LayoutKey key;
-            key.seed = static_cast<u64>(i);
-            const layout::CodeLayout code = linker.link(prog, key);
-            all.merge(verify::verifyLayout(
-                prog, code,
-                strprintf("%s:layout[%lld]", label.c_str(),
-                          static_cast<long long>(i))));
-            const layout::PageMap pages(static_cast<u64>(i) + 1);
-            verify::verifyPageMap(
-                pages, 1u << 14,
-                strprintf("%s:pagemap[%lld]", label.c_str(),
-                          static_cast<long long>(i)),
-                all);
-        }
-
-        if (!trace_path.empty())
-            all.merge(verify::verifyTraceFile(trace_path, prog));
     }
+    verify::VerifyResult all = verify::PassManager::standard().run(arts);
+
+    const layout::Linker linker;
+    for (i64 i = 0; i < layouts; ++i) {
+        layout::LayoutKey key;
+        key.seed = static_cast<u64>(i);
+        const layout::CodeLayout code = linker.link(prog, key);
+        all.merge(verify::verifyLayout(
+            prog, code,
+            strprintf("%s:layout[%lld]", arts.path.c_str(),
+                      static_cast<long long>(i))));
+        const layout::PageMap pages(static_cast<u64>(i) + 1);
+        verify::verifyPageMap(pages, 1u << 14,
+                              strprintf("%s:pagemap[%lld]",
+                                        arts.path.c_str(),
+                                        static_cast<long long>(i)),
+                              all);
+    }
+    if (!trace_path.empty())
+        all.merge(verify::verifyTraceFile(trace_path, prog));
 
     if (!store_root.empty()) {
         const bool deep = !opts.getFlag("shallow");
@@ -154,9 +200,78 @@ main(int argc, char **argv)
         }
     }
 
-    if (opts.getFlag("json"))
-        std::printf("%s\n", all.toJson().c_str());
-    else
+    const analyze::AddressSpace space =
+        arts.program ? analyze::AddressSpace::forProgram(*arts.program)
+                     : analyze::AddressSpace::engineDefault();
+    analyze::LruAdvanceBounds bounds;
+    if (arts.plan)
+        bounds = analyze::lruAdvanceBounds(machine, *arts.plan);
+    const cache::CacheConfig *caches[3] = {&machine.hierarchy.l1i,
+                                           &machine.hierarchy.l1d,
+                                           &machine.hierarchy.l2};
+
+    if (opts.getFlag("json")) {
+        Json report = Json::object();
+        report.set("schemaVersion", 1);
+        report.set("tool", "interf_verify");
+        Json jm = Json::object();
+        jm.set("name", machine.name);
+        jm.set("lineCeiling", space.lineCeiling);
+        jm.set("codeCeiling", space.codeCeiling);
+        Json jcaches = Json::array();
+        for (u32 i = 0; i < 3; ++i)
+            jcaches.push(cacheFacts(*caches[i], space.lineCeiling,
+                                    bounds.forCache(i)));
+        jm.set("caches", std::move(jcaches));
+        Json btb = Json::object();
+        btb.set("sets", machine.btbSets);
+        btb.set("ways", machine.btbWays);
+        jm.set("btb", std::move(btb));
+        report.set("machine", std::move(jm));
+        Json jr;
+        if (!Json::parse(all.toJson(), jr, &err))
+            panic("VerifyResult::toJson produced invalid JSON: %s",
+                  err.c_str());
+        report.set("result", std::move(jr));
+        std::printf("%s\n", report.dump(2).c_str());
+    } else {
+        std::printf("machine '%s': line ceiling %#llx, code ceiling "
+                    "%#llx\n",
+                    machine.name.c_str(),
+                    static_cast<unsigned long long>(space.lineCeiling),
+                    static_cast<unsigned long long>(space.codeCeiling));
+        for (const cache::CacheConfig *c : caches) {
+            const std::string tags =
+                c->geometryError().empty()
+                    ? strprintf("%2u/%u tag bits",
+                                analyze::requiredTagBits(
+                                    c->lineBytes, space.lineCeiling),
+                                cache::Cache::kTagBits)
+                    : std::string("geometry rejected");
+            std::printf("  %-4s %8llu B, %2u-way, %3u B lines, %-6s: "
+                        "%s%s\n",
+                        c->name.c_str(),
+                        static_cast<unsigned long long>(c->sizeBytes),
+                        c->assoc, c->lineBytes,
+                        replacementName(c->replacement), tags.c_str(),
+                        c->replacement == cache::Replacement::Lru
+                            ? ", u32 stamps"
+                            : "");
+        }
+        std::printf("  btb  %u sets x %u ways, u32 full-PC tags\n",
+                    machine.btbSets, machine.btbWays);
+        if (arts.plan)
+            std::printf("  plan: %llu fetch lines -> LRU advance "
+                        "bounds %llu / %llu / %llu\n",
+                        static_cast<unsigned long long>(
+                            bounds.fetchLines),
+                        static_cast<unsigned long long>(bounds.l1i),
+                        static_cast<unsigned long long>(bounds.l1d),
+                        static_cast<unsigned long long>(bounds.l2));
         all.printText(stdout);
-    return all.ok() ? kExitClean : kExitDiagnostics;
+    }
+
+    const bool strict_fail =
+        opts.getFlag("strict") && all.warningCount() > 0;
+    return all.ok() && !strict_fail ? kExitClean : kExitDiagnostics;
 }
