@@ -34,7 +34,8 @@
  * LayoutTables::fillCode under verifyOnTrust()).
  *
  * Trust boundaries: Campaign and opt::FitnessOracle refuse unsound
- * configs fail-closed through requireSoundMachine (always, not only
+ * configs fail-closed through requireSoundMachine, called by their
+ * shared interferometry::LayoutEvaluator (always, not only
  * under verifyOnTrust() — the analysis is a few hundred comparisons
  * per campaign). tools/interf_verify runs the same passes on demand.
  */

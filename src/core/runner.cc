@@ -16,50 +16,6 @@ MeasurementRunner::MeasurementRunner(const MachineConfig &machine,
 }
 
 Measurement
-MeasurementRunner::measure(const trace::Program &prog,
-                           const trace::Trace &trace,
-                           const layout::CodeLayout &code,
-                           const layout::HeapLayout &heap, u64 noise_seed)
-{
-    return measure(prog, trace, code, heap, layout::PageMap(),
-                   noise_seed);
-}
-
-Measurement
-MeasurementRunner::measure(const trace::Program &prog,
-                           const trace::Trace &trace,
-                           const layout::CodeLayout &code,
-                           const layout::HeapLayout &heap,
-                           const layout::PageMap &pages, u64 noise_seed)
-{
-    return measureWithTruth(prog, trace, code, heap, pages, noise_seed)
-        .sample;
-}
-
-MeasuredRun
-MeasurementRunner::measureWithTruth(const trace::Program &prog,
-                                    const trace::Trace &trace,
-                                    const layout::CodeLayout &code,
-                                    const layout::HeapLayout &heap,
-                                    u64 noise_seed)
-{
-    return measureWithTruth(prog, trace, code, heap, layout::PageMap(),
-                            noise_seed);
-}
-
-MeasuredRun
-MeasurementRunner::measureWithTruth(const trace::Program &prog,
-                                    const trace::Trace &trace,
-                                    const layout::CodeLayout &code,
-                                    const layout::HeapLayout &heap,
-                                    const layout::PageMap &pages,
-                                    u64 noise_seed)
-{
-    return protocol(machine_.run(prog, trace, code, heap, pages),
-                    noise_seed);
-}
-
-Measurement
 MeasurementRunner::measure(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables,
                            u64 noise_seed)

@@ -75,7 +75,7 @@ struct MeasuredRun
  * A runner keeps no per-measurement state — everything a call produces
  * is in its return value — but it owns a mutable Machine, so one runner
  * must not be shared across threads. Parallel campaigns give each
- * worker its own runner (see interferometry::Campaign).
+ * worker its own runner (see interferometry::LayoutEvaluator).
  */
 class MeasurementRunner
 {
@@ -84,48 +84,17 @@ class MeasurementRunner
                       const RunnerConfig &runner);
 
     /**
-     * Measure one (trace, layout) configuration.
+     * @{ Measure one layout: replay a compiled ReplayPlan under the
+     * layout's address tables and run the protocol over the result
+     * (the replay kernel is bit-identical to the reference loop).
      *
      * @param noise_seed Seed for this layout's measurement noise; pass
      *        the layout seed so campaigns are reproducible end to end.
      */
-    Measurement measure(const trace::Program &prog,
-                        const trace::Trace &trace,
-                        const layout::CodeLayout &code,
-                        const layout::HeapLayout &heap, u64 noise_seed);
-
-    /** As above with an explicit page mapping for physical L2
-     *  indexing. */
-    Measurement measure(const trace::Program &prog,
-                        const trace::Trace &trace,
-                        const layout::CodeLayout &code,
-                        const layout::HeapLayout &heap,
-                        const layout::PageMap &pages, u64 noise_seed);
-
-    /** @{ As measure(), also returning the noise-free ground truth. */
-    MeasuredRun measureWithTruth(const trace::Program &prog,
-                                 const trace::Trace &trace,
-                                 const layout::CodeLayout &code,
-                                 const layout::HeapLayout &heap,
-                                 u64 noise_seed);
-
-    MeasuredRun measureWithTruth(const trace::Program &prog,
-                                 const trace::Trace &trace,
-                                 const layout::CodeLayout &code,
-                                 const layout::HeapLayout &heap,
-                                 const layout::PageMap &pages,
-                                 u64 noise_seed);
-    /** @} */
-
-    /**
-     * @{ Plan-based measurement: the campaign hot path. Replays a
-     * compiled ReplayPlan under one layout's address tables instead of
-     * walking Program + Trace; identical protocol, identical results
-     * (the replay kernel is bit-identical to the reference loop).
-     */
     Measurement measure(const trace::ReplayPlan &plan,
                         const trace::LayoutTables &tables, u64 noise_seed);
 
+    /** As measure(), also returning the noise-free ground truth. */
     MeasuredRun measureWithTruth(const trace::ReplayPlan &plan,
                                  const trace::LayoutTables &tables,
                                  u64 noise_seed);

@@ -10,11 +10,8 @@
 #include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_ctx.hh"
-#include "analyze/analyze.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
-#include "verify/verify.hh"
-#include "workloads/builder.hh"
 
 namespace interf::interferometry
 {
@@ -23,44 +20,14 @@ Campaign::Campaign(const workloads::WorkloadProfile &profile,
                    const CampaignConfig &config)
     : profile_(profile),
       cfg_(config),
-      program_(workloads::buildProgram(profile)),
-      linker_(),
-      runner_(config.machine, config.runner)
+      startNs_(telemetry::nowNs()),
+      phaseBase_(telemetry::phaseStats()),
+      evaluator_(profile, config.instructionBudget, config.machine,
+                 config.runner, config.jobs, !config.randomizeHeap,
+                 !config.physicalPages, "Campaign", "campaign.verify"),
+      campaignKey_(store::campaignKey(evaluator_.program(),
+                                      profile.behaviourSeed, config))
 {
-    startNs_ = telemetry::nowNs();
-    phaseBase_ = telemetry::phaseStats();
-    {
-        INTERF_SPAN("trace.generate");
-        trace::TraceGenerator gen(program_, profile.behaviourSeed);
-        trace_ = gen.makeTrace(cfg_.instructionBudget);
-        trace_.validate(program_);
-    }
-    // Trust boundary: Debug builds / INTERF_VERIFY=1 prove the built
-    // program and generated trace before compiling anything from them.
-    if (verify::verifyOnTrust()) {
-        INTERF_SPAN("campaign.verify");
-        auto prog_result = verify::verifyProgram(program_);
-        auto trace_result = verify::verifyTrace(program_, trace_);
-        verifyErrors_ =
-            prog_result.errorCount() + trace_result.errorCount();
-        verifyWarnings_ =
-            prog_result.warningCount() + trace_result.warningCount();
-        verify::requireClean(prog_result, "Campaign program");
-        verify::requireClean(trace_result, "Campaign trace");
-    }
-    // Compile the trace once; every layout measurement replays the
-    // plan through flat per-layout address tables (the ReplayPlan
-    // constructor records the "plan.compile" span itself).
-    plan_ = trace::ReplayPlan(program_, trace_);
-    // Fail closed, in every build type: a machine geometry that breaks
-    // a compaction invariant (tag width, epoch salt, LRU wrap bound)
-    // must never reach the replay kernel, where it would assert in
-    // Debug and silently corrupt victim choice in Release. The static
-    // analysis is a few hundred comparisons per campaign.
-    analyze::requireSoundMachine(cfg_.machine, &plan_,
-                                 "Campaign machine config");
-    campaignKey_ =
-        store::campaignKey(program_, profile_.behaviourSeed, cfg_);
 }
 
 Campaign::~Campaign()
@@ -97,7 +64,7 @@ Campaign::codeLayoutFor(u32 index) const
 {
     layout::LayoutKey key;
     key.seed = cfg_.layoutSeedBase + index;
-    return linker_.link(program_, key);
+    return evaluator_.linker().link(program(), key);
 }
 
 layout::HeapLayout
@@ -106,7 +73,7 @@ Campaign::heapLayoutFor(u32 index) const
     layout::HeapKey key;
     key.randomize = cfg_.randomizeHeap;
     key.seed = cfg_.layoutSeedBase + index;
-    return layout::HeapLayout(program_, key);
+    return layout::HeapLayout(program(), key);
 }
 
 layout::PageMap
@@ -115,83 +82,6 @@ Campaign::pageMapFor(u32 index) const
     if (!cfg_.physicalPages)
         return layout::PageMap(); // identity: virtually-indexed L2
     return layout::PageMap(cfg_.layoutSeedBase + index);
-}
-
-core::Measurement
-Campaign::measureOne(core::MeasurementRunner &runner, u32 index) const
-{
-    // Attribute this layout's spans to its seed (the campaign/batch ids
-    // are already on the thread's context).
-    telemetry::ScopedCandidateDigest candidate(cfg_.layoutSeedBase +
-                                               index);
-    trace::LayoutTables tables = [&] {
-        INTERF_SPAN("layout.gen");
-        layout::CodeLayout code = codeLayoutFor(index);
-        layout::HeapLayout heap = heapLayoutFor(index);
-        return trace::LayoutTables(plan_, code, heap, pageMapFor(index),
-                                   cfg_.machine.hierarchy.l1i.lineBytes);
-    }();
-    INTERF_TELEM_COUNT("layout.tables_built", 1);
-    const u64 noise_seed = cfg_.layoutSeedBase + index;
-    return l1d_ ? runner.measure(plan_, tables, *l1d_, noise_seed)
-                : runner.measure(plan_, tables, noise_seed);
-}
-
-void
-Campaign::measureRange(u32 first, u32 count,
-                       std::vector<core::Measurement> &out,
-                       u32 out_offset)
-{
-    const u32 jobs = exec::ThreadPool::resolveJobs(cfg_.jobs);
-    // Progress tick per finished layout. Workers land here too, so the
-    // tracker (not thread-safe by itself) is fed under a mutex; when no
-    // tracker is installed (telemetry off) this is one pointer test.
-    auto note_progress = [this] {
-        if (!telemetry::enabled())
-            return;
-        std::lock_guard<std::mutex> lock(progressMutex_);
-        if (progress_ == nullptr)
-            return;
-        ++progressDone_;
-        progress_->update(progressDone_, progressCached_,
-                          progressDone_ - progressCached_);
-    };
-    // The shared L1D pass runs here, serially, so workers only ever
-    // read it and a run served wholly from the store never pays it.
-    if (!l1d_ && core::canShareL1d(cfg_.machine.hierarchy.l1d,
-                                   !cfg_.randomizeHeap,
-                                   !cfg_.physicalPages)) {
-        INTERF_SPAN("replay.l1d_pass");
-        l1d_ = core::simulateL1d(
-            cfg_.machine, plan_,
-            trace::LayoutTables(plan_, heapLayoutFor(first),
-                                pageMapFor(first)));
-    }
-    if (jobs <= 1 || count <= 1) {
-        INTERF_SPAN_PHASE("replay.batch");
-        for (u32 k = 0; k < count; ++k) {
-            out[out_offset + k] = measureOne(runner_, first + k);
-            note_progress();
-        }
-        return;
-    }
-    if (!pool_ || pool_->workers() != jobs)
-        pool_ = std::make_unique<exec::ThreadPool>(jobs);
-    // Workers share the immutable Program/Trace and own everything
-    // mutable: a fresh MeasurementRunner (Machine) per chunk plus the
-    // per-layout code/heap/page state derived inside measureOne. Slot
-    // out_offset + k always holds layout first + k, and every replay
-    // starts from power-on state, so scheduling cannot reorder or
-    // otherwise perturb the samples.
-    exec::parallelForChunks(*pool_, count, [&](size_t begin, size_t end) {
-        INTERF_SPAN_PHASE("replay.batch");
-        core::MeasurementRunner runner(cfg_.machine, cfg_.runner);
-        for (size_t k = begin; k < end; ++k) {
-            out[out_offset + k] =
-                measureOne(runner, first + static_cast<u32>(k));
-            note_progress();
-        }
-    });
 }
 
 std::vector<core::Measurement>
@@ -215,39 +105,32 @@ Campaign::measureLayouts(u32 first, u32 count)
     INTERF_TELEM_COUNT("store.sample_hits", have);
     INTERF_TELEM_COUNT("store.sample_misses", count - have);
     telemetry::ProgressTracker tracker("campaign.measure", count);
+    if (have > 0)
+        tracker.add(have, have, 0);
     if (have == count) {
-        tracker.update(have, have, 0);
         tracker.finish();
         return out;
     }
 
-    // Install the tracker for the duration of the fresh measurements;
-    // measureRange's completions (on any thread) tick it.
-    if (telemetry::enabled()) {
-        std::lock_guard<std::mutex> lock(progressMutex_);
-        progress_ = &tracker;
-        progressDone_ = have;
-        progressCached_ = have;
-        if (have > 0)
-            tracker.update(have, have, 0);
-    }
+    const u32 start = first + have;
+    const LayoutRecipe recipe{
+        [&](u32 k) { return codeLayoutFor(start + k); },
+        [&](u32 k) { return heapLayoutFor(start + k); },
+        [&](u32 k) { return pageMapFor(start + k); },
+        [&](u32 k) { return cfg_.layoutSeedBase + start + k; }};
     const u64 measure_start = telemetry::nowNs();
-    measureRange(first + have, count - have, out, have);
+    std::vector<core::Measurement> fresh =
+        evaluator_.measure(count - have, recipe, &tracker);
     measureNs_ += telemetry::nowNs() - measure_start;
-    {
-        std::lock_guard<std::mutex> lock(progressMutex_);
-        progress_ = nullptr;
-    }
     tracker.finish();
+    std::copy(fresh.begin(), fresh.end(), out.begin() + have);
 
     // Checkpoint the fresh samples if they extend the persisted prefix
     // contiguously; a gap (a caller jumping ahead of the store) is
     // measured but not persisted, since resume relies on contiguity.
-    if (st && first + have == st->storedCount()) {
-        std::vector<core::Measurement> fresh(out.begin() + have,
-                                             out.end());
+    if (st && start == st->storedCount()) {
         const u64 commit_start = telemetry::nowNs();
-        st->appendBatch(first + have, fresh);
+        st->appendBatch(start, fresh);
         ++storeBatches_;
         storeCommitMs_ +=
             (telemetry::nowNs() - commit_start) / 1e6;
@@ -259,6 +142,19 @@ Campaign::measureLayouts(u32 first, u32 count)
 CampaignResult
 Campaign::run()
 {
+    // Refuse configs the escalation loop cannot honour before
+    // measuring anything: the t-test needs three samples, and a zero
+    // step would repeat empty batches forever.
+    if (cfg_.initialLayouts < 3)
+        fatal("CampaignConfig.initialLayouts must be >= 3 (the "
+              "correlation t-test needs 3 samples), got %u",
+              cfg_.initialLayouts);
+    if (cfg_.escalationStep == 0)
+        fatal("CampaignConfig.escalationStep must be >= 1, got 0");
+    if (cfg_.maxLayouts < cfg_.initialLayouts)
+        fatal("CampaignConfig.maxLayouts (%u) must be >= "
+              "initialLayouts (%u)",
+              cfg_.maxLayouts, cfg_.initialLayouts);
     INTERF_SPAN_PHASE("campaign.run");
     CampaignResult res;
     res.samples.reserve(cfg_.maxLayouts);
@@ -333,8 +229,8 @@ Campaign::buildManifest() const
                           ? measuredLayouts_ / (measureNs_ / 1e9)
                           : 0.0;
     m.phases = telemetry::phaseStatsSince(phaseBase_);
-    m.verifyErrors = verifyErrors_;
-    m.verifyWarnings = verifyWarnings_;
+    m.verifyErrors = evaluator_.verifyErrors();
+    m.verifyWarnings = evaluator_.verifyWarnings();
     telemetry::LogCaptureSnapshot logs = telemetry::logCapture();
     m.logWarns = logs.warns;
     m.logInforms = logs.informs;

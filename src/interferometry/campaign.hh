@@ -18,21 +18,11 @@
 #define INTERF_INTERFEROMETRY_CAMPAIGN_HH
 
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/runner.hh"
-#include "exec/threadpool.hh"
-#include "layout/heap.hh"
-#include "layout/linker.hh"
-#include "layout/pagemap.hh"
+#include "interferometry/evaluator.hh"
 #include "telemetry/manifest.hh"
-#include "telemetry/progress.hh"
-#include "trace/generator.hh"
-#include "trace/replay.hh"
-#include "workloads/profile.hh"
 
 namespace interf::store
 {
@@ -102,8 +92,9 @@ struct CampaignResult
 };
 
 /**
- * One benchmark's interferometry campaign. Owns the program, the trace
- * and the measurement machinery; run() executes the escalation loop,
+ * One benchmark's interferometry campaign. Owns a LayoutEvaluator (the
+ * program, the trace and the measurement machinery) and maps layout
+ * indices to seeds; run() executes the escalation loop,
  * measureLayouts() gives finer-grained control.
  */
 class Campaign
@@ -113,17 +104,18 @@ class Campaign
              const CampaignConfig &config);
     ~Campaign();
 
-    /** The escalation loop of Section 6.3. */
+    /**
+     * The escalation loop of Section 6.3. Dies with fatal() before
+     * measuring anything when initialLayouts < 3 (the t-test's
+     * minimum), escalationStep == 0 or maxLayouts < initialLayouts.
+     */
     CampaignResult run();
 
     /**
      * Measure layouts [first, first + count) without any testing.
      *
-     * Fans the layouts out to config().jobs worker threads: the index
-     * range is split into contiguous chunks, each worker owns its own
-     * MeasurementRunner (hence Machine) and derives layout, heap and
-     * page map from the shared immutable Program/Trace, and sample i
-     * lands in slot i — so the result is identical to the serial path
+     * Fans the layouts out to config().jobs worker threads through the
+     * LayoutEvaluator, so the result is identical to the serial path
      * for any jobs value.
      *
      * With config().storeDir set, layouts already persisted under this
@@ -140,16 +132,16 @@ class Campaign
     /** @} */
 
     /** The static program (built once per campaign). */
-    const trace::Program &program() const { return program_; }
+    const trace::Program &program() const { return evaluator_.program(); }
 
     /** The layout-invariant dynamic trace (generated once). */
-    const trace::Trace &trace() const { return trace_; }
+    const trace::Trace &trace() const { return evaluator_.trace(); }
 
     /**
      * The compiled replay plan (trace flattened once per campaign);
      * immutable, shared read-only by all pool workers.
      */
-    const trace::ReplayPlan &plan() const { return plan_; }
+    const trace::ReplayPlan &plan() const { return evaluator_.plan(); }
 
     /** The code layout for layout index i. */
     layout::CodeLayout codeLayoutFor(u32 index) const;
@@ -176,15 +168,6 @@ class Campaign
     telemetry::RunManifest buildManifest() const;
 
   private:
-    /** Link, derive and measure layout @p index with @p runner. */
-    core::Measurement measureOne(core::MeasurementRunner &runner,
-                                 u32 index) const;
-
-    /** Measure [first, first + count) into @p out at @p out_offset. */
-    void measureRange(u32 first, u32 count,
-                      std::vector<core::Measurement> &out,
-                      u32 out_offset);
-
     /**
      * The artifact store for this campaign's key, opened (and its
      * samples loaded) on first use; nullptr when storeDir is empty.
@@ -193,42 +176,23 @@ class Campaign
 
     workloads::WorkloadProfile profile_;
     CampaignConfig cfg_;
-    trace::Program program_;
-    trace::Trace trace_;
-    trace::ReplayPlan plan_;
-    layout::Linker linker_;
-    core::MeasurementRunner runner_; ///< Serial path (jobs == 1).
-    /** The L1D outcome every layout shares when core::canShareL1d
-     *  admits it (fixed heap; identity pages or a page-offset-indexed
-     *  L1D): built once, serially, before the first fresh
-     *  measurement's fan-out, then read-only (DESIGN.md §5n). */
-    std::optional<core::L1dOutcomes> l1d_;
-    std::unique_ptr<exec::ThreadPool> pool_; ///< Lazily sized to jobs.
+    /** @{ Taken before the evaluator's set-up, so the manifest's wall
+     *  time and phases cover it. */
+    u64 startNs_ = 0;
+    std::vector<telemetry::PhaseStat> phaseBase_;
+    /** @} */
+    LayoutEvaluator evaluator_;
+    u64 campaignKey_ = 0;
     std::unique_ptr<store::CampaignStore> store_; ///< See store().
     bool storeOpened_ = false;
     std::vector<core::Measurement> cached_; ///< Store's samples [0, n).
     u32 measuredLayouts_ = 0;
     u32 cachedLayouts_ = 0;
 
-    /** @{ Live progress plumbing for measureLayouts: a tracker is
-     *  installed for the duration of one call and fed from measureRange
-     *  completions (worker threads included, hence the mutex). All
-     *  observe-only; null whenever telemetry is off. */
-    telemetry::ProgressTracker *progress_ = nullptr;
-    std::mutex progressMutex_;
-    u32 progressDone_ = 0;   ///< Layouts finished (cached + fresh).
-    u32 progressCached_ = 0; ///< Of which served from the store.
-    /** @} */
-
     /** @{ Telemetry bookkeeping for buildManifest(); maintained
      *  unconditionally (cheap), observed only. */
-    u64 campaignKey_ = 0;
     u32 batchIndex_ = 0; ///< measureLayouts calls so far (trace ctx).
-    u64 startNs_ = 0;
-    std::vector<telemetry::PhaseStat> phaseBase_; ///< At construction.
-    u64 verifyErrors_ = 0;
-    u64 verifyWarnings_ = 0;
-    u64 measureNs_ = 0; ///< Wall time inside fresh measureRange calls.
+    u64 measureNs_ = 0; ///< Wall time inside fresh measurements.
     u64 storeBatches_ = 0;
     double storeCommitMs_ = 0.0;
     bool regressionRan_ = false;

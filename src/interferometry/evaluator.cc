@@ -1,0 +1,127 @@
+#include "interferometry/evaluator.hh"
+
+#include "analyze/analyze.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/span.hh"
+#include "telemetry/trace_ctx.hh"
+#include "util/logging.hh"
+#include "verify/verify.hh"
+#include "workloads/builder.hh"
+
+namespace interf::interferometry
+{
+
+LayoutEvaluator::LayoutEvaluator(const workloads::WorkloadProfile &profile,
+                                 u64 instruction_budget,
+                                 const core::MachineConfig &machine,
+                                 const core::RunnerConfig &runner,
+                                 u32 jobs, bool same_heap, bool same_pages,
+                                 const char *owner,
+                                 const char *verify_span)
+    : machine_(machine),
+      runnerConfig_(runner),
+      jobs_(jobs),
+      shareL1d_(core::canShareL1d(machine.hierarchy.l1d, same_heap,
+                                  same_pages)),
+      program_(workloads::buildProgram(profile)),
+      linker_(),
+      runner_(machine, runner)
+{
+    {
+        INTERF_SPAN("trace.generate");
+        trace::TraceGenerator gen(program_, profile.behaviourSeed);
+        trace_ = gen.makeTrace(instruction_budget);
+        trace_.validate(program_);
+    }
+    // Trust boundary: Debug builds / INTERF_VERIFY=1 prove the built
+    // program and generated trace before compiling anything from them.
+    if (verify::verifyOnTrust()) {
+        INTERF_SPAN(verify_span);
+        auto prog_result = verify::verifyProgram(program_);
+        auto trace_result = verify::verifyTrace(program_, trace_);
+        verifyErrors_ =
+            prog_result.errorCount() + trace_result.errorCount();
+        verifyWarnings_ =
+            prog_result.warningCount() + trace_result.warningCount();
+        verify::requireClean(prog_result,
+                             strprintf("%s program", owner).c_str());
+        verify::requireClean(trace_result,
+                             strprintf("%s trace", owner).c_str());
+    }
+    // Compile the trace once; every layout measurement replays the
+    // plan through flat per-layout address tables (the ReplayPlan
+    // constructor records the "plan.compile" span itself).
+    plan_ = trace::ReplayPlan(program_, trace_);
+    // Fail closed, in every build type: a machine geometry that breaks
+    // a compaction invariant (tag width, epoch salt, LRU wrap bound)
+    // must never reach the replay kernel, where it would assert in
+    // Debug and silently corrupt victim choice in Release. The static
+    // analysis is a few hundred comparisons per set-up.
+    analyze::requireSoundMachine(
+        machine_, &plan_, strprintf("%s machine config", owner).c_str());
+}
+
+core::Measurement
+LayoutEvaluator::measureOne(core::MeasurementRunner &runner,
+                            const LayoutRecipe &recipe, u32 k) const
+{
+    const u64 seed = recipe.seed(k);
+    // Attribute this layout's spans to its seed (the owner's key and
+    // batch ordinal are already on the thread's context).
+    telemetry::ScopedCandidateDigest candidate(seed);
+    trace::LayoutTables tables = [&] {
+        INTERF_SPAN("layout.gen");
+        const layout::CodeLayout code = recipe.code(k);
+        const layout::HeapLayout heap = recipe.heap(k);
+        return trace::LayoutTables(plan_, code, heap, recipe.pages(k),
+                                   machine_.hierarchy.l1i.lineBytes);
+    }();
+    INTERF_TELEM_COUNT("layout.tables_built", 1);
+    return l1d_ ? runner.measure(plan_, tables, *l1d_, seed)
+                : runner.measure(plan_, tables, seed);
+}
+
+std::vector<core::Measurement>
+LayoutEvaluator::measure(u32 count, const LayoutRecipe &recipe,
+                         telemetry::ProgressTracker *progress)
+{
+    std::vector<core::Measurement> out(count);
+    if (count == 0)
+        return out;
+    // The shared L1D pass runs here, serially, so workers only ever
+    // read it and a run served wholly from a cache never pays it.
+    if (shareL1d_ && !l1d_) {
+        INTERF_SPAN("replay.l1d_pass");
+        l1d_ = core::simulateL1d(
+            machine_, plan_,
+            trace::LayoutTables(plan_, recipe.heap(0), recipe.pages(0)));
+    }
+    auto run_one = [&](core::MeasurementRunner &runner, u32 k) {
+        out[k] = measureOne(runner, recipe, k);
+        if (progress)
+            progress->add(1, 0, 1);
+    };
+    const u32 jobs = exec::ThreadPool::resolveJobs(jobs_);
+    if (jobs <= 1 || count <= 1) {
+        INTERF_SPAN_PHASE("replay.batch");
+        for (u32 k = 0; k < count; ++k)
+            run_one(runner_, k);
+        return out;
+    }
+    if (!pool_ || pool_->workers() != jobs)
+        pool_ = std::make_unique<exec::ThreadPool>(jobs);
+    // Workers share the immutable program, trace and plan and own
+    // everything mutable: a fresh MeasurementRunner (Machine) per chunk
+    // plus the per-layout tables built inside measureOne. Slot k always
+    // holds layout k, so scheduling cannot reorder or otherwise perturb
+    // the samples.
+    exec::parallelForChunks(*pool_, count, [&](size_t begin, size_t end) {
+        INTERF_SPAN_PHASE("replay.batch");
+        core::MeasurementRunner runner(machine_, runnerConfig_);
+        for (size_t k = begin; k < end; ++k)
+            run_one(runner, static_cast<u32>(k));
+    });
+    return out;
+}
+
+} // namespace interf::interferometry

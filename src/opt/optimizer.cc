@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analyze/analyze.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "telemetry/trace_ctx.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
-#include "verify/verify.hh"
-#include "workloads/builder.hh"
 
 namespace interf::opt
 {
@@ -86,33 +83,15 @@ FitnessOracle::FitnessOracle(const workloads::WorkloadProfile &profile,
                              const OptConfig &cfg)
     : profile_(profile),
       cfg_(cfg),
-      program_(workloads::buildProgram(profile)),
-      linker_(),
-      runner_(cfg.machine, cfg.runner)
+      // A search has one page map, hence same_pages.
+      evaluator_(profile, cfg.instructionBudget, cfg.machine, cfg.runner,
+                 cfg.jobs, !cfg.randomizeHeap, true, "Optimizer",
+                 "opt.verify"),
+      baseKey_(store::fitnessBaseKey(
+          evaluator_.program(), profile.behaviourSeed,
+          cfg.instructionBudget, cfg.physicalPages, cfg.pageSeed,
+          cfg.randomizeHeap, cfg.machine, cfg.runner))
 {
-    {
-        INTERF_SPAN("trace.generate");
-        trace::TraceGenerator gen(program_, profile.behaviourSeed);
-        trace_ = gen.makeTrace(cfg_.instructionBudget);
-        trace_.validate(program_);
-    }
-    if (verify::verifyOnTrust()) {
-        INTERF_SPAN("opt.verify");
-        verify::requireClean(verify::verifyProgram(program_),
-                             "Optimizer program");
-        verify::requireClean(verify::verifyTrace(program_, trace_),
-                             "Optimizer trace");
-    }
-    plan_ = trace::ReplayPlan(program_, trace_);
-    // Fail closed (every build type): refuse a machine config whose
-    // geometry breaks a compaction invariant before the first
-    // replay. See analyze::requireSoundMachine.
-    analyze::requireSoundMachine(cfg_.machine, &plan_,
-                                 "Optimizer machine config");
-    baseKey_ = store::fitnessBaseKey(
-        program_, profile_.behaviourSeed, cfg_.instructionBudget,
-        cfg_.physicalPages, cfg_.pageSeed, cfg_.randomizeHeap,
-        cfg_.machine, cfg_.runner);
     if (!cfg_.storeDir.empty())
         store_ = std::make_unique<store::FitnessStore>(cfg_.storeDir,
                                                        baseKey_);
@@ -132,64 +111,19 @@ FitnessOracle::seededCandidate(u64 layout_seed) const
     layout::LayoutKey key;
     key.seed = layout_seed;
     CandidateLayout cand;
-    cand.code = linker_.specFor(program_, key);
+    cand.code = linker().specFor(program(), key);
     cand.heapSeed = layout_seed;
     return cand;
 }
 
-core::Measurement
-FitnessOracle::measureOne(core::MeasurementRunner &runner,
-                          const CandidateLayout &cand, u64 digest) const
-{
-    // Attribute this candidate's spans to its content digest (base key
-    // / batch ordinal are already on the thread's context).
-    telemetry::ScopedCandidateDigest candidate(digest);
-    trace::LayoutTables tables = [&] {
-        INTERF_SPAN("layout.gen");
-        layout::CodeLayout code = linker_.link(program_, cand.code);
-        layout::HeapKey key;
-        key.randomize = cfg_.randomizeHeap;
-        key.seed = cand.heapSeed;
-        layout::HeapLayout heap(program_, key);
-        return trace::LayoutTables(plan_, code, heap, pageMap(),
-                                   cfg_.machine.hierarchy.l1i.lineBytes);
-    }();
-    INTERF_TELEM_COUNT("layout.tables_built", 1);
-    return l1d_ ? runner.measure(plan_, tables, *l1d_, digest)
-                : runner.measure(plan_, tables, digest);
-}
-
-void
-FitnessOracle::setProgressTracker(telemetry::ProgressTracker *tracker)
-{
-    std::lock_guard<std::mutex> lock(progressMutex_);
-    progress_ = tracker;
-    progressDone_ = 0;
-    progressCached_ = 0;
-    progressFresh_ = 0;
-}
-
 std::vector<core::Measurement>
-FitnessOracle::evaluate(const std::vector<CandidateLayout> &cands)
+FitnessOracle::evaluate(const std::vector<CandidateLayout> &cands,
+                        telemetry::ProgressTracker *progress)
 {
     // Spans below (including the pool workers', via submit's context
     // capture) carry this search's base key and evaluate-call ordinal.
     telemetry::ScopedTraceContext trace_ctx(baseKey_, evalBatch_);
     ++evalBatch_;
-    // Progress tick: callable from any thread; one relaxed load when
-    // telemetry is off, one pointer test when no tracker is installed.
-    auto tick = [this](u64 done, u64 cached, u64 fresh) {
-        if (!telemetry::enabled())
-            return;
-        std::lock_guard<std::mutex> lock(progressMutex_);
-        if (progress_ == nullptr)
-            return;
-        progressDone_ += done;
-        progressCached_ += cached;
-        progressFresh_ += fresh;
-        progress_->update(progressDone_, progressCached_,
-                          progressFresh_);
-    };
     const u32 count = static_cast<u32>(cands.size());
     std::vector<core::Measurement> out(count);
     std::vector<u64> digests(count);
@@ -225,56 +159,28 @@ FitnessOracle::evaluate(const std::vector<CandidateLayout> &cands)
     }
     INTERF_TELEM_COUNT("opt.evals_cached", count - fresh.size());
     INTERF_TELEM_COUNT("opt.evals_fresh", fresh.size());
-    if (count > fresh.size())
-        tick(count - fresh.size(), count - fresh.size(), 0);
+    if (progress && count > fresh.size())
+        progress->add(count - fresh.size(), count - fresh.size(), 0);
 
-    if (!fresh.empty()) {
-        // The shared L1D pass runs here, serially, so workers only
-        // ever read it and a search served wholly from the caches
-        // never pays it.
-        if (!l1d_ && core::canShareL1d(cfg_.machine.hierarchy.l1d,
-                                       !cfg_.randomizeHeap, true)) {
-            INTERF_SPAN("replay.l1d_pass");
-            l1d_ = core::simulateL1d(
-                cfg_.machine, plan_,
-                trace::LayoutTables(
-                    plan_,
-                    layout::HeapLayout(program_,
-                                       layout::HeapKey::deterministic()),
-                    pageMap()));
-        }
-        const u32 n = static_cast<u32>(fresh.size());
-        // Every replay starts from power-on state and each candidate's
-        // noise seed is its digest, so scheduling cannot change a byte
-        // of out.
-        auto run_one = [&](core::MeasurementRunner &runner, u32 k) {
-            const u32 i = fresh[k];
-            out[i] = measureOne(runner, cands[i], digests[i]);
-            tick(1, 0, 1);
-        };
-        const u32 jobs = exec::ThreadPool::resolveJobs(cfg_.jobs);
-        if (jobs <= 1 || n <= 1) {
-            INTERF_SPAN_PHASE("replay.batch");
-            for (u32 k = 0; k < n; ++k)
-                run_one(runner_, k);
-        } else {
-            if (!pool_ || pool_->workers() != jobs)
-                pool_ = std::make_unique<exec::ThreadPool>(jobs);
-            exec::parallelForChunks(
-                *pool_, n, [&](size_t begin, size_t end) {
-                    INTERF_SPAN_PHASE("replay.batch");
-                    core::MeasurementRunner runner(cfg_.machine,
-                                                   cfg_.runner);
-                    for (size_t k = begin; k < end; ++k)
-                        run_one(runner, static_cast<u32>(k));
-                });
-        }
-        freshEvals_ += n;
-        for (u32 i : fresh) {
-            memo_.emplace(digests[i], out[i]);
-            if (store_)
-                store_->save(digests[i], out[i]);
-        }
+    const interferometry::LayoutRecipe recipe{
+        [&](u32 k) { return linker().link(program(), cands[fresh[k]].code); },
+        [&](u32 k) {
+            layout::HeapKey key;
+            key.randomize = cfg_.randomizeHeap;
+            key.seed = cands[fresh[k]].heapSeed;
+            return layout::HeapLayout(program(), key);
+        },
+        [&](u32) { return pageMap(); },
+        [&](u32 k) { return digests[fresh[k]]; }};
+    const auto ms = evaluator_.measure(static_cast<u32>(fresh.size()),
+                                       recipe, progress);
+    freshEvals_ += fresh.size();
+    for (size_t k = 0; k < fresh.size(); ++k) {
+        const u32 i = fresh[k];
+        out[i] = ms[k];
+        memo_.emplace(digests[i], out[i]);
+        if (store_)
+            store_->save(digests[i], out[i]);
     }
     for (auto [i, src] : dups)
         out[i] = out[src];
@@ -369,10 +275,9 @@ SearchBase::run()
     Neighborhood nb(oracle_.program(), cfg_.randomizeHeap);
 
     // Live progress over the evaluation budget, ticked by the oracle
-    // per cached candidate and per finished replay group.
+    // per cached candidate and per finished replay.
     telemetry::ProgressTracker progress(
         strprintf("opt.%s", strategyName(cfg_.strategy)), cfg_.budget);
-    oracle_.setProgressTracker(&progress);
 
     u32 evals_left = cfg_.budget;
 
@@ -389,7 +294,7 @@ SearchBase::run()
     for (u32 b = 0; b < cfg_.blameLayouts && pool.size() < evals_left;
          ++b)
         pool.push_back(oracle_.seededCandidate(seed_rng.next()));
-    auto seed_ms = oracle_.evaluate(pool);
+    auto seed_ms = oracle_.evaluate(pool, &progress);
     evals_left -= static_cast<u32>(pool.size());
 
     u32 best_seed = 0;
@@ -415,13 +320,12 @@ SearchBase::run()
         std::vector<Move> moves(p);
         for (u32 i = 0; i < p; ++i)
             moves[i] = nb.propose(cands[i], move_rng);
-        auto ms = oracle_.evaluate(cands);
+        auto ms = oracle_.evaluate(cands, &progress);
         evals_left -= p;
         decide(step, cands, moves, ms);
         ++step;
     }
 
-    oracle_.setProgressTracker(nullptr);
     progress.finish();
     traj.finalCycles = result_.bestSample.cycles;
     traj.finalDigest = oracle_.digestOf(result_.best);
@@ -533,9 +437,7 @@ bestOfRandom(FitnessOracle &oracle, const OptConfig &cfg)
     for (u32 i = 0; i < cfg.budget; ++i)
         cands.push_back(oracle.seededCandidate(rng.next()));
     telemetry::ProgressTracker progress("opt.random", cfg.budget);
-    oracle.setProgressTracker(&progress);
-    auto ms = oracle.evaluate(cands);
-    oracle.setProgressTracker(nullptr);
+    auto ms = oracle.evaluate(cands, &progress);
     progress.finish();
     u32 best = 0;
     for (u32 i = 1; i < ms.size(); ++i)

@@ -26,21 +26,13 @@
 #define INTERF_OPT_OPTIMIZER_HH
 
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/runner.hh"
-#include "exec/threadpool.hh"
-#include "layout/linker.hh"
-#include "layout/pagemap.hh"
+#include "interferometry/evaluator.hh"
 #include "opt/neighborhood.hh"
 #include "store/fitness.hh"
-#include "telemetry/progress.hh"
-#include "trace/generator.hh"
-#include "trace/replay.hh"
 #include "util/json.hh"
 #include "workloads/profile.hh"
 
@@ -145,11 +137,12 @@ struct OptResult
 };
 
 /**
- * Measurement backend of the search: owns the program, trace and
- * compiled plan (built once, exactly like a Campaign) plus the fitness
- * memo and optional on-disk cache. evaluate() is the only entry point;
- * it fans fresh candidates out to jobs workers, one replay each, which
- * cannot change a byte of any result.
+ * Measurement backend of the search: owns a LayoutEvaluator (the
+ * program, trace and compiled plan, built once exactly like a
+ * Campaign's) plus the fitness memo and optional on-disk cache.
+ * evaluate() is the only entry point; it maps fresh candidates to
+ * layouts and lets the evaluator fan them out to jobs workers, one
+ * replay each, which cannot change a byte of any result.
  */
 class FitnessOracle
 {
@@ -157,8 +150,8 @@ class FitnessOracle
     FitnessOracle(const workloads::WorkloadProfile &profile,
                   const OptConfig &cfg);
 
-    const trace::Program &program() const { return program_; }
-    const layout::Linker &linker() const { return linker_; }
+    const trace::Program &program() const { return evaluator_.program(); }
+    const layout::Linker &linker() const { return evaluator_.linker(); }
     const workloads::WorkloadProfile &profile() const { return profile_; }
     const OptConfig &config() const { return cfg_; }
 
@@ -179,61 +172,31 @@ class FitnessOracle
      * Measurements for @p cands, element i for candidate i. Each
      * candidate is served from the memo, then the FitnessStore, and
      * only then measured fresh (and persisted). Duplicate candidates
-     * within one call are measured once.
+     * within one call are measured once. @p progress (may be null) is
+     * ticked per cached candidate and per finished replay, the latter
+     * from pool workers too.
      */
     std::vector<core::Measurement>
-    evaluate(const std::vector<CandidateLayout> &cands);
+    evaluate(const std::vector<CandidateLayout> &cands,
+             telemetry::ProgressTracker *progress = nullptr);
 
     /** @{ Lifetime tallies across evaluate() calls. */
     u64 freshEvals() const { return freshEvals_; }
     u64 cachedEvals() const { return cachedEvals_; }
     /** @} */
 
-    /**
-     * Install (or, with nullptr, remove) a progress tracker that
-     * evaluate() ticks per classified-cached candidate and per finished
-     * replay — including from pool workers. The tracker must
-     * outlive its installation; the search loops install one for the
-     * duration of run(). Observe-only, like all telemetry.
-     */
-    void setProgressTracker(telemetry::ProgressTracker *tracker);
-
   private:
-    /** Link, derive and measure @p cand (noise seed @p digest). */
-    core::Measurement measureOne(core::MeasurementRunner &runner,
-                                 const CandidateLayout &cand,
-                                 u64 digest) const;
-
     layout::PageMap pageMap() const;
 
     workloads::WorkloadProfile profile_;
     OptConfig cfg_;
-    trace::Program program_;
-    trace::Trace trace_;
-    trace::ReplayPlan plan_;
-    layout::Linker linker_;
-    core::MeasurementRunner runner_; ///< Serial path (jobs == 1).
-    /** The L1D outcome every candidate shares under a fixed heap (a
-     *  search has one page map; see core::canShareL1d): built serially
-     *  before the first fresh fan-out, read-only after (DESIGN.md
-     *  §5n). */
-    std::optional<core::L1dOutcomes> l1d_;
-    std::unique_ptr<exec::ThreadPool> pool_;
+    interferometry::LayoutEvaluator evaluator_;
     std::unique_ptr<store::FitnessStore> store_;
     std::unordered_map<u64, core::Measurement> memo_;
     u64 baseKey_ = 0;
     u64 freshEvals_ = 0;
     u64 cachedEvals_ = 0;
-
-    /** @{ Progress plumbing (see setProgressTracker) + the per-call
-     *  batch ordinal stamped into worker trace contexts. */
-    telemetry::ProgressTracker *progress_ = nullptr;
-    std::mutex progressMutex_;
-    u64 progressDone_ = 0;
-    u64 progressCached_ = 0;
-    u64 progressFresh_ = 0;
-    u32 evalBatch_ = 0; ///< evaluate() calls so far.
-    /** @} */
+    u32 evalBatch_ = 0; ///< evaluate() calls so far (trace ctx).
 };
 
 /** One search strategy over a shared oracle. */

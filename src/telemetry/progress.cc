@@ -94,13 +94,16 @@ ProgressTracker::ProgressTracker(std::string task, u64 total)
 }
 
 void
-ProgressTracker::update(u64 done, u64 cached, u64 fresh)
+ProgressTracker::add(u64 done, u64 cached, u64 fresh)
 {
+    // Publishing stays under the lock so observers and the flight log
+    // see one task's events in order.
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!active_)
         return;
-    done_ = done;
-    cached_ = cached;
-    fresh_ = fresh;
+    done_ += done;
+    cached_ += cached;
+    fresh_ += fresh;
     const u64 ts = nowNs();
     const bool final_unit = total_ > 0 && done_ >= total_;
     if (!final_unit && ts - lastPublishNs_ < kPublishIntervalNs)
@@ -126,6 +129,7 @@ ProgressTracker::update(u64 done, u64 cached, u64 fresh)
 void
 ProgressTracker::finish()
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!active_)
         return;
     publish(nowNs());

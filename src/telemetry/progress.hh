@@ -19,6 +19,7 @@
 #define INTERF_TELEMETRY_PROGRESS_HH
 
 #include <functional>
+#include <mutex>
 #include <string>
 
 #include "telemetry/telemetry.hh"
@@ -66,21 +67,26 @@ bool installStderrProgressTicker();
  * tick per work unit without flooding observers: publishes at most
  * every ~100 ms, plus always on the final unit. Construction snapshots
  * telemetry::enabled() — a tracker built while disabled is inert.
+ * add() takes an internal lock, so pool workers tick one tracker
+ * directly.
  */
 class ProgressTracker
 {
   public:
     ProgressTracker(std::string task, u64 total);
 
-    /** Record progress; publishes if due. Totals are absolute. */
-    void update(u64 done, u64 cached, u64 fresh);
+    /** Count more units as done (of which @p cached served from a
+     *  cache, @p fresh measured); publishes if due. Thread-safe. */
+    void add(u64 done, u64 cached, u64 fresh);
 
-    /** Publish the current state unconditionally (end of task). */
+    /** Publish the current state unconditionally (end of task); later
+     *  add() calls are ignored. */
     void finish();
 
   private:
     void publish(u64 ts_ns);
 
+    std::mutex mutex_; ///< Guards everything below.
     std::string task_;
     u64 total_ = 0;
     u64 done_ = 0;

@@ -132,6 +132,29 @@ TEST(Campaign, RunEscalatesAndGivesUpOnFlatBenchmark)
     EXPECT_EQ(res.samples.size(), 18u);
 }
 
+TEST(CampaignDeathTest, RunRejectsConfigsEscalationCannotHonour)
+{
+    // Each bad field dies with a fatal() naming it, before any layout
+    // is measured: two layouts would trip the t-test's n >= 3 panic, a
+    // zero step would loop forever on empty batches.
+    auto profile = workloads::defaultProfile("camp");
+    auto run_with = [&](CampaignConfig cfg) {
+        Campaign camp(profile, cfg);
+        camp.run();
+    };
+    CampaignConfig too_few = quickConfig(2);
+    EXPECT_EXIT(run_with(too_few), ::testing::ExitedWithCode(1),
+                "initialLayouts must be >= 3");
+    CampaignConfig no_step = quickConfig(6);
+    no_step.escalationStep = 0;
+    EXPECT_EXIT(run_with(no_step), ::testing::ExitedWithCode(1),
+                "escalationStep must be >= 1");
+    CampaignConfig low_cap = quickConfig(6);
+    low_cap.maxLayouts = 5;
+    EXPECT_EXIT(run_with(low_cap), ::testing::ExitedWithCode(1),
+                "maxLayouts \\(5\\) must be >= initialLayouts");
+}
+
 TEST(Campaign, NoDataDiscardedOnEscalation)
 {
     // "We do not discard any data": escalation appends, keeping the

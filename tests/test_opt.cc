@@ -555,6 +555,36 @@ TEST(OptSearch, FixedHeapSearchRunsOneL1dPass)
     }
 }
 
+TEST(OptSearch, EvaluateBuildsTablesOnlyForFirstOccurrenceMisses)
+{
+    // Layout tables are expensive to build: one evaluate batch with a
+    // memo hit and an in-batch duplicate must build them once per
+    // first-occurrence miss, on the serial and the pool path alike.
+    const auto profile = workloads::defaultProfile("opt-tables");
+    for (u32 jobs : {1u, 4u}) {
+        OptConfig cfg = quickSearch(Strategy::Greedy, 9);
+        cfg.jobs = jobs;
+        FitnessOracle oracle(profile, cfg);
+        const CandidateLayout a = oracle.seededCandidate(1);
+        const CandidateLayout b = oracle.seededCandidate(2);
+        const CandidateLayout c = oracle.seededCandidate(3);
+        const auto primed = oracle.evaluate({a}); // a is now memoized.
+        std::vector<core::Measurement> ms;
+        const u64 built = counterDuring("layout.tables_built", [&] {
+            ms = oracle.evaluate({a, b, c, b});
+        });
+        EXPECT_EQ(built, 2u) << "jobs " << jobs; // b and c only.
+        EXPECT_EQ(oracle.freshEvals(), 3u);
+        EXPECT_EQ(oracle.cachedEvals(), 2u); // The memo hit, the dup.
+        ASSERT_EQ(ms.size(), 4u);
+        EXPECT_EQ(store::samplesChecksum({ms[0]}),
+                  store::samplesChecksum(primed));
+        EXPECT_EQ(store::samplesChecksum({ms[3]}),
+                  store::samplesChecksum({ms[1]}));
+        EXPECT_NE(ms[1].layoutSeed, ms[2].layoutSeed);
+    }
+}
+
 TEST(OptSearch, RandomizedHeapSearchRunsOneL1dPassPerFreshEval)
 {
     const auto profile = workloads::defaultProfile("opt-l1d");

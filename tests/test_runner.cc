@@ -7,6 +7,7 @@
 
 #include "core/runner.hh"
 #include "layout/linker.hh"
+#include "trace/replay.hh"
 #include "trace/generator.hh"
 #include "workloads/builder.hh"
 
@@ -22,13 +23,17 @@ struct Fixture
     trace::Trace trace;
     layout::CodeLayout code;
     layout::HeapLayout heap;
+    trace::ReplayPlan plan;
+    trace::LayoutTables tables; ///< Identity page map.
 
     Fixture()
         : prog(workloads::buildProgram(workloads::defaultProfile("run"))),
           trace(trace::TraceGenerator(prog, 2).makeTrace(80000)),
           code(layout::Linker().link(prog,
                                      layout::LayoutKey{5, true, true})),
-          heap(prog, layout::HeapKey::deterministic())
+          heap(prog, layout::HeapKey::deterministic()),
+          plan(prog, trace),
+          tables(plan, code, heap)
     {
     }
 };
@@ -46,7 +51,7 @@ TEST(Runner, NoiselessMeasurementMatchesTruth)
     rc.noise = NoiseConfig::none();
     MeasurementRunner runner(MachineConfig::xeonE5440(), rc);
     auto &f = fixture();
-    auto run = runner.measureWithTruth(f.prog, f.trace, f.code, f.heap, 1);
+    auto run = runner.measureWithTruth(f.plan, f.tables, 1);
     const auto &m = run.sample;
     const auto &truth = run.truth;
     EXPECT_EQ(m.cycles, truth.cycles);
@@ -54,6 +59,11 @@ TEST(Runner, NoiselessMeasurementMatchesTruth)
     EXPECT_EQ(m.mispredicts, truth.mispredicts);
     EXPECT_EQ(m.l1iMisses, truth.l1iMisses);
     EXPECT_EQ(m.l2Misses, truth.l2Misses);
+    // The truth is the machine's own run of the same layout.
+    EXPECT_EQ(truth.cycles,
+              Machine(MachineConfig::xeonE5440())
+                  .run(f.prog, f.trace, f.code, f.heap)
+                  .cycles);
 }
 
 TEST(Runner, DerivedRatesConsistent)
@@ -62,7 +72,7 @@ TEST(Runner, DerivedRatesConsistent)
     rc.noise = NoiseConfig::none();
     MeasurementRunner runner(MachineConfig::xeonE5440(), rc);
     auto &f = fixture();
-    auto m = runner.measure(f.prog, f.trace, f.code, f.heap, 1);
+    auto m = runner.measure(f.plan, f.tables, 1);
     double kilo = double(m.instructions) / 1000.0;
     EXPECT_NEAR(m.mpki, double(m.mispredicts) / kilo, 1e-12);
     EXPECT_NEAR(m.l1iMpki, double(m.l1iMisses) / kilo, 1e-12);
@@ -81,8 +91,8 @@ TEST(Runner, EventCountsImmuneToNoise)
     MeasurementRunner a(MachineConfig::xeonE5440(), noisy);
     MeasurementRunner b(MachineConfig::xeonE5440(), clean);
     auto &f = fixture();
-    auto ma = a.measure(f.prog, f.trace, f.code, f.heap, 1);
-    auto mb = b.measure(f.prog, f.trace, f.code, f.heap, 1);
+    auto ma = a.measure(f.plan, f.tables, 1);
+    auto mb = b.measure(f.plan, f.tables, 1);
     EXPECT_EQ(ma.mispredicts, mb.mispredicts);
     EXPECT_EQ(ma.l1dMisses, mb.l1dMisses);
     EXPECT_EQ(ma.btbMisses, mb.btbMisses);
@@ -102,7 +112,7 @@ TEST(Runner, MedianOfFiveBeatsSingleRun)
         MachineConfig::xeonE5440(),
         RunnerConfig{1, NoiseConfig::none()});
     auto truth = truth_runner
-                     .measure(f.prog, f.trace, f.code, f.heap, 0)
+                     .measure(f.plan, f.tables, 0)
                      .cycles;
 
     RunnerConfig one = rc;
@@ -111,8 +121,8 @@ TEST(Runner, MedianOfFiveBeatsSingleRun)
 
     double err5 = 0, err1 = 0;
     for (u64 seed = 0; seed < 12; ++seed) {
-        auto m5 = five.measure(f.prog, f.trace, f.code, f.heap, seed);
-        auto m1 = single.measure(f.prog, f.trace, f.code, f.heap, seed);
+        auto m5 = five.measure(f.plan, f.tables, seed);
+        auto m1 = single.measure(f.plan, f.tables, seed);
         err5 += std::fabs(double(m5.cycles) - double(truth));
         err1 += std::fabs(double(m1.cycles) - double(truth));
     }
@@ -124,8 +134,8 @@ TEST(Runner, ReproduciblePerNoiseSeed)
     RunnerConfig rc;
     MeasurementRunner runner(MachineConfig::xeonE5440(), rc);
     auto &f = fixture();
-    auto a = runner.measure(f.prog, f.trace, f.code, f.heap, 77);
-    auto b = runner.measure(f.prog, f.trace, f.code, f.heap, 77);
+    auto a = runner.measure(f.plan, f.tables, 77);
+    auto b = runner.measure(f.plan, f.tables, 77);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.cpi, b.cpi);
 }
@@ -135,7 +145,7 @@ TEST(Runner, LayoutSeedRecorded)
     RunnerConfig rc;
     MeasurementRunner runner(MachineConfig::xeonE5440(), rc);
     auto &f = fixture();
-    auto m = runner.measure(f.prog, f.trace, f.code, f.heap, 1234);
+    auto m = runner.measure(f.plan, f.tables, 1234);
     EXPECT_EQ(m.layoutSeed, 1234u);
 }
 

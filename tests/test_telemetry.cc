@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 
 #include "exec/threadpool.hh"
 #include "interferometry/campaign.hh"
+#include "opt/optimizer.hh"
 #include "store/serialize.hh"
 #include "telemetry/manifest.hh"
 #include "telemetry/metrics.hh"
@@ -113,6 +116,114 @@ TEST(TelemetryDeterminism, SamplesIdenticalWithRecorderAndProgressOn)
                 << "jobs " << jobs_axis[j];
         telemetry::setProgressObserver(std::move(prev));
     } // TelemetryOn teardown stops + seals the recorder.
+    std::filesystem::remove_all(dir);
+}
+
+/** Installs a progress observer that keeps each task's last event;
+ *  restores the previous observer on destruction. Events arrive from
+ *  pool workers too, hence the lock. */
+struct LastProgress
+{
+    LastProgress()
+    {
+        prev_ = telemetry::setProgressObserver(
+            [this](const telemetry::ProgressEvent &ev) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                last_[ev.task] = ev;
+            });
+    }
+    ~LastProgress() { telemetry::setProgressObserver(std::move(prev_)); }
+
+    /** The last event published for @p task (done = 0 if none). */
+    telemetry::ProgressEvent of(const std::string &task)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = last_.find(task);
+        return it == last_.end() ? telemetry::ProgressEvent() : it->second;
+    }
+
+  private:
+    std::mutex mutex_;
+    std::map<std::string, telemetry::ProgressEvent> last_;
+    telemetry::ProgressObserver prev_;
+};
+
+/** The same invariant for the optimizer, the layout evaluator's second
+ *  caller: its trajectory and best sample are byte-identical with the
+ *  flight recorder writing and a progress observer subscribed, and the
+ *  search's one tracker ends at the full budget. */
+TEST(TelemetryDeterminism, OptimizerIdenticalWithRecorderAndProgressOn)
+{
+    const auto profile = workloads::defaultProfile("opt-telem");
+    opt::OptConfig cfg;
+    cfg.instructionBudget = 30000;
+    cfg.budget = 10;
+    cfg.proposalsPerStep = 3;
+    cfg.blameLayouts = 4;
+    cfg.seed = 7;
+    cfg.strategy = opt::Strategy::Anneal;
+    cfg.randomizeHeap = true;
+    u64 fresh_evals = 0;
+    auto search = [&](u32 jobs) {
+        opt::OptConfig c = cfg;
+        c.jobs = jobs;
+        opt::FitnessOracle oracle(profile, c);
+        const opt::OptResult res = opt::makeOptimizer(oracle, c)->run();
+        fresh_evals = res.freshEvals;
+        return res.trajectory.dump() +
+               std::to_string(store::samplesChecksum({res.bestSample}));
+    };
+
+    telemetry::disable();
+    const u32 jobs_axis[] = {1, 4};
+    std::string off[2];
+    for (int j = 0; j < 2; ++j)
+        off[j] = search(jobs_axis[j]);
+    EXPECT_EQ(off[0], off[1]);
+
+    const std::string dir = tempDir("recorder-opt");
+    {
+        TelemetryOn on;
+        telemetry::setOutputDir(dir); // Starts the flight recorder.
+        LastProgress progress;
+        for (int j = 0; j < 2; ++j) {
+            EXPECT_EQ(search(jobs_axis[j]), off[j])
+                << "jobs " << jobs_axis[j];
+            const telemetry::ProgressEvent ev = progress.of("opt.anneal");
+            EXPECT_EQ(ev.done, cfg.budget) << "jobs " << jobs_axis[j];
+            EXPECT_EQ(ev.fresh, fresh_evals) << "jobs " << jobs_axis[j];
+            EXPECT_EQ(ev.cached + ev.fresh, ev.done);
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/** Campaign progress, ticked from pool workers: a partially cached
+ *  batch ends at done = count with the store hits and fresh
+ *  measurements split out. */
+TEST(TelemetryProgress, CampaignTrackerCountsCachedAndFreshLayouts)
+{
+    const std::string dir = tempDir("progress-store");
+    auto cfg = quickConfig(4);
+    cfg.storeDir = dir;
+    {
+        interferometry::Campaign cold(workloads::defaultProfile("camp"),
+                                      cfg);
+        cold.measureLayouts(0, 5);
+    }
+    {
+        TelemetryOn on;
+        LastProgress progress;
+        interferometry::Campaign warm(workloads::defaultProfile("camp"),
+                                      cfg);
+        warm.measureLayouts(0, 8);
+        const telemetry::ProgressEvent ev =
+            progress.of("campaign.measure");
+        EXPECT_EQ(ev.total, 8u);
+        EXPECT_EQ(ev.done, 8u);
+        EXPECT_EQ(ev.cached, 5u);
+        EXPECT_EQ(ev.fresh, 3u);
+    }
     std::filesystem::remove_all(dir);
 }
 

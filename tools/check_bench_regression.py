@@ -2,8 +2,7 @@
 """Compare a bench --json report against a committed baseline.
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json [--threshold 0.10]
-           [--verdict-json VERDICT.json] [--history-append HISTORY.jsonl]
-           [--run-id SHA]
+           [--verdict-json VERDICT.json]
 
 For every row present in both reports (matched by benchmark name), the
 current layouts_per_sec is compared against the baseline. Rows more than
@@ -14,11 +13,7 @@ the PR, so a real regression is visible where the change is reviewed.
 
 --verdict-json writes the same comparison machine-readably (one object
 with per-row baseline/current/delta/verdict), so later steps can act on
-the outcome without scraping the log. --history-append appends that
-run's rows as one JSON line to a history file (BENCH_history.jsonl at
-the repo root): a long-lived record of measured throughput per CI run,
-plottable with nothing but the jsonl. --run-id labels the line (CI
-passes the commit SHA).
+the outcome without scraping the log.
 
 A missing or unparsable report is a hard error (exit 2): a soft-warn
 there would let a renamed baseline silently disable the check forever.
@@ -29,7 +24,6 @@ Stdlib only; the baseline lives at the repo root as BENCH_replay.json.
 import argparse
 import json
 import sys
-import time
 
 
 def load_report(path, role):
@@ -78,10 +72,6 @@ def main():
     ap.add_argument("--verdict-json", metavar="PATH",
                     help="write the comparison as one machine-readable "
                          "JSON document")
-    ap.add_argument("--history-append", metavar="PATH",
-                    help="append this run's rows as one JSON line")
-    ap.add_argument("--run-id", default="",
-                    help="label for the history line (e.g. commit SHA)")
     args = ap.parse_args()
 
     base = rows_by_name(load_report(args.baseline, "baseline"))
@@ -126,17 +116,6 @@ def main():
         with open(args.verdict_json, "w") as f:
             json.dump(verdict, f, indent=1)
             f.write("\n")
-    if args.history_append:
-        line = {
-            "run_id": args.run_id,
-            "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "threshold": args.threshold,
-            "rows": [{"benchmark": r["benchmark"],
-                      "layouts_per_sec": r["current"],
-                      "delta": r["delta"]} for r in verdict_rows],
-        }
-        with open(args.history_append, "a") as f:
-            f.write(json.dumps(line) + "\n")
 
     if not shared:
         return 0

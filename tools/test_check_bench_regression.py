@@ -116,23 +116,6 @@ def test_verdict_json_records_each_row():
         assert rows["opt"]["verdict"] == "ok"
 
 
-def test_history_append_accumulates_lines():
-    with tempfile.TemporaryDirectory() as d:
-        base = write_json(d, "base.json", report([("replay", 100.0)]))
-        cur = write_json(d, "cur.json", report([("replay", 99.0)]))
-        hist = os.path.join(d, "hist.jsonl")
-        for sha in ("aaa", "bbb"):
-            r = run(base, cur, "--history-append", hist,
-                    "--run-id", sha)
-            assert r.returncode == 0, r.stderr
-        with open(hist) as f:
-            lines = [json.loads(ln) for ln in f if ln.strip()]
-        assert [ln["run_id"] for ln in lines] == ["aaa", "bbb"]
-        assert lines[0]["rows"][0]["benchmark"] == "replay"
-        assert lines[0]["rows"][0]["layouts_per_sec"] == 99.0
-        assert "utc" in lines[0]
-
-
 def test_no_common_rows_soft_warns():
     with tempfile.TemporaryDirectory() as d:
         base = write_json(d, "base.json", report([("a", 1.0)]))
