@@ -44,7 +44,7 @@ main(int argc, char **argv)
     bench::addScaleOptions(opts, 40, 300000);
     opts.addString("benchmark", "400.perlbench", "benchmark to study");
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kModelLayouts);
     const std::string name = opts.getString("benchmark");
     const auto &profile = workloads::specFor(name).profile;
 

@@ -20,6 +20,7 @@
 #include "telemetry/progress.hh"
 #include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/generator.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
 
@@ -142,6 +143,29 @@ class JsonReport
     std::vector<JsonRow> rows_;
 };
 
+/**
+ * The fewest layouts a bench's statistics accept, and which statistic
+ * sets it; readScale() rejects a smaller --layouts with a fatal()
+ * naming both, instead of letting the statistic's assertion abort.
+ */
+struct MinLayouts
+{
+    u32 count;
+    const char *why;
+};
+
+/** @{ The minimums of the statistics the benches compute. */
+inline constexpr MinLayouts kAnyLayouts{1, "a campaign measures one"};
+inline constexpr MinLayouts kKdeLayouts{
+    2, "the kernel density estimate needs 2 samples"};
+inline constexpr MinLayouts kFitLayouts{
+    3, "the CPI regression needs 3 samples"};
+/** interferometry::PerformanceModel fits CPI on three events at once,
+ *  which needs two samples more than predictors. */
+inline constexpr MinLayouts kModelLayouts{
+    5, "the performance model's three-event regression needs 5 samples"};
+/** @} */
+
 /** Register the shared flags on a parser. */
 inline void
 addScaleOptions(OptionParser &opts, u32 default_layouts = 40,
@@ -176,9 +200,9 @@ addScaleOptions(OptionParser &opts, u32 default_layouts = 40,
                    "restrict to benchmarks whose name contains this");
 }
 
-/** Read the shared flags back. */
+/** Read the shared flags back; fatal() if --layouts is below @p min. */
 inline Scale
-readScale(const OptionParser &opts)
+readScale(const OptionParser &opts, MinLayouts min = kAnyLayouts)
 {
     Scale s;
     s.layouts = static_cast<u32>(opts.getInt("layouts"));
@@ -188,10 +212,13 @@ readScale(const OptionParser &opts)
     s.jsonPath = opts.getString("json");
     s.telemetryDir = opts.getString("telemetry-out");
     s.only = opts.getString("only");
-    if (s.layouts < 1)
-        fatal("--layouts must be >= 1");
-    if (s.instructions < 10000)
-        fatal("--instructions must be >= 10000");
+    if (opts.getInt("layouts") < min.count)
+        fatal("--layouts must be >= %u (%s), got %lld", min.count, min.why,
+              static_cast<long long>(opts.getInt("layouts")));
+    if (opts.getInt("instructions") <
+        static_cast<i64>(trace::kMinInstructionBudget))
+        fatal("--instructions must be >= %llu",
+              static_cast<unsigned long long>(trace::kMinInstructionBudget));
     if (opts.getInt("jobs") < 0)
         fatal("--jobs must be >= 0");
     s.jobs = static_cast<u32>(opts.getInt("jobs"));

@@ -71,7 +71,7 @@ main(int argc, char **argv)
                       "instruction cache (paper future work)");
     bench::addScaleOptions(opts, 40, 400000);
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kModelLayouts);
 
     auto profile = icacheStressProfile();
     Campaign camp(profile, bench::campaignConfig(scale));

@@ -31,7 +31,7 @@ main(int argc, char **argv)
     bench::addScaleOptions(opts);
     opts.addFlag("violins", "print an ASCII violin per benchmark");
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kKdeLayouts);
 
     std::cout << "Figure 1: % CPI variation over " << scale.layouts
               << " code reorderings\n\n";

@@ -99,7 +99,7 @@ main(int argc, char **argv)
     opts.addString("benchmark", "454.calculix",
                    "suite benchmark to analyze");
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kFitLayouts);
 
     const std::string name = opts.getString("benchmark");
     std::cout << "Figure 3: cache effects on performance for " << name

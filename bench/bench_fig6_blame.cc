@@ -30,7 +30,7 @@ main(int argc, char **argv)
                       "combined model");
     bench::addScaleOptions(opts);
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kModelLayouts);
 
     std::cout << "Figure 6: fraction of CPI variance (r^2) explained "
                  "by each event over " << scale.layouts

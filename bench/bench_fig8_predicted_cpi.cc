@@ -31,7 +31,7 @@ main(int argc, char **argv)
                       "with 95% intervals");
     bench::addScaleOptions(opts, 30, 300000);
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kModelLayouts);
 
     auto specs = bpred::figureCandidateSpecs();
     pinsim::PinSim sim(specs);

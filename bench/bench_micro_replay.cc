@@ -118,11 +118,12 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
     auto start = Clock::now();
     // The shared path pays its one L1D pass up front, serially, as a
     // campaign does before its fan-out.
-    std::optional<core::L1dOutcomes> shared;
+    std::optional<core::SharedOutcomes> shared;
     if (path == Path::PlanSharedL1d && layouts > 0) {
         BenchLayout l = layoutFor(path, prog, 0);
-        shared = core::simulateL1d(
-            cfg, plan, trace::LayoutTables(plan, l.heap, l.pages));
+        const trace::LayoutTables data(plan, l.heap, l.pages);
+        shared = core::simulateShared(cfg, plan, &data,
+                                      core::kShareL1d | core::kShareRas);
     }
     exec::parallelForChunks(pool, layouts, [&](size_t lo, size_t hi) {
         core::Machine machine(cfg);

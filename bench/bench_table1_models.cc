@@ -30,10 +30,7 @@ main(int argc, char **argv)
                 "escalation cap (0 = 3x the initial batch, like the "
                 "paper's 100->300)");
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
-    if (scale.layouts < 3)
-        fatal("--layouts must be >= 3 (the correlation t-test needs 3 "
-              "samples), got %u", scale.layouts);
+    auto scale = bench::readScale(opts, bench::kModelLayouts);
     u32 max_layouts = static_cast<u32>(opts.getInt("max-layouts"));
     if (max_layouts == 0)
         max_layouts = scale.layouts * 3;

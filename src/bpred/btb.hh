@@ -102,6 +102,13 @@ class Btb
      *  the rationale in btb.cc). */
     void reset();
 
+    /** The set a @p sets-set BTB files @p pc under (the sharing proof
+     *  in core/shared.hh histograms with it). */
+    static u32 setOf(Addr pc, u32 sets)
+    {
+        return static_cast<u32>(pc ^ (pc >> 13)) & (sets - 1);
+    }
+
     u32 sets() const { return sets_; }
     u32 ways() const { return ways_; }
 
@@ -152,10 +159,7 @@ class Btb
      */
     static constexpr u32 kNoTag = ~u32{0};
 
-    u32 setIndex(Addr pc) const
-    {
-        return static_cast<u32>(pc ^ (pc >> 13)) & (sets_ - 1);
-    }
+    u32 setIndex(Addr pc) const { return setOf(pc, sets_); }
 
     static u32 tagOf(Addr pc)
     {

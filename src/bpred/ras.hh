@@ -7,6 +7,11 @@
  * target. Deep call chains overflow the stack (oldest entries are
  * silently overwritten) and mispredict on the way back out — a small
  * but real placement-independent cost real front ends pay.
+ *
+ * The reference model (Machine::runReference) drives this class. The
+ * replay kernel reads the same verdicts from core::SharedOutcomes,
+ * which runs this stack's logic over site ids once per plan
+ * (DESIGN.md §5p).
  */
 
 #ifndef INTERF_BPRED_RAS_HH

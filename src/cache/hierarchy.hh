@@ -8,9 +8,11 @@
  * model converts levels into latencies (with MLP overlap). The replay
  * kernel enters data accesses below the L1D (accessDataBelowL1): the
  * L1D's outcome per access is simulated once per data stream by
- * core::simulateL1d and shared across layouts (DESIGN.md §5n), so this
- * class's own L1D serves only accessData(), the whole-hierarchy entry
- * that single-structure probes use. An optional
+ * core::simulateShared and shared across layouts (DESIGN.md §5n), so
+ * this class's own L1D serves only accessData(), the whole-hierarchy
+ * entry that single-structure probes use. Where no L2 set can
+ * overflow, the kernel skips accessDataBelowL1 too and this L2 sees
+ * only instruction fetches (§5p). An optional
  * next-line instruction prefetcher reduces sequential-fetch misses the
  * way real front ends do, keeping conflict misses (the layout-sensitive
  * kind) as the dominant L1I miss source.
@@ -116,7 +118,7 @@ class MemoryHierarchy
 
     /**
      * A data access the L1D already missed, whose L1D outcome was
-     * simulated elsewhere (core::simulateL1d): the L2-and-memory half
+     * simulated elsewhere (core::simulateShared): the L2-and-memory half
      * of accessData(). Never touches this hierarchy's L1D.
      */
     HitLevel accessDataBelowL1(Addr addr)

@@ -35,10 +35,12 @@ MeasurementRunner::measureWithTruth(const trace::ReplayPlan &plan,
 Measurement
 MeasurementRunner::measure(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables,
-                           const L1dOutcomes &l1d, u64 noise_seed)
+                           const SharedOutcomes &shared,
+                           SharedPaths paths, u64 noise_seed)
 {
     INTERF_SPAN("runner.measure");
-    return protocol(machine_.replay(plan, tables, l1d), noise_seed)
+    return protocol(machine_.replay(plan, tables, shared, paths),
+                    noise_seed)
         .sample;
 }
 

@@ -99,12 +99,13 @@ class MeasurementRunner
                                  const trace::LayoutTables &tables,
                                  u64 noise_seed);
 
-    /** With the L1D outcome shared across layouts (see
-     *  core::canShareL1d): the replay reads @p l1d instead of running
-     *  its own L1D pass. */
+    /** With outcomes shared across layouts (core/shared.hh): the
+     *  replay reads @p shared, and the structures @p paths names, in
+     *  place of simulating them. */
     Measurement measure(const trace::ReplayPlan &plan,
                         const trace::LayoutTables &tables,
-                        const L1dOutcomes &l1d, u64 noise_seed);
+                        const SharedOutcomes &shared, SharedPaths paths,
+                        u64 noise_seed);
     /** @} */
 
   private:

@@ -1,0 +1,435 @@
+#include "core/shared.hh"
+
+#include <algorithm>
+#include <bit>
+
+#include "bpred/btb.hh"
+#include "core/config.hh"
+#include "layout/pagemap.hh"
+#include "telemetry/metrics.hh"
+#include "util/logging.hh"
+
+namespace interf::core
+{
+
+namespace
+{
+
+using trace::ReplayPlan;
+
+constexpr u32 kPageBits = layout::PageMap::pageBits;
+constexpr Addr kPageBytes = Addr{1} << kPageBits;
+/** Mask row of a page-end successor: line 0 only. */
+constexpr u32 kPageEndRow = ~u32{0};
+
+std::vector<u64>
+zeroBits(size_t n)
+{
+    return std::vector<u64>((n + 63) / 64, 0);
+}
+
+void
+setBit(std::vector<u64> &bits, size_t i)
+{
+    bits[i >> 6] |= u64{1} << (i & 63);
+}
+
+/** Clear bits of @p bits in [from, n): the misses from position
+ *  @p from on (bits past n are never set). */
+Count
+clearFrom(const std::vector<u64> &bits, size_t from, size_t n)
+{
+    Count set = 0;
+    for (size_t j = from; j < n; j = (j | 63) + 1)
+        set += static_cast<Count>(std::popcount(bits[j >> 6] >> (j & 63)));
+    return (n - from) - set;
+}
+
+/** Stream position of the warmup event's first access: the kernel
+ *  clears its statistics there. */
+size_t
+warmupMem(const MachineConfig &machine, const ReplayPlan &plan)
+{
+    const size_t warmup_events = static_cast<size_t>(
+        static_cast<double>(plan.eventCount()) * machine.warmupFraction);
+    size_t warmup_mem = 0;
+    for (size_t e = 0; e < warmup_events; ++e)
+        warmup_mem += plan.nMem[e];
+    return warmup_mem;
+}
+
+void
+buildL1d(const MachineConfig &machine, const trace::LayoutTables &data,
+         size_t warmup_mem, SharedOutcomes &out)
+{
+    INTERF_TELEM_COUNT("replay.l1d_passes", 1);
+    out.hitBits = zeroBits(out.memCount);
+    cache::Cache l1d(machine.hierarchy.l1d); // power-on state
+    const Addr *data_addr = data.dataAddr.data();
+    u64 *hit_bits = out.hitBits.data();
+    // lint:hot-begin L1D pass (tools/lint_hotpath.py)
+    for (size_t j = 0; j < out.memCount; ++j)
+        hit_bits[j >> 6] |= static_cast<u64>(l1d.access(data_addr[j]))
+                            << (j & 63);
+    // lint:hot-end
+    out.misses = clearFrom(out.hitBits, warmup_mem, out.memCount);
+}
+
+/**
+ * First access per L2 line, from the plan's universe of distinct ids:
+ * memRank numbers ids in first-appearance order, so only an id's first
+ * access can start its L2 line, and it does iff no earlier id sits on
+ * the line. One pass collects each id's line, a sort makes them a
+ * searchable set, and a second pass marks each line at its first id.
+ * Lines are physical under @p data's page map; a page map keeps line
+ * offsets and moves whole pages, so the bits hold under any other.
+ * Pages are listed in stream order of their first line.
+ */
+void
+buildL2(const MachineConfig &machine, const ReplayPlan &plan,
+        const trace::LayoutTables &data, size_t warmup_mem,
+        SharedOutcomes &out)
+{
+    const u32 l2_shift =
+        static_cast<u32>(std::countr_zero(machine.hierarchy.l2.lineBytes));
+    const u64 lines_per_page = kPageBytes >> l2_shift;
+    const u32 *rank = plan.memRank.data();
+    std::vector<Addr> lines;
+    lines.reserve(plan.memUniverse.size());
+    for (size_t j = 0; j < out.memCount; ++j)
+        if (rank[j] == lines.size())
+            lines.push_back(data.dataAddr[j] >> l2_shift);
+    INTERF_ASSERT(lines.size() == plan.memUniverse.size());
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    std::vector<Addr> pages;
+    for (Addr line : lines)
+        if (pages.empty() || pages.back() != line / lines_per_page)
+            pages.push_back(line / lines_per_page);
+
+    constexpr u32 kUnseen = ~u32{0};
+    std::vector<u64> line_seen = zeroBits(lines.size());
+    std::vector<u32> page_slot(pages.size(), kUnseen);
+    out.l2FirstBits = zeroBits(out.memCount);
+    out.l2PageWords = static_cast<u32>((lines_per_page + 63) / 64);
+    out.l2PageMap = data.pages();
+    u32 next = 0;
+    for (size_t j = 0; j < out.memCount; ++j) {
+        if (rank[j] != next)
+            continue;
+        ++next;
+        const Addr line = data.dataAddr[j] >> l2_shift;
+        const size_t k = static_cast<size_t>(
+            std::lower_bound(lines.begin(), lines.end(), line) -
+            lines.begin());
+        if ((line_seen[k >> 6] >> (k & 63)) & 1)
+            continue; // An earlier id sits on this line.
+        setBit(line_seen, k);
+        setBit(out.l2FirstBits, j);
+        out.l2Misses += j >= warmup_mem;
+        const size_t g = static_cast<size_t>(
+            std::lower_bound(pages.begin(), pages.end(),
+                             line / lines_per_page) -
+            pages.begin());
+        if (page_slot[g] == kUnseen) {
+            page_slot[g] = static_cast<u32>(out.l2Pages.size());
+            out.l2Pages.push_back(pages[g]);
+            out.l2PageMask.resize(out.l2PageMask.size() + out.l2PageWords,
+                                  0);
+        }
+        const u64 b = line % lines_per_page;
+        out.l2PageMask[size_t{page_slot[g]} * out.l2PageWords + b / 64] |=
+            u64{1} << (b % 64);
+    }
+}
+
+/** A BTB that never evicts holds each site's last target token. */
+void
+buildBtb(const ReplayPlan &plan, SharedOutcomes &out)
+{
+    const size_t n = plan.eventCount();
+    out.btbHitBits = zeroBits(n);
+    out.btbTargetBits = zeroBits(n);
+    std::vector<u32> last(plan.siteCount(), ReplayPlan::kNoSite);
+    constexpr u8 kMask =
+        ReplayPlan::kHasBranch | ReplayPlan::kReturn | ReplayPlan::kTaken;
+    for (size_t e = 0; e < n; ++e) {
+        if ((plan.flags[e] & kMask) !=
+            (ReplayPlan::kHasBranch | ReplayPlan::kTaken))
+            continue;
+        const u32 target = plan.targetSite[e];
+        INTERF_ASSERT(target != ReplayPlan::kNoSite);
+        u32 &seen = last[plan.site[e]];
+        if (seen == ReplayPlan::kNoSite) {
+            out.btbSites.push_back(plan.site[e]);
+        } else {
+            setBit(out.btbHitBits, e);
+            if (seen == target)
+                setBit(out.btbTargetBits, e);
+        }
+        seen = target;
+    }
+}
+
+/** bpred::ReturnAddressStack over site ids: an empty pop yields
+ *  kNoSite where the address-keyed stack yields 0, and neither equals
+ *  any return site. */
+void
+buildRas(const MachineConfig &machine, const ReplayPlan &plan,
+         SharedOutcomes &out)
+{
+    const size_t n = plan.eventCount();
+    const u32 depth = machine.rasDepth;
+    INTERF_ASSERT(depth >= 1);
+    out.rasMissBits = zeroBits(n);
+    std::vector<u32> ring(depth, ReplayPlan::kNoSite);
+    u32 top = 0;
+    u32 occupancy = 0;
+    for (size_t e = 0; e < n; ++e) {
+        const u8 f = plan.flags[e];
+        if (!(f & ReplayPlan::kHasBranch))
+            continue;
+        if (f & ReplayPlan::kReturn) {
+            u32 predicted = ReplayPlan::kNoSite;
+            if (occupancy > 0) {
+                top = (top + depth - 1) % depth;
+                --occupancy;
+                predicted = ring[top];
+            }
+            const u32 actual = plan.returnSite[e];
+            if (actual != ReplayPlan::kNoSite && predicted != actual)
+                setBit(out.rasMissBits, e);
+        } else if ((f & ReplayPlan::kTaken) && (f & ReplayPlan::kCall) &&
+                   plan.rasPushSite[e] != ReplayPlan::kNoSite) {
+            ring[top] = plan.rasPushSite[e];
+            top = (top + 1) % depth;
+            occupancy += occupancy < depth;
+        }
+    }
+}
+
+/** Per-set distinct counts -> facts. */
+void
+tally(const std::vector<u32> &per_set, u32 ways, ConflictFacts &facts)
+{
+    for (u32 c : per_set) {
+        facts.overflowingSets += c > ways;
+        facts.maxPerSet = std::max(facts.maxPerSet, c);
+    }
+}
+
+} // anonymous namespace
+
+SharedOutcomes
+simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
+               const trace::LayoutTables *data, u8 parts)
+{
+    INTERF_ASSERT(!(parts & kShareL2) || (parts & kShareL1d));
+    SharedOutcomes out;
+    out.parts = parts;
+    if (parts & kShareL1d) {
+        INTERF_ASSERT(data && data->hasData());
+        INTERF_ASSERT(data->dataAddr.size() == plan.memCount());
+        out.memCount = plan.memCount();
+        const size_t warmup_mem = warmupMem(machine, plan);
+        buildL1d(machine, *data, warmup_mem, out);
+        if (parts & kShareL2) {
+            // Lines wider than a page would straddle page-map moves.
+            if (machine.hierarchy.l2.lineBytes <= kPageBytes)
+                buildL2(machine, plan, *data, warmup_mem, out);
+            else
+                out.parts &= static_cast<u8>(~kShareL2);
+        }
+    }
+    if (parts & (kShareBtb | kShareRas))
+        out.eventCount = plan.eventCount();
+    if (parts & kShareBtb)
+        buildBtb(plan, out);
+    if (parts & kShareRas)
+        buildRas(machine, plan, out);
+    return out;
+}
+
+bool
+canShareL1d(const cache::CacheConfig &l1d, bool same_heap, bool same_pages)
+{
+    if (!same_heap)
+        return false;
+    const u64 index_span =
+        static_cast<u64>(l1d.numSets()) * l1d.lineBytes;
+    return same_pages || index_span <= kPageBytes;
+}
+
+bool
+canShareL2Data(const MachineConfig &machine, const trace::ReplayPlan &plan,
+               const trace::LayoutTables &tables,
+               const SharedOutcomes &shared, ConflictFacts *facts)
+{
+    ConflictFacts local;
+    ConflictFacts &f = facts ? *facts : local;
+    f = ConflictFacts();
+    const cache::HierarchyConfig &h = machine.hierarchy;
+    // An L2 miss is a first touch only if an access's L1D line lies in
+    // one L2 line, and lines move with whole pages only if none is
+    // wider than a page.
+    const layout::PageMap &pages = tables.pages();
+    const bool translate_data = shared.l2PageMap.isIdentity();
+    if (!shared.has(kShareL1d | kShareL2) ||
+        (!translate_data && shared.l2PageMap != pages) ||
+        shared.memCount != plan.memCount() ||
+        tables.siteAddr.size() != plan.siteCount() ||
+        !h.l2.geometryError().empty() ||
+        h.l1d.lineBytes > h.l2.lineBytes || h.l2.lineBytes > kPageBytes ||
+        h.l1i.lineBytes > kPageBytes) {
+        f.checked = false;
+        return false;
+    }
+    const u32 l1i_line = h.l1i.lineBytes;
+    const u64 l1i_mask = ~static_cast<u64>(l1i_line - 1);
+    const u32 l2_shift = static_cast<u32>(std::countr_zero(h.l2.lineBytes));
+    const u64 lines_per_page = kPageBytes >> l2_shift;
+    const u32 words = shared.l2PageWords;
+
+    // Code-reachable lines per virtual page: each line a site spans and
+    // its successor. A successor inside the page is the translation of
+    // the next virtual line; past a page end it is line 0 of the next
+    // *physical* page, which may belong to anything.
+    const size_t n_sites = plan.siteCount();
+    Addr lo = ~Addr{0};
+    Addr hi = 0;
+    for (size_t s = 0; s < n_sites; ++s) {
+        lo = std::min(lo, tables.siteAddr[s]);
+        hi = std::max(hi, tables.siteAddr[s] + plan.siteBytes[s]);
+    }
+    const Addr page_lo = n_sites ? lo >> kPageBits : 0;
+    const size_t code_pages_span =
+        n_sites ? static_cast<size_t>((hi >> kPageBits) - page_lo + 1) : 0;
+    std::vector<u64> code_mask(code_pages_span * words, 0);
+    std::vector<u8> page_end(code_pages_span, 0);
+    auto mark = [&](Addr vpage, Addr offset) {
+        const u64 b = offset >> l2_shift;
+        code_mask[vpage * words + b / 64] |= u64{1} << (b % 64);
+    };
+    for (size_t s = 0; s < n_sites; ++s) {
+        const Addr first = tables.siteAddr[s] & l1i_mask;
+        const Addr last =
+            (tables.siteAddr[s] + plan.siteBytes[s] - 1) & l1i_mask;
+        for (Addr line = first; line <= last; line += l1i_line) {
+            const Addr vpage = (line >> kPageBits) - page_lo;
+            const Addr offset = line & (kPageBytes - 1);
+            mark(vpage, offset);
+            if (offset + l1i_line < kPageBytes)
+                mark(vpage, offset + l1i_line);
+            else
+                page_end[vpage] = 1;
+        }
+    }
+
+    // The code-reachable lines by physical page: few pages, so sorted
+    // and merged; a page-end successor may land on a code page.
+    std::vector<std::pair<Addr, u32>> code_pages; // ppage, mask row
+    std::vector<u64> end_mask(words, 0);
+    end_mask[0] = 1;
+    for (size_t v = 0; v < code_pages_span; ++v) {
+        const Addr ppage =
+            pages.translate((page_lo + v) << kPageBits) >> kPageBits;
+        if (std::any_of(code_mask.begin() + v * words,
+                        code_mask.begin() + (v + 1) * words,
+                        [](u64 w) { return w != 0; }))
+            code_pages.push_back({ppage, static_cast<u32>(v)});
+        if (page_end[v])
+            code_pages.push_back({ppage + 1, kPageEndRow});
+    }
+    std::sort(code_pages.begin(), code_pages.end());
+    auto row = [&](u32 r) {
+        return r == kPageEndRow ? end_mask.data()
+                                : code_mask.data() + size_t{r} * words;
+    };
+
+    // Distinct lines per set. Without facts to report, stop at the
+    // first overflow.
+    const u32 sets = h.l2.numSets();
+    const u32 ways = h.l2.assoc;
+    std::vector<u32> per_set(sets, 0);
+    bool overflow = false;
+    auto count = [&](Addr ppage, const u64 *mask) {
+        for (u32 w = 0; w < words; ++w)
+            for (u64 m = mask[w]; m; m &= m - 1) {
+                const Addr line = ppage * lines_per_page + w * 64 +
+                                  static_cast<u32>(std::countr_zero(m));
+                overflow |= ++per_set[line & (sets - 1)] > ways;
+            }
+    };
+    std::vector<u64> merged(words);
+    for (size_t i = 0; i < code_pages.size();) {
+        const Addr ppage = code_pages[i].first;
+        std::fill(merged.begin(), merged.end(), 0);
+        for (; i < code_pages.size() && code_pages[i].first == ppage; ++i)
+            for (u32 w = 0; w < words; ++w)
+                merged[w] |= row(code_pages[i].second)[w];
+        count(ppage, merged.data());
+    }
+    // Distinct data pages sit on distinct physical pages; only a code
+    // page can share one, and then no line may be both.
+    for (size_t g = 0; g < shared.l2Pages.size(); ++g) {
+        if (overflow && !facts)
+            return false;
+        const Addr ppage =
+            translate_data
+                ? pages.translate(shared.l2Pages[g] << kPageBits) >> kPageBits
+                : shared.l2Pages[g];
+        const u64 *mask = shared.l2PageMask.data() + g * words;
+        auto it = std::lower_bound(
+            code_pages.begin(), code_pages.end(),
+            std::pair<Addr, u32>{ppage, 0});
+        for (; it != code_pages.end() && it->first == ppage; ++it)
+            for (u32 w = 0; w < words; ++w)
+                if (row(it->second)[w] & mask[w])
+                    f.checked = false; // Code can reach a data line.
+        count(ppage, mask);
+    }
+    tally(per_set, ways, f);
+    return f.checked && f.overflowingSets == 0;
+}
+
+bool
+canShareBtb(const MachineConfig &machine, const trace::ReplayPlan &plan,
+            const trace::LayoutTables &tables, const SharedOutcomes &shared,
+            ConflictFacts *facts)
+{
+    ConflictFacts local;
+    ConflictFacts &f = facts ? *facts : local;
+    f = ConflictFacts();
+    const u32 sets = machine.btbSets;
+    const u32 ways = machine.btbWays;
+    if (!shared.has(kShareBtb) || shared.eventCount != plan.eventCount() ||
+        tables.branchAddr.size() != plan.siteCount() ||
+        !bpred::Btb::geometryError(sets, ways).empty()) {
+        f.checked = false;
+        return false;
+    }
+    // The kernel's BTB tags full u32 PCs, so distinct PCs never alias;
+    // the first `ways` PCs of each set are kept to prove the sites'
+    // PCs distinct (a set past `ways` fails the proof anyway).
+    std::vector<u32> per_set(sets, 0);
+    std::vector<Addr> held(static_cast<size_t>(sets) * ways);
+    for (u32 s : shared.btbSites) {
+        const Addr pc = tables.branchAddr[s];
+        if (pc >= ~u32{0}) {
+            f.checked = false; // Past the u32 tag: the kernel asserts.
+            continue;
+        }
+        const u32 set = bpred::Btb::setOf(pc, sets);
+        Addr *row = held.data() + static_cast<size_t>(set) * ways;
+        const u32 kept = std::min(per_set[set], ways);
+        if (std::find(row, row + kept, pc) != row + kept)
+            f.checked = false; // Two sites on one PC.
+        else if (kept < ways)
+            row[kept] = pc;
+        ++per_set[set];
+    }
+    tally(per_set, ways, f);
+    return f.checked && f.overflowingSets == 0;
+}
+
+} // namespace interf::core

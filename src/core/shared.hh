@@ -1,0 +1,171 @@
+/**
+ * @file
+ * Outcomes the replay kernel reads instead of simulating a structure,
+ * and the proofs that say when it may (DESIGN.md §5n, §5p).
+ *
+ * Some structures' hit/miss outcomes do not depend on the layout:
+ *
+ *  - the L1D sees only the data stream, so one heap layout fixes its
+ *    outcome (under canShareL1d, across page maps too);
+ *  - in an L2 where no set ever receives more distinct lines than it
+ *    has ways, nothing is evicted, so a data access that missed the
+ *    L1D misses the L2 exactly when it is the first access to its L2
+ *    line: again fixed by the heap layout alone;
+ *  - in a BTB with no overflowing set, a taken branch hits exactly when
+ *    its site redirected before, with the right target exactly when its
+ *    last target site is this one: fixed by the plan;
+ *  - the RAS compares site addresses, which are injective and never 0,
+ *    so its per-return verdict is fixed by the plan and its depth.
+ *
+ * simulateShared() computes those outcomes once; canShareL2Data() and
+ * canShareBtb() prove, per layout, that the no-overflow premise holds.
+ * Campaigns and the optimizer call both through
+ * interferometry::LayoutEvaluator; interf_verify reports their facts.
+ */
+
+#ifndef INTERF_CORE_SHARED_HH
+#define INTERF_CORE_SHARED_HH
+
+#include <vector>
+
+#include "cache/cache.hh"
+#include "layout/pagemap.hh"
+#include "trace/replay.hh"
+#include "util/types.hh"
+
+namespace interf::core
+{
+
+struct MachineConfig;
+
+/** @{ Parts of a SharedOutcomes (bit flags for simulateShared). */
+constexpr u8 kShareL1d = 1u << 0; ///< L1D hit bits (needs data tables).
+constexpr u8 kShareL2 = 1u << 1;  ///< L2 first-touch bits (with kShareL1d).
+constexpr u8 kShareBtb = 1u << 2; ///< BTB hit and target bits.
+constexpr u8 kShareRas = 1u << 3; ///< RAS mispredict bits.
+constexpr u8 kShareAll = kShareL1d | kShareL2 | kShareBtb | kShareRas;
+/** @} */
+
+/**
+ * What the replay kernel reads in place of the structures it skips.
+ * Bit i % 64 of word i / 64 of each bit vector belongs to memory access
+ * i (data parts) or event i (control parts). Immutable once built, so
+ * pool workers share one.
+ */
+struct SharedOutcomes
+{
+    u8 parts = 0; ///< kShare* flags of the parts built.
+
+    /** @{ One data stream's (one heap layout's). */
+    std::vector<u64> hitBits;     ///< L1D hit.
+    std::vector<u64> l2FirstBits; ///< First access to its L2 line.
+    Count misses = 0;             ///< L1D misses after warmup.
+    Count l2Misses = 0;           ///< First touches after warmup.
+    size_t memCount = 0;          ///< Accesses covered.
+    /**
+     * The distinct data L2 lines, grouped by page (the input of
+     * canShareL2Data). Page l2Pages[g], numbered under l2PageMap (the
+     * map of the tables the outcomes were built from), holds the lines
+     * whose bits are set in words [g * l2PageWords, (g + 1) *
+     * l2PageWords) of l2PageMask (bit b: the b-th L2 line of the
+     * page). A page map moves whole pages, so the masks hold under any
+     * of them.
+     */
+    std::vector<Addr> l2Pages;
+    std::vector<u64> l2PageMask;
+    u32 l2PageWords = 0;
+    layout::PageMap l2PageMap;
+    /** @} */
+
+    /** @{ The plan's (every layout's). */
+    std::vector<u64> btbHitBits;    ///< A taken non-return branch hits.
+    std::vector<u64> btbTargetBits; ///< ... and its target is right.
+    std::vector<u64> rasMissBits;   ///< A return mispredicts.
+    std::vector<u32> btbSites; ///< Distinct taken non-return sites.
+    size_t eventCount = 0;     ///< Events covered.
+    /** @} */
+
+    bool has(u8 part) const { return (parts & part) == part; }
+};
+
+/**
+ * Build the @p parts of the shared outcomes of @p plan on @p machine.
+ * The data parts run over @p data's stream (any tables with data
+ * addresses; may be null when @p parts has none), from power-on state;
+ * their miss counts start at the kernel's warmup event. kShareL2
+ * requires kShareL1d. Counts one replay.l1d_passes when it runs the
+ * L1D.
+ */
+SharedOutcomes simulateShared(const MachineConfig &machine,
+                              const trace::ReplayPlan &plan,
+                              const trace::LayoutTables *data, u8 parts);
+
+/**
+ * Which structures one replay takes from its SharedOutcomes instead of
+ * simulating. Set per layout from the proofs below; the default
+ * simulates both.
+ */
+struct SharedPaths
+{
+    bool l2Data = false; ///< L2 data side (canShareL2Data).
+    bool btb = false;    ///< BTB (canShareBtb).
+};
+
+/** What a sharing proof found for one layout (interf_verify's facts). */
+struct ConflictFacts
+{
+    u32 overflowingSets = 0; ///< Sets with more distinct tags than ways.
+    u32 maxPerSet = 0;       ///< Largest per-set distinct count.
+    /** False when the proof could not run or found an aliasing it must
+     *  refuse (L2: a code-reachable line that is also a data line;
+     *  BTB: two sites on one PC). */
+    bool checked = true;
+};
+
+/**
+ * The L1D sharing predicate: whether an L1D outcome computed for one
+ * layout holds for every other layout replaying the same plan. It does
+ * when the layouts share one heap layout (so one virtual data stream)
+ * and either one page map or an L1D whose set index lies inside the
+ * page offset (sets x lineBytes <= the PageMap page size). The page map
+ * is an offset-preserving bijection, so then every set index and every
+ * tag equality survives translation.
+ */
+bool canShareL1d(const cache::CacheConfig &l1d, bool same_heap,
+                 bool same_pages);
+
+/**
+ * The L2 proof: whether @p shared's L2 data outcome holds for the
+ * layout of @p tables (which place the heap @p shared was built from;
+ * their data addresses are not read, so code tables suffice). It does
+ * when the L1D line is at most the L2 line, neither L2 nor L1I line
+ * exceeds a page, the L2 lines code can reach (every line a site spans
+ * and its physical successor, which the next-line prefetcher fetches)
+ * are disjoint from the data lines, and no L2 set receives more of
+ * these distinct physical lines than it has ways. The data pages are
+ * placed by translating shared.l2Pages through the layout's page map
+ * when they were recorded under the identity map; pages recorded under
+ * another map apply only to layouts under that same map. Fills
+ * @p facts when given.
+ */
+bool canShareL2Data(const MachineConfig &machine,
+                    const trace::ReplayPlan &plan,
+                    const trace::LayoutTables &tables,
+                    const SharedOutcomes &shared,
+                    ConflictFacts *facts = nullptr);
+
+/**
+ * The BTB proof: whether @p shared's BTB outcome holds for the layout
+ * of @p tables. It does when the distinct taken non-return branch
+ * sites sit on distinct u32 PCs and no BTB set receives more of them
+ * than it has ways. Fills @p facts when given.
+ */
+bool canShareBtb(const MachineConfig &machine,
+                 const trace::ReplayPlan &plan,
+                 const trace::LayoutTables &tables,
+                 const SharedOutcomes &shared,
+                 ConflictFacts *facts = nullptr);
+
+} // namespace interf::core
+
+#endif // INTERF_CORE_SHARED_HH

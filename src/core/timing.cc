@@ -4,6 +4,7 @@
 
 #include "bpred/factory.hh"
 #include "bpred/hybrid.hh"
+#include "bpred/ras.hh"
 #include "core/refmodel.hh"
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
@@ -36,8 +37,7 @@ Machine::Machine(const MachineConfig &config)
     : cfg_(config),
       hierarchy_(config.hierarchy),
       predictor_(bpred::makePredictor(config.predictorSpec)),
-      btb_(config.btbSets, config.btbWays),
-      ras_(config.rasDepth)
+      btb_(config.btbSets, config.btbWays)
 {
     cfg_.validate();
 }
@@ -48,7 +48,6 @@ Machine::resetState()
     hierarchy_.reset();
     predictor_->reset();
     btb_.reset();
-    ras_.reset();
 }
 
 RunResult
@@ -285,101 +284,110 @@ u64
 Machine::hotStateBytes() const
 {
     return hierarchy_.hotStateBytes() + predictor_->stateBytes() +
-           btb_.hotStateBytes() + ras_.stateBytes();
-}
-
-bool
-canShareL1d(const cache::CacheConfig &l1d, bool same_heap, bool same_pages)
-{
-    if (!same_heap)
-        return false;
-    const u64 index_span =
-        static_cast<u64>(l1d.numSets()) * l1d.lineBytes;
-    return same_pages || index_span <= (u64{1} << layout::PageMap::pageBits);
-}
-
-L1dOutcomes
-simulateL1d(const MachineConfig &machine, const trace::ReplayPlan &plan,
-            const trace::LayoutTables &tables)
-{
-    INTERF_ASSERT(tables.hasData());
-    INTERF_ASSERT(tables.dataAddr.size() == plan.memCount());
-    INTERF_TELEM_COUNT("replay.l1d_passes", 1);
-
-    L1dOutcomes out;
-    out.memCount = plan.memCount();
-    out.hitBits.assign((out.memCount + 63) / 64, 0);
-    cache::Cache l1d(machine.hierarchy.l1d); // power-on state
-    const Addr *data_addr = tables.dataAddr.data();
-    u64 *hit_bits = out.hitBits.data();
-    // lint:hot-begin L1D pass (tools/lint_hotpath.py)
-    for (size_t j = 0; j < out.memCount; ++j)
-        hit_bits[j >> 6] |= static_cast<u64>(l1d.access(data_addr[j]))
-                            << (j & 63);
-    // lint:hot-end
-
-    // The kernel clears its statistics before warmup event
-    // warmup_events, so its L1D misses are the clear bits from that
-    // event's first access on (bits past memCount are never set).
-    const size_t warmup_events = static_cast<size_t>(
-        static_cast<double>(plan.eventCount()) * machine.warmupFraction);
-    size_t warmup_mem = 0;
-    for (size_t e = 0; e < warmup_events; ++e)
-        warmup_mem += plan.nMem[e];
-    Count hits = 0;
-    for (size_t j = warmup_mem; j < out.memCount; j = (j | 63) + 1)
-        hits += static_cast<Count>(
-            std::popcount(hit_bits[j >> 6] >> (j & 63)));
-    out.misses = (out.memCount - warmup_mem) - hits;
-    return out;
+           btb_.hotStateBytes();
 }
 
 RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables)
 {
-    return replay(plan, tables, simulateL1d(cfg_, plan, tables));
+    INTERF_ASSERT(tables.hasData());
+    const SharedOutcomes own =
+        simulateShared(cfg_, plan, &tables, kShareL1d | kShareRas);
+    return replayWith(plan, tables, own, own, SharedPaths());
 }
 
 RunResult
 Machine::replay(const trace::ReplayPlan &plan,
-                const trace::LayoutTables &tables, const L1dOutcomes &l1d)
+                const trace::LayoutTables &tables,
+                const SharedOutcomes &shared, SharedPaths paths)
 {
-    INTERF_ASSERT(tables.hasData());
+    // Without data addresses only the shared L2 path can run: the L1D
+    // and L2 verdicts then both come from @p shared.
+    if (!tables.hasData() && !(paths.l2Data && shared.has(kShareL1d)))
+        panic("tables without data addresses replay only with a shared "
+              "L1D and L2 data side");
+    if (shared.has(kShareL1d))
+        return replayWith(plan, tables, shared, shared, paths);
+    // No data parts (a randomized heap): this layout's own L1D pass.
+    return replayWith(plan, tables,
+                      simulateShared(cfg_, plan, &tables, kShareL1d),
+                      shared, paths);
+}
+
+RunResult
+Machine::replayWith(const trace::ReplayPlan &plan,
+                    const trace::LayoutTables &tables,
+                    const SharedOutcomes &data, const SharedOutcomes &flow,
+                    SharedPaths paths)
+{
     INTERF_ASSERT(tables.siteAddr.size() == plan.siteCount());
-    INTERF_ASSERT(tables.dataAddr.size() == plan.memCount());
-    if (l1d.memCount != plan.memCount() ||
-        l1d.hitBits.size() != (l1d.memCount + 63) / 64)
+    INTERF_ASSERT(!tables.hasData() ||
+                  tables.dataAddr.size() == plan.memCount());
+    if (data.memCount != plan.memCount() ||
+        data.hitBits.size() != (data.memCount + 63) / 64)
         panic("L1D outcomes cover %zu accesses, the plan has %zu",
-              l1d.memCount, plan.memCount());
+              data.memCount, plan.memCount());
+    if (!flow.has(kShareRas) || flow.eventCount != plan.eventCount() ||
+        flow.rasMissBits.size() != (flow.eventCount + 63) / 64)
+        panic("shared outcomes cover %zu events, the plan has %zu",
+              flow.eventCount, plan.eventCount());
+    if ((paths.l2Data && !data.has(kShareL2)) ||
+        (paths.btb && !flow.has(kShareBtb)))
+        panic("a shared path has no outcome to read");
     INTERF_TELEM_COUNT("replay.calls", 1);
     INTERF_TELEM_COUNT("replay.events", plan.eventCount());
+    if (paths.l2Data)
+        INTERF_TELEM_COUNT("replay.l2_shared", 1);
+    else
+        INTERF_TELEM_COUNT("replay.l2_simulated", 1);
+    if (paths.btb)
+        INTERF_TELEM_COUNT("replay.btb_shared", 1);
+    else
+        INTERF_TELEM_COUNT("replay.btb_simulated", 1);
     if (tables.identityPages())
-        return replayImpl<true, false>(plan, tables, l1d);
+        return replayShared<true, false>(plan, tables, data, flow, paths);
     // The pre-translated fetch-line table only applies when it was
     // built for this machine's L1I line size.
     if (tables.fetchLineBytes() == cfg_.hierarchy.l1i.lineBytes &&
         tables.siteLineStart.size() == plan.siteCount() + 1)
-        return replayImpl<false, true>(plan, tables, l1d);
-    return replayImpl<false, false>(plan, tables, l1d);
+        return replayShared<false, true>(plan, tables, data, flow, paths);
+    return replayShared<false, false>(plan, tables, data, flow, paths);
+}
+
+template <bool IdentityPages, bool UseLineTable>
+RunResult
+Machine::replayShared(const trace::ReplayPlan &plan,
+                      const trace::LayoutTables &tables,
+                      const SharedOutcomes &data, const SharedOutcomes &flow,
+                      SharedPaths paths)
+{
+    if (paths.l2Data)
+        return paths.btb ? replayImpl<IdentityPages, UseLineTable, true, true>(
+                               plan, tables, data, flow)
+                         : replayImpl<IdentityPages, UseLineTable, true, false>(
+                               plan, tables, data, flow);
+    return paths.btb ? replayImpl<IdentityPages, UseLineTable, false, true>(
+                           plan, tables, data, flow)
+                     : replayImpl<IdentityPages, UseLineTable, false, false>(
+                           plan, tables, data, flow);
 }
 
 /**
  * The dense replay kernel. Mirrors runReference() block for block —
  * the per-event model steps and their order are identical, only the
  * operand sources differ: flat plan/table arrays instead of Program
- * traversal and per-access address computation, and the L1D's
- * verdict per data access read from @p l1d instead of simulated in
- * line (the L1D sees only the data stream, so its outcome cannot
- * depend on anything this loop does; DESIGN.md §5n). Any behavioural
- * edit here must be made in runReference() too (test_replay.cc
- * enforces equality).
+ * traversal and per-access address computation, and the verdicts of
+ * the L1D and RAS — plus the L2 data side and the BTB where @p paths
+ * says so — read from precomputed bits instead of simulated in line
+ * (DESIGN.md §5n, §5p). Any behavioural edit here must be made in
+ * runReference() too (test_replay.cc enforces equality).
  */
-template <bool IdentityPages, bool UseLineTable>
+template <bool IdentityPages, bool UseLineTable, bool ShareL2, bool ShareBtb>
 RunResult
 Machine::replayImpl(const trace::ReplayPlan &plan,
                     const trace::LayoutTables &tables,
-                    const L1dOutcomes &l1d)
+                    const SharedOutcomes &data, const SharedOutcomes &flow)
 {
     using trace::ReplayPlan;
 
@@ -409,10 +417,15 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     const u16 *ev_nmem = plan.nMem.data();
     const u8 *ev_flags = plan.flags.data();
     const u32 *ev_target = plan.targetSite.data();
-    const u32 *ev_ras_push = plan.rasPushSite.data();
-    const u32 *ev_return = plan.returnSite.data();
     const u8 *mem_is_store = plan.memIsStore.data();
-    const u64 *l1d_hit_bits = l1d.hitBits.data();
+    const u64 *l1d_hit_bits = data.hitBits.data();
+    const u64 *l2_first_bits = data.l2FirstBits.data();
+    const u64 *btb_hit_bits = flow.btbHitBits.data();
+    const u64 *btb_target_bits = flow.btbTargetBits.data();
+    const u64 *ras_miss_bits = flow.rasMissBits.data();
+    auto bit = [](const u64 *bits, size_t i) -> bool {
+        return (bits[i >> 6] >> (i & 63)) & 1;
+    };
 
     // Devirtualize the hottest polymorphic call: the standard machine
     // predictor is the hybrid, whose final class lets the direct call
@@ -493,18 +506,20 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
 
         // ---- Data accesses (addresses pre-translated in the tables).
         // The L1D's verdict is a precomputed bit; only its misses
-        // touch the L2. L1D hits (the common, well-predicted case)
-        // skip the cluster bookkeeping entirely; a select-based
-        // rewrite measured slower because it puts the bookkeeping on
-        // every access's dependence chain.
+        // reach the L2, whose data verdict is a first-touch bit when
+        // shared. L1D hits (the common, well-predicted case) skip the
+        // cluster bookkeeping entirely; a select-based rewrite
+        // measured slower because it puts the bookkeeping on every
+        // access's dependence chain.
         u32 last_load_latency = 0;
         for (u32 m = ev_nmem[ev_idx]; m > 0; --m, ++mem_cursor) {
-            const bool l1d_hit =
-                (l1d_hit_bits[mem_cursor >> 6] >> (mem_cursor & 63)) & 1;
             cache::HitLevel level =
-                l1d_hit ? cache::HitLevel::L1
-                        : hierarchy_.accessDataBelowL1(
-                              data_addr[mem_cursor]);
+                bit(l1d_hit_bits, mem_cursor) ? cache::HitLevel::L1
+                : ShareL2 ? (bit(l2_first_bits, mem_cursor)
+                                 ? cache::HitLevel::Memory
+                                 : cache::HitLevel::L2)
+                          : hierarchy_.accessDataBelowL1(
+                                data_addr[mem_cursor]);
             u32 lat = mem_latency(level);
             // Loads update the resolution latency.
             last_load_latency =
@@ -547,13 +562,9 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
             }
         }
 
-        // ---- Returns through the return-address stack.
+        // ---- Returns: the return-address stack's verdict.
         if (f & ReplayPlan::kReturn) {
-            Addr predicted = ras_.pop();
-            Addr actual = ev_return[ev_idx] != ReplayPlan::kNoSite
-                              ? site_addr[ev_return[ev_idx]]
-                              : 0;
-            if (actual != 0 && predicted != actual) {
+            if (bit(ras_miss_bits, ev_idx)) {
                 ++res.rasMispredicts;
                 cycles += cfg_.frontendDepth;
             }
@@ -568,19 +579,23 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
             // (every block has nonzero size), so site-token equality
             // is exactly target-address equality — same hit/miss
             // stream as the reference loop's address-tagged BTB.
-            const u32 target_site = ev_target[ev_idx];
-            if ((f & ReplayPlan::kCall) &&
-                ev_ras_push[ev_idx] != ReplayPlan::kNoSite)
-                ras_.push(site_addr[ev_ras_push[ev_idx]]);
-            // Fused lookup + update: one tag scan (same outcome as the
-            // reference loop's separate calls).
-            bpred::BtbResult hit =
-                btb_.lookupUpdate(branch_pc, target_site);
-            bool target_ok = hit.hit && hit.target == target_site;
+            bool hit, target_ok;
+            if constexpr (ShareBtb) {
+                hit = bit(btb_hit_bits, ev_idx);
+                target_ok = bit(btb_target_bits, ev_idx);
+            } else {
+                // Fused lookup + update: one tag scan (same outcome as
+                // the reference loop's separate calls).
+                const u32 target_site = ev_target[ev_idx];
+                const bpred::BtbResult r =
+                    btb_.lookupUpdate(branch_pc, target_site);
+                hit = r.hit;
+                target_ok = r.hit && r.target == target_site;
+            }
             if (!target_ok) {
                 ++res.btbMisses;
                 if (!mispredicted) {
-                    if ((f & ReplayPlan::kIndirect) && hit.hit) {
+                    if ((f & ReplayPlan::kIndirect) && hit) {
                         cycles += cfg_.frontendDepth;
                     } else {
                         cycles += cfg_.misfetchPenalty;
@@ -611,13 +626,17 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
 
     INTERF_ASSERT(mem_cursor == plan.memCount());
 
+    // A shared L2 data side never reached the hierarchy's L2: its
+    // misses are the first touches after warmup.
     auto hs = hierarchy_.stats();
+    const Count l2_data_misses =
+        ShareL2 ? data.l2Misses : hs.l2DataMisses;
     res.l1iMisses = hs.l1i.misses;
-    res.l1dMisses = l1d.misses;
-    res.l2Misses = hs.l2.misses;
+    res.l1dMisses = data.misses;
+    res.l2Misses = hs.l2.misses + (ShareL2 ? l2_data_misses : 0);
     res.l2InstMisses = hs.l2InstMisses;
     res.l2PrefMisses = hs.l2PrefMisses;
-    res.l2DataMisses = hs.l2DataMisses;
+    res.l2DataMisses = l2_data_misses;
     res.cycles = cycles;
     return res;
 }

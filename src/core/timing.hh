@@ -30,10 +30,10 @@
 #include <vector>
 
 #include "bpred/btb.hh"
-#include "bpred/ras.hh"
 #include "bpred/predictor.hh"
 #include "cache/hierarchy.hh"
 #include "core/config.hh"
+#include "core/shared.hh"
 #include "layout/heap.hh"
 #include "layout/pagemap.hh"
 #include "layout/linker.hh"
@@ -65,44 +65,18 @@ struct RunResult
     double perKilo(Count events) const;
 };
 
-/**
- * The L1D's hit/miss outcome for one data stream: what core::simulateL1d
- * computes once and Machine::replay consumes (DESIGN.md §5n).
- *
- * The L1D is split from the L1I, so nothing but the data stream
- * reaches it, and an LRU decision depends only on set indices and tag
- * equality. One outcome therefore stands for every layout whose data
- * stream is equivalent (see canShareL1d), however its code is placed.
- */
-struct L1dOutcomes
+/** @{ Names for callers written against the L1D-only outcome of
+ *  DESIGN.md §5n (the golden tests among them): simulateL1d builds
+ *  every part of a SharedOutcomes over one layout's data stream. */
+using L1dOutcomes = SharedOutcomes;
+
+inline SharedOutcomes
+simulateL1d(const MachineConfig &machine, const trace::ReplayPlan &plan,
+            const trace::LayoutTables &tables)
 {
-    /** Bit j % 64 of word j / 64 is set iff access j hit. */
-    std::vector<u64> hitBits;
-    Count misses = 0;    ///< L1D misses after warmup.
-    size_t memCount = 0; ///< Accesses covered (plan.memCount()).
-};
-
-/**
- * Run the L1D alone over @p tables' data stream, from power-on state.
- * The miss count starts at the first access of the replay kernel's
- * warmup event, where the kernel clears its statistics. Only the data
- * half of @p tables is read.
- */
-L1dOutcomes simulateL1d(const MachineConfig &machine,
-                        const trace::ReplayPlan &plan,
-                        const trace::LayoutTables &tables);
-
-/**
- * The one sharing predicate: whether an L1dOutcomes computed for one
- * layout holds for every other layout replaying the same plan. It does
- * when the layouts share one heap layout (so one virtual data stream)
- * and either one page map or an L1D whose set index lies inside the
- * page offset (sets x lineBytes <= the PageMap page size). The page map
- * is an offset-preserving bijection, so then every set index and every
- * tag equality survives translation.
- */
-bool canShareL1d(const cache::CacheConfig &l1d, bool same_heap,
-                 bool same_pages);
+    return simulateShared(machine, plan, &tables, kShareAll);
+}
+/** @} */
 
 /**
  * The machine. Owns its microarchitectural state (caches, predictor,
@@ -147,12 +121,12 @@ class Machine
                   const layout::PageMap &pages);
 
     /**
-     * Replay a compiled plan under one layout's address tables:
-     * simulateL1d() over the tables' data stream, then the kernel
-     * below. Bit-identical to runReference() on the same (trace,
-     * layout) — every counter and cycle count — which
-     * tests/test_replay.cc enforces. The tables must carry data
-     * addresses (not code-only).
+     * Replay a compiled plan under one layout's address tables: one
+     * L1D pass and the RAS outcome over the tables' streams, then the
+     * kernel below with the L2 and BTB simulated. Bit-identical to
+     * runReference() on the same (trace, layout) — every counter and
+     * cycle count — which tests/test_replay.cc enforces. The tables
+     * must carry data addresses (not code-only).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables);
@@ -162,14 +136,19 @@ class Machine
      * plan's flat arrays with no Program or Trace access, with a
      * specialized fast path when the page mapping is the identity.
      *
-     * The L1D is not simulated here: each data access reads its hit
-     * bit from @p l1d, and only misses reach the L2. Campaigns and the
-     * optimizer pass one outcome to every layout canShareL1d() admits;
-     * @p l1d must cover this plan's memory stream (panics otherwise).
+     * Neither the L1D nor the RAS is simulated here: each data access
+     * reads its L1D hit bit and each return its mispredict bit from
+     * @p shared, and only L1D misses reach the L2. When @p shared has
+     * no L1D part, one L1D pass over @p tables runs first. @p paths
+     * names the structures a proof (canShareL2Data, canShareBtb) showed
+     * @p shared's outcome holds for on this layout; the kernel reads
+     * those and simulates the rest. @p tables may lack data addresses
+     * only when both the L1D and the L2 data side come from @p shared.
+     * @p shared must cover this plan's streams (panics otherwise).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables,
-                     const L1dOutcomes &l1d);
+                     const SharedOutcomes &shared, SharedPaths paths = {});
 
     /**
      * The event-at-a-time reference implementation: walks Program and
@@ -189,25 +168,39 @@ class Machine
     /**
      * Microarchitectural hot-state bytes a replay keeps: the
      * hierarchy's tag/stamp/generation arrays, the predictor's counter
-     * tables, the BTB, and the RAS ring — the state the compaction
-     * work budgets (DESIGN.md §5j). bench_micro_replay reports it per
-     * row.
+     * tables and the BTB — the state the compaction work budgets
+     * (DESIGN.md §5j). bench_micro_replay reports it per row.
      */
     u64 hotStateBytes() const;
 
   private:
     void resetState();
 
+    /** @{ Dispatch on the page map and line table, then on @p paths;
+     *  @p data supplies the data parts and @p flow the control parts. */
+    RunResult replayWith(const trace::ReplayPlan &plan,
+                         const trace::LayoutTables &tables,
+                         const SharedOutcomes &data,
+                         const SharedOutcomes &flow, SharedPaths paths);
+
     template <bool IdentityPages, bool UseLineTable>
+    RunResult replayShared(const trace::ReplayPlan &plan,
+                           const trace::LayoutTables &tables,
+                           const SharedOutcomes &data,
+                           const SharedOutcomes &flow, SharedPaths paths);
+    /** @} */
+
+    template <bool IdentityPages, bool UseLineTable, bool ShareL2,
+              bool ShareBtb>
     RunResult replayImpl(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
-                         const L1dOutcomes &l1d);
+                         const SharedOutcomes &data,
+                         const SharedOutcomes &flow);
 
     MachineConfig cfg_;
     cache::MemoryHierarchy hierarchy_;
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
-    bpred::ReturnAddressStack ras_;
 };
 
 } // namespace interf::core

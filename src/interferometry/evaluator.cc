@@ -69,16 +69,33 @@ LayoutEvaluator::measureOne(core::MeasurementRunner &runner,
     // Attribute this layout's spans to its seed (the owner's key and
     // batch ordinal are already on the thread's context).
     telemetry::ScopedCandidateDigest candidate(seed);
+    // With a shared data stream the tables start without data
+    // addresses: only a simulated L2 reads them (DESIGN.md §5p).
+    const u32 line = machine_.hierarchy.l1i.lineBytes;
+    layout::CodeLayout code;
+    auto tables_for = [&](bool with_data) {
+        return with_data ? trace::LayoutTables(plan_, code, recipe.heap(k),
+                                               recipe.pages(k), line)
+                         : trace::LayoutTables(plan_, code, recipe.pages(k),
+                                               line);
+    };
     trace::LayoutTables tables = [&] {
         INTERF_SPAN("layout.gen");
-        const layout::CodeLayout code = recipe.code(k);
-        const layout::HeapLayout heap = recipe.heap(k);
-        return trace::LayoutTables(plan_, code, heap, recipe.pages(k),
-                                   machine_.hierarchy.l1i.lineBytes);
+        code = recipe.code(k);
+        return tables_for(!shareL1d_);
     }();
     INTERF_TELEM_COUNT("layout.tables_built", 1);
-    return l1d_ ? runner.measure(plan_, tables, *l1d_, seed)
-                : runner.measure(plan_, tables, seed);
+    // Each shared outcome applies only where this layout's proof holds;
+    // elsewhere the kernel simulates the structure.
+    core::SharedPaths paths;
+    paths.l2Data =
+        shareL1d_ && core::canShareL2Data(machine_, plan_, tables, *shared_);
+    paths.btb = core::canShareBtb(machine_, plan_, tables, *shared_);
+    if (shareL1d_ && !paths.l2Data) {
+        INTERF_SPAN("layout.gen");
+        tables = tables_for(true);
+    }
+    return runner.measure(plan_, tables, *shared_, paths, seed);
 }
 
 std::vector<core::Measurement>
@@ -88,13 +105,26 @@ LayoutEvaluator::measure(u32 count, const LayoutRecipe &recipe,
     std::vector<core::Measurement> out(count);
     if (count == 0)
         return out;
-    // The shared L1D pass runs here, serially, so workers only ever
-    // read it and a run served wholly from a cache never pays it.
-    if (shareL1d_ && !l1d_) {
-        INTERF_SPAN("replay.l1d_pass");
-        l1d_ = core::simulateL1d(
-            machine_, plan_,
-            trace::LayoutTables(plan_, recipe.heap(0), recipe.pages(0)));
+    // The shared pass runs here, serially, so workers only ever read
+    // it and a run served wholly from a cache never pays it.
+    if (!shared_) {
+        INTERF_SPAN("replay.shared_pass");
+        if (shareL1d_) {
+            // Built under the identity map when the L1D outcome holds
+            // across page maps, so the L2 proof can place the data pages
+            // under each layout's own map.
+            const trace::LayoutTables data(
+                plan_, recipe.heap(0),
+                core::canShareL1d(machine_.hierarchy.l1d, true, false)
+                    ? layout::PageMap()
+                    : recipe.pages(0));
+            shared_ = core::simulateShared(machine_, plan_, &data,
+                                           core::kShareAll);
+        } else {
+            shared_ = core::simulateShared(machine_, plan_, nullptr,
+                                           core::kShareBtb |
+                                               core::kShareRas);
+        }
     }
     auto run_one = [&](core::MeasurementRunner &runner, u32 k) {
         out[k] = measureOne(runner, recipe, k);

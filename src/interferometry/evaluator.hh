@@ -113,10 +113,11 @@ class LayoutEvaluator
     trace::ReplayPlan plan_;
     layout::Linker linker_;
     core::MeasurementRunner runner_; ///< Serial path (jobs == 1).
-    /** The L1D outcome every layout shares when shareL1d_: built once,
-     *  serially, before the first fan-out, then read-only (DESIGN.md
-     *  §5n). */
-    std::optional<core::L1dOutcomes> l1d_;
+    /** The outcomes every layout shares (DESIGN.md §5n, §5p): the
+     *  BTB and RAS always, the L1D and L2 data side when shareL1d_.
+     *  Built once, serially, before the first fan-out, then
+     *  read-only. */
+    std::optional<core::SharedOutcomes> shared_;
     std::unique_ptr<exec::ThreadPool> pool_; ///< Lazily sized to jobs.
     u64 verifyErrors_ = 0;
     u64 verifyWarnings_ = 0;

@@ -46,6 +46,9 @@ class PageMap
 
     u64 seed() const { return seed_; }
 
+    /** Same mapping (identity, or the same seed). */
+    bool operator==(const PageMap &other) const = default;
+
     /** Page size (fixed 4 KiB, as on the measured system). */
     static constexpr u32 pageBits = 12;
 

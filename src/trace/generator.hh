@@ -29,6 +29,13 @@
 namespace interf::trace
 {
 
+/**
+ * The smallest instruction budget the command-line tools accept: the
+ * warmup fraction and the per-layout statistics need a trace of some
+ * length, and a budget of 0 would measure no events at all.
+ */
+inline constexpr u64 kMinInstructionBudget = 10000;
+
 /** Tunable safety limits for the interpreter. */
 struct GeneratorLimits
 {

@@ -199,6 +199,16 @@ LayoutTables::LayoutTables(const ReplayPlan &plan,
 }
 
 LayoutTables::LayoutTables(const ReplayPlan &plan,
+                           const layout::CodeLayout &code,
+                           const layout::PageMap &pages,
+                           u32 fetch_line_bytes)
+    : pages_(pages)
+{
+    fillCode(plan, code);
+    buildLineTable(plan, fetch_line_bytes);
+}
+
+LayoutTables::LayoutTables(const ReplayPlan &plan,
                            const layout::HeapLayout &heap,
                            const layout::PageMap &pages)
     : pages_(pages), hasData_(true)

@@ -148,8 +148,8 @@ class LayoutTables
     LayoutTables() = default;
 
     /**
-     * Code-only tables (no data addresses): enough for branch-stream
-     * replay (pinsim), rejected by Machine::replay.
+     * Code-only tables (no data addresses, identity page map): enough
+     * for branch-stream replay (pinsim).
      */
     LayoutTables(const ReplayPlan &plan, const layout::CodeLayout &code);
 
@@ -167,8 +167,17 @@ class LayoutTables
                  u32 fetch_line_bytes = 64);
 
     /**
+     * Code tables under a page map, without data addresses: what a
+     * replay needs when the L1D and L2 data side are both read from
+     * shared outcomes (core/shared.hh), which never look at a data
+     * address. Machine::replay accepts them only on that path.
+     */
+    LayoutTables(const ReplayPlan &plan, const layout::CodeLayout &code,
+                 const layout::PageMap &pages, u32 fetch_line_bytes);
+
+    /**
      * Data-only tables for a (heap, pages) pair: the input of
-     * core::simulateL1d when one L1D pass serves many layouts. Carry
+     * core::simulateShared when one pass serves many layouts. Carry
      * no code addresses, so Machine::replay rejects them.
      */
     LayoutTables(const ReplayPlan &plan, const layout::HeapLayout &heap,
@@ -198,7 +207,7 @@ class LayoutTables
     /** True when instruction fetch needs no translation. */
     bool identityPages() const { return pages_.isIdentity(); }
 
-    /** False for code-only tables (pinsim use). */
+    /** False for tables built without a heap. */
     bool hasData() const { return hasData_; }
 
     /** Line size linePhys was built for (0: not built). */

@@ -530,6 +530,44 @@ TEST(CampaignL1d, RandomizedHeapRunsOneL1dPassPerLayout)
               8u);
 }
 
+TEST(CampaignL1d, FixedHeapCampaignSharesL2AndBtbOnEveryLayout)
+{
+    // The default machine's L2 and BTB never overflow a set at this
+    // scale, so every layout reads both from the shared pass
+    // (DESIGN.md §5p), at any worker count.
+    auto profile = workloads::defaultProfile("camp");
+    for (u32 jobs : {1u, 4u}) {
+        auto cfg = quickConfig(8);
+        cfg.jobs = jobs;
+        auto body = [&] {
+            Campaign camp(profile, cfg);
+            camp.measureLayouts(0, 8);
+        };
+        EXPECT_EQ(counterDuring("replay.calls", body), 8u);
+        EXPECT_EQ(counterDuring("replay.l2_shared", body), 8u)
+            << "jobs " << jobs;
+        EXPECT_EQ(counterDuring("replay.l2_simulated", body), 0u);
+        EXPECT_EQ(counterDuring("replay.btb_shared", body), 8u)
+            << "jobs " << jobs;
+        EXPECT_EQ(counterDuring("replay.btb_simulated", body), 0u);
+    }
+}
+
+TEST(CampaignL1d, RandomizedHeapSimulatesL2AndSharesBtb)
+{
+    // No data stream is shared, so the L2 data side is simulated; the
+    // BTB outcome depends on the plan alone and is still shared.
+    auto cfg = quickConfig(8);
+    cfg.randomizeHeap = true;
+    auto body = [&] {
+        Campaign camp(workloads::defaultProfile("camp"), cfg);
+        camp.measureLayouts(0, 8);
+    };
+    EXPECT_EQ(counterDuring("replay.l2_simulated", body), 8u);
+    EXPECT_EQ(counterDuring("replay.l2_shared", body), 0u);
+    EXPECT_EQ(counterDuring("replay.btb_shared", body), 8u);
+}
+
 TEST(CampaignL1d, WarmStoreRerunRunsNoL1dPass)
 {
     // The pass is built lazily at the first fresh measurement, never in

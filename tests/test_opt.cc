@@ -598,6 +598,41 @@ TEST(OptSearch, RandomizedHeapSearchRunsOneL1dPassPerFreshEval)
     EXPECT_EQ(passes, res.freshEvals);
 }
 
+TEST(OptSearch, FixedHeapSearchSharesL2AndBtbOnEveryEval)
+{
+    // Every fresh evaluation of a fixed-heap search reads the L2 data
+    // side and the BTB from the search's one shared pass.
+    const auto profile = workloads::defaultProfile("opt-l1d");
+    OptConfig cfg = quickSearch(Strategy::Anneal, 5);
+    cfg.randomizeHeap = false;
+    u64 fresh = 0;
+    auto body = [&] {
+        FitnessOracle oracle(profile, cfg);
+        fresh = makeOptimizer(oracle, cfg)->run().freshEvals;
+    };
+    const u64 calls = counterDuring("replay.calls", body);
+    EXPECT_EQ(calls, fresh);
+    EXPECT_EQ(counterDuring("replay.l2_shared", body), calls);
+    EXPECT_EQ(counterDuring("replay.btb_shared", body), calls);
+    EXPECT_EQ(counterDuring("replay.l2_simulated", body), 0u);
+    EXPECT_EQ(counterDuring("replay.btb_simulated", body), 0u);
+}
+
+TEST(OptSearch, RandomizedHeapSearchSharesOnlyBtb)
+{
+    const auto profile = workloads::defaultProfile("opt-l1d");
+    const OptConfig cfg = quickSearch(Strategy::Greedy, 5);
+    ASSERT_TRUE(cfg.randomizeHeap);
+    u64 fresh = 0;
+    auto body = [&] {
+        FitnessOracle oracle(profile, cfg);
+        fresh = makeOptimizer(oracle, cfg)->run().freshEvals;
+    };
+    EXPECT_EQ(counterDuring("replay.l2_simulated", body), fresh);
+    EXPECT_EQ(counterDuring("replay.btb_shared", body), fresh);
+    EXPECT_EQ(counterDuring("replay.l2_shared", body), 0u);
+}
+
 TEST(OptSearch, StrategyNamesRoundTrip)
 {
     EXPECT_STREQ(strategyName(Strategy::Greedy), "greedy");

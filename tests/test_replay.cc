@@ -3,18 +3,25 @@
  *  every counter, for every layout — this is the contract that lets
  *  campaigns run the dense kernel at all. */
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "bpred/ras.hh"
 #include "core/timing.hh"
 #include "interferometry/campaign.hh"
 #include "layout/heap.hh"
 #include "layout/linker.hh"
 #include "layout/pagemap.hh"
 #include "pinsim/pinsim.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/telemetry.hh"
 #include "trace/generator.hh"
 #include "trace/replay.hh"
+#include "util/random.hh"
 #include "workloads/builder.hh"
 #include "workloads/spec.hh"
 
@@ -289,6 +296,392 @@ TEST(ReplayGolden, FixedHeapCampaignMatchesReferenceWithAnyL1d)
             EXPECT_EQ(m.btbMisses, ref.btbMisses) << what;
         }
     }
+}
+
+/** Telemetry counters accumulated while @p body runs with telemetry
+ *  on, by name; a counter never touched reads 0. */
+std::function<u64(const std::string &)>
+countersDuring(const std::function<void()> &body)
+{
+    telemetry::resetForTest();
+    telemetry::enable();
+    body();
+    std::map<std::string, u64> values;
+    for (const auto &c : telemetry::Registry::global().snapshot().counters)
+        values[c.name] = c.value;
+    telemetry::disable();
+    telemetry::resetForTest();
+    return [values](const std::string &name) {
+        auto it = values.find(name);
+        return it == values.end() ? u64{0} : it->second;
+    };
+}
+
+/** A machine variant of the shared-path sweep and the paths its proofs
+ *  must choose on every layout. */
+struct PathCase
+{
+    std::string name;
+    MachineConfig cfg;
+    bool l2Shared;
+    bool btbShared;
+};
+
+std::vector<PathCase>
+pathCases()
+{
+    std::vector<PathCase> cases;
+    cases.push_back({"default", MachineConfig::xeonE5440(), true, true});
+    PathCase small_l2{"64 KiB L2", MachineConfig::xeonE5440(), false, true};
+    small_l2.cfg.hierarchy.l2 = cache::CacheConfig{
+        "L2", 64 << 10, 16, 64, cache::Replacement::Random};
+    cases.push_back(small_l2);
+    PathCase small_btb{"64-set BTB", MachineConfig::xeonE5440(), true, false};
+    small_btb.cfg.btbSets = 64;
+    cases.push_back(small_btb);
+    PathCase small_ras{"2-entry RAS", MachineConfig::xeonE5440(), true, true};
+    small_ras.cfg.rasDepth = 2;
+    cases.push_back(small_ras);
+    // Line geometry: 128-byte L2 lines (32 per page) and 32-byte L1I
+    // lines share; 32-byte L2 lines under 64-byte L1D lines cannot,
+    // because a first L2 touch need not miss the L1D.
+    PathCase wide_l2{"128 B L2 lines", MachineConfig::xeonE5440(), true,
+                     true};
+    wide_l2.cfg.hierarchy.l2.lineBytes = 128;
+    cases.push_back(wide_l2);
+    PathCase narrow_l1i{"32 B L1I lines", MachineConfig::xeonE5440(), true,
+                        true};
+    narrow_l1i.cfg.hierarchy.l1i.lineBytes = 32;
+    cases.push_back(narrow_l1i);
+    PathCase narrow_l2{"32 B L2 lines", MachineConfig::xeonE5440(), false,
+                       true};
+    narrow_l2.cfg.hierarchy.l2.lineBytes = 32;
+    cases.push_back(narrow_l2);
+    return cases;
+}
+
+/** The shared-path golden sweep (DESIGN.md §5p): outcomes built once
+ *  per workload from the fixed heap's data stream under the identity
+ *  map, then every layout replays with the paths its proofs allow, as
+ *  a LayoutEvaluator does: from tables without data addresses when the
+ *  L2 data side is shared, with them otherwise. The
+ *  default machine shares the L2 data side, the BTB and the RAS; a
+ *  64 KiB L2 and a 64-set BTB overflow sets and fall back to
+ *  simulation; a 2-entry RAS overflows on deep call chains. Every
+ *  result equals the reference model on a fresh Machine, and the
+ *  replay.* counters record the path each replay took. */
+TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
+{
+    const layout::HeapKey fixed = layout::HeapKey::deterministic();
+    for (const PathCase &pc : pathCases()) {
+        const MachineConfig &cfg = pc.cfg;
+        u64 replays = 0;
+        Count ras_mispredicts = 0;
+        const auto count = countersDuring([&] {
+            for (size_t wi = 0; wi < workloads().size(); ++wi) {
+                const Workload &w = workloads()[wi];
+                layout::HeapLayout heap(w.prog, fixed);
+                const LayoutTables data(w.plan, heap, layout::PageMap());
+                const SharedOutcomes shared =
+                    simulateShared(cfg, w.plan, &data, kShareAll);
+                Machine machine(cfg);
+                for (u64 seed = 1; seed <= 3; ++seed) {
+                    auto code = codeFor(w, seed);
+                    for (bool physical : {false, true}) {
+                        layout::PageMap pages =
+                            physical ? layout::PageMap(seed * 31 + 7)
+                                     : layout::PageMap();
+                        const std::string what =
+                            pc.name + ", workload " + std::to_string(wi) +
+                            " seed " + std::to_string(seed) +
+                            (physical ? " physical" : " identity");
+                        LayoutTables tables(w.plan, code, pages,
+                                            cfg.hierarchy.l1i.lineBytes);
+                        SharedPaths paths;
+                        paths.l2Data =
+                            canShareL2Data(cfg, w.plan, tables, shared);
+                        paths.btb = canShareBtb(cfg, w.plan, tables, shared);
+                        EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
+                        EXPECT_EQ(paths.btb, pc.btbShared) << what;
+                        if (!paths.l2Data)
+                            tables = LayoutTables(w.plan, code, heap, pages,
+                                                  cfg.hierarchy.l1i.lineBytes);
+                        Machine fresh(cfg);
+                        const RunResult ref = fresh.runReference(
+                            w.prog, w.trace, code, heap, pages);
+                        expectSameResult(
+                            ref, machine.replay(w.plan, tables, shared, paths),
+                            what);
+                        ras_mispredicts += ref.rasMispredicts;
+                        ++replays;
+                    }
+                }
+            }
+        });
+        EXPECT_EQ(count("replay.calls"), replays) << pc.name;
+        EXPECT_EQ(count("replay.l2_shared"), pc.l2Shared ? replays : 0)
+            << pc.name;
+        EXPECT_EQ(count("replay.l2_simulated"), pc.l2Shared ? 0 : replays)
+            << pc.name;
+        EXPECT_EQ(count("replay.btb_shared"), pc.btbShared ? replays : 0)
+            << pc.name;
+        EXPECT_EQ(count("replay.btb_simulated"), pc.btbShared ? 0 : replays)
+            << pc.name;
+        EXPECT_GT(ras_mispredicts, 0u) << pc.name;
+    }
+}
+
+/** The RAS part replays bpred::ReturnAddressStack over site ids: on a
+ *  random call/return stream with deep recursion (one return site
+ *  pushed again and again, so overwritten entries can match), every
+ *  return's mispredict bit equals the address-keyed stack's verdict
+ *  at every depth, overflow and empty pops included. */
+TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
+{
+    using RP = ReplayPlan;
+    ReplayPlan plan;
+    Rng rng(17);
+    for (u32 e = 0; e < 4000; ++e) {
+        const bool call = rng.uniformInt(2) == 0;
+        const u32 site = static_cast<u32>(rng.uniformInt(4));
+        plan.site.push_back(site);
+        plan.flags.push_back(call ? RP::kHasBranch | RP::kCall | RP::kTaken
+                                  : RP::kHasBranch | RP::kReturn);
+        plan.rasPushSite.push_back(call && site != 3 ? site : RP::kNoSite);
+        plan.returnSite.push_back(call ? RP::kNoSite : site);
+    }
+    for (u32 depth : {1u, 2u, 4u, 16u}) {
+        auto cfg = MachineConfig::xeonE5440();
+        cfg.rasDepth = depth;
+        const SharedOutcomes shared =
+            simulateShared(cfg, plan, nullptr, kShareRas);
+        bpred::ReturnAddressStack ras(depth);
+        u32 misses = 0;
+        for (size_t e = 0; e < plan.eventCount(); ++e) {
+            bool miss = false;
+            if (plan.flags[e] & RP::kReturn) {
+                const Addr predicted = ras.pop();
+                miss = predicted != plan.returnSite[e] + 1;
+            } else if (plan.rasPushSite[e] != RP::kNoSite) {
+                ras.push(plan.rasPushSite[e] + 1);
+            }
+            misses += miss;
+            EXPECT_EQ((shared.rasMissBits[e / 64] >> (e % 64)) & 1,
+                      u64{miss})
+                << "depth " << depth << " event " << e;
+        }
+        EXPECT_GT(misses, 0u) << "depth " << depth;
+    }
+}
+
+/** The fallbacks are not vacuous: where a proof refuses, reading the
+ *  shared outcome anyway gives a wrong result on at least one
+ *  workload. */
+TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
+{
+    for (const PathCase &pc : pathCases()) {
+        if (pc.l2Shared && pc.btbShared)
+            continue;
+        const MachineConfig &cfg = pc.cfg;
+        u32 differing = 0;
+        for (const Workload &w : workloads()) {
+            layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+            LayoutTables tables(w.plan, codeFor(w, 4), heap,
+                                layout::PageMap(9),
+                                cfg.hierarchy.l1i.lineBytes);
+            const SharedOutcomes shared =
+                simulateShared(cfg, w.plan, &tables, kShareAll);
+            SharedPaths forced;
+            forced.l2Data = !pc.l2Shared;
+            forced.btb = !pc.btbShared;
+            Machine machine(cfg);
+            const RunResult honest = machine.replay(w.plan, tables);
+            const RunResult wrong = machine.replay(w.plan, tables, shared,
+                                                   forced);
+            differing += honest.l2Misses != wrong.l2Misses ||
+                         honest.btbMisses != wrong.btbMisses;
+        }
+        EXPECT_GT(differing, 0u)
+            << pc.name << ": the proof guards nothing on these workloads";
+    }
+}
+
+/** The L2 proof counts each code line's *physical* successor, which the
+ *  next-line prefetcher fetches: at a page end it is line 0 of whatever
+ *  physical page follows. A large synthetic program makes a layout
+ *  whose page-end successor is a touched data line findable by
+ *  searching page seeds; on that layout no L2 set overflows, yet the
+ *  proof must refuse, and the evaluator-style replay still matches the
+ *  reference. */
+TEST(ReplayGolden, L2ProofRefusesPageEndPrefetchOntoDataLine)
+{
+    auto profile = workloads::defaultProfile("page-end");
+    profile.procedures = 3000;
+    profile.hotProcedures = 1500;
+    profile.meanInstsPerBlock = 12;
+    profile.memWorkingSet = 64 << 20;
+    profile.fracL1 = 0.5;
+    profile.fracL2 = 0.2;
+    profile.fracMem = 0.3;
+    const Workload w(profile, 60000);
+    const auto cfg = MachineConfig::xeonE5440();
+    const u32 page_bits = layout::PageMap::pageBits;
+    const Addr page_bytes = Addr{1} << page_bits;
+    const Addr line = cfg.hierarchy.l1i.lineBytes;
+    ASSERT_EQ(line, cfg.hierarchy.l2.lineBytes);
+
+    auto code = codeFor(w, 1);
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    const LayoutTables virt(w.plan, code, heap);
+    // Virtual pages whose last line some site spans, and virtual pages
+    // whose first line the data stream touches.
+    std::set<Addr> code_ends, data_starts;
+    for (u32 s = 0; s < w.plan.siteCount(); ++s) {
+        const Addr end = virt.siteAddr[s] + w.plan.siteBytes[s] - 1;
+        for (Addr l = virt.siteAddr[s] & ~(line - 1); l <= end; l += line)
+            if ((l & (page_bytes - 1)) == page_bytes - line)
+                code_ends.insert(l >> page_bits);
+    }
+    for (Addr a : virt.dataAddr)
+        if ((a & (page_bytes - 1)) < line)
+            data_starts.insert(a >> page_bits);
+    ASSERT_FALSE(code_ends.empty());
+    ASSERT_FALSE(data_starts.empty());
+
+    u64 found = 0;
+    std::vector<Addr> phys_data;
+    for (u64 seed = 1; seed <= 200000 && !found; ++seed) {
+        const layout::PageMap pages(seed);
+        phys_data.clear();
+        for (Addr d : data_starts)
+            phys_data.push_back(pages.translate(d << page_bits) >> page_bits);
+        std::sort(phys_data.begin(), phys_data.end());
+        for (Addr c : code_ends)
+            if (std::binary_search(
+                    phys_data.begin(), phys_data.end(),
+                    (pages.translate(c << page_bits) >> page_bits) + 1))
+                found = seed;
+    }
+    ASSERT_NE(found, 0u) << "no page seed puts a page-end prefetch on data";
+
+    const layout::PageMap pages(found);
+    const LayoutTables tables(w.plan, code, heap, pages, line);
+    const SharedOutcomes shared =
+        simulateShared(cfg, w.plan, &virt, kShareAll);
+    ConflictFacts facts;
+    EXPECT_FALSE(canShareL2Data(cfg, w.plan, tables, shared, &facts))
+        << "page seed " << found;
+    EXPECT_FALSE(facts.checked);
+    EXPECT_EQ(facts.overflowingSets, 0u);
+    // The identity map keeps code and data pages apart: same program,
+    // same heap, the proof holds.
+    const LayoutTables identity(w.plan, code, heap, layout::PageMap(), line);
+    EXPECT_TRUE(canShareL2Data(cfg, w.plan, identity, shared));
+
+    SharedPaths paths;
+    paths.btb = canShareBtb(cfg, w.plan, tables, shared);
+    Machine machine(cfg);
+    expectSameResult(
+        machine.runReference(w.prog, w.trace, code, heap, pages),
+        machine.replay(w.plan, tables, shared, paths),
+        "page seed " + std::to_string(found));
+}
+
+/** Data pages recorded under the identity map are placed through each
+ *  layout's page map; pages recorded under another map apply only to
+ *  layouts under that same map, and the proof refuses the rest. */
+TEST(ReplayGolden, L2ProofPlacesDataPagesThroughTheRecordingMap)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    const Workload &w = workloads()[1];
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    const auto code = codeFor(w, 6);
+    const u32 line = cfg.hierarchy.l1i.lineBytes;
+    const LayoutTables data_5(w.plan, heap, layout::PageMap(5));
+    const LayoutTables data_virtual(w.plan, heap, layout::PageMap());
+    const SharedOutcomes recorded_under_5 =
+        simulateShared(cfg, w.plan, &data_5, kShareAll);
+    const SharedOutcomes recorded_virtual =
+        simulateShared(cfg, w.plan, &data_virtual, kShareAll);
+    const LayoutTables under_5(w.plan, code, layout::PageMap(5), line);
+    const LayoutTables under_6(w.plan, code, layout::PageMap(6), line);
+    EXPECT_TRUE(canShareL2Data(cfg, w.plan, under_5, recorded_under_5));
+    ConflictFacts facts;
+    EXPECT_FALSE(
+        canShareL2Data(cfg, w.plan, under_6, recorded_under_5, &facts));
+    EXPECT_FALSE(facts.checked);
+    EXPECT_TRUE(canShareL2Data(cfg, w.plan, under_5, recorded_virtual));
+    EXPECT_TRUE(canShareL2Data(cfg, w.plan, under_6, recorded_virtual));
+}
+
+/** Tables without data addresses replay only where the shared
+ *  outcomes stand in for every data address: the L1D and the L2. */
+TEST(ReplayGoldenDeathTest, DatalessTablesNeedTheSharedL2Path)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    const Workload &w = workloads()[0];
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    const LayoutTables data(w.plan, heap, layout::PageMap());
+    const SharedOutcomes shared =
+        simulateShared(cfg, w.plan, &data, kShareAll);
+    const LayoutTables code_only(w.plan, codeFor(w, 1), layout::PageMap(3),
+                                 cfg.hierarchy.l1i.lineBytes);
+    Machine machine(cfg);
+    SharedPaths btb_only;
+    btb_only.btb = true;
+    EXPECT_DEATH(machine.replay(w.plan, code_only, shared, btb_only),
+                 "tables without data addresses");
+}
+
+/** Shared outcomes built for another plan's event stream must never be
+ *  replayed. */
+TEST(ReplayGoldenDeathTest, SharedOutcomesForAnotherStreamPanic)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    const Workload &w = workloads()[0];
+    const Workload &other = workloads()[1];
+    ASSERT_NE(w.plan.eventCount(), other.plan.eventCount());
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    LayoutTables tables(w.plan, codeFor(w, 1), heap);
+    const SharedOutcomes foreign =
+        simulateShared(cfg, other.plan, nullptr, kShareBtb | kShareRas);
+    Machine machine(cfg);
+    EXPECT_DEATH(machine.replay(w.plan, tables, foreign),
+                 "shared outcomes cover");
+}
+
+/** The evaluator's fallback: a fixed-heap campaign on a 64 KiB L2
+ *  overflows L2 sets, so each layout's proof refuses, its tables gain
+ *  data addresses and the L2 is simulated; the BTB stays shared. Every
+ *  sample equals the reference model (noise off). */
+TEST(ReplayGolden, FixedHeapCampaignMatchesReferenceWhenL2Overflows)
+{
+    interferometry::CampaignConfig cc;
+    cc.instructionBudget = 60000;
+    cc.jobs = 1;
+    cc.physicalPages = true;
+    cc.randomizeHeap = false;
+    cc.machine.hierarchy.l2 =
+        cache::CacheConfig{"L2", 64 << 10, 16, 64, cache::Replacement::Random};
+    cc.runner.noise = NoiseConfig::none();
+    std::vector<core::Measurement> samples;
+    const auto counters = countersDuring([&] {
+        interferometry::Campaign camp(
+            workloads::specFor("445.gobmk").profile, cc);
+        samples = camp.measureLayouts(0, 4);
+        for (u32 i = 0; i < samples.size(); ++i) {
+            Machine fresh(cc.machine);
+            const RunResult ref = fresh.runReference(
+                camp.program(), camp.trace(), camp.codeLayoutFor(i),
+                camp.heapLayoutFor(i), camp.pageMapFor(i));
+            EXPECT_EQ(samples[i].cycles, ref.cycles) << "layout " << i;
+            EXPECT_EQ(samples[i].l2Misses, ref.l2Misses) << "layout " << i;
+            EXPECT_EQ(samples[i].btbMisses, ref.btbMisses) << "layout " << i;
+        }
+    });
+    EXPECT_EQ(counters("replay.l2_simulated"), 4u);
+    EXPECT_EQ(counters("replay.btb_shared"), 4u);
+    EXPECT_EQ(counters("replay.l2_shared"), 0u);
 }
 
 /** Outcomes that do not cover the plan's memory stream must never be

@@ -29,6 +29,7 @@
 #include "telemetry/progress.hh"
 #include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
+#include "trace/generator.hh"
 #include "util/digest.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -178,6 +179,10 @@ main(int argc, char **argv)
         cfg.blameLayouts = 4; // Small seed pool: most of the budget walks.
         baseline_n = 16;
     }
+    if (opts.getInt("instructions") <
+        static_cast<i64>(trace::kMinInstructionBudget))
+        fatal("--instructions must be >= %llu",
+              static_cast<unsigned long long>(trace::kMinInstructionBudget));
     if (cfg.budget < 1)
         fatal("--budget must be >= 1");
     if (cfg.proposalsPerStep < 1)

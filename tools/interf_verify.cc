@@ -8,7 +8,12 @@
  * applicable pass — the machine passes always. Prints the machine
  * facts the soundness passes reason over, then the diagnostics, as
  * text (default) or as one JSON report (--json; schema in
- * docs/verify-report.schema.json). The exit code is the verdict:
+ * docs/verify-report.schema.json). With --profile and --layouts it
+ * also reports the L2 and BTB conflict facts of those layouts under
+ * the fixed heap: overflowing sets, the largest per-set distinct
+ * count and whether the sharing proofs of DESIGN.md §5p hold (facts,
+ * not diagnostics: a refused proof only means the replay simulates
+ * that structure). The exit code is the verdict:
  *
  *   0  everything verified clean (warnings allowed unless --strict);
  *   1  at least one error diagnostic (--strict: any diagnostic);
@@ -18,16 +23,20 @@
  *   interf_verify                                   # default machine
  *   interf_verify --config l1i.line=16              # salt collision
  *   interf_verify --profile 400.perlbench --budget 200000 --layouts 8
+ *   interf_verify --profile 429.mcf --layouts 4 --config l2.size=64k,l2.assoc=16
  *   interf_verify --profile 429.mcf --trace /tmp/mcf.trace
  *   interf_verify --store /tmp/interf-store --json
  *   interf_verify --store /tmp/interf-store --key 1234abcd5678ef01
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "analyze/analyze.hh"
 #include "core/config.hh"
+#include "core/shared.hh"
+#include "layout/heap.hh"
 #include "layout/linker.hh"
 #include "layout/pagemap.hh"
 #include "trace/generator.hh"
@@ -49,6 +58,10 @@ namespace
 constexpr int kExitClean = 0;
 constexpr int kExitDiagnostics = 1;
 constexpr int kExitUsage = 2;
+
+/** Trace size for the conflict facts when --layouts comes without
+ *  --budget: the benches' default scale. */
+constexpr i64 kConflictBudget = 300000;
 
 int
 usageError(const std::string &msg)
@@ -85,6 +98,32 @@ cacheFacts(const cache::CacheConfig &cfg, Addr line_ceiling,
     return j;
 }
 
+/** One structure's conflict facts over every layout checked. */
+struct ConflictSummary
+{
+    u32 overflowingSets = 0; ///< Worst layout.
+    u32 maxPerSet = 0;       ///< Worst layout.
+    u32 sharedLayouts = 0;   ///< Layouts whose proof holds.
+
+    void add(bool holds, const core::ConflictFacts &f)
+    {
+        overflowingSets = std::max(overflowingSets, f.overflowingSets);
+        maxPerSet = std::max(maxPerSet, f.maxPerSet);
+        sharedLayouts += holds;
+    }
+
+    Json toJson(u32 ways, u32 layouts) const
+    {
+        Json j = Json::object();
+        j.set("overflowingSets", overflowingSets);
+        j.set("maxPerSet", maxPerSet);
+        j.set("ways", ways);
+        j.set("sharedLayouts", sharedLayouts);
+        j.set("proofHolds", sharedLayouts == layouts);
+        return j;
+    }
+};
+
 } // anonymous namespace
 
 int
@@ -103,8 +142,10 @@ main(int argc, char **argv)
                 "instruction budget: generate a trace of this size and "
                 "verify trace + replay plan (requires --profile)");
     opts.addInt("layouts", 0,
-                "link this many seeded layouts and verify placements "
-                "and page maps (requires --profile)");
+                "link this many seeded layouts, verify placements and "
+                "page maps, and report their L2/BTB conflict facts "
+                "(requires --profile; without --budget the facts use "
+                "a 300000-instruction trace)");
     opts.addString("trace", "",
                    "trace file to lint against the profile's program "
                    "(requires --profile)");
@@ -124,7 +165,7 @@ main(int argc, char **argv)
     const std::string trace_path = opts.getString("trace");
     const std::string store_root = opts.getString("store");
     const std::string key_text = opts.getString("key");
-    const i64 budget = opts.getInt("budget");
+    i64 budget = opts.getInt("budget");
     const i64 layouts = opts.getInt("layouts");
 
     if (profile_name.empty() &&
@@ -135,6 +176,9 @@ main(int argc, char **argv)
         return usageError("--key requires --store");
     if (budget < 0 || layouts < 0)
         return usageError("--budget and --layouts must be >= 0");
+
+    if (layouts > 0 && budget == 0)
+        budget = kConflictBudget;
 
     core::MachineConfig machine = core::MachineConfig::xeonE5440();
     std::string err;
@@ -187,6 +231,35 @@ main(int argc, char **argv)
     if (!trace_path.empty())
         all.merge(verify::verifyTraceFile(trace_path, prog));
 
+    // Conflict facts, through the evaluator's own proofs: the fixed
+    // heap's data stream, recorded under the identity map so each
+    // layout's page map places it. Only a machine and plan that
+    // verified clean can be simulated.
+    ConflictSummary l2_facts, btb_facts;
+    const bool conflicts = layouts > 0 && arts.plan && all.ok();
+    if (conflicts) {
+        const layout::HeapLayout heap(prog,
+                                      layout::HeapKey::deterministic());
+        const trace::LayoutTables data(plan, heap, layout::PageMap());
+        const core::SharedOutcomes shared =
+            core::simulateShared(machine, plan, &data, core::kShareAll);
+        for (i64 i = 0; i < layouts; ++i) {
+            layout::LayoutKey key;
+            key.seed = static_cast<u64>(i);
+            const trace::LayoutTables tables(
+                plan, linker.link(prog, key),
+                layout::PageMap(static_cast<u64>(i) + 1),
+                machine.hierarchy.l1i.lineBytes);
+            core::ConflictFacts f;
+            const bool l2 =
+                core::canShareL2Data(machine, plan, tables, shared, &f);
+            l2_facts.add(l2, f);
+            const bool btb =
+                core::canShareBtb(machine, plan, tables, shared, &f);
+            btb_facts.add(btb, f);
+        }
+    }
+
     if (!store_root.empty()) {
         const bool deep = !opts.getFlag("shallow");
         if (!key_text.empty()) {
@@ -228,6 +301,16 @@ main(int argc, char **argv)
         btb.set("ways", machine.btbWays);
         jm.set("btb", std::move(btb));
         report.set("machine", std::move(jm));
+        if (conflicts) {
+            Json jc = Json::object();
+            jc.set("layouts", layouts);
+            jc.set("instructions", budget);
+            jc.set("l2", l2_facts.toJson(machine.hierarchy.l2.assoc,
+                                         static_cast<u32>(layouts)));
+            jc.set("btb", btb_facts.toJson(machine.btbWays,
+                                           static_cast<u32>(layouts)));
+            report.set("conflicts", std::move(jc));
+        }
         Json jr;
         if (!Json::parse(all.toJson(), jr, &err))
             panic("VerifyResult::toJson produced invalid JSON: %s",
@@ -268,6 +351,23 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(bounds.l1i),
                         static_cast<unsigned long long>(bounds.l1d),
                         static_cast<unsigned long long>(bounds.l2));
+        if (conflicts) {
+            std::printf("  conflicts over %lld layouts, %lld "
+                        "instructions, fixed heap:\n",
+                        static_cast<long long>(layouts),
+                        static_cast<long long>(budget));
+            auto line = [&](const char *name, const ConflictSummary &c,
+                            u32 ways) {
+                std::printf("    %-4s %u overflowing sets, largest set "
+                            "%u distinct / %u ways, shared on %u/%lld "
+                            "layouts\n",
+                            name, c.overflowingSets, c.maxPerSet, ways,
+                            c.sharedLayouts,
+                            static_cast<long long>(layouts));
+            };
+            line("l2", l2_facts, machine.hierarchy.l2.assoc);
+            line("btb", btb_facts, machine.btbWays);
+        }
         all.printText(stdout);
     }
 

@@ -50,6 +50,13 @@ HOT_FILES = [
         "functions": [],
     },
     {
+        # The shared passes run once per campaign; only the L1D pass
+        # loop is marked hot.
+        "path": "src/core/shared.cc",
+        "markers": True,
+        "functions": [],
+    },
+    {
         # Plan/table construction allocates by design (it runs once
         # per campaign or per layout, not per event); only the
         # file-wide atomics rule applies.
