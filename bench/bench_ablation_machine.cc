@@ -75,7 +75,7 @@ main(int argc, char **argv)
     // large-footprint phenomena; default to scales where they show.
     bench::addScaleOptions(opts, 14, 8000000);
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kModelLayouts);
 
     const Variant variants[] = {
         {"full model", true, true, 0.25, cache::Replacement::Random},

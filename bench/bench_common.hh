@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "interferometry/campaign.hh"
+#include "interferometry/model.hh"
 #include "telemetry/progress.hh"
 #include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
@@ -160,10 +161,9 @@ inline constexpr MinLayouts kKdeLayouts{
     2, "the kernel density estimate needs 2 samples"};
 inline constexpr MinLayouts kFitLayouts{
     3, "the CPI regression needs 3 samples"};
-/** interferometry::PerformanceModel fits CPI on three events at once,
- *  which needs two samples more than predictors. */
 inline constexpr MinLayouts kModelLayouts{
-    5, "the performance model's three-event regression needs 5 samples"};
+    interferometry::PerformanceModel::kMinSamples,
+    "the performance model fits CPI on three events"};
 /** @} */
 
 /** Register the shared flags on a parser. */

@@ -117,7 +117,7 @@ main(int argc, char **argv)
                       "(perlbench, omnetpp)");
     bench::addScaleOptions(opts, 60, 300000);
     opts.parse(argc, argv);
-    auto scale = bench::readScale(opts);
+    auto scale = bench::readScale(opts, bench::kModelLayouts);
 
     std::cout << "Figure 2: performance vs branch prediction accuracy\n"
               << "(paper: perlbench CPI = 0.02799*MPKI + 0.51667; "

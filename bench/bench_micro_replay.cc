@@ -10,8 +10,9 @@
  *   plan             link + heap + LayoutTables + Machine::replay()
  *                    with a randomized PageMap and a randomized heap —
  *                    one L1D pass per layout;
- *   plan_identity    same, with the identity PageMap, which replay()
- *                    specializes into a no-translation fast path;
+ *   plan_identity    same, with the identity PageMap, through the same
+ *                    kernel path (its fetch lines are built under the
+ *                    identity map like any other's);
  *   plan_shared_l1d  plan with a fixed heap, as campaigns run by
  *                    default: one L1D pass before the batch, its
  *                    outcome reused by every layout (DESIGN.md §5n).

@@ -291,10 +291,8 @@ RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables)
 {
-    INTERF_ASSERT(tables.hasData());
-    const SharedOutcomes own =
-        simulateShared(cfg_, plan, &tables, kShareL1d | kShareRas);
-    return replayWith(plan, tables, own, own, SharedPaths());
+    return replay(plan, tables,
+                  simulateShared(cfg_, plan, nullptr, kShareRas));
 }
 
 RunResult
@@ -309,7 +307,8 @@ Machine::replay(const trace::ReplayPlan &plan,
               "L1D and L2 data side");
     if (shared.has(kShareL1d))
         return replayWith(plan, tables, shared, shared, paths);
-    // No data parts (a randomized heap): this layout's own L1D pass.
+    // No data parts (a randomized heap, or the two-argument replay):
+    // this layout's own L1D pass.
     return replayWith(plan, tables,
                       simulateShared(cfg_, plan, &tables, kShareL1d),
                       shared, paths);
@@ -335,6 +334,11 @@ Machine::replayWith(const trace::ReplayPlan &plan,
     if ((paths.l2Data && !data.has(kShareL2)) ||
         (paths.btb && !flow.has(kShareBtb)))
         panic("a shared path has no outcome to read");
+    if (tables.fetchLineBytes() != cfg_.hierarchy.l1i.lineBytes)
+        panic("tables carry fetch lines of %u B, the machine's L1I "
+              "line is %u B",
+              tables.fetchLineBytes(), cfg_.hierarchy.l1i.lineBytes);
+    INTERF_ASSERT(tables.siteLineStart.size() == plan.siteCount() + 1);
     INTERF_TELEM_COUNT("replay.calls", 1);
     INTERF_TELEM_COUNT("replay.events", plan.eventCount());
     if (paths.l2Data)
@@ -345,45 +349,25 @@ Machine::replayWith(const trace::ReplayPlan &plan,
         INTERF_TELEM_COUNT("replay.btb_shared", 1);
     else
         INTERF_TELEM_COUNT("replay.btb_simulated", 1);
-    if (tables.identityPages())
-        return replayShared<true, false>(plan, tables, data, flow, paths);
-    // The pre-translated fetch-line table only applies when it was
-    // built for this machine's L1I line size.
-    if (tables.fetchLineBytes() == cfg_.hierarchy.l1i.lineBytes &&
-        tables.siteLineStart.size() == plan.siteCount() + 1)
-        return replayShared<false, true>(plan, tables, data, flow, paths);
-    return replayShared<false, false>(plan, tables, data, flow, paths);
-}
-
-template <bool IdentityPages, bool UseLineTable>
-RunResult
-Machine::replayShared(const trace::ReplayPlan &plan,
-                      const trace::LayoutTables &tables,
-                      const SharedOutcomes &data, const SharedOutcomes &flow,
-                      SharedPaths paths)
-{
     if (paths.l2Data)
-        return paths.btb ? replayImpl<IdentityPages, UseLineTable, true, true>(
-                               plan, tables, data, flow)
-                         : replayImpl<IdentityPages, UseLineTable, true, false>(
-                               plan, tables, data, flow);
-    return paths.btb ? replayImpl<IdentityPages, UseLineTable, false, true>(
-                           plan, tables, data, flow)
-                     : replayImpl<IdentityPages, UseLineTable, false, false>(
-                           plan, tables, data, flow);
+        return paths.btb ? replayImpl<true, true>(plan, tables, data, flow)
+                         : replayImpl<true, false>(plan, tables, data, flow);
+    return paths.btb ? replayImpl<false, true>(plan, tables, data, flow)
+                     : replayImpl<false, false>(plan, tables, data, flow);
 }
 
 /**
  * The dense replay kernel. Mirrors runReference() block for block —
  * the per-event model steps and their order are identical, only the
  * operand sources differ: flat plan/table arrays instead of Program
- * traversal and per-access address computation, and the verdicts of
+ * traversal and per-access address computation (fetch lines and data
+ * addresses come pre-translated), and the verdicts of
  * the L1D and RAS — plus the L2 data side and the BTB where @p paths
  * says so — read from precomputed bits instead of simulated in line
  * (DESIGN.md §5n, §5p). Any behavioural edit here must be made in
  * runReference() too (test_replay.cc enforces equality).
  */
-template <bool IdentityPages, bool UseLineTable, bool ShareL2, bool ShareBtb>
+template <bool ShareL2, bool ShareBtb>
 RunResult
 Machine::replayImpl(const trace::ReplayPlan &plan,
                     const trace::LayoutTables &tables,
@@ -394,9 +378,6 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     resetState();
     RunResult res;
 
-    const u32 line_bytes = cfg_.hierarchy.l1i.lineBytes;
-    const u64 line_mask = ~static_cast<u64>(line_bytes - 1);
-
     Cycle cycles = 0;
     u32 slot_carry = 0;
     Addr last_fetch_line = ~Addr{0};
@@ -404,14 +385,11 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     u32 cluster_outstanding = 0;
     size_t mem_cursor = 0;
 
-    const layout::PageMap &pages = tables.pages();
-    const Addr *site_addr = tables.siteAddr.data();
     const Addr *branch_addr = tables.branchAddr.data();
     const Addr *data_addr = tables.dataAddr.data();
     const Addr *line_phys = tables.linePhys.data();
     const u32 *site_line_start = tables.siteLineStart.data();
     const u32 *ev_site = plan.site.data();
-    const u32 *ev_bytes = plan.bytes.data();
     const u16 *ev_insts = plan.nInsts.data();
     const u8 *ev_extra = plan.extraExecCycles.data();
     const u16 *ev_nmem = plan.nMem.data();
@@ -468,25 +446,17 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     auto run_events = [&](size_t lo, size_t hi) {
     for (size_t ev_idx = lo; ev_idx < hi; ++ev_idx) {
         const u32 s = ev_site[ev_idx];
-        const Addr addr = site_addr[s];
 
-        // ---- Front end: fetch the lines this block occupies. The
-        // last_fetch_line dedup runs on virtual lines; the hierarchy
-        // sees physical ones (pre-translated per site when the line
-        // table matches this machine's line size).
-        Addr first_line = addr & line_mask;
-        Addr last_line = (addr + ev_bytes[ev_idx] - 1) & line_mask;
-        u32 li = UseLineTable ? site_line_start[s] : 0;
-        for (Addr line = first_line; line <= last_line;
-             line += line_bytes, ++li) {
+        // ---- Front end: fetch the lines this block occupies. Fetch
+        // lines are physical; the page map is a bijection that keeps
+        // offsets, so deduping on them is deduping on virtual lines.
+        const u32 li_end = site_line_start[s + 1];
+        for (u32 li = site_line_start[s]; li < li_end; ++li) {
+            const Addr line = line_phys[li];
             if (line == last_fetch_line)
                 continue; // same fetch group continuing
             last_fetch_line = line;
-            Addr paddr = IdentityPages
-                             ? line
-                             : (UseLineTable ? line_phys[li]
-                                             : pages.translate(line));
-            cache::HitLevel level = hierarchy_.fetchInst(paddr);
+            cache::HitLevel level = hierarchy_.fetchInst(line);
             // Demand I-miss stalls fetch; the decode queue hides a few
             // cycles (precomputed per level, zero for L1 hits).
             cycles += fetch_stall_by_level[static_cast<u32>(level)];

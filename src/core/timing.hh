@@ -65,19 +65,6 @@ struct RunResult
     double perKilo(Count events) const;
 };
 
-/** @{ Names for callers written against the L1D-only outcome of
- *  DESIGN.md §5n (the golden tests among them): simulateL1d builds
- *  every part of a SharedOutcomes over one layout's data stream. */
-using L1dOutcomes = SharedOutcomes;
-
-inline SharedOutcomes
-simulateL1d(const MachineConfig &machine, const trace::ReplayPlan &plan,
-            const trace::LayoutTables &tables)
-{
-    return simulateShared(machine, plan, &tables, kShareAll);
-}
-/** @} */
-
 /**
  * The machine. Owns its microarchitectural state (caches, predictor,
  * BTB); run() executes one trace under one layout from power-on state
@@ -121,20 +108,22 @@ class Machine
                   const layout::PageMap &pages);
 
     /**
-     * Replay a compiled plan under one layout's address tables: one
-     * L1D pass and the RAS outcome over the tables' streams, then the
-     * kernel below with the L2 and BTB simulated. Bit-identical to
-     * runReference() on the same (trace, layout) — every counter and
-     * cycle count — which tests/test_replay.cc enforces. The tables
-     * must carry data addresses (not code-only).
+     * Replay a compiled plan under one layout's address tables: the
+     * kernel below with a RAS-only SharedOutcomes, so it runs its own
+     * L1D pass over the tables and simulates the L2 and BTB.
+     * Bit-identical to runReference() on the same (trace, layout) —
+     * every counter and cycle count — which tests/test_replay.cc
+     * enforces. The tables must carry data addresses (not code-only).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables);
 
     /**
      * The replay kernel: the hot path of every campaign. Iterates the
-     * plan's flat arrays with no Program or Trace access, with a
-     * specialized fast path when the page mapping is the identity.
+     * plan's flat arrays with no Program or Trace access; instruction
+     * fetch reads the tables' pre-translated fetch lines, which must
+     * have been built for this machine's L1I line size (panics
+     * otherwise).
      *
      * Neither the L1D nor the RAS is simulated here: each data access
      * reads its L1D hit bit and each return its mispredict bit from
@@ -176,22 +165,14 @@ class Machine
   private:
     void resetState();
 
-    /** @{ Dispatch on the page map and line table, then on @p paths;
-     *  @p data supplies the data parts and @p flow the control parts. */
+    /** Check the inputs, then dispatch on @p paths; @p data supplies
+     *  the data parts and @p flow the control parts. */
     RunResult replayWith(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
                          const SharedOutcomes &data,
                          const SharedOutcomes &flow, SharedPaths paths);
 
-    template <bool IdentityPages, bool UseLineTable>
-    RunResult replayShared(const trace::ReplayPlan &plan,
-                           const trace::LayoutTables &tables,
-                           const SharedOutcomes &data,
-                           const SharedOutcomes &flow, SharedPaths paths);
-    /** @} */
-
-    template <bool IdentityPages, bool UseLineTable, bool ShareL2,
-              bool ShareBtb>
+    template <bool ShareL2, bool ShareBtb>
     RunResult replayImpl(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
                          const SharedOutcomes &data,

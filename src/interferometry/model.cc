@@ -44,7 +44,7 @@ PerformanceModel::PerformanceModel(
       combinedTest_(stats::regressionFTest(combined_.r2(), samples.size(),
                                            combined_.k()))
 {
-    INTERF_ASSERT(samples.size() >= 4);
+    INTERF_ASSERT(samples.size() >= kMinSamples);
     meanCpi_ = stats::mean(column(samples, &core::Measurement::cpi));
     meanMpki_ = stats::mean(column(samples, &core::Measurement::mpki));
     meanL1i_ = stats::mean(column(samples, &core::Measurement::l1iMpki));

@@ -74,9 +74,14 @@ struct Table1Row
 class PerformanceModel
 {
   public:
+    /** The fewest samples the model accepts: the combined regression
+     *  fits CPI on three events, which needs two samples more than
+     *  predictors. */
+    static constexpr u32 kMinSamples = 5;
+
     /**
      * @param benchmark Display name.
-     * @param samples Campaign measurements (>= 4 required).
+     * @param samples Campaign measurements (>= kMinSamples required).
      * @param alpha Significance level for the gates (default 0.05).
      */
     PerformanceModel(std::string benchmark,

@@ -282,8 +282,9 @@ SearchBase::run()
     u32 evals_left = cfg_.budget;
 
     // Seed pool: the authored layout plus cfg.blameLayouts random
-    // ones. All count against the budget; the best seeds the walk and
-    // with >= 4 samples the campaign model's blame weights the moves.
+    // ones. All count against the budget; the best seeds the walk and,
+    // once the pool holds enough samples for the campaign model, the
+    // model's blame weights the moves (uniform weights otherwise).
     std::vector<CandidateLayout> pool;
     {
         CandidateLayout authored;
@@ -305,7 +306,7 @@ SearchBase::run()
     currentM_ = seed_ms[best_seed];
     result_.best = current_;
     result_.bestSample = currentM_;
-    if (seed_ms.size() >= 4) {
+    if (seed_ms.size() >= interferometry::PerformanceModel::kMinSamples) {
         interferometry::PerformanceModel model(traj.benchmark, seed_ms);
         nb.setBlame(model.blame());
     }

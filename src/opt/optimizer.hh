@@ -68,9 +68,11 @@ struct OptConfig
     u32 jobs = 1;       ///< Execution knob: 0 = hardware threads.
     /**
      * Random layouts evaluated first (counted against the budget) to
-     * seed the search: the best becomes the starting point, and with
-     * >= 4 of them a PerformanceModel's BlameVector weights the move
-     * kinds. 0 starts from the authored layout with uniform weights.
+     * seed the search: the best becomes the starting point, and once
+     * they and the authored layout reach
+     * interferometry::PerformanceModel::kMinSamples, the model's
+     * BlameVector weights the move kinds (uniform weights below). 0
+     * starts from the authored layout.
      */
     u32 blameLayouts = 8;
     bool randomizeHeap = false; ///< Add heap seeds to the search space.

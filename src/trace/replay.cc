@@ -1,7 +1,9 @@
 #include "trace/replay.hh"
 
+#include <bit>
 #include <unordered_map>
 
+#include "cache/cache.hh"
 #include "telemetry/span.hh"
 #include "util/logging.hh"
 #include "verify/verify.hh"
@@ -69,6 +71,9 @@ ReplayPlan::ReplayPlan(const Program &prog, const Trace &trace)
         const u32 s = siteOf(ev.proc, ev.block);
         site[i] = s;
         bytes[i] = bb.bytes;
+        // LayoutTables spans a site's fetch lines from siteBytes, the
+        // reference model from the event's block: they must agree.
+        INTERF_ASSERT(bytes[i] == siteBytes[s]);
         nInsts[i] = bb.nInsts;
         extraExecCycles[i] = bb.extraExecCycles;
         INTERF_ASSERT(bb.memRefs.size() <= 0xffff);
@@ -200,6 +205,14 @@ LayoutTables::LayoutTables(const ReplayPlan &plan,
 
 LayoutTables::LayoutTables(const ReplayPlan &plan,
                            const layout::CodeLayout &code,
+                           const layout::HeapLayout &heap)
+    : LayoutTables(plan, code, heap, layout::PageMap(),
+                   cache::CacheConfig().lineBytes)
+{
+}
+
+LayoutTables::LayoutTables(const ReplayPlan &plan,
+                           const layout::CodeLayout &code,
                            const layout::PageMap &pages,
                            u32 fetch_line_bytes)
     : pages_(pages)
@@ -227,14 +240,8 @@ LayoutTables::fillData(const ReplayPlan &plan,
     // replay hot loop entirely. Each unique id is decoded once; the
     // stream gathers through the plan's rank table.
     std::vector<Addr> uni_addr(plan.memUniverse.size());
-    if (pages_.isIdentity()) {
-        for (size_t u = 0; u < uni_addr.size(); ++u)
-            uni_addr[u] = heap.dataAddr(plan.memUniverse[u]);
-    } else {
-        for (size_t u = 0; u < uni_addr.size(); ++u)
-            uni_addr[u] =
-                pages_.translate(heap.dataAddr(plan.memUniverse[u]));
-    }
+    for (size_t u = 0; u < uni_addr.size(); ++u)
+        uni_addr[u] = pages_.translate(heap.dataAddr(plan.memUniverse[u]));
     const size_t n_mem = plan.memCount();
     dataAddr.resize(n_mem);
     const u32 *rank = plan.memRank.data();
@@ -247,28 +254,28 @@ LayoutTables::buildLineTable(const ReplayPlan &plan, u32 fetch_line_bytes)
 {
     // Pre-translate each site's fetch lines. Line membership depends
     // on where the layout put the block inside its first line, so the
-    // table (counts included) is per layout.
-    if (!pages_.isIdentity() && fetch_line_bytes != 0) {
-        INTERF_ASSERT((fetch_line_bytes & (fetch_line_bytes - 1)) == 0);
-        fetchLineBytes_ = fetch_line_bytes;
-        const u64 line_mask = ~static_cast<u64>(fetch_line_bytes - 1);
-        const size_t n_sites = plan.siteCount();
-        siteLineStart.resize(n_sites + 1);
-        u32 total = 0;
-        for (size_t s = 0; s < n_sites; ++s) {
-            siteLineStart[s] = total;
-            Addr first = siteAddr[s] & line_mask;
-            Addr last = (siteAddr[s] + plan.siteBytes[s] - 1) & line_mask;
-            total += static_cast<u32>((last - first) / fetch_line_bytes) + 1;
-        }
-        siteLineStart[n_sites] = total;
-        linePhys.resize(total);
-        for (size_t s = 0; s < n_sites; ++s) {
-            Addr line = siteAddr[s] & line_mask;
-            for (u32 k = siteLineStart[s]; k < siteLineStart[s + 1];
-                 ++k, line += fetch_line_bytes)
-                linePhys[k] = pages_.translate(line);
-        }
+    // table (counts included) is per layout. The page map is an
+    // offset-preserving bijection, so two of these lines are equal iff
+    // their virtual lines are: the kernel dedups fetches on them.
+    INTERF_ASSERT(std::has_single_bit(fetch_line_bytes));
+    fetchLineBytes_ = fetch_line_bytes;
+    const u64 line_mask = ~static_cast<u64>(fetch_line_bytes - 1);
+    const size_t n_sites = plan.siteCount();
+    siteLineStart.resize(n_sites + 1);
+    u32 total = 0;
+    for (size_t s = 0; s < n_sites; ++s) {
+        siteLineStart[s] = total;
+        Addr first = siteAddr[s] & line_mask;
+        Addr last = (siteAddr[s] + plan.siteBytes[s] - 1) & line_mask;
+        total += static_cast<u32>((last - first) / fetch_line_bytes) + 1;
+    }
+    siteLineStart[n_sites] = total;
+    linePhys.resize(total);
+    for (size_t s = 0; s < n_sites; ++s) {
+        Addr line = siteAddr[s] & line_mask;
+        for (u32 k = siteLineStart[s]; k < siteLineStart[s + 1];
+             ++k, line += fetch_line_bytes)
+            linePhys[k] = pages_.translate(line);
     }
 }
 

@@ -14,11 +14,12 @@
  * *site* id (a global basic-block index).
  *
  * Per layout, the only state the replay kernel needs is a
- * LayoutTables: two flat address arrays filled from the CodeLayout in
- * one pass (`siteAddr`, `branchAddr`) plus a data-address table
- * materialized from the HeapLayout over the trace's memory-id stream
- * (pre-translated through the PageMap, whose only consumer for data
- * addresses is the physically-indexed cache hierarchy).
+ * LayoutTables: flat address arrays filled from the CodeLayout
+ * (`siteAddr`, `branchAddr`, and each site's fetch lines), plus a
+ * data-address table materialized from the HeapLayout over the trace's
+ * memory-id stream. Fetch lines and data addresses are pre-translated
+ * through the PageMap, whose only consumer is the physically-indexed
+ * cache hierarchy.
  *
  * The contract is strict: `Machine::replay(plan, tables)` produces a
  * RunResult bit-identical to the event-at-a-time reference loop
@@ -137,10 +138,10 @@ class ReplayPlan
  * contributes, reduced to flat arrays indexed by site id (code) and
  * memory-stream position (data).
  *
- * Data addresses are pre-translated through the PageMap — the
- * physically-indexed hierarchy is their only consumer — while
- * instruction fetch translates at replay time because fetch lines are
- * derived per event. Immutable after construction.
+ * Addresses the physically-indexed hierarchy consumes are
+ * pre-translated through the PageMap: data addresses per memory-stream
+ * position, and instruction fetch lines per site (linePhys), for one
+ * L1I line size. Immutable after construction.
  */
 class LayoutTables
 {
@@ -148,23 +149,29 @@ class LayoutTables
     LayoutTables() = default;
 
     /**
-     * Code-only tables (no data addresses, identity page map): enough
-     * for branch-stream replay (pinsim).
+     * Code-only tables (no data addresses, no fetch-line table,
+     * identity page map): enough for branch-stream replay (pinsim).
      */
     LayoutTables(const ReplayPlan &plan, const layout::CodeLayout &code);
 
     /**
      * Full tables for a (code, heap, pages) layout triple.
      *
-     * @param fetch_line_bytes L1I line size used to pre-translate each
-     *        site's fetch lines (only consulted for non-identity page
-     *        maps). Machines with a different line size fall back to
-     *        translating at replay time; results are identical.
+     * @param fetch_line_bytes L1I line size of the machine that will
+     *        replay them: the fetch-line table is built for it, and
+     *        Machine::replay panics on a machine with another.
      */
     LayoutTables(const ReplayPlan &plan, const layout::CodeLayout &code,
                  const layout::HeapLayout &heap,
-                 const layout::PageMap &pages = layout::PageMap(),
-                 u32 fetch_line_bytes = 64);
+                 const layout::PageMap &pages, u32 fetch_line_bytes);
+
+    /**
+     * Full tables under the identity page map, with fetch lines of
+     * cache::CacheConfig's default line size (the default machine's
+     * L1I): the form perfbench's protocol probe builds.
+     */
+    LayoutTables(const ReplayPlan &plan, const layout::CodeLayout &code,
+                 const layout::HeapLayout &heap);
 
     /**
      * Code tables under a page map, without data addresses: what a
@@ -192,20 +199,18 @@ class LayoutTables
     std::vector<Addr> dataAddr;
 
     /**
-     * @{ Pre-translated instruction fetch lines (non-identity page
-     * maps only): site s's k-th line is linePhys[siteLineStart[s] + k].
-     * Line counts are per layout (they depend on the block's placement
-     * within its first line), so the index is rebuilt per layout.
+     * @{ Pre-translated instruction fetch lines, for every table with
+     * code under a page map (the identity map included): site s's k-th
+     * line is linePhys[siteLineStart[s] + k]. Line counts are per
+     * layout (they depend on the block's placement within its first
+     * line), so the index is rebuilt per layout.
      */
     std::vector<Addr> linePhys;
     std::vector<u32> siteLineStart; ///< Size siteCount() + 1.
     /** @} */
 
-    /** The page mapping used for instruction-fetch translation. */
+    /** The page mapping the tables were translated through. */
     const layout::PageMap &pages() const { return pages_; }
-
-    /** True when instruction fetch needs no translation. */
-    bool identityPages() const { return pages_.isIdentity(); }
 
     /** False for tables built without a heap. */
     bool hasData() const { return hasData_; }
@@ -219,7 +224,7 @@ class LayoutTables
     /** Build dataAddr (pre-translated through pages_). */
     void fillData(const ReplayPlan &plan, const layout::HeapLayout &heap);
 
-    /** Build linePhys/siteLineStart (non-identity page maps only). */
+    /** Build linePhys/siteLineStart for @p fetch_line_bytes lines. */
     void buildLineTable(const ReplayPlan &plan, u32 fetch_line_bytes);
 
     layout::PageMap pages_;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "interferometry/model.hh"
 #include "opt/neighborhood.hh"
 #include "opt/optimizer.hh"
 #include "store/fitness.hh"
@@ -491,6 +492,29 @@ TEST(OptSearch, BudgetAndChampionBookkeepingHold)
         EXPECT_EQ(traj.finalCycles, best);
         EXPECT_LE(traj.finalCycles, traj.initialCycles);
         EXPECT_EQ(traj.finalCycles, res.bestSample.cycles);
+    }
+}
+
+/** A seed pool one short of the performance model's minimum searches
+ *  with uniform move weights instead of fitting the model: budget 4
+ *  caps the pool at 4, and 3 blame layouts make it 4 with budget left
+ *  to walk. */
+TEST(OptSearch, SeedPoolBelowModelMinimumSearches)
+{
+    const auto profile = workloads::defaultProfile("opt-small-pool");
+    ASSERT_EQ(interferometry::PerformanceModel::kMinSamples, 5u);
+    for (Strategy strategy : {Strategy::Greedy, Strategy::Anneal}) {
+        OptConfig cfg = quickSearch(strategy, 9);
+        cfg.budget = 4;
+        OptResult res = runSearch(profile, cfg);
+        EXPECT_EQ(res.freshEvals + res.cachedEvals, 4u);
+        EXPECT_TRUE(res.trajectory.steps.empty());
+
+        cfg.budget = 10;
+        cfg.blameLayouts = 3;
+        res = runSearch(profile, cfg);
+        EXPECT_EQ(res.freshEvals + res.cachedEvals, 10u);
+        EXPECT_EQ(res.trajectory.steps.size(), 6u);
     }
 }
 

@@ -181,10 +181,11 @@ TEST(ReplayGolden, SharedL1dOutcomesMatchReferenceAcrossLayouts)
     for (size_t wi = 0; wi < workloads().size(); ++wi) {
         const Workload &w = workloads()[wi];
         layout::HeapLayout heap(w.prog, fixed);
-        const L1dOutcomes shared = simulateL1d(
-            cfg, w.plan,
-            LayoutTables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
-                         cfg.hierarchy.l1i.lineBytes));
+        const LayoutTables first(w.plan, codeFor(w, 1), heap,
+                                 layout::PageMap(),
+                                 cfg.hierarchy.l1i.lineBytes);
+        const SharedOutcomes shared =
+            simulateShared(cfg, w.plan, &first, kShareAll);
         Machine machine(cfg);
         for (u64 seed = 1; seed <= 8; ++seed) {
             auto code = codeFor(w, seed);
@@ -223,8 +224,9 @@ TEST(ReplayGolden, L1dPassWarmupSplitMatchesReference)
             Machine fresh(cfg);
             const RunResult ref = fresh.runReference(
                 w.prog, w.trace, code, heap, layout::PageMap());
-            LayoutTables tables(w.plan, code, heap);
-            EXPECT_EQ(simulateL1d(cfg, w.plan, tables).misses,
+            LayoutTables tables(w.plan, code, heap, layout::PageMap(),
+                                cfg.hierarchy.l1i.lineBytes);
+            EXPECT_EQ(simulateShared(cfg, w.plan, &tables, kShareAll).misses,
                       ref.l1dMisses)
                 << "workload " << wi << " warmup " << frac;
         }
@@ -251,8 +253,8 @@ TEST(ReplayGolden, PageSpanningL1dIsNotShareableAcrossPageMaps)
         LayoutTables b(w.plan, code, heap, layout::PageMap(12),
                        cfg.hierarchy.l1i.lineBytes);
         Machine machine(cfg);
-        const RunResult reused =
-            machine.replay(w.plan, b, simulateL1d(cfg, w.plan, a));
+        const RunResult reused = machine.replay(
+            w.plan, b, simulateShared(cfg, w.plan, &a, kShareAll));
         const RunResult own = machine.replay(w.plan, b);
         differing += reused.l1dMisses != own.l1dMisses;
     }
@@ -532,7 +534,7 @@ TEST(ReplayGolden, L2ProofRefusesPageEndPrefetchOntoDataLine)
 
     auto code = codeFor(w, 1);
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
-    const LayoutTables virt(w.plan, code, heap);
+    const LayoutTables virt(w.plan, code, heap, layout::PageMap(), line);
     // Virtual pages whose last line some site spans, and virtual pages
     // whose first line the data stream touches.
     std::set<Addr> code_ends, data_starts;
@@ -642,7 +644,8 @@ TEST(ReplayGoldenDeathTest, SharedOutcomesForAnotherStreamPanic)
     const Workload &other = workloads()[1];
     ASSERT_NE(w.plan.eventCount(), other.plan.eventCount());
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
-    LayoutTables tables(w.plan, codeFor(w, 1), heap);
+    LayoutTables tables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
+                        cfg.hierarchy.l1i.lineBytes);
     const SharedOutcomes foreign =
         simulateShared(cfg, other.plan, nullptr, kShareBtb | kShareRas);
     Machine machine(cfg);
@@ -684,6 +687,22 @@ TEST(ReplayGolden, FixedHeapCampaignMatchesReferenceWhenL2Overflows)
     EXPECT_EQ(counters("replay.l2_shared"), 0u);
 }
 
+/** Fetch lines are built for one L1I line size: tables built for 64 B
+ *  lines must never replay on a machine with 32 B lines. */
+TEST(ReplayGoldenDeathTest, TablesForAnotherLineSizePanic)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    ASSERT_EQ(cfg.hierarchy.l1i.lineBytes, 64u);
+    const Workload &w = workloads()[0];
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    const LayoutTables tables(w.plan, codeFor(w, 1), heap,
+                              layout::PageMap(4), 64);
+    cfg.hierarchy.l1i.lineBytes = 32;
+    Machine machine(cfg);
+    EXPECT_DEATH(machine.replay(w.plan, tables),
+                 "fetch lines of 64 B, the machine's L1I line is 32 B");
+}
+
 /** Outcomes that do not cover the plan's memory stream must never be
  *  replayed. */
 TEST(ReplayGoldenDeathTest, MismatchedL1dOutcomesPanic)
@@ -691,8 +710,10 @@ TEST(ReplayGoldenDeathTest, MismatchedL1dOutcomesPanic)
     auto cfg = MachineConfig::xeonE5440();
     const Workload &w = workloads()[0];
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
-    LayoutTables tables(w.plan, codeFor(w, 1), heap);
-    L1dOutcomes short_by_one = simulateL1d(cfg, w.plan, tables);
+    LayoutTables tables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
+                        cfg.hierarchy.l1i.lineBytes);
+    SharedOutcomes short_by_one =
+        simulateShared(cfg, w.plan, &tables, kShareAll);
     short_by_one.memCount -= 1;
     Machine machine(cfg);
     EXPECT_DEATH(machine.replay(w.plan, tables, short_by_one),
@@ -840,6 +861,33 @@ TEST(ReplayPlanProperties, LayoutTablesMatchCodeLayout)
                   code.blockAddr(w.plan.siteProc[s], w.plan.siteBlock[s]));
         EXPECT_EQ(tables.branchAddr[s],
                   code.branchAddr(w.plan.siteProc[s], w.plan.siteBlock[s]));
+    }
+}
+
+/** Under the identity map the fetch-line table lists exactly each
+ *  site's virtual lines, for the line size it was built for. */
+TEST(ReplayPlanProperties, IdentityLineTableListsVirtualLines)
+{
+    const Workload &w = workloads()[1];
+    const auto code = codeFor(w, 17);
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    for (u32 line : {32u, 64u}) {
+        const LayoutTables tables(w.plan, code, heap, layout::PageMap(),
+                                  line);
+        EXPECT_EQ(tables.fetchLineBytes(), line);
+        ASSERT_EQ(tables.siteLineStart.size(), w.plan.siteCount() + 1);
+        EXPECT_EQ(tables.siteLineStart.back(), tables.linePhys.size());
+        for (u32 s = 0; s < w.plan.siteCount(); ++s) {
+            std::vector<Addr> lines;
+            const Addr end = tables.siteAddr[s] + w.plan.siteBytes[s];
+            for (Addr l = tables.siteAddr[s] & ~Addr{line - 1}; l < end;
+                 l += line)
+                lines.push_back(l);
+            const std::vector<Addr> listed(
+                tables.linePhys.begin() + tables.siteLineStart[s],
+                tables.linePhys.begin() + tables.siteLineStart[s + 1]);
+            EXPECT_EQ(listed, lines) << "site " << s << ", " << line << " B";
+        }
     }
 }
 

@@ -33,7 +33,8 @@ struct Fixture
                                      layout::LayoutKey{5, true, true})),
           heap(prog, layout::HeapKey::deterministic()),
           plan(prog, trace),
-          tables(plan, code, heap)
+          tables(plan, code, heap, layout::PageMap(),
+                 MachineConfig::xeonE5440().hierarchy.l1i.lineBytes)
     {
     }
 };

@@ -50,6 +50,20 @@ profileFor(const std::string &name)
     return workloads::defaultProfile(name);
 }
 
+/** Flag --@p name as a count: fatal() unless it lies in [@p min,
+ *  UINT32_MAX], before any cast can wrap it. */
+u32
+countFlag(const OptionParser &opts, const char *name, i64 min)
+{
+    const i64 v = opts.getInt(name);
+    constexpr i64 kMax = ~u32{0};
+    if (v < min || v > kMax)
+        fatal("--%s must be in [%lld, %lld], got %lld", name,
+              static_cast<long long>(min), static_cast<long long>(kMax),
+              static_cast<long long>(v));
+    return static_cast<u32>(v);
+}
+
 double
 improvementPct(u64 initial, u64 final_cycles)
 {
@@ -159,10 +173,10 @@ main(int argc, char **argv)
 
     OptConfig cfg;
     cfg.seed = static_cast<u64>(opts.getInt("seed"));
-    cfg.budget = static_cast<u32>(opts.getInt("budget"));
-    cfg.proposalsPerStep = static_cast<u32>(opts.getInt("proposals"));
-    cfg.jobs = static_cast<u32>(opts.getInt("jobs"));
-    cfg.blameLayouts = static_cast<u32>(opts.getInt("blame-layouts"));
+    cfg.budget = countFlag(opts, "budget", 1);
+    cfg.proposalsPerStep = countFlag(opts, "proposals", 1);
+    cfg.jobs = countFlag(opts, "jobs", 0);
+    cfg.blameLayouts = countFlag(opts, "blame-layouts", 0);
     cfg.instructionBudget =
         static_cast<u64>(opts.getInt("instructions"));
     cfg.randomizeHeap = opts.getFlag("randomize-heap");
@@ -171,7 +185,7 @@ main(int argc, char **argv)
     if (!parseStrategy(opts.getString("strategy"), cfg.strategy))
         fatal("unknown --strategy '%s' (greedy | anneal)",
               opts.getString("strategy").c_str());
-    u32 baseline_n = static_cast<u32>(opts.getInt("baseline"));
+    u32 baseline_n = countFlag(opts, "baseline", 0);
     if (opts.getFlag("smoke")) {
         cfg.instructionBudget = 150'000;
         cfg.budget = 16;
@@ -183,10 +197,6 @@ main(int argc, char **argv)
         static_cast<i64>(trace::kMinInstructionBudget))
         fatal("--instructions must be >= %llu",
               static_cast<unsigned long long>(trace::kMinInstructionBudget));
-    if (cfg.budget < 1)
-        fatal("--budget must be >= 1");
-    if (cfg.proposalsPerStep < 1)
-        fatal("--proposals must be >= 1");
 
     workloads::WorkloadProfile profile =
         profileFor(opts.getString("profile"));
