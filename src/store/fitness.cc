@@ -8,6 +8,7 @@
 #include "trace/io.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
+#include "verify/diagnostic.hh"
 
 namespace interf::store
 {
@@ -18,7 +19,6 @@ namespace
 using format::commitFile;
 using format::kFitnessMagic;
 using format::kFormatVersion;
-using format::readPod;
 using format::tmpPathFor;
 using format::writePod;
 
@@ -66,41 +66,10 @@ FitnessStore::entryPath(u64 cand_digest) const
 std::optional<core::Measurement>
 FitnessStore::load(u64 cand_digest) const
 {
-    const std::string path = entryPath(cand_digest);
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt; // Never measured: a miss, not an error.
-
-    u64 magic = 0, key = 0, digest = 0, checksum = 0;
-    u32 version = 0;
-    readPod(is, magic);
-    readPod(is, version);
-    if (!is || magic != kFitnessMagic)
-        fatal("'%s' is not a fitness entry (bad magic)", path.c_str());
-    if (version != kFormatVersion)
-        fatal("fitness entry '%s' has unsupported format version %u",
-              path.c_str(), version);
-    readPod(is, key);
-    readPod(is, digest);
-    readPod(is, checksum);
-    if (!is)
-        fatal("truncated fitness entry '%s'", path.c_str());
-    if (key != baseKey_)
-        fatal("fitness entry '%s' belongs to a different search "
-              "(base key mismatch)",
-              path.c_str());
-    if (digest != cand_digest)
-        fatal("fitness entry '%s' names the wrong candidate "
-              "(digest mismatch)",
-              path.c_str());
-
-    core::Measurement m = readMeasurement(is);
-    if (!is)
-        fatal("truncated fitness entry '%s'", path.c_str());
-    if (samplesChecksum({m}) != checksum)
-        fatal("fitness entry '%s' payload checksum mismatch "
-              "(corrupt measurement)",
-              path.c_str());
+    verify::VerifyResult parsed;
+    auto m = format::parseFitnessEntry(entryPath(cand_digest), baseKey_,
+                                       cand_digest, true, parsed);
+    format::failClosed(parsed);
     return m;
 }
 

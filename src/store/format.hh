@@ -1,30 +1,32 @@
 /**
  * @file
- * On-disk format constants of the campaign artifact store.
+ * On-disk format of the campaign artifact store and the fitness cache.
  *
- * Shared between the store's fail-closed read/write path (store.cc)
- * and the StoreVerifier pass (verify/store.cc), which re-parses the
- * same bytes leniently so a lint tool can report *every* problem in a
- * corrupt entry instead of dying at the first. Keeping the constants
- * in one place means a format change cannot drift between the two
- * readers; the layouts themselves are documented in store.hh.
+ * Holds the format constants, the writers' shared helpers and the one
+ * parser of each store file: the manifest, a batch and a fitness
+ * entry. A parser reports every problem as a typed diagnostic and
+ * never fatal()s: the stores' own reads pass its result to
+ * failClosed(), and the StoreVerifier lint (verify/store.cc) reports
+ * it. The layouts themselves are documented in store.hh and
+ * fitness.hh.
  */
 
 #ifndef INTERF_STORE_FORMAT_HH
 #define INTERF_STORE_FORMAT_HH
 
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "core/runner.hh"
 #include "util/types.hh"
 
-namespace interf::core
+namespace interf::verify
 {
-struct MachineConfig;
-struct RunnerConfig;
-} // namespace interf::core
+class VerifyResult;
+}
 
 namespace interf
 {
@@ -49,6 +51,9 @@ inline constexpr u64 kManifestHeaderBytes = 8 + 4 + 8 + 4;
 inline constexpr u64 kManifestEntryBytes = 4 + 4 + 8;
 inline constexpr u64 kManifestSealBytes = 8;
 inline constexpr u64 kBatchHeaderBytes = 8 + 4 + 8 + 4 + 4 + 8;
+inline constexpr u64 kFitnessHeaderBytes = 8 + 4 + 8 + 8 + 8;
+/// One serialized Measurement; serialize.cc checks it at compile time.
+inline constexpr u64 kMeasurementBytes = 15 * 8;
 /** @} */
 
 template <typename T>
@@ -87,6 +92,44 @@ std::string tmpPathFor(const std::string &path);
 void commitFile(const std::string &tmp, const std::string &path,
                 const std::string &dir);
 /** @} */
+
+/** Pass name on every store diagnostic. */
+inline constexpr const char *kPassName = "store";
+
+/** @{
+ * The one parser of each store file. Each reads @p path, checks the
+ * shared header (magic, format version, binding key), bounds every
+ * count by the file size before allocating, and reports each problem
+ * into @p out as a diagnostic whose artifact is @p path. None of them
+ * fatal()s; with @p payload the payload is also read and checked
+ * against its checksum, and what was read is returned.
+ */
+
+/** Diagnostics are EntityKind::Manifest (index = batch-table slot).
+ *  Returns the batch table when its framing, seal and contiguity
+ *  hold; a missing manifest is a cold entry (empty, no diagnostic). */
+std::vector<BatchInfo> parseManifest(const std::string &path, u64 key,
+                                     verify::VerifyResult &out);
+
+/** A batch, checked against its manifest @p entry. Diagnostics are
+ *  EntityKind::Batch (index = first layout). */
+std::vector<core::Measurement> parseBatch(const std::string &path,
+                                          u64 key,
+                                          const BatchInfo &entry,
+                                          bool payload,
+                                          verify::VerifyResult &out);
+
+/** A fitness entry of search @p base_key holding @p cand_digest.
+ *  Diagnostics are EntityKind::Artifact; a missing file is a miss
+ *  (nullopt, no diagnostic). */
+std::optional<core::Measurement>
+parseFitnessEntry(const std::string &path, u64 base_key, u64 cand_digest,
+                  bool payload, verify::VerifyResult &out);
+/** @} */
+
+/** The fail-closed reaction to a parse: when @p result has errors,
+ *  warn() every diagnostic and fatal() with the first error. */
+void failClosed(const verify::VerifyResult &result);
 
 } // namespace format
 

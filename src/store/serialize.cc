@@ -4,6 +4,7 @@
 #include <ostream>
 #include <type_traits>
 
+#include "store/format.hh"
 #include "util/digest.hh"
 
 namespace interf::store
@@ -12,19 +13,8 @@ namespace interf::store
 namespace
 {
 
-template <typename T>
-void
-writePod(std::ostream &os, const T &value)
-{
-    os.write(reinterpret_cast<const char *>(&value), sizeof(T));
-}
-
-template <typename T>
-void
-readPod(std::istream &is, T &value)
-{
-    is.read(reinterpret_cast<char *>(&value), sizeof(T));
-}
+using format::readPod;
+using format::writePod;
 
 /**
  * Apply @p fn to every field of @p m in the canonical order. Writer,
@@ -32,7 +22,7 @@ readPod(std::istream &is, T &value)
  * apart when Measurement grows a field.
  */
 template <typename M, typename Fn>
-void
+constexpr void
 forEachField(M &m, Fn &&fn)
 {
     fn(m.layoutSeed);
@@ -59,6 +49,15 @@ writeMeasurement(std::ostream &os, const core::Measurement &m)
 {
     forEachField(m, [&os](const auto &field) { writePod(os, field); });
 }
+
+static_assert(
+    [] {
+        const core::Measurement m;
+        u64 bytes = 0;
+        forEachField(m, [&bytes](const auto &f) { bytes += sizeof(f); });
+        return bytes;
+    }() == format::kMeasurementBytes,
+    "kMeasurementBytes must match the serialized field list");
 
 core::Measurement
 readMeasurement(std::istream &is)

@@ -15,7 +15,7 @@
 #include "trace/io.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
-#include "verify/verify.hh"
+#include "verify/diagnostic.hh"
 
 namespace interf::store
 {
@@ -133,7 +133,6 @@ using format::kManifestMagic;
 using format::manifestDigest;
 using format::mixMachineConfig;
 using format::mixRunnerConfig;
-using format::readPod;
 using format::tmpPathFor;
 using format::writePod;
 
@@ -177,20 +176,6 @@ CampaignStore::CampaignStore(const std::string &root, u64 key)
         fatal("cannot create store directory '%s': %s",
               dir.string().c_str(), ec.message().c_str());
     dir_ = dir.string();
-    // Opt-in trust boundary (INTERF_VERIFY=1, not Debug by default:
-    // the deep pass re-reads every batch, and campaigns open stores
-    // constantly). Corrupt-on-disk is a user-environment problem, so
-    // fatal() — the fail-closed read below would do the same, but the
-    // verifier reports every problem in the entry first.
-    if (verify::verifyEnvRequested()) {
-        auto result = verify::verifyStoreEntry(root, key, true);
-        if (!result.ok()) {
-            for (const auto &d : result.diagnostics())
-                warn("%s", d.text().c_str());
-            fatal("store entry '%s' failed verification: %s",
-                  dir_.c_str(), result.summary().c_str());
-        }
-    }
     readManifest();
 }
 
@@ -245,67 +230,12 @@ CampaignStore::batchPath(u32 first) const
 void
 CampaignStore::readManifest()
 {
-    std::ifstream is(manifestPath(), std::ios::binary);
-    if (!is)
-        return; // No manifest yet: an empty (cold) store.
-
-    u64 magic = 0, key = 0;
-    u32 version = 0, n_batches = 0;
-    readPod(is, magic);
-    readPod(is, version);
-    if (!is || magic != kManifestMagic)
-        fatal("'%s' is not a store manifest (bad magic)",
-              manifestPath().c_str());
-    if (version != kFormatVersion)
-        fatal("store manifest '%s' has unsupported format version %u",
-              manifestPath().c_str(), version);
-    readPod(is, key);
-    readPod(is, n_batches);
-    if (!is)
-        fatal("truncated store manifest '%s'", manifestPath().c_str());
-    if (key != key_)
-        fatal("store manifest '%s' belongs to a different campaign "
-              "(key mismatch)",
-              manifestPath().c_str());
-
-    // Bound the batch table against the file size before allocating:
-    // a corrupt count must fail closed, not bad_alloc trying to
-    // reserve up to 64 GiB of entries.
-    constexpr u64 kHeaderBytes = format::kManifestHeaderBytes;
-    constexpr u64 kEntryBytes = format::kManifestEntryBytes;
-    constexpr u64 kSealBytes = format::kManifestSealBytes;
-    std::error_code size_ec;
-    const u64 file_size =
-        std::filesystem::file_size(manifestPath(), size_ec);
-    if (size_ec || file_size < kHeaderBytes + kSealBytes ||
-        n_batches > (file_size - kHeaderBytes - kSealBytes) / kEntryBytes)
-        fatal("truncated store manifest '%s' (batch table overruns "
-              "the file)",
-              manifestPath().c_str());
-
-    std::vector<BatchInfo> batches(n_batches);
-    for (auto &b : batches) {
-        readPod(is, b.first);
-        readPod(is, b.count);
-        readPod(is, b.checksum);
-    }
-    u64 digest = 0;
-    readPod(is, digest);
-    if (!is)
-        fatal("truncated store manifest '%s'", manifestPath().c_str());
-    if (digest != manifestDigest(key_, batches))
-        fatal("store manifest '%s' is corrupt (digest mismatch)",
-              manifestPath().c_str());
-
-    u32 next = 0;
-    for (const auto &b : batches) {
-        if (b.first != next || b.count == 0)
-            fatal("store manifest '%s' batches are not contiguous",
-                  manifestPath().c_str());
-        next += b.count;
-    }
-    batches_ = std::move(batches);
-    storedCount_ = next;
+    verify::VerifyResult parsed;
+    batches_ = format::parseManifest(manifestPath(), key_, parsed);
+    format::failClosed(parsed);
+    storedCount_ = 0;
+    for (const auto &b : batches_)
+        storedCount_ += b.count;
 }
 
 void
@@ -337,45 +267,14 @@ std::vector<core::Measurement>
 CampaignStore::loadSamples() const
 {
     INTERF_SPAN("store.load");
+    // No reserve(storedCount_): that count comes from the manifest, and
+    // only each batch's parser bounds it by the batch file's size.
     std::vector<core::Measurement> samples;
-    samples.reserve(storedCount_);
     for (const auto &entry : batches_) {
-        std::string path = batchPath(entry.first);
-        std::ifstream is(path, std::ios::binary);
-        if (!is)
-            fatal("store batch '%s' is missing", path.c_str());
-
-        u64 magic = 0, key = 0, checksum = 0;
-        u32 version = 0, first = 0, count = 0;
-        readPod(is, magic);
-        readPod(is, version);
-        if (!is || magic != kBatchMagic)
-            fatal("'%s' is not a store batch (bad magic)", path.c_str());
-        if (version != kFormatVersion)
-            fatal("store batch '%s' has unsupported format version %u",
-                  path.c_str(), version);
-        readPod(is, key);
-        readPod(is, first);
-        readPod(is, count);
-        readPod(is, checksum);
-        if (!is)
-            fatal("truncated store batch '%s'", path.c_str());
-        if (key != key_)
-            fatal("store batch '%s' belongs to a different campaign "
-                  "(key mismatch)",
-                  path.c_str());
-        if (first != entry.first || count != entry.count ||
-            checksum != entry.checksum)
-            fatal("store batch '%s' does not match its manifest entry",
-                  path.c_str());
-
-        auto batch = readSamples(is, count);
-        if (!is)
-            fatal("truncated store batch '%s'", path.c_str());
-        if (samplesChecksum(batch) != entry.checksum)
-            fatal("store batch '%s' payload checksum mismatch "
-                  "(corrupt samples)",
-                  path.c_str());
+        verify::VerifyResult parsed;
+        const auto batch = format::parseBatch(batchPath(entry.first), key_,
+                                              entry, true, parsed);
+        format::failClosed(parsed);
         samples.insert(samples.end(), batch.begin(), batch.end());
     }
     return samples;

@@ -116,18 +116,6 @@ verifyOnTrust()
     return enabled;
 }
 
-bool
-verifyEnvRequested()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("INTERF_VERIFY");
-        if (env == nullptr || *env == '\0')
-            return false;
-        return std::strcmp(env, "0") != 0;
-    }();
-    return enabled;
-}
-
 void
 requireClean(const VerifyResult &result, const char *what)
 {

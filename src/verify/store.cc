@@ -1,34 +1,28 @@
 /**
  * @file
- * StoreVerifier: campaign artifact store entries, linted leniently.
+ * StoreVerifier: store directories linted without dying.
  *
- * The store's own read path (store/store.cc) is deliberately
- * fail-closed — the first corrupt byte is fatal(), because a resuming
- * campaign must never ingest garbage samples. A lint tool has the
- * opposite need: parse as far as the bytes allow and report *every*
- * problem, so an operator can see whether an entry has one flipped
- * bit or is gone wholesale. This pass re-reads the same format
- * (store/format.hh) with that stance:
- *
- *   - manifest framing, key binding, seal digest, batch contiguity;
- *   - every indexed batch: present, header fields matching the
- *     manifest entry, payload checksum recomputed from the bytes;
- *   - the directory itself: orphan batches (valid crash leftovers —
- *     warnings), stale temp files, foreign files.
- *
- * An entry with no manifest and no batches is a cold store: clean.
+ * Every store file goes through its one parser (store/format.hh), the
+ * same one the stores' fail-closed reads use; this lint reports every
+ * diagnostic instead of dying at the first, and adds the directory
+ * sweeps. A campaign entry is its manifest and every indexed batch; an
+ * optimizer fitness directory (`opt-<base key>`) is its
+ * `fit-<candidate digest>.bin` entries, bound to the key and digest
+ * their names carry. Payload checksums are recomputed only when deep.
+ * Orphan batches (valid crash leftovers), stale temp files and foreign
+ * files are warnings. An entry with no manifest and no batches is a
+ * cold store: clean.
  */
 
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "verify/verify.hh"
 
 #include "store/format.hh"
-#include "store/serialize.hh"
 #include "store/store.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
@@ -42,7 +36,7 @@ namespace
 namespace fs = std::filesystem;
 namespace fmt = store::format;
 
-constexpr const char *kPassName = "store";
+using fmt::kPassName;
 
 class StoreVerifier : public Pass
 {
@@ -62,164 +56,46 @@ class StoreVerifier : public Pass
 };
 
 /**
- * Parse a manifest leniently. Returns true when the batch table could
- * be recovered (later checks can cross-reference it), false when the
- * file is unusable beyond its own diagnostics.
+ * Sweep @p dir: a temp file is a crashed writer's stale leftover, and
+ * a file @p known does not claim is foreign (both warnings).
  */
-bool
-readManifestLenient(const std::string &path, u64 expect_key,
-                    std::vector<store::BatchInfo> &batches, Sink &sink)
+template <typename Known>
+void
+sweep(const fs::path &dir, Sink &sink, Known &&known)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        sink.error(EntityKind::Manifest, 0, "manifest is unreadable");
-        return false;
+    std::error_code ec;
+    for (const auto &de : fs::directory_iterator(dir, ec)) {
+        const std::string name = de.path().filename().string();
+        if (name.find(".tmp.") != std::string::npos)
+            sink.warning(EntityKind::Artifact, 0,
+                         strprintf("stale temp file '%s' (crashed "
+                                   "writer leftover)",
+                                   name.c_str()));
+        else if (!known(name))
+            sink.warning(EntityKind::Artifact, 0,
+                         strprintf("unexpected file '%s' in store entry",
+                                   name.c_str()));
     }
-
-    u64 magic = 0, key = 0;
-    u32 version = 0, n_batches = 0;
-    fmt::readPod(is, magic);
-    fmt::readPod(is, version);
-    if (!is || magic != fmt::kManifestMagic) {
-        sink.error(EntityKind::Manifest, 0,
-                   "not a store manifest (bad magic)");
-        return false;
-    }
-    if (version != fmt::kFormatVersion) {
-        sink.error(EntityKind::Manifest, 0,
-                   strprintf("unsupported format version %u", version));
-        return false;
-    }
-    fmt::readPod(is, key);
-    fmt::readPod(is, n_batches);
-    if (!is) {
-        sink.error(EntityKind::Manifest, 0,
-                   "truncated store manifest header");
-        return false;
-    }
-    if (key != expect_key)
-        sink.error(EntityKind::Manifest, 0,
-                   strprintf("manifest key %s does not match the "
-                             "entry directory's key %s",
-                             digestHex(key).c_str(),
-                             digestHex(expect_key).c_str()));
-
-    std::error_code size_ec;
-    const u64 file_size = fs::file_size(path, size_ec);
-    if (size_ec ||
-        file_size < fmt::kManifestHeaderBytes + fmt::kManifestSealBytes ||
-        n_batches > (file_size - fmt::kManifestHeaderBytes -
-                     fmt::kManifestSealBytes) /
-                        fmt::kManifestEntryBytes) {
-        sink.error(EntityKind::Manifest, 0,
-                   strprintf("truncated store manifest (batch "
-                             "table of %u entries overruns the "
-                             "file)",
-                             n_batches));
-        return false;
-    }
-
-    batches.resize(n_batches);
-    for (auto &b : batches) {
-        fmt::readPod(is, b.first);
-        fmt::readPod(is, b.count);
-        fmt::readPod(is, b.checksum);
-    }
-    u64 seal = 0;
-    fmt::readPod(is, seal);
-    if (!is) {
-        sink.error(EntityKind::Manifest, 0, "truncated store manifest");
-        batches.clear();
-        return false;
-    }
-    if (seal != fmt::manifestDigest(key, batches)) {
-        sink.error(EntityKind::Manifest, 0,
-                   "manifest seal digest mismatch (corrupt manifest)");
-        return false;
-    }
-
-    u32 next = 0;
-    bool contiguous = true;
-    for (size_t slot = 0; slot < batches.size(); ++slot) {
-        const auto &b = batches[slot];
-        if (b.first != next || b.count == 0) {
-            sink.error(EntityKind::Manifest, slot,
-                       strprintf("batch entry [%u, %u) breaks "
-                                 "contiguity (expected first layout "
-                                 "%u, nonzero count)",
-                                 b.first, b.first + b.count, next));
-            contiguous = false;
-            break;
-        }
-        next += b.count;
-    }
-    return contiguous;
+    if (ec)
+        sink.error(EntityKind::Artifact, 0,
+                   "cannot iterate store directory");
 }
 
-/** Verify one indexed batch file against its manifest entry. */
+/** Lint one optimizer fitness directory (store/fitness.hh). */
 void
-checkBatch(const std::string &path, u64 expect_key,
-           const store::BatchInfo &entry, bool deep, Sink &sink)
+verifyFitnessDir(const fs::path &dir, u64 base_key, bool deep,
+                 VerifyResult &out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        sink.error(EntityKind::Batch, entry.first,
-                   "batch file indexed by the manifest is missing");
-        return;
-    }
-
-    u64 magic = 0, key = 0, checksum = 0;
-    u32 version = 0, first = 0, count = 0;
-    fmt::readPod(is, magic);
-    fmt::readPod(is, version);
-    if (!is || magic != fmt::kBatchMagic) {
-        sink.error(EntityKind::Batch, entry.first,
-                   "not a store batch (bad magic)");
-        return;
-    }
-    if (version != fmt::kFormatVersion) {
-        sink.error(EntityKind::Batch, entry.first,
-                   strprintf("unsupported format version %u", version));
-        return;
-    }
-    fmt::readPod(is, key);
-    fmt::readPod(is, first);
-    fmt::readPod(is, count);
-    fmt::readPod(is, checksum);
-    if (!is) {
-        sink.error(EntityKind::Batch, entry.first,
-                   "truncated store batch header");
-        return;
-    }
-    if (key != expect_key)
-        sink.error(EntityKind::Batch, entry.first,
-                   "batch belongs to a different campaign (key "
-                   "mismatch)");
-    if (first != entry.first || count != entry.count ||
-        checksum != entry.checksum) {
-        sink.error(EntityKind::Batch, entry.first,
-                   strprintf("batch header [first %u, count %u, "
-                             "checksum %s] does not match its "
-                             "manifest entry",
-                             first, count,
-                             digestHex(checksum).c_str()));
-        return;
-    }
-
-    if (!deep)
-        return;
-    auto samples = store::readSamples(is, entry.count);
-    if (!is) {
-        sink.error(EntityKind::Batch, entry.first,
-                   "truncated store batch payload");
-        return;
-    }
-    if (store::samplesChecksum(samples) != entry.checksum)
-        sink.error(EntityKind::Batch, entry.first,
-                   "payload checksum mismatch (corrupt samples)");
-    if (is.peek() != std::char_traits<char>::eof())
-        sink.warning(EntityKind::Batch, entry.first,
-                     "trailing bytes after the payload");
+    Sink sink(out, dir.string(), kPassName);
+    sweep(dir, sink, [&](std::string_view name) {
+        u64 digest = 0;
+        if (!name.starts_with("fit-") || !name.ends_with(".bin") ||
+            !parseDigestHex(name.substr(4, name.size() - 8), digest))
+            return false;
+        (void)fmt::parseFitnessEntry((dir / name).string(), base_key,
+                                     digest, deep, out);
+        return true;
+    });
 }
 
 } // anonymous namespace
@@ -244,53 +120,28 @@ verifyStoreEntry(const std::string &root, u64 key, bool deep)
         return out;
     }
 
-    const std::string manifest = (dir / "manifest.bin").string();
-    std::vector<store::BatchInfo> batches;
-    bool have_table = false;
-    if (fs::exists(manifest, ec) && !ec)
-        have_table = readManifestLenient(manifest, key, batches, sink);
-    else
-        batches.clear(); // Cold store: no manifest yet.
-
     std::set<std::string> indexed;
-    if (have_table) {
-        for (const auto &entry : batches) {
-            const std::string name =
-                strprintf("batch-%08u.bin", entry.first);
-            indexed.insert(name);
-            checkBatch((dir / name).string(), key, entry, deep, sink);
-        }
+    for (const auto &entry :
+         fmt::parseManifest((dir / "manifest.bin").string(), key, out)) {
+        const std::string name = strprintf("batch-%08u.bin", entry.first);
+        indexed.insert(name);
+        (void)fmt::parseBatch((dir / name).string(), key, entry, deep, out);
     }
 
-    // Directory sweep: orphan batches, stale temp files, foreigners.
-    for (const auto &de : fs::directory_iterator(dir, ec)) {
-        const std::string name = de.path().filename().string();
+    sweep(dir, sink, [&](const std::string &name) {
+        u32 first = 0;
         if (name == "manifest.bin" || name == ".lock" ||
             name == "run-manifest.json" || indexed.count(name))
-            continue;
-        if (name.find(".tmp.") != std::string::npos) {
-            sink.warning(EntityKind::Artifact, 0,
-                         strprintf("stale temp file '%s' (crashed "
-                                   "writer leftover)",
-                                   name.c_str()));
-            continue;
-        }
-        u32 first = 0;
-        if (std::sscanf(name.c_str(), "batch-%8u.bin", &first) == 1) {
-            // Valid crash window: batch committed, manifest not yet.
-            // The next campaign run overwrites it, so a warning.
-            sink.warning(EntityKind::Batch, first,
-                         "batch file is not indexed by the manifest "
-                         "(orphan)");
-            continue;
-        }
-        sink.warning(EntityKind::Artifact, 0,
-                     strprintf("unexpected file '%s' in store entry",
-                               name.c_str()));
-    }
-    if (ec)
-        sink.error(EntityKind::Artifact, 0,
-                   "cannot iterate store entry directory");
+            return true;
+        if (std::sscanf(name.c_str(), "batch-%8u.bin", &first) != 1)
+            return false;
+        // Valid crash window: batch committed, manifest not yet. The
+        // next campaign run overwrites it, so a warning.
+        sink.warning(EntityKind::Batch, first,
+                     "batch file is not indexed by the manifest "
+                     "(orphan)");
+        return true;
+    });
     return out;
 }
 
@@ -311,16 +162,19 @@ verifyStoreRoot(const std::string &root, bool deep,
             continue;
         u64 key = 0;
         const std::string name = de.path().filename().string();
-        if (!parseDigestHex(name, key)) {
+        if (parseDigestHex(name, key)) {
+            if (keys)
+                keys->push_back(key);
+            out.merge(verifyStoreEntry(root, key, deep));
+        } else if (name.starts_with("opt-") &&
+                   parseDigestHex(std::string_view(name).substr(4), key)) {
+            verifyFitnessDir(de.path(), key, deep, out);
+        } else {
             sink.warning(EntityKind::Artifact, 0,
-                         strprintf("'%s' is not a campaign key "
-                                   "directory",
+                         strprintf("'%s' is neither a campaign key nor "
+                                   "a fitness directory",
                                    name.c_str()));
-            continue;
         }
-        if (keys)
-            keys->push_back(key);
-        out.merge(verifyStoreEntry(root, key, deep));
     }
     if (ec)
         sink.error(EntityKind::Artifact, 0, "cannot iterate store root");

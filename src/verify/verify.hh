@@ -22,19 +22,21 @@
  *     entity by entity.
  *   - LayoutVerifier:     procedure placements non-overlapping and
  *     aligned, page map bijective and offset-preserving.
- *   - StoreVerifier:      manifest/batch cross-checks beyond the
- *     fail-closed read path: digests recomputed, orphan and truncated
- *     batches detected — without fatal()ing on the first bad entry.
+ *   - StoreVerifier:      every store file through its one parser
+ *     (store/format.hh), the same one the fail-closed reads use, plus
+ *     the directory sweeps: orphan batches, stale temp files, foreign
+ *     files — without fatal()ing on the first bad entry.
  *   - ConfigSoundness and PlanBounds (src/analyze): the machine
  *     passes, proving the replay kernel's compaction invariants for a
  *     MachineConfig (and a plan's LRU clock advance) before any replay.
  *
  * Where they run (see DESIGN.md §5f): trace::io load paths always;
  * ReplayPlan construction and Campaign inputs in Debug builds or with
- * INTERF_VERIFY=1; store open with INTERF_VERIFY=1; the machine passes
- * at every Campaign/FitnessOracle construction; everything on demand
- * through tools/interf_verify. Verification is never on the per-layout
- * replay hot path.
+ * INTERF_VERIFY=1; the machine passes at every Campaign/FitnessOracle
+ * construction; everything on demand through tools/interf_verify.
+ * Store files need no boundary of their own: every store read parses
+ * them with the same parser the StoreVerifier runs. Verification is
+ * never on the per-layout replay hot path.
  */
 
 #ifndef INTERF_VERIFY_VERIFY_HH
@@ -196,10 +198,12 @@ void checkSiteAddressInjectivity(const std::vector<Addr> &site_addr,
 /** @} */
 
 /**
- * Verify every campaign entry under a store root. Non-key
- * subdirectories get a warning; a missing/unreadable root is an error.
+ * Verify every campaign entry and every optimizer fitness directory
+ * (`opt-<base key>`) under a store root. Other subdirectories get a
+ * warning; a missing/unreadable root is an error.
  *
- * @param keys Out-param (optional): the keys found, in scan order.
+ * @param keys Out-param (optional): the campaign keys found, in scan
+ *             order.
  */
 VerifyResult verifyStoreRoot(const std::string &root, bool deep = true,
                              std::vector<u64> *keys = nullptr);
@@ -219,14 +223,6 @@ VerifyResult verifyTraceFile(const std::string &path,
  * Cached after the first call.
  */
 bool verifyOnTrust();
-
-/**
- * True only when INTERF_VERIFY explicitly enables verification —
- * unlike verifyOnTrust(), Debug builds do not imply it. Used for the
- * expensive boundaries (store open re-reads every batch) that should
- * stay opt-in even in Debug test runs.
- */
-bool verifyEnvRequested();
 
 /**
  * panic() with the first few diagnostics when @p result has errors —

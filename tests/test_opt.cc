@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <string>
@@ -20,10 +21,12 @@
 #include "opt/neighborhood.hh"
 #include "opt/optimizer.hh"
 #include "store/fitness.hh"
+#include "store/format.hh"
 #include "store/serialize.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/generator.hh"
+#include "util/digest.hh"
 #include "util/json.hh"
 #include "verify/verify.hh"
 #include "workloads/builder.hh"
@@ -333,6 +336,118 @@ TEST(FitnessStoreDeath, CorruptEntryFailsClosed)
                 "fitness");
     std::filesystem::remove_all(root);
 }
+
+// Each damaged fitness entry fails closed on load naming the fault, and
+// the store lint (which reads it with the same parser) reports an
+// error for that file.
+
+/** XOR one byte of a file in place. */
+void
+flipFileByte(const std::string &path, u64 offset)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f) << path;
+    f.seekg(static_cast<std::streamoff>(offset));
+    char c = 0;
+    f.get(c);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(static_cast<char>(c ^ 0x5a));
+    ASSERT_TRUE(f) << path;
+}
+
+struct FitnessMutation
+{
+    const char *name;
+    const char *fault; ///< Substring load's fatal message must carry.
+    /** Damage the entry of candidate 9 in store @p fs; returns the
+     *  (store, candidate) a load must now read from. */
+    std::function<std::pair<u64, u64>(const std::string &root,
+                                       const store::FitnessStore &fs,
+                                       const std::string &entry)>
+        mutate;
+};
+
+constexpr u64 kFitBase = 42;
+constexpr u64 kFitCand = 9;
+
+std::string
+fitEntryPath(const store::FitnessStore &fs, u64 cand)
+{
+    return fs.dir() + "/fit-" + digestHex(cand) + ".bin";
+}
+
+class FitnessStoreDeathTest
+    : public ::testing::TestWithParam<FitnessMutation>
+{
+};
+
+TEST_P(FitnessStoreDeathTest, FailsClosedAndLintsTheFile)
+{
+    const FitnessMutation &m = GetParam();
+    const auto root = tempDir((std::string("fitmut-") + m.name).c_str());
+    store::FitnessStore fs(root, kFitBase);
+    fs.save(kFitCand, sampleMeasurement());
+    const auto [base, cand] = m.mutate(root, fs, fitEntryPath(fs, kFitCand));
+    const store::FitnessStore damaged(root, base);
+
+    EXPECT_EXIT((void)damaged.load(cand), ::testing::ExitedWithCode(1),
+                m.fault);
+
+    const auto lint = verify::verifyStoreRoot(root, true);
+    bool flagged = false;
+    for (const auto &d : lint.diagnostics())
+        flagged |= d.severity == verify::Severity::Error &&
+                   d.artifact == fitEntryPath(damaged, cand);
+    EXPECT_TRUE(flagged) << lint.summary();
+    std::filesystem::remove_all(root);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutations, FitnessStoreDeathTest,
+    ::testing::Values(
+        FitnessMutation{"BadMagic", "bad magic",
+                        [](const auto &, const auto &, const auto &entry) {
+                            flipFileByte(entry, 0);
+                            return std::pair{kFitBase, kFitCand};
+                        }},
+        FitnessMutation{"VersionSkew", "unsupported format version",
+                        [](const auto &, const auto &, const auto &entry) {
+                            flipFileByte(entry, 8);
+                            return std::pair{kFitBase, kFitCand};
+                        }},
+        FitnessMutation{
+            "BaseKeyMismatch", "key mismatch",
+            [](const auto &root, const auto &, const auto &entry) {
+                // Copied under another search's directory.
+                const store::FitnessStore other(root, kFitBase + 1);
+                std::filesystem::copy_file(entry,
+                                           fitEntryPath(other, kFitCand));
+                std::filesystem::remove(entry);
+                return std::pair{kFitBase + 1, kFitCand};
+            }},
+        FitnessMutation{
+            "CandidateDigestMismatch", "digest mismatch",
+            [](const auto &, const auto &fs, const auto &entry) {
+                // Renamed to another candidate's file name.
+                std::filesystem::rename(entry,
+                                        fitEntryPath(fs, kFitCand + 1));
+                return std::pair{kFitBase, kFitCand + 1};
+            }},
+        FitnessMutation{"FlippedPayloadByte", "payload checksum mismatch",
+                        [](const auto &, const auto &, const auto &entry) {
+                            flipFileByte(entry, store::format::
+                                                    kFitnessHeaderBytes +
+                                                3);
+                            return std::pair{kFitBase, kFitCand};
+                        }},
+        FitnessMutation{"TruncatedPayload", "truncated fitness entry",
+                        [](const auto &, const auto &, const auto &entry) {
+                            std::filesystem::resize_file(
+                                entry,
+                                store::format::kFitnessHeaderBytes + 5);
+                            return std::pair{kFitBase, kFitCand};
+                        }}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 TEST(FitnessStore, BaseKeySeparatesSearchSetups)
 {

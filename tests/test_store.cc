@@ -1,7 +1,9 @@
 /** @file Tests for the campaign artifact store: serialization
  *  round-trips, the corruption matrix (every damaged artifact must
- *  fail closed), and store-key derivation properties. */
+ *  fail closed), parity between the fail-closed reads and the lint,
+ *  and store-key derivation properties. */
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "store/format.hh"
 #include "store/serialize.hh"
 #include "store/store.hh"
 #include "trace/io.hh"
 #include "util/digest.hh"
+#include "verify/verify.hh"
 #include "workloads/builder.hh"
 
 namespace
@@ -423,6 +427,97 @@ TEST(StoreDeathTest, KeyMismatchRejected)
     EXPECT_EXIT((void)CampaignStore(root.path, other),
                 ::testing::ExitedWithCode(1), "key mismatch");
 }
+
+TEST(StoreDeathTest, SealedHugeBatchCountRejectedBeforeAllocation)
+{
+    // A manifest re-sealed around a ~2^31-sample batch whose header
+    // agrees: every check but the file size passes, so the count must
+    // be bounded by the file before the payload is allocated.
+    TempRoot root;
+    CampaignStore st(root.path, kKey);
+    st.appendBatch(0, samplesAt(4));
+    BatchInfo huge = st.batches()[0];
+    huge.count = 0x7fffffffu;
+    {
+        std::fstream f(st.batchPath(0),
+                       std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(8 + 4 + 8 + 4);
+        format::writePod(f, huge.count);
+    }
+    {
+        std::ofstream os(st.manifestPath(),
+                         std::ios::binary | std::ios::trunc);
+        format::writePod(os, format::kManifestMagic);
+        format::writePod(os, format::kFormatVersion);
+        format::writePod(os, kKey);
+        format::writePod(os, u32{1});
+        format::writePod(os, huge.first);
+        format::writePod(os, huge.count);
+        format::writePod(os, huge.checksum);
+        format::writePod(os, format::manifestDigest(kKey, {huge}));
+    }
+    EXPECT_FALSE(verify::verifyStoreEntry(root.path, kKey, false).ok());
+    EXPECT_EXIT((void)CampaignStore(root.path, kKey).loadSamples(),
+                ::testing::ExitedWithCode(1), "truncated store batch");
+}
+
+// ---------------------------------------------------------------------
+// One parser per store file: the lint (verifyStoreEntry) reports an
+// error exactly when the fail-closed open or loadSamples() exits 1.
+
+struct HeaderMutation
+{
+    const char *name;
+    bool manifest; ///< Mutate the manifest (else batch 0).
+    size_t offset; ///< Byte flipped; SIZE_MAX appends one byte instead.
+};
+
+class StoreParityDeathTest
+    : public ::testing::TestWithParam<HeaderMutation>
+{
+};
+
+TEST_P(StoreParityDeathTest, LintErrsExactlyWhenLoadExits)
+{
+    const HeaderMutation &m = GetParam();
+    TempRoot root;
+    {
+        CampaignStore st(root.path, kKey);
+        st.appendBatch(0, samplesAt(4));
+        const std::string path =
+            m.manifest ? st.manifestPath() : st.batchPath(0);
+        if (m.offset == SIZE_MAX)
+            std::ofstream(path, std::ios::binary | std::ios::app) << 'x';
+        else
+            flipByte(path, m.offset);
+    }
+    const auto lint = verify::verifyStoreEntry(root.path, kKey, true);
+    if (!lint.ok()) {
+        EXPECT_EXIT((void)CampaignStore(root.path, kKey).loadSamples(),
+                    ::testing::ExitedWithCode(1), "");
+    } else {
+        expectEqual(CampaignStore(root.path, kKey).loadSamples(),
+                    samplesAt(4));
+    }
+}
+
+// Every header field of both files, then a benign trailing byte (a
+// lint warning, and a load that still succeeds).
+INSTANTIATE_TEST_SUITE_P(
+    HeaderFields, StoreParityDeathTest,
+    ::testing::Values(HeaderMutation{"ManifestMagic", true, 0},
+                      HeaderMutation{"ManifestVersion", true, 8},
+                      HeaderMutation{"ManifestKey", true, 12},
+                      HeaderMutation{"ManifestBatchCount", true, 20},
+                      HeaderMutation{"BatchMagic", false, 0},
+                      HeaderMutation{"BatchVersion", false, 8},
+                      HeaderMutation{"BatchKey", false, 12},
+                      HeaderMutation{"BatchFirst", false, 20},
+                      HeaderMutation{"BatchCount", false, 24},
+                      HeaderMutation{"BatchChecksum", false, 28},
+                      HeaderMutation{"BatchTrailingByte", false,
+                                     SIZE_MAX}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 // ---------------------------------------------------------------------
 // Store-key derivation properties.

@@ -13,6 +13,7 @@
 
 #include "layout/linker.hh"
 #include "layout/pagemap.hh"
+#include "store/fitness.hh"
 #include "store/format.hh"
 #include "store/store.hh"
 #include "trace/generator.hh"
@@ -811,6 +812,42 @@ TEST(StoreVerifier, RootSweepFindsCorruptEntryAndForeignDir)
     EXPECT_EQ(keys[0], f.kKey);
     EXPECT_TRUE(hasDiag(r, "store", EntityKind::Artifact, 0,
                         Severity::Warning))
+        << render(r);
+}
+
+TEST(StoreVerifier, FitnessRootVerifiesWithoutDiagnostics)
+{
+    // A store root shared by a campaign and an optimizer search: the
+    // `opt-<base key>` directory is linted entry by entry, not flagged
+    // as a foreign directory.
+    StoreFixture f;
+    store::FitnessStore fit(f.root, 0x0123456789abcdefULL);
+    core::Measurement m;
+    m.cycles = 5000;
+    m.instructions = 4000;
+    fit.save(1, m);
+    fit.save(2, m);
+    for (bool deep : {true, false}) {
+        auto r = verify::verifyStoreRoot(f.root, deep);
+        EXPECT_TRUE(r.diagnostics().empty()) << render(r);
+    }
+}
+
+TEST(StoreVerifier, FitnessStaleTempFileIsAWarning)
+{
+    StoreFixture f;
+    store::FitnessStore fit(f.root, 7);
+    fit.save(1, core::Measurement{});
+    std::ofstream(fit.dir() + "/fit-0000000000000001.bin.tmp.123")
+        << "partial";
+    auto r = verify::verifyStoreRoot(f.root, true);
+    EXPECT_TRUE(r.ok()) << render(r);
+    ASSERT_EQ(r.diagnostics().size(), 1u) << render(r);
+    EXPECT_TRUE(hasDiag(r, "store", EntityKind::Artifact, 0,
+                        Severity::Warning))
+        << render(r);
+    EXPECT_NE(r.diagnostics()[0].message.find("stale temp file"),
+              std::string::npos)
         << render(r);
 }
 
