@@ -12,7 +12,10 @@
  * this class's own L1D serves only accessData(), the whole-hierarchy
  * entry that single-structure probes use. Where no L2 set can
  * overflow, the kernel skips accessDataBelowL1 too and this L2 sees
- * only instruction fetches (§5p). An optional
+ * only instruction fetches (§5p); where no L1I set can overflow
+ * either, the kernel skips fetchInst as well, so neither cache here
+ * sees an access and the fetch outcome comes from first touches
+ * (§5r). An optional
  * next-line instruction prefetcher reduces sequential-fetch misses the
  * way real front ends do, keeping conflict misses (the layout-sensitive
  * kind) as the dominant L1I miss source.

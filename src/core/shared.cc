@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "bpred/btb.hh"
 #include "core/config.hh"
@@ -45,15 +46,21 @@ clearFrom(const std::vector<u64> &bits, size_t from, size_t n)
     return (n - from) - set;
 }
 
-/** Stream position of the warmup event's first access: the kernel
- *  clears its statistics there. */
+/** The warmup event: the kernel clears its statistics there. */
+size_t
+warmupEvent(const MachineConfig &machine, const ReplayPlan &plan)
+{
+    return static_cast<size_t>(static_cast<double>(plan.eventCount()) *
+                               machine.warmupFraction);
+}
+
+/** Stream position of the warmup event's first access. */
 size_t
 warmupMem(const MachineConfig &machine, const ReplayPlan &plan)
 {
-    const size_t warmup_events = static_cast<size_t>(
-        static_cast<double>(plan.eventCount()) * machine.warmupFraction);
+    const size_t warmup_event = warmupEvent(machine, plan);
     size_t warmup_mem = 0;
-    for (size_t e = 0; e < warmup_events; ++e)
+    for (size_t e = 0; e < warmup_event; ++e)
         warmup_mem += plan.nMem[e];
     return warmup_mem;
 }
@@ -208,6 +215,52 @@ buildRas(const MachineConfig &machine, const ReplayPlan &plan,
     }
 }
 
+void
+buildL1i(const ReplayPlan &plan, SharedOutcomes &out)
+{
+    out.siteFirstEvent.assign(plan.siteCount(), ReplayPlan::kNoSite);
+    for (size_t e = plan.eventCount(); e-- > 0;)
+        out.siteFirstEvent[plan.site[e]] = static_cast<u32>(e);
+}
+
+/** Whether @p shared carries an L1I part built for @p plan. */
+bool
+coversL1i(const SharedOutcomes &shared, const ReplayPlan &plan)
+{
+    return shared.has(kShareL1i) && shared.eventCount == plan.eventCount() &&
+           shared.siteFirstEvent.size() == plan.siteCount();
+}
+
+/** Each fetch line (a line number at the L1I line size) that a site
+ *  @p plan executes spans, as @p tables place it, once, sorted, with
+ *  its first demand position: the first event of any site spanning it
+ *  << 32 | the line's slot in that site. */
+std::vector<std::pair<Addr, u64>>
+firstDemands(const MachineConfig &machine, const ReplayPlan &plan,
+             const trace::LayoutTables &tables, const SharedOutcomes &shared)
+{
+    const u32 shift = static_cast<u32>(
+        std::countr_zero(machine.hierarchy.l1i.lineBytes));
+    std::vector<std::pair<Addr, u64>> firsts;
+    for (size_t s = 0; s < plan.siteCount(); ++s) {
+        const u32 first = shared.siteFirstEvent[s];
+        if (first == ReplayPlan::kNoSite)
+            continue;
+        const u32 start = tables.siteLineStart[s];
+        for (u32 li = start; li < tables.siteLineStart[s + 1]; ++li)
+            firsts.push_back({tables.linePhys[li] >> shift,
+                              u64{first} << 32 | (li - start)});
+    }
+    // Sorted pairs: the first of each line is its earliest demand.
+    std::sort(firsts.begin(), firsts.end());
+    firsts.erase(std::unique(firsts.begin(), firsts.end(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first == b.first;
+                             }),
+                 firsts.end());
+    return firsts;
+}
+
 /** Per-set distinct counts -> facts. */
 void
 tally(const std::vector<u32> &per_set, u32 ways, ConflictFacts &facts)
@@ -241,12 +294,14 @@ simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
                 out.parts &= static_cast<u8>(~kShareL2);
         }
     }
-    if (parts & (kShareBtb | kShareRas))
+    if (parts & (kShareBtb | kShareRas | kShareL1i))
         out.eventCount = plan.eventCount();
     if (parts & kShareBtb)
         buildBtb(plan, out);
     if (parts & kShareRas)
         buildRas(machine, plan, out);
+    if (parts & kShareL1i)
+        buildL1i(plan, out);
     return out;
 }
 
@@ -430,6 +485,75 @@ canShareBtb(const MachineConfig &machine, const trace::ReplayPlan &plan,
     }
     tally(per_set, ways, f);
     return f.checked && f.overflowingSets == 0;
+}
+
+bool
+canShareL1i(const MachineConfig &machine, const trace::ReplayPlan &plan,
+            const trace::LayoutTables &tables, const SharedOutcomes &shared,
+            ConflictFacts *facts)
+{
+    ConflictFacts local;
+    ConflictFacts &f = facts ? *facts : local;
+    f = ConflictFacts();
+    const cache::HierarchyConfig &h = machine.hierarchy;
+    // A demand miss is a first L2 touch only if L1I and L2 lines
+    // coincide.
+    if (!coversL1i(shared, plan) || !h.l1i.geometryError().empty() ||
+        h.l1i.lineBytes != h.l2.lineBytes ||
+        tables.fetchLineBytes() != h.l1i.lineBytes ||
+        tables.siteLineStart.size() != plan.siteCount() + 1) {
+        f.checked = false;
+        return false;
+    }
+    // The lines that enter the L1I: each executed site's, and with the
+    // prefetcher each one's successor, counted once, unless an executed
+    // site spans it too. linePhys is physical, so the successor of a
+    // page's last line is line 0 of the next *physical* page, as
+    // MemoryHierarchy::fetchInst prefetches it.
+    const auto firsts = firstDemands(machine, plan, tables, shared);
+    const u32 sets = h.l1i.numSets();
+    std::vector<u32> per_set(sets, 0);
+    for (size_t i = 0; i < firsts.size(); ++i) {
+        const Addr line = firsts[i].first;
+        ++per_set[line & (sets - 1)];
+        if (h.nextLinePrefetch &&
+            (i + 1 == firsts.size() || firsts[i + 1].first != line + 1))
+            ++per_set[(line + 1) & (sets - 1)];
+    }
+    tally(per_set, h.l1i.assoc, f);
+    return f.overflowingSets == 0;
+}
+
+FetchOutcome
+fetchFirstTouch(const MachineConfig &machine, const trace::ReplayPlan &plan,
+                const trace::LayoutTables &tables,
+                const SharedOutcomes &shared)
+{
+    const cache::HierarchyConfig &h = machine.hierarchy;
+    INTERF_ASSERT(coversL1i(shared, plan));
+    INTERF_ASSERT(tables.fetchLineBytes() == h.l1i.lineBytes);
+    const auto firsts = firstDemands(machine, plan, tables, shared);
+    const u64 counted_from = u64{warmupEvent(machine, plan)} << 32;
+    const bool prefetch = h.nextLinePrefetch;
+    FetchOutcome out;
+    for (size_t i = 0; i < firsts.size(); ++i) {
+        const auto [line, at] = firsts[i];
+        if (at < counted_from)
+            continue;
+        // The demand misses unless the prefetch after its physical
+        // predecessor's first demand brought the line in earlier.
+        const bool prefetched = prefetch && i > 0 &&
+                                firsts[i - 1].first + 1 == line &&
+                                firsts[i - 1].second < at;
+        out.demandMisses += !prefetched;
+        // Its own prefetch misses unless the successor was demanded
+        // earlier.
+        const bool demanded = i + 1 < firsts.size() &&
+                              firsts[i + 1].first == line + 1 &&
+                              firsts[i + 1].second < at;
+        out.prefetchMisses += prefetch && !demanded;
+    }
+    return out;
 }
 
 } // namespace interf::core

@@ -15,12 +15,20 @@
  *    its site redirected before, with the right target exactly when its
  *    last target site is this one: fixed by the plan;
  *  - the RAS compares site addresses, which are injective and never 0,
- *    so its per-return verdict is fixed by the plan and its depth.
+ *    so its per-return verdict is fixed by the plan and its depth;
+ *  - in an L1I with no overflowing set, a fetch misses exactly when its
+ *    line has not arrived before (at its first demand fetch, or right
+ *    after its physical predecessor's with the next-line prefetcher),
+ *    and under the L2 proof every such miss goes to memory: one sort
+ *    of each layout's (line, first demand) pairs gives its whole fetch
+ *    outcome, from the first event of each site (DESIGN.md §5r).
  *
- * simulateShared() computes those outcomes once; canShareL2Data() and
- * canShareBtb() prove, per layout, that the no-overflow premise holds.
- * Campaigns and the optimizer call both through
- * interferometry::LayoutEvaluator; interf_verify reports their facts.
+ * simulateShared() computes those outcomes once; canShareL2Data(),
+ * canShareBtb() and canShareL1i() prove, per layout, that the
+ * no-overflow premise holds, and fetchFirstTouch() derives a layout's
+ * fetch outcome where the L1I proof does. Campaigns and the optimizer
+ * call the proofs through interferometry::LayoutEvaluator; interf_verify
+ * reports their facts.
  */
 
 #ifndef INTERF_CORE_SHARED_HH
@@ -43,11 +51,14 @@ constexpr u8 kShareL1d = 1u << 0; ///< L1D hit bits (needs data tables).
 constexpr u8 kShareL2 = 1u << 1;  ///< L2 first-touch bits (with kShareL1d).
 constexpr u8 kShareBtb = 1u << 2; ///< BTB hit and target bits.
 constexpr u8 kShareRas = 1u << 3; ///< RAS mispredict bits.
-constexpr u8 kShareAll = kShareL1d | kShareL2 | kShareBtb | kShareRas;
+constexpr u8 kShareL1i = 1u << 4; ///< First event of each site.
+constexpr u8 kShareAll =
+    kShareL1d | kShareL2 | kShareBtb | kShareRas | kShareL1i;
 /** @} */
 
 /**
- * What the replay kernel reads in place of the structures it skips.
+ * What the replay kernel reads in place of the structures it skips,
+ * and what a layout's L1I fetch outcome is derived from.
  * Bit i % 64 of word i / 64 of each bit vector belongs to memory access
  * i (data parts) or event i (control parts). Immutable once built, so
  * pool workers share one.
@@ -82,6 +93,9 @@ struct SharedOutcomes
     std::vector<u64> btbTargetBits; ///< ... and its target is right.
     std::vector<u64> rasMissBits;   ///< A return mispredicts.
     std::vector<u32> btbSites; ///< Distinct taken non-return sites.
+    /** First event of each site, or ReplayPlan::kNoSite for a site
+     *  never executed (the input of canShareL1i and fetchFirstTouch). */
+    std::vector<u32> siteFirstEvent;
     size_t eventCount = 0;     ///< Events covered.
     /** @} */
 
@@ -103,12 +117,14 @@ SharedOutcomes simulateShared(const MachineConfig &machine,
 /**
  * Which structures one replay takes from its SharedOutcomes instead of
  * simulating. Set per layout from the proofs below; the default
- * simulates both.
+ * simulates all three. The L1I path needs the L2 data path: its misses
+ * go to memory only because the L2 proof holds.
  */
 struct SharedPaths
 {
     bool l2Data = false; ///< L2 data side (canShareL2Data).
     bool btb = false;    ///< BTB (canShareBtb).
+    bool l1i = false;    ///< L1I fetch, from fetchFirstTouch (canShareL1i).
 };
 
 /** What a sharing proof found for one layout (interf_verify's facts). */
@@ -118,7 +134,7 @@ struct ConflictFacts
     u32 maxPerSet = 0;       ///< Largest per-set distinct count.
     /** False when the proof could not run or found an aliasing it must
      *  refuse (L2: a code-reachable line that is also a data line;
-     *  BTB: two sites on one PC). */
+     *  BTB: two sites on one PC; L1I: a line size it cannot use). */
     bool checked = true;
 };
 
@@ -165,6 +181,47 @@ bool canShareBtb(const MachineConfig &machine,
                  const trace::LayoutTables &tables,
                  const SharedOutcomes &shared,
                  ConflictFacts *facts = nullptr);
+
+/**
+ * The L1I proof: whether no L1I set of @p machine can overflow on the
+ * layout of @p tables, so that fetchFirstTouch() gives its whole fetch
+ * outcome. It histograms, per L1I set, the distinct physical lines the
+ * executed sites span plus, with the next-line prefetcher, each one's
+ * physical successor (at a page end: line 0 of the next *physical*
+ * page). It refuses when the L1I and L2 lines differ, when @p tables
+ * carry fetch lines of another size, when @p shared has no L1I part
+ * for this plan, or when any set receives more lines than it has ways.
+ * The replay may use the outcome only where canShareL2Data() holds
+ * too. Fills @p facts when given.
+ */
+bool canShareL1i(const MachineConfig &machine,
+                 const trace::ReplayPlan &plan,
+                 const trace::LayoutTables &tables,
+                 const SharedOutcomes &shared,
+                 ConflictFacts *facts = nullptr);
+
+/** A layout's fetch outcome from its warmup event on. */
+struct FetchOutcome
+{
+    Count demandMisses = 0;   ///< L1I misses, every one an L2 miss.
+    Count prefetchMisses = 0; ///< Next-line prefetches that missed L2.
+};
+
+/**
+ * The fetch outcome of the layout of @p tables where canShareL1i() and
+ * canShareL2Data() hold: nothing is evicted, so a line misses at its
+ * first demand fetch unless the prefetcher brought it in right after
+ * its physical predecessor's first demand fetch, and a prefetch misses
+ * when its line has not been demanded yet; each such miss is the
+ * line's first L2 touch. A line's first demand is the first event of
+ * any site spanning it, then its slot in that site, so one sort of
+ * (line, position) pairs over the executed sites gives the outcome in
+ * O(site-lines), whatever the event count.
+ */
+FetchOutcome fetchFirstTouch(const MachineConfig &machine,
+                             const trace::ReplayPlan &plan,
+                             const trace::LayoutTables &tables,
+                             const SharedOutcomes &shared);
 
 } // namespace interf::core
 

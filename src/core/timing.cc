@@ -12,6 +12,19 @@
 namespace interf::core
 {
 
+namespace
+{
+
+/** Fetch stall of a demand I-miss served at latency @p lat: the decode
+ *  queue hides a few cycles. */
+Cycle
+fetchStall(u32 lat)
+{
+    return lat > 4 ? lat - 4 : 0;
+}
+
+} // anonymous namespace
+
 double
 RunResult::cpi() const
 {
@@ -332,8 +345,12 @@ Machine::replayWith(const trace::ReplayPlan &plan,
         panic("shared outcomes cover %zu events, the plan has %zu",
               flow.eventCount, plan.eventCount());
     if ((paths.l2Data && !data.has(kShareL2)) ||
-        (paths.btb && !flow.has(kShareBtb)))
+        (paths.btb && !flow.has(kShareBtb)) ||
+        (paths.l1i && !flow.has(kShareL1i)))
         panic("a shared path has no outcome to read");
+    // Fetch misses are first L2 touches only where no L2 set overflows.
+    if (paths.l1i && !paths.l2Data)
+        panic("the shared L1I path needs the shared L2 data side");
     if (tables.fetchLineBytes() != cfg_.hierarchy.l1i.lineBytes)
         panic("tables carry fetch lines of %u B, the machine's L1I "
               "line is %u B",
@@ -349,11 +366,30 @@ Machine::replayWith(const trace::ReplayPlan &plan,
         INTERF_TELEM_COUNT("replay.btb_shared", 1);
     else
         INTERF_TELEM_COUNT("replay.btb_simulated", 1);
+    if (paths.l1i) {
+        INTERF_TELEM_COUNT("replay.l1i_shared", 1);
+        // The kernel skips fetch, which only ever adds stalls to
+        // cycles, so the layout's first-touch outcome adds on exactly.
+        const FetchOutcome fetch = fetchFirstTouch(cfg_, plan, tables, flow);
+        RunResult res =
+            paths.btb ? replayImpl<true, true, true>(plan, tables, data, flow)
+                      : replayImpl<true, false, true>(plan, tables, data,
+                                                      flow);
+        res.cycles += fetch.demandMisses * fetchStall(cfg_.memLatency);
+        res.l1iMisses += fetch.demandMisses;
+        res.l2InstMisses += fetch.demandMisses;
+        res.l2PrefMisses += fetch.prefetchMisses;
+        res.l2Misses += fetch.demandMisses + fetch.prefetchMisses;
+        return res;
+    }
+    INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
     if (paths.l2Data)
-        return paths.btb ? replayImpl<true, true>(plan, tables, data, flow)
-                         : replayImpl<true, false>(plan, tables, data, flow);
-    return paths.btb ? replayImpl<false, true>(plan, tables, data, flow)
-                     : replayImpl<false, false>(plan, tables, data, flow);
+        return paths.btb
+                   ? replayImpl<true, true, false>(plan, tables, data, flow)
+                   : replayImpl<true, false, false>(plan, tables, data, flow);
+    return paths.btb
+               ? replayImpl<false, true, false>(plan, tables, data, flow)
+               : replayImpl<false, false, false>(plan, tables, data, flow);
 }
 
 /**
@@ -364,10 +400,12 @@ Machine::replayWith(const trace::ReplayPlan &plan,
  * addresses come pre-translated), and the verdicts of
  * the L1D and RAS — plus the L2 data side and the BTB where @p paths
  * says so — read from precomputed bits instead of simulated in line
- * (DESIGN.md §5n, §5p). Any behavioural edit here must be made in
- * runReference() too (test_replay.cc enforces equality).
+ * (DESIGN.md §5n, §5p). With ShareL1i there is no fetch at all:
+ * replayWith() adds the layout's first-touch fetch outcome (§5r). Any
+ * behavioural edit here must be made in runReference() too
+ * (test_replay.cc enforces equality).
  */
-template <bool ShareL2, bool ShareBtb>
+template <bool ShareL2, bool ShareBtb, bool ShareL1i>
 RunResult
 Machine::replayImpl(const trace::ReplayPlan &plan,
                     const trace::LayoutTables &tables,
@@ -419,9 +457,8 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     // reference loop's switch and its fetch-stall conditional.
     const u32 lat_by_level[3] = {cfg_.l1Latency, cfg_.l2Latency,
                                  cfg_.memLatency};
-    auto stall = [](u32 lat) -> Cycle { return lat > 4 ? lat - 4 : 0; };
     const Cycle fetch_stall_by_level[3] = {
-        0, stall(cfg_.l2Latency), stall(cfg_.memLatency)};
+        0, fetchStall(cfg_.l2Latency), fetchStall(cfg_.memLatency)};
     auto mem_latency = [&](cache::HitLevel level) -> u32 {
         return lat_by_level[static_cast<u32>(level)];
     };
@@ -450,16 +487,18 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
         // ---- Front end: fetch the lines this block occupies. Fetch
         // lines are physical; the page map is a bijection that keeps
         // offsets, so deduping on them is deduping on virtual lines.
-        const u32 li_end = site_line_start[s + 1];
-        for (u32 li = site_line_start[s]; li < li_end; ++li) {
-            const Addr line = line_phys[li];
-            if (line == last_fetch_line)
-                continue; // same fetch group continuing
-            last_fetch_line = line;
-            cache::HitLevel level = hierarchy_.fetchInst(line);
-            // Demand I-miss stalls fetch; the decode queue hides a few
-            // cycles (precomputed per level, zero for L1 hits).
-            cycles += fetch_stall_by_level[static_cast<u32>(level)];
+        if constexpr (!ShareL1i) {
+            const u32 li_end = site_line_start[s + 1];
+            for (u32 li = site_line_start[s]; li < li_end; ++li) {
+                const Addr line = line_phys[li];
+                if (line == last_fetch_line)
+                    continue; // same fetch group continuing
+                last_fetch_line = line;
+                cache::HitLevel level = hierarchy_.fetchInst(line);
+                // Demand I-miss stalls fetch; the decode queue hides a
+                // few cycles (precomputed per level, zero for L1 hits).
+                cycles += fetch_stall_by_level[static_cast<u32>(level)];
+            }
         }
 
         // ---- Issue/retire.
@@ -538,7 +577,8 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
                 ++res.rasMispredicts;
                 cycles += cfg_.frontendDepth;
             }
-            last_fetch_line = ~Addr{0};
+            if constexpr (!ShareL1i)
+                last_fetch_line = ~Addr{0};
             continue;
         }
 
@@ -572,7 +612,8 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
                     }
                 }
             }
-            last_fetch_line = ~Addr{0};
+            if constexpr (!ShareL1i)
+                last_fetch_line = ~Addr{0};
         }
     }
     };

@@ -129,11 +129,15 @@ class Machine
      * reads its L1D hit bit and each return its mispredict bit from
      * @p shared, and only L1D misses reach the L2. When @p shared has
      * no L1D part, one L1D pass over @p tables runs first. @p paths
-     * names the structures a proof (canShareL2Data, canShareBtb) showed
-     * @p shared's outcome holds for on this layout; the kernel reads
-     * those and simulates the rest. @p tables may lack data addresses
-     * only when both the L1D and the L2 data side come from @p shared.
-     * @p shared must cover this plan's streams (panics otherwise).
+     * names the structures a proof (canShareL2Data, canShareBtb,
+     * canShareL1i) showed @p shared's outcome holds for on this layout;
+     * the kernel reads those and simulates the rest. On the L1I path
+     * there is no fetch loop: the layout's fetch outcome comes from
+     * fetchFirstTouch() over @p tables and is added to the kernel's
+     * counters; it needs the L2 data path too (panics otherwise).
+     * @p tables may lack data addresses only when both the L1D and the
+     * L2 data side come from @p shared. @p shared must cover this
+     * plan's streams (panics otherwise).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables,
@@ -172,7 +176,7 @@ class Machine
                          const SharedOutcomes &data,
                          const SharedOutcomes &flow, SharedPaths paths);
 
-    template <bool ShareL2, bool ShareBtb>
+    template <bool ShareL2, bool ShareBtb, bool ShareL1i>
     RunResult replayImpl(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
                          const SharedOutcomes &data,

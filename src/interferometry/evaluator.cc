@@ -91,6 +91,8 @@ LayoutEvaluator::measureOne(core::MeasurementRunner &runner,
     paths.l2Data =
         shareL1d_ && core::canShareL2Data(machine_, plan_, tables, *shared_);
     paths.btb = core::canShareBtb(machine_, plan_, tables, *shared_);
+    paths.l1i =
+        paths.l2Data && core::canShareL1i(machine_, plan_, tables, *shared_);
     if (shareL1d_ && !paths.l2Data) {
         INTERF_SPAN("layout.gen");
         tables = tables_for(true);

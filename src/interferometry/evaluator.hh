@@ -113,8 +113,9 @@ class LayoutEvaluator
     trace::ReplayPlan plan_;
     layout::Linker linker_;
     core::MeasurementRunner runner_; ///< Serial path (jobs == 1).
-    /** The outcomes every layout shares (DESIGN.md §5n, §5p): the
-     *  BTB and RAS always, the L1D and L2 data side when shareL1d_.
+    /** The outcomes every layout shares (DESIGN.md §5n, §5p, §5r):
+     *  the BTB and RAS always; the L1D, the L2 data side and the
+     *  sites' first events (the L1I's input) when shareL1d_.
      *  Built once, serially, before the first fan-out, then
      *  read-only. */
     std::optional<core::SharedOutcomes> shared_;

@@ -553,6 +553,27 @@ TEST(CampaignL1d, FixedHeapCampaignSharesL2AndBtbOnEveryLayout)
     }
 }
 
+TEST(CampaignL1d, FixedHeapCampaignSharesL1iOnEveryLayout)
+{
+    // perlbench at 60k instructions overflows no L1I set under any of
+    // the campaign's page maps, so every layout takes its fetch outcome
+    // from first touches (DESIGN.md §5r), at any worker count.
+    const auto &profile = workloads::specFor("400.perlbench").profile;
+    for (u32 jobs : {1u, 4u}) {
+        auto cfg = quickConfig(8);
+        cfg.jobs = jobs;
+        auto body = [&] {
+            Campaign camp(profile, cfg);
+            camp.measureLayouts(0, 8);
+        };
+        EXPECT_EQ(counterDuring("replay.calls", body), 8u);
+        EXPECT_EQ(counterDuring("replay.l1i_shared", body), 8u)
+            << "jobs " << jobs;
+        EXPECT_EQ(counterDuring("replay.l1i_simulated", body), 0u)
+            << "jobs " << jobs;
+    }
+}
+
 TEST(CampaignL1d, RandomizedHeapSimulatesL2AndSharesBtb)
 {
     // No data stream is shared, so the L2 data side is simulated; the

@@ -357,14 +357,27 @@ flipFileByte(const std::string &path, u64 offset)
 
 struct FitnessMutation
 {
-    const char *name;
-    const char *fault; ///< Substring load's fatal message must carry.
     /** Damage the entry of candidate 9 in store @p fs; returns the
      *  (store, candidate) a load must now read from. */
-    std::function<std::pair<u64, u64>(const std::string &root,
-                                       const store::FitnessStore &fs,
-                                       const std::string &entry)>
-        mutate;
+    using Mutate = std::function<std::pair<u64, u64>(
+        const std::string &root, const store::FitnessStore &fs,
+        const std::string &entry)>;
+
+    FitnessMutation(const char *n, const char *f, Mutate m)
+        : mutate(std::move(m)), name(n), fault(f)
+    {
+    }
+
+    // gtest prints this parameter as a byte dump, and ctest puts the
+    // dump in the test's name. The captureless callable leads so the
+    // dump opens with its storage, not with a string address that
+    // moves with the binary's layout and build directory. That storage
+    // reads as zeros under libstdc++, which value-initializes it and
+    // stores nothing for an empty lambda; the bytes after it (the
+    // manager pointer, then the two strings) are addresses still.
+    Mutate mutate;
+    const char *name;
+    const char *fault; ///< Substring load's fatal message must carry.
 };
 
 constexpr u64 kFitBase = 42;
@@ -755,6 +768,32 @@ TEST(OptSearch, FixedHeapSearchSharesL2AndBtbOnEveryEval)
     EXPECT_EQ(counterDuring("replay.btb_shared", body), calls);
     EXPECT_EQ(counterDuring("replay.l2_simulated", body), 0u);
     EXPECT_EQ(counterDuring("replay.btb_simulated", body), 0u);
+}
+
+TEST(OptSearch, SearchTakesTheL1iPathOnlyWithAFixedHeap)
+{
+    // A fixed-heap search reads every fresh evaluation's fetch outcome
+    // from first touches (DESIGN.md §5r); a randomized heap proves no
+    // L2, so the L1I proof is never asked and fetch is simulated.
+    const auto profile = workloads::defaultProfile("opt-l1d");
+    for (bool randomize : {false, true}) {
+        OptConfig cfg = quickSearch(Strategy::Anneal, 5);
+        cfg.randomizeHeap = randomize;
+        u64 fresh = 0;
+        auto body = [&] {
+            FitnessOracle oracle(profile, cfg);
+            fresh = makeOptimizer(oracle, cfg)->run().freshEvals;
+        };
+        const u64 calls = counterDuring("replay.calls", body);
+        EXPECT_EQ(calls, fresh);
+        EXPECT_GT(calls, 1u);
+        EXPECT_EQ(counterDuring("replay.l1i_shared", body),
+                  randomize ? 0u : calls)
+            << "randomized heap " << randomize;
+        EXPECT_EQ(counterDuring("replay.l1i_simulated", body),
+                  randomize ? calls : 0u)
+            << "randomized heap " << randomize;
+    }
 }
 
 TEST(OptSearch, RandomizedHeapSearchSharesOnlyBtb)

@@ -327,51 +327,67 @@ struct PathCase
     MachineConfig cfg;
     bool l2Shared;
     bool btbShared;
+    bool l1iShared;
 };
 
 std::vector<PathCase>
 pathCases()
 {
+    const MachineConfig xeon = MachineConfig::xeonE5440();
     std::vector<PathCase> cases;
-    cases.push_back({"default", MachineConfig::xeonE5440(), true, true});
-    PathCase small_l2{"64 KiB L2", MachineConfig::xeonE5440(), false, true};
+    cases.push_back({"default", xeon, true, true, true});
+    // The L1I path needs the L2 proof, so an overflowing L2 takes both
+    // fallbacks.
+    PathCase small_l2{"64 KiB L2", xeon, false, true, false};
     small_l2.cfg.hierarchy.l2 = cache::CacheConfig{
         "L2", 64 << 10, 16, 64, cache::Replacement::Random};
     cases.push_back(small_l2);
-    PathCase small_btb{"64-set BTB", MachineConfig::xeonE5440(), true, false};
+    PathCase small_btb{"64-set BTB", xeon, true, false, true};
     small_btb.cfg.btbSets = 64;
     cases.push_back(small_btb);
-    PathCase small_ras{"2-entry RAS", MachineConfig::xeonE5440(), true, true};
+    PathCase small_ras{"2-entry RAS", xeon, true, true, true};
     small_ras.cfg.rasDepth = 2;
     cases.push_back(small_ras);
     // Line geometry: 128-byte L2 lines (32 per page) and 32-byte L1I
-    // lines share; 32-byte L2 lines under 64-byte L1D lines cannot,
-    // because a first L2 touch need not miss the L1D.
-    PathCase wide_l2{"128 B L2 lines", MachineConfig::xeonE5440(), true,
-                     true};
+    // lines share the L2; 32-byte L2 lines under 64-byte L1D lines
+    // cannot, because a first L2 touch need not miss the L1D. The L1I
+    // path needs equal L1I and L2 lines, so all three fall back there.
+    PathCase wide_l2{"128 B L2 lines", xeon, true, true, false};
     wide_l2.cfg.hierarchy.l2.lineBytes = 128;
     cases.push_back(wide_l2);
-    PathCase narrow_l1i{"32 B L1I lines", MachineConfig::xeonE5440(), true,
-                        true};
+    PathCase narrow_l1i{"32 B L1I lines", xeon, true, true, false};
     narrow_l1i.cfg.hierarchy.l1i.lineBytes = 32;
     cases.push_back(narrow_l1i);
-    PathCase narrow_l2{"32 B L2 lines", MachineConfig::xeonE5440(), false,
-                       true};
+    PathCase narrow_l2{"32 B L2 lines", xeon, false, true, false};
     narrow_l2.cfg.hierarchy.l2.lineBytes = 32;
     cases.push_back(narrow_l2);
+    // L1I geometry: a 4 KiB 2-way L1I overflows sets; without the
+    // prefetcher, and with random replacement where the lines fit, the
+    // first-touch outcome still holds.
+    PathCase tiny_l1i{"4 KiB 2-way L1I", xeon, true, true, false};
+    tiny_l1i.cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 4 << 10, 2, 64};
+    cases.push_back(tiny_l1i);
+    PathCase no_prefetch{"no next-line prefetch", xeon, true, true, true};
+    no_prefetch.cfg.hierarchy.nextLinePrefetch = false;
+    cases.push_back(no_prefetch);
+    PathCase random_l1i{"random L1I", xeon, true, true, true};
+    random_l1i.cfg.hierarchy.l1i.replacement = cache::Replacement::Random;
+    cases.push_back(random_l1i);
     return cases;
 }
 
-/** The shared-path golden sweep (DESIGN.md §5p): outcomes built once
- *  per workload from the fixed heap's data stream under the identity
- *  map, then every layout replays with the paths its proofs allow, as
- *  a LayoutEvaluator does: from tables without data addresses when the
- *  L2 data side is shared, with them otherwise. The
- *  default machine shares the L2 data side, the BTB and the RAS; a
- *  64 KiB L2 and a 64-set BTB overflow sets and fall back to
- *  simulation; a 2-entry RAS overflows on deep call chains. Every
- *  result equals the reference model on a fresh Machine, and the
- *  replay.* counters record the path each replay took. */
+/** The shared-path golden sweep (DESIGN.md §5p, §5r): outcomes built
+ *  once per workload from the fixed heap's data stream under the
+ *  identity map, then every layout replays with the paths its proofs
+ *  allow, as a LayoutEvaluator does: from tables without data
+ *  addresses when the L2 data side is shared, with them otherwise, and
+ *  with the L1I's first-touch outcome where the L2 and L1I proofs both
+ *  hold. The default machine shares the L2 data side, the BTB, the RAS
+ *  and the L1I; a 64 KiB L2, a 64-set BTB and a 4 KiB L1I overflow
+ *  sets and fall back to simulation; a 2-entry RAS overflows on deep
+ *  call chains. Every result equals the reference model on a fresh
+ *  Machine, and the replay.* counters record the path each replay
+ *  took. */
 TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
 {
     const layout::HeapKey fixed = layout::HeapKey::deterministic();
@@ -403,8 +419,11 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                         paths.l2Data =
                             canShareL2Data(cfg, w.plan, tables, shared);
                         paths.btb = canShareBtb(cfg, w.plan, tables, shared);
+                        paths.l1i = paths.l2Data &&
+                                    canShareL1i(cfg, w.plan, tables, shared);
                         EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
                         EXPECT_EQ(paths.btb, pc.btbShared) << what;
+                        EXPECT_EQ(paths.l1i, pc.l1iShared) << what;
                         if (!paths.l2Data)
                             tables = LayoutTables(w.plan, code, heap, pages,
                                                   cfg.hierarchy.l1i.lineBytes);
@@ -428,6 +447,10 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
         EXPECT_EQ(count("replay.btb_shared"), pc.btbShared ? replays : 0)
             << pc.name;
         EXPECT_EQ(count("replay.btb_simulated"), pc.btbShared ? 0 : replays)
+            << pc.name;
+        EXPECT_EQ(count("replay.l1i_shared"), pc.l1iShared ? replays : 0)
+            << pc.name;
+        EXPECT_EQ(count("replay.l1i_simulated"), pc.l1iShared ? 0 : replays)
             << pc.name;
         EXPECT_GT(ras_mispredicts, 0u) << pc.name;
     }
@@ -478,14 +501,22 @@ TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
 
 /** The fallbacks are not vacuous: where a proof refuses, reading the
  *  shared outcome anyway gives a wrong result on at least one
- *  workload. */
+ *  workload. The L2 and BTB paths are forced by themselves. The L1I
+ *  path is forced in a run of its own, with the L2 path it needs,
+ *  where the L2 proof holds but the L1I proof refuses: an overflowing
+ *  L1I set shows in the demand misses, L1I and L2 lines of different
+ *  sizes in the L2 verdicts of fetches and prefetches. (Where the L2
+ *  proof refuses, the L1I path is never taken.) */
 TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
 {
     for (const PathCase &pc : pathCases()) {
-        if (pc.l2Shared && pc.btbShared)
+        const bool l2_or_btb_refused = !pc.l2Shared || !pc.btbShared;
+        const bool l1i_refused = pc.l2Shared && !pc.l1iShared;
+        if (!l2_or_btb_refused && !l1i_refused)
             continue;
         const MachineConfig &cfg = pc.cfg;
         u32 differing = 0;
+        u32 l1i_differing = 0;
         for (const Workload &w : workloads()) {
             layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
             LayoutTables tables(w.plan, codeFor(w, 4), heap,
@@ -493,18 +524,37 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
                                 cfg.hierarchy.l1i.lineBytes);
             const SharedOutcomes shared =
                 simulateShared(cfg, w.plan, &tables, kShareAll);
-            SharedPaths forced;
-            forced.l2Data = !pc.l2Shared;
-            forced.btb = !pc.btbShared;
             Machine machine(cfg);
             const RunResult honest = machine.replay(w.plan, tables);
-            const RunResult wrong = machine.replay(w.plan, tables, shared,
-                                                   forced);
-            differing += honest.l2Misses != wrong.l2Misses ||
-                         honest.btbMisses != wrong.btbMisses;
+            if (l2_or_btb_refused) {
+                SharedPaths forced;
+                forced.l2Data = !pc.l2Shared;
+                forced.btb = !pc.btbShared;
+                const RunResult wrong =
+                    machine.replay(w.plan, tables, shared, forced);
+                differing += honest.l2Misses != wrong.l2Misses ||
+                             honest.btbMisses != wrong.btbMisses;
+            }
+            if (l1i_refused) {
+                SharedPaths forced;
+                forced.l2Data = true;
+                forced.l1i = true;
+                const RunResult wrong =
+                    machine.replay(w.plan, tables, shared, forced);
+                l1i_differing += honest.l1iMisses != wrong.l1iMisses ||
+                                 honest.l2InstMisses != wrong.l2InstMisses ||
+                                 honest.l2PrefMisses != wrong.l2PrefMisses;
+            }
         }
-        EXPECT_GT(differing, 0u)
-            << pc.name << ": the proof guards nothing on these workloads";
+        if (l2_or_btb_refused) {
+            EXPECT_GT(differing, 0u)
+                << pc.name << ": the proof guards nothing on these workloads";
+        }
+        if (l1i_refused) {
+            EXPECT_GT(l1i_differing, 0u)
+                << pc.name << ": the L1I proof guards nothing on these "
+                              "workloads";
+        }
     }
 }
 
@@ -614,6 +664,180 @@ TEST(ReplayGolden, L2ProofPlacesDataPagesThroughTheRecordingMap)
     EXPECT_FALSE(facts.checked);
     EXPECT_TRUE(canShareL2Data(cfg, w.plan, under_5, recorded_virtual));
     EXPECT_TRUE(canShareL2Data(cfg, w.plan, under_6, recorded_virtual));
+}
+
+/** The L1I proof histograms the lines that enter the L1I: each line an
+ *  executed site spans and, with the prefetcher, its *physical*
+ *  successor, which at a page end is line 0 of the next physical page
+ *  (DESIGN.md §5r). An independent count, from virtual site addresses
+ *  translated line by line, gives the same facts on every workload and
+ *  page map, with the prefetcher and without, on L1Is whose set index
+ *  stays inside the page offset and on 1- and 2-way L1Is whose index
+ *  reaches past it, where a page-end successor's set depends on which
+ *  physical page follows. */
+TEST(ReplayGolden, L1iProofCountsPhysicalLinesAndSuccessors)
+{
+    const cache::CacheConfig geometries[] = {
+        {"L1I", 32 << 10, 8, 64},
+        {"L1I", 64 << 10, 2, 64},
+        {"L1I", 256 << 10, 1, 64},
+    };
+    u32 refused = 0;
+    for (const Workload &w : workloads()) {
+        for (const cache::CacheConfig &l1i : geometries) {
+            for (bool prefetch : {true, false}) {
+                auto cfg = MachineConfig::xeonE5440();
+                cfg.hierarchy.l1i = l1i;
+                cfg.hierarchy.nextLinePrefetch = prefetch;
+                const u32 line = l1i.lineBytes;
+                const SharedOutcomes shared =
+                    simulateShared(cfg, w.plan, nullptr, kShareL1i);
+                for (u64 seed = 1; seed <= 3; ++seed) {
+                    const auto code = codeFor(w, seed);
+                    const layout::PageMap pages(seed * 31 + 7);
+                    const LayoutTables tables(w.plan, code, pages, line);
+                    std::set<Addr> lines;
+                    for (u32 s = 0; s < w.plan.siteCount(); ++s) {
+                        if (shared.siteFirstEvent[s] == ReplayPlan::kNoSite)
+                            continue;
+                        const Addr end =
+                            tables.siteAddr[s] + w.plan.siteBytes[s] - 1;
+                        for (Addr v = tables.siteAddr[s] & ~Addr{line - 1};
+                             v <= end; v += line) {
+                            const Addr phys = pages.translate(v) / line;
+                            lines.insert(phys);
+                            if (prefetch)
+                                lines.insert(phys + 1);
+                        }
+                    }
+                    std::vector<u32> per_set(l1i.numSets(), 0);
+                    for (Addr l : lines)
+                        ++per_set[l % l1i.numSets()];
+                    u32 overflowing = 0;
+                    u32 largest = 0;
+                    for (u32 c : per_set) {
+                        overflowing += c > l1i.assoc;
+                        largest = std::max(largest, c);
+                    }
+                    ConflictFacts facts;
+                    const bool holds =
+                        canShareL1i(cfg, w.plan, tables, shared, &facts);
+                    const std::string what =
+                        std::to_string(l1i.sizeBytes >> 10) + " KiB " +
+                        std::to_string(l1i.assoc) + "-way, prefetch " +
+                        std::to_string(prefetch) + ", seed " +
+                        std::to_string(seed);
+                    EXPECT_TRUE(facts.checked) << what;
+                    EXPECT_EQ(facts.overflowingSets, overflowing) << what;
+                    EXPECT_EQ(facts.maxPerSet, largest) << what;
+                    EXPECT_EQ(holds, overflowing == 0) << what;
+                    refused += !holds;
+                }
+            }
+        }
+    }
+    EXPECT_GT(refused, 0u) << "no geometry overflows: the count is vacuous";
+}
+
+/** The L1I outcome counts from the warmup event on, as the kernel's
+ *  statistics do. For warmup fractions 0 and 0.5, the trace is cut so
+ *  that its warmup event is the first event of a site and carries
+ *  fetch misses of its own (the reference counts more of them with
+ *  warmup there than one event later): a line's first demand falls on
+ *  the boundary. On a layout where the L2 and L1I proofs hold, the
+ *  first-touch replay equals the reference there. */
+TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
+{
+    const auto &profile = workloads::specFor("400.perlbench").profile;
+    const Program prog = workloads::buildProgram(profile);
+    const Trace full =
+        TraceGenerator(prog, profile.behaviourSeed).makeTrace(80000);
+    const ReplayPlan full_plan(prog, full);
+    // First events of sites in the first half, latest first.
+    std::vector<size_t> fresh;
+    std::vector<bool> seen(full_plan.siteCount(), false);
+    for (size_t e = 0; 2 * e <= full_plan.eventCount(); ++e)
+        if (!seen[full_plan.site[e]]) {
+            seen[full_plan.site[e]] = true;
+            fresh.push_back(e);
+        }
+    std::reverse(fresh.begin(), fresh.end());
+    ASSERT_GT(fresh.size(), 1u);
+
+    const auto code =
+        layout::Linker().link(prog, layout::LayoutKey{1, true, true});
+    const layout::HeapLayout heap(prog, layout::HeapKey::deterministic());
+    const layout::PageMap pages(5);
+    for (double frac : {0.0, 0.5}) {
+        auto cfg = MachineConfig::xeonE5440();
+        cfg.warmupFraction = frac;
+        bool found = false;
+        for (size_t f : frac == 0.0 ? std::vector<size_t>{0} : fresh) {
+            // The first 2f events (all of them at fraction 0), so that
+            // the warmup event is f.
+            Trace cut = full;
+            if (frac > 0.0) {
+                cut.events.resize(2 * f);
+                size_t mem = 0;
+                for (size_t e = 0; e < 2 * f; ++e)
+                    mem += full_plan.nMem[e];
+                cut.memIds.resize(mem);
+                cut.recount(prog);
+            }
+            const ReplayPlan plan(prog, cut);
+            const size_t warm = static_cast<size_t>(
+                static_cast<double>(plan.eventCount()) * frac);
+            ASSERT_EQ(warm, f);
+            const LayoutTables data(plan, heap, layout::PageMap());
+            const SharedOutcomes shared =
+                simulateShared(cfg, plan, &data, kShareAll);
+            ASSERT_EQ(shared.siteFirstEvent[plan.site[warm]], warm);
+            const LayoutTables tables(plan, code, pages,
+                                      cfg.hierarchy.l1i.lineBytes);
+            SharedPaths paths;
+            paths.l2Data = canShareL2Data(cfg, plan, tables, shared);
+            paths.btb = canShareBtb(cfg, plan, tables, shared);
+            paths.l1i = canShareL1i(cfg, plan, tables, shared);
+            ASSERT_TRUE(paths.l2Data && paths.l1i);
+            Machine fresh_machine(cfg);
+            const RunResult ref =
+                fresh_machine.runReference(prog, cut, code, heap, pages);
+            auto later = cfg;
+            later.warmupFraction = (static_cast<double>(warm) + 1.5) /
+                                   static_cast<double>(plan.eventCount());
+            Machine later_machine(later);
+            const RunResult ref_later =
+                later_machine.runReference(prog, cut, code, heap, pages);
+            if (ref.l1iMisses + ref.l2PrefMisses ==
+                ref_later.l1iMisses + ref_later.l2PrefMisses)
+                continue; // Every line of event f arrived earlier.
+            found = true;
+            Machine machine(cfg);
+            expectSameResult(ref, machine.replay(plan, tables, shared, paths),
+                             "warmup " + std::to_string(frac) +
+                                 ", warmup event " + std::to_string(warm));
+            break;
+        }
+        EXPECT_TRUE(found) << "no first demand on warmup " << frac;
+    }
+}
+
+/** The L1I path reads fetch misses as first L2 touches, which only the
+ *  L2 proof guarantees: asking for it without the L2 path panics. */
+TEST(ReplayGoldenDeathTest, SharedL1iPathNeedsTheSharedL2Path)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    const Workload &w = workloads()[0];
+    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    const LayoutTables tables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
+                              cfg.hierarchy.l1i.lineBytes);
+    const SharedOutcomes shared =
+        simulateShared(cfg, w.plan, &tables, kShareAll);
+    Machine machine(cfg);
+    SharedPaths l1i_only;
+    l1i_only.l1i = true;
+    EXPECT_DEATH(machine.replay(w.plan, tables, shared, l1i_only),
+                 "the shared L1I path needs the shared L2 data side");
 }
 
 /** Tables without data addresses replay only where the shared

@@ -9,11 +9,11 @@
  * facts the soundness passes reason over, then the diagnostics, as
  * text (default) or as one JSON report (--json; schema in
  * docs/verify-report.schema.json). With --profile and --layouts it
- * also reports the L2 and BTB conflict facts of those layouts under
- * the fixed heap: overflowing sets, the largest per-set distinct
- * count and whether the sharing proofs of DESIGN.md §5p hold (facts,
- * not diagnostics: a refused proof only means the replay simulates
- * that structure). The exit code is the verdict:
+ * also reports the L2, BTB and L1I conflict facts of those layouts
+ * under the fixed heap: overflowing sets, the largest per-set distinct
+ * count and whether the sharing proofs of DESIGN.md §5p and §5r hold
+ * (facts, not diagnostics: a refused proof only means the replay
+ * simulates that structure). The exit code is the verdict:
  *
  *   0  everything verified clean (warnings allowed unless --strict);
  *   1  at least one error diagnostic (--strict: any diagnostic);
@@ -140,10 +140,11 @@ main(int argc, char **argv)
                    "(e.g. 400.perlbench)");
     opts.addInt("budget", 0,
                 "instruction budget: generate a trace of this size and "
-                "verify trace + replay plan (requires --profile)");
+                "verify trace + replay plan (requires --profile; 0 or "
+                "at least 10000)");
     opts.addInt("layouts", 0,
                 "link this many seeded layouts, verify placements and "
-                "page maps, and report their L2/BTB conflict facts "
+                "page maps, and report their L2/BTB/L1I conflict facts "
                 "(requires --profile; without --budget the facts use "
                 "a 300000-instruction trace)");
     opts.addString("trace", "",
@@ -176,6 +177,11 @@ main(int argc, char **argv)
         return usageError("--key requires --store");
     if (budget < 0 || layouts < 0)
         return usageError("--budget and --layouts must be >= 0");
+    if (budget > 0 &&
+        budget < static_cast<i64>(trace::kMinInstructionBudget))
+        return usageError(strprintf(
+            "--budget must be 0 (no plan) or >= %llu",
+            static_cast<unsigned long long>(trace::kMinInstructionBudget)));
 
     if (layouts > 0 && budget == 0)
         budget = kConflictBudget;
@@ -235,7 +241,7 @@ main(int argc, char **argv)
     // heap's data stream, recorded under the identity map so each
     // layout's page map places it. Only a machine and plan that
     // verified clean can be simulated.
-    ConflictSummary l2_facts, btb_facts;
+    ConflictSummary l2_facts, btb_facts, l1i_facts;
     const bool conflicts = layouts > 0 && arts.plan && all.ok();
     if (conflicts) {
         const layout::HeapLayout heap(prog,
@@ -257,6 +263,9 @@ main(int argc, char **argv)
             const bool btb =
                 core::canShareBtb(machine, plan, tables, shared, &f);
             btb_facts.add(btb, f);
+            const bool l1i =
+                core::canShareL1i(machine, plan, tables, shared, &f);
+            l1i_facts.add(l1i, f);
         }
     }
 
@@ -308,6 +317,8 @@ main(int argc, char **argv)
             jc.set("l2", l2_facts.toJson(machine.hierarchy.l2.assoc,
                                          static_cast<u32>(layouts)));
             jc.set("btb", btb_facts.toJson(machine.btbWays,
+                                           static_cast<u32>(layouts)));
+            jc.set("l1i", l1i_facts.toJson(machine.hierarchy.l1i.assoc,
                                            static_cast<u32>(layouts)));
             report.set("conflicts", std::move(jc));
         }
@@ -367,6 +378,7 @@ main(int argc, char **argv)
             };
             line("l2", l2_facts, machine.hierarchy.l2.assoc);
             line("btb", btb_facts, machine.btbWays);
+            line("l1i", l1i_facts, machine.hierarchy.l1i.assoc);
         }
         all.printText(stdout);
     }
