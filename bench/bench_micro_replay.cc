@@ -2,31 +2,35 @@
  * @file
  * Replay-kernel micro-benchmark: events/sec and layouts/sec of the
  * four per-layout measurement paths, on bench_scaling_parallel's
- * workload (445.gobmk, 300k instructions, 40 layouts by default):
+ * workload (445.gobmk, 300k instructions, 40 layouts by default),
+ * every layout under its own randomized PageMap:
  *
  *   reference        link + heap + runReference() — the event-at-a-time
  *                    pre-plan path (what campaigns paid before the
  *                    compiled ReplayPlan existed);
  *   plan             link + heap + LayoutTables + Machine::replay()
- *                    with a randomized PageMap and a randomized heap —
- *                    one L1D pass per layout;
- *   plan_identity    same, with the identity PageMap, through the same
- *                    kernel path (its fetch lines are built under the
- *                    identity map like any other's);
- *   plan_shared_l1d  plan with a fixed heap, as campaigns run by
- *                    default: one L1D pass before the batch, its
- *                    outcome reused by every layout (DESIGN.md §5n).
+ *                    with a randomized heap — one L1D pass per layout,
+ *                    the L2 simulated and the BTB in its own pass;
+ *   plan_shared_l1d  plan with a fixed heap: one L1D pass before the
+ *                    batch, its outcome reused by every layout
+ *                    (DESIGN.md §5n);
+ *   plan_shared      the fixed heap as campaigns run it by default:
+ *                    every shared outcome built once before the batch,
+ *                    and each layout's paths set by the L2, BTB and L1I
+ *                    proofs, as LayoutEvaluator sets them (§5p, §5r,
+ *                    §5s).
  *
  * Each path's per-layout cost includes everything a campaign pays for
- * that layout (layout construction included; the shared L1D pass is
- * inside the batch's time), so layouts/sec ratios are end-to-end
- * speedups. Rounds are interleaved across paths — reference, plan,
- * identity, shared, repeat — and the per-path minimum over rounds is
- * reported, so machine-noise epochs hit all paths alike rather than
- * whichever ran last. Every replay path must produce the reference
- * model's cycle counts (the replay golden contract) — the fixed-heap
- * path against a fixed-heap reference run — and the bench checks
- * that, making the CI smoke run a correctness probe too.
+ * that layout (layout construction and proofs included; the shared
+ * passes are inside the batch's time), so layouts/sec ratios are
+ * end-to-end speedups. Rounds are interleaved across paths —
+ * reference, plan, shared L1D, shared, repeat — and the per-path
+ * minimum over rounds is reported, so machine-noise epochs hit all
+ * paths alike rather than whichever ran last. Every replay path must
+ * produce the reference model's cycle counts (the replay golden
+ * contract) — the fixed-heap paths against a fixed-heap reference run
+ * — and the bench checks that, making the CI smoke run a correctness
+ * probe too.
  *
  * --json writes the standard machine-readable report; --smoke shrinks
  * the scale for CI.
@@ -56,10 +60,16 @@ namespace
 using namespace interf;
 using Clock = std::chrono::steady_clock;
 
-enum class Path : u32 { Reference, Plan, PlanIdentity, PlanSharedL1d };
+enum class Path : u32 { Reference, Plan, PlanSharedL1d, PlanShared };
 
-const char *const kPathNames[] = {"reference", "plan", "plan_identity",
-                                  "plan_shared_l1d"};
+const char *const kPathNames[] = {"reference", "plan", "plan_shared_l1d",
+                                  "plan_shared"};
+
+bool
+fixedHeap(Path path)
+{
+    return path == Path::PlanSharedL1d || path == Path::PlanShared;
+}
 
 /** Layout @p i of the batch: code, heap and page map for @p path. */
 struct BenchLayout
@@ -73,13 +83,10 @@ BenchLayout
 layoutFor(Path path, const trace::Program &prog, size_t i)
 {
     const u64 seed = static_cast<u64>(i) + 1;
-    layout::HeapKey hk = path == Path::PlanSharedL1d
-                             ? layout::HeapKey::deterministic()
-                             : layout::HeapKey{seed, true};
+    layout::HeapKey hk = fixedHeap(path) ? layout::HeapKey::deterministic()
+                                         : layout::HeapKey{seed, true};
     return {layout::Linker().link(prog, layout::LayoutKey{seed, true, true}),
-            layout::HeapLayout(prog, hk),
-            path == Path::PlanIdentity ? layout::PageMap()
-                                       : layout::PageMap(seed * 31 + 7)};
+            layout::HeapLayout(prog, hk), layout::PageMap(seed * 31 + 7)};
 }
 
 /** Sum of the reference model's cycles over the batch's layouts as
@@ -117,14 +124,27 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
 {
     std::vector<u64> cycles(layouts, 0);
     auto start = Clock::now();
-    // The shared path pays its one L1D pass up front, serially, as a
+    // The shared paths pay their shared passes up front, serially, as a
     // campaign does before its fan-out.
+    const u32 line = cfg.hierarchy.l1i.lineBytes;
     std::optional<core::SharedOutcomes> shared;
-    if (path == Path::PlanSharedL1d && layouts > 0) {
+    if (fixedHeap(path) && layouts > 0) {
         BenchLayout l = layoutFor(path, prog, 0);
-        const trace::LayoutTables data(plan, l.heap, l.pages);
-        shared = core::simulateShared(cfg, plan, &data,
-                                      core::kShareL1d | core::kShareRas);
+        if (path == Path::PlanSharedL1d) {
+            const trace::LayoutTables data(plan, l.heap, l.pages);
+            shared = core::simulateShared(cfg, plan, &data,
+                                          core::kShareL1d | core::kShareRas);
+        } else {
+            // Under the identity map where the L1D outcome holds across
+            // page maps, so the L2 proof places the data pages under
+            // each layout's map (LayoutEvaluator::measure).
+            const trace::LayoutTables data(
+                plan, l.heap,
+                core::canShareL1d(cfg.hierarchy.l1d, true, false)
+                    ? layout::PageMap()
+                    : l.pages);
+            shared = core::simulateShared(cfg, plan, &data, core::kShareAll);
+        }
     }
     exec::parallelForChunks(pool, layouts, [&](size_t lo, size_t hi) {
         core::Machine machine(cfg);
@@ -134,9 +154,23 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
             if (path == Path::Reference) {
                 res = machine.runReference(prog, trace, l.code, l.heap,
                                            l.pages);
+            } else if (path == Path::PlanShared) {
+                // LayoutEvaluator::measureOne: tables without data
+                // addresses unless the L2 proof refuses.
+                trace::LayoutTables tables(plan, l.code, l.pages, line);
+                core::SharedPaths paths;
+                paths.l2Data =
+                    core::canShareL2Data(cfg, plan, tables, *shared);
+                paths.btb = core::canShareBtb(cfg, plan, tables, *shared);
+                paths.l1i = paths.l2Data &&
+                            core::canShareL1i(cfg, plan, tables, *shared);
+                if (!paths.l2Data)
+                    tables = trace::LayoutTables(plan, l.code, l.heap,
+                                                 l.pages, line);
+                res = machine.replay(plan, tables, *shared, paths);
             } else {
                 trace::LayoutTables tables(plan, l.code, l.heap, l.pages,
-                                           cfg.hierarchy.l1i.lineBytes);
+                                           line);
                 res = shared ? machine.replay(plan, tables, *shared)
                              : machine.replay(plan, tables);
             }
@@ -158,7 +192,7 @@ main(int argc, char **argv)
 {
     OptionParser opts(
         "bench_micro_replay",
-        "events/sec of the reference, plan and identity replay paths");
+        "events/sec of the reference, plan and shared replay paths");
     bench::addScaleOptions(opts);
     opts.addInt("rounds", 5,
                 "interleaved measurement rounds per thread count; the "
@@ -197,16 +231,16 @@ main(int argc, char **argv)
     std::printf("%-16s %8s %14s %12s %14s\n", "path", "threads",
                 "ms/layout", "layouts/sec", "events/sec");
 
-    const Path paths[] = {Path::Reference, Path::Plan, Path::PlanIdentity,
-                          Path::PlanSharedL1d};
+    const Path paths[] = {Path::Reference, Path::Plan, Path::PlanSharedL1d,
+                          Path::PlanShared};
     constexpr size_t kPaths = std::size(paths);
     std::vector<u32> threadAxis = {1};
     u32 hw = exec::ThreadPool::resolveJobs(scale.jobs);
     if (hw > 1)
         threadAxis.push_back(hw);
 
-    const u64 sharedRefChecksum = referenceChecksum(
-        Path::PlanSharedL1d, scale.layouts, prog, trace, cfg);
+    const u64 fixedHeapRefChecksum = referenceChecksum(
+        Path::PlanShared, scale.layouts, prog, trace, cfg);
     bench::JsonReport report;
     double refSingle = 0.0, planSingle = 0.0;
     for (u32 threads : threadAxis) {
@@ -223,13 +257,10 @@ main(int argc, char **argv)
             }
         }
         for (size_t pi = 1; pi < kPaths; ++pi) {
-            // The identity path replays other page maps than the
-            // reference; the shared path another heap.
-            if (paths[pi] == Path::PlanIdentity)
-                continue;
-            const u64 want = paths[pi] == Path::PlanSharedL1d
-                                 ? sharedRefChecksum
-                                 : best[0].checksum;
+            // The fixed-heap paths replay another heap than the
+            // reference path.
+            const u64 want = fixedHeap(paths[pi]) ? fixedHeapRefChecksum
+                                                  : best[0].checksum;
             if (best[pi].checksum != want)
                 fatal("reference and %s paths disagree (checksum %llu vs "
                       "%llu): the replay kernel broke bit-identity",

@@ -11,14 +11,16 @@
  * core::simulateShared and shared across layouts (DESIGN.md §5n), so
  * this class's own L1D serves only accessData(), the whole-hierarchy
  * entry that single-structure probes use. Where no L2 set can
- * overflow, the kernel skips accessDataBelowL1 too and this L2 sees
- * only instruction fetches (§5p); where no L1I set can overflow
- * either, the kernel skips fetchInst as well, so neither cache here
- * sees an access and the fetch outcome comes from first touches
- * (§5r). An optional
- * next-line instruction prefetcher reduces sequential-fetch misses the
- * way real front ends do, keeping conflict misses (the layout-sensitive
- * kind) as the dominant L1I miss source.
+ * overflow, the kernel skips accessDataBelowL1 too, and this L2 sees
+ * only instruction fetches, all from a fetch pass that runs before the
+ * kernel (§5p, §5s); where no L1I set can overflow either, that pass
+ * does not run, so neither cache here sees an access and the fetch
+ * outcome comes from first touches (§5r). Only where the L2 data side
+ * is simulated does the kernel call fetchInst itself, interleaved with
+ * the data misses. An optional next-line instruction prefetcher
+ * reduces sequential-fetch misses the way real front ends do, keeping
+ * conflict misses (the layout-sensitive kind) as the dominant L1I miss
+ * source.
  */
 
 #ifndef INTERF_CACHE_HIERARCHY_HH

@@ -46,14 +46,6 @@ clearFrom(const std::vector<u64> &bits, size_t from, size_t n)
     return (n - from) - set;
 }
 
-/** The warmup event: the kernel clears its statistics there. */
-size_t
-warmupEvent(const MachineConfig &machine, const ReplayPlan &plan)
-{
-    return static_cast<size_t>(static_cast<double>(plan.eventCount()) *
-                               machine.warmupFraction);
-}
-
 /** Stream position of the warmup event's first access. */
 size_t
 warmupMem(const MachineConfig &machine, const ReplayPlan &plan)
@@ -272,6 +264,13 @@ tally(const std::vector<u32> &per_set, u32 ways, ConflictFacts &facts)
 }
 
 } // anonymous namespace
+
+size_t
+warmupEvent(const MachineConfig &machine, const trace::ReplayPlan &plan)
+{
+    return static_cast<size_t>(static_cast<double>(plan.eventCount()) *
+                               machine.warmupFraction);
+}
 
 SharedOutcomes
 simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
@@ -545,14 +544,17 @@ fetchFirstTouch(const MachineConfig &machine, const trace::ReplayPlan &plan,
         const bool prefetched = prefetch && i > 0 &&
                                 firsts[i - 1].first + 1 == line &&
                                 firsts[i - 1].second < at;
-        out.demandMisses += !prefetched;
+        out.l1iMisses += !prefetched;
         // Its own prefetch misses unless the successor was demanded
         // earlier.
         const bool demanded = i + 1 < firsts.size() &&
                               firsts[i + 1].first == line + 1 &&
                               firsts[i + 1].second < at;
-        out.prefetchMisses += prefetch && !demanded;
+        out.l2PrefMisses += prefetch && !demanded;
     }
+    // Every demand miss is a first L2 touch: served from memory.
+    out.l2InstMisses = out.l1iMisses;
+    out.stallCycles = out.l1iMisses * fetchStall(machine.memLatency);
     return out;
 }
 

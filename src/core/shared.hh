@@ -200,11 +200,36 @@ bool canShareL1i(const MachineConfig &machine,
                  const SharedOutcomes &shared,
                  ConflictFacts *facts = nullptr);
 
-/** A layout's fetch outcome from its warmup event on. */
+/**
+ * The event at which a replay of @p plan on @p machine clears its
+ * statistics (MachineConfig::warmupFraction): every count and cycle
+ * before it is warmup. The kernel, the passes and the shared outcomes
+ * all split there; runReference() computes it on its own, as the spec.
+ */
+size_t warmupEvent(const MachineConfig &machine,
+                   const trace::ReplayPlan &plan);
+
+/** Fetch stall of a demand I-miss served at latency @p lat: the decode
+ *  queue hides a few cycles of it. */
+constexpr Cycle
+fetchStall(u32 lat)
+{
+    return lat > 4 ? lat - 4 : 0;
+}
+
+/**
+ * A layout's fetch outcome from its warmup event on, as the replay adds
+ * it to the rest of its counters: where the L2 data side is shared, the
+ * hierarchy sees only fetches, so this is its whole L1I and code-side
+ * L2 contribution. Every L2 miss it counts is a demand or a prefetch
+ * miss, so the L2 total is l2InstMisses + l2PrefMisses.
+ */
 struct FetchOutcome
 {
-    Count demandMisses = 0;   ///< L1I misses, every one an L2 miss.
-    Count prefetchMisses = 0; ///< Next-line prefetches that missed L2.
+    Cycle stallCycles = 0;  ///< Demand-miss fetch stalls.
+    Count l1iMisses = 0;    ///< Demand L1I misses.
+    Count l2InstMisses = 0; ///< Demand fetches that missed the L2.
+    Count l2PrefMisses = 0; ///< Next-line prefetches that missed the L2.
 };
 
 /**
@@ -213,10 +238,12 @@ struct FetchOutcome
  * first demand fetch unless the prefetcher brought it in right after
  * its physical predecessor's first demand fetch, and a prefetch misses
  * when its line has not been demanded yet; each such miss is the
- * line's first L2 touch. A line's first demand is the first event of
- * any site spanning it, then its slot in that site, so one sort of
- * (line, position) pairs over the executed sites gives the outcome in
- * O(site-lines), whatever the event count.
+ * line's first L2 touch, served from memory. A line's first demand is
+ * the first event of any site spanning it, then its slot in that site,
+ * so one sort of (line, position) pairs over the executed sites gives
+ * the outcome in O(site-lines), whatever the event count. Where the L1I
+ * proof refuses, the Machine's own fetch pass produces the same
+ * outcome by simulation (DESIGN.md §5s).
  */
 FetchOutcome fetchFirstTouch(const MachineConfig &machine,
                              const trace::ReplayPlan &plan,

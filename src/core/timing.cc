@@ -15,13 +15,58 @@ namespace interf::core
 namespace
 {
 
-/** Fetch stall of a demand I-miss served at latency @p lat: the decode
- *  queue hides a few cycles. */
-Cycle
-fetchStall(u32 lat)
+/**
+ * The front end's per-event step, the one fetch body beside
+ * runReference(): the kernel's inline fetch and the fetch pass both
+ * call it. It fetches the lines a site spans through the hierarchy,
+ * skipping a line equal to the last one fetched (the same fetch group
+ * continuing), and returns the demand-miss stall. Fetch lines are
+ * physical; the page map is a bijection that keeps offsets, so deduping
+ * on them is deduping on virtual lines.
+ */
+class FetchStep
 {
-    return lat > 4 ? lat - 4 : 0;
-}
+  public:
+    FetchStep(cache::MemoryHierarchy &hierarchy,
+              const trace::LayoutTables &tables, const MachineConfig &cfg)
+        : hierarchy_(hierarchy),
+          linePhys_(tables.linePhys.data()),
+          siteLineStart_(tables.siteLineStart.data()),
+          stallByLevel_{0, fetchStall(cfg.l2Latency),
+                        fetchStall(cfg.memLatency)}
+    {
+    }
+
+    // lint:hot-begin fetch step (tools/lint_hotpath.py)
+    /** Fetch site @p s's lines; returns the stall they cost. */
+    Cycle operator()(u32 s)
+    {
+        Cycle stall = 0;
+        const u32 li_end = siteLineStart_[s + 1];
+        for (u32 li = siteLineStart_[s]; li < li_end; ++li) {
+            const Addr line = linePhys_[li];
+            if (line == lastLine_)
+                continue;
+            lastLine_ = line;
+            // HitLevel is a dense enum (L1, L2, Memory): the stall per
+            // level is precomputed, zero for L1 hits.
+            stall += stallByLevel_[static_cast<u32>(
+                hierarchy_.fetchInst(line))];
+        }
+        return stall;
+    }
+
+    /** A return or a taken redirect breaks the sequential fetch run. */
+    void redirect() { lastLine_ = ~Addr{0}; }
+    // lint:hot-end
+
+  private:
+    cache::MemoryHierarchy &hierarchy_;
+    const Addr *linePhys_;
+    const u32 *siteLineStart_;
+    const Cycle stallByLevel_[3];
+    Addr lastLine_ = ~Addr{0};
+};
 
 } // anonymous namespace
 
@@ -358,38 +403,113 @@ Machine::replayWith(const trace::ReplayPlan &plan,
     INTERF_ASSERT(tables.siteLineStart.size() == plan.siteCount() + 1);
     INTERF_TELEM_COUNT("replay.calls", 1);
     INTERF_TELEM_COUNT("replay.events", plan.eventCount());
-    if (paths.l2Data)
-        INTERF_TELEM_COUNT("replay.l2_shared", 1);
-    else
-        INTERF_TELEM_COUNT("replay.l2_simulated", 1);
-    if (paths.btb)
+    resetState();
+
+    // The BTB meets no other structure, so its per-layout form is a
+    // pass of its own, and the kernel reads bits either way.
+    FlowBits bits{flow.btbHitBits.data(), flow.btbTargetBits.data(),
+                  flow.rasMissBits.data()};
+    if (paths.btb) {
         INTERF_TELEM_COUNT("replay.btb_shared", 1);
-    else
+    } else {
         INTERF_TELEM_COUNT("replay.btb_simulated", 1);
+        btbPass(plan, tables);
+        bits.btbHit = btbHitBits_.data();
+        bits.btbTarget = btbTargetBits_.data();
+    }
+
+    // A simulated L2 sees fetch and data misses interleaved: only the
+    // kernel, fetching in line, keeps their order.
+    if (!paths.l2Data) {
+        INTERF_TELEM_COUNT("replay.l2_simulated", 1);
+        INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
+        return replayImpl<false>(plan, tables, data, bits);
+    }
+    // A shared L2 data side leaves the hierarchy only fetches, which
+    // only ever add stalls to cycles, so their outcome adds on exactly.
+    INTERF_TELEM_COUNT("replay.l2_shared", 1);
+    FetchOutcome fetch;
     if (paths.l1i) {
         INTERF_TELEM_COUNT("replay.l1i_shared", 1);
-        // The kernel skips fetch, which only ever adds stalls to
-        // cycles, so the layout's first-touch outcome adds on exactly.
-        const FetchOutcome fetch = fetchFirstTouch(cfg_, plan, tables, flow);
-        RunResult res =
-            paths.btb ? replayImpl<true, true, true>(plan, tables, data, flow)
-                      : replayImpl<true, false, true>(plan, tables, data,
-                                                      flow);
-        res.cycles += fetch.demandMisses * fetchStall(cfg_.memLatency);
-        res.l1iMisses += fetch.demandMisses;
-        res.l2InstMisses += fetch.demandMisses;
-        res.l2PrefMisses += fetch.prefetchMisses;
-        res.l2Misses += fetch.demandMisses + fetch.prefetchMisses;
-        return res;
+        fetch = fetchFirstTouch(cfg_, plan, tables, flow);
+    } else {
+        INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
+        fetch = fetchPass(plan, tables);
     }
-    INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-    if (paths.l2Data)
-        return paths.btb
-                   ? replayImpl<true, true, false>(plan, tables, data, flow)
-                   : replayImpl<true, false, false>(plan, tables, data, flow);
-    return paths.btb
-               ? replayImpl<false, true, false>(plan, tables, data, flow)
-               : replayImpl<false, false, false>(plan, tables, data, flow);
+    RunResult res = replayImpl<true>(plan, tables, data, bits);
+    res.cycles += fetch.stallCycles;
+    res.l1iMisses += fetch.l1iMisses;
+    res.l2InstMisses += fetch.l2InstMisses;
+    res.l2PrefMisses += fetch.l2PrefMisses;
+    res.l2Misses += fetch.l2InstMisses + fetch.l2PrefMisses;
+    return res;
+}
+
+void
+Machine::btbPass(const trace::ReplayPlan &plan,
+                 const trace::LayoutTables &tables)
+{
+    using trace::ReplayPlan;
+    const size_t n = plan.eventCount();
+    btbHitBits_.assign((n + 63) / 64, 0);
+    btbTargetBits_.assign((n + 63) / 64, 0);
+    const Addr *branch_addr = tables.branchAddr.data();
+    const u32 *ev_site = plan.site.data();
+    const u8 *ev_flags = plan.flags.data();
+    const u32 *ev_target = plan.targetSite.data();
+    u64 *hit_bits = btbHitBits_.data();
+    u64 *target_bits = btbTargetBits_.data();
+    constexpr u8 kMask =
+        ReplayPlan::kHasBranch | ReplayPlan::kReturn | ReplayPlan::kTaken;
+    // lint:hot-begin BTB pass (tools/lint_hotpath.py)
+    for (size_t e = 0; e < n; ++e) {
+        if ((ev_flags[e] & kMask) !=
+            (ReplayPlan::kHasBranch | ReplayPlan::kTaken))
+            continue;
+        // The BTB stores the plan's site index, not the 8-byte target
+        // address: block addresses are injective per layout (every
+        // block has nonzero size), so site-token equality is exactly
+        // target-address equality — same hit/miss stream as the
+        // reference loop's address-tagged BTB. The fused lookup +
+        // update scans the tags once.
+        const u32 target = ev_target[e];
+        const bpred::BtbResult r =
+            btb_.lookupUpdate(branch_addr[ev_site[e]], target);
+        hit_bits[e >> 6] |= u64{r.hit} << (e & 63);
+        target_bits[e >> 6] |= u64{r.hit && r.target == target} << (e & 63);
+    }
+    // lint:hot-end
+}
+
+FetchOutcome
+Machine::fetchPass(const trace::ReplayPlan &plan,
+                   const trace::LayoutTables &tables)
+{
+    using trace::ReplayPlan;
+    FetchStep fetch(hierarchy_, tables, cfg_);
+    const u32 *ev_site = plan.site.data();
+    const u8 *ev_flags = plan.flags.data();
+    Cycle stall = 0;
+    // lint:hot-begin fetch pass (tools/lint_hotpath.py)
+    auto run_events = [&](size_t lo, size_t hi) {
+        for (size_t e = lo; e < hi; ++e) {
+            stall += fetch(ev_site[e]);
+            const u8 f = ev_flags[e];
+            if ((f & ReplayPlan::kHasBranch) &&
+                (f & (ReplayPlan::kReturn | ReplayPlan::kTaken)))
+                fetch.redirect();
+        }
+    };
+    // lint:hot-end
+    // The kernel's warmup split: forget what was counted, keep the
+    // cache contents.
+    const size_t warmup_events = warmupEvent(cfg_, plan);
+    run_events(0, warmup_events);
+    stall = 0;
+    hierarchy_.clearStats();
+    run_events(warmup_events, plan.eventCount());
+    const cache::HierarchyStats hs = hierarchy_.stats();
+    return {stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses};
 }
 
 /**
@@ -397,48 +517,42 @@ Machine::replayWith(const trace::ReplayPlan &plan,
  * the per-event model steps and their order are identical, only the
  * operand sources differ: flat plan/table arrays instead of Program
  * traversal and per-access address computation (fetch lines and data
- * addresses come pre-translated), and the verdicts of
- * the L1D and RAS — plus the L2 data side and the BTB where @p paths
- * says so — read from precomputed bits instead of simulated in line
- * (DESIGN.md §5n, §5p). With ShareL1i there is no fetch at all:
- * replayWith() adds the layout's first-touch fetch outcome (§5r). Any
+ * addresses come pre-translated), and the verdicts of the L1D, the RAS
+ * and the BTB — plus the L2 data side under ShareL2 — read from
+ * precomputed bits instead of simulated in line (DESIGN.md §5n, §5p,
+ * §5s). Under ShareL2 there is no fetch at all: replayWith() adds the
+ * layout's fetch outcome (§5r, §5s). Without it the L2 sees fetch and
+ * data misses interleaved, so the kernel fetches in line. Any
  * behavioural edit here must be made in runReference() too
  * (test_replay.cc enforces equality).
  */
-template <bool ShareL2, bool ShareBtb, bool ShareL1i>
+template <bool ShareL2>
 RunResult
 Machine::replayImpl(const trace::ReplayPlan &plan,
                     const trace::LayoutTables &tables,
-                    const SharedOutcomes &data, const SharedOutcomes &flow)
+                    const SharedOutcomes &data, FlowBits flow)
 {
     using trace::ReplayPlan;
 
-    resetState();
     RunResult res;
 
     Cycle cycles = 0;
     u32 slot_carry = 0;
-    Addr last_fetch_line = ~Addr{0};
     u64 cluster_start_inst = 0;
     u32 cluster_outstanding = 0;
     size_t mem_cursor = 0;
 
+    FetchStep fetch(hierarchy_, tables, cfg_);
     const Addr *branch_addr = tables.branchAddr.data();
     const Addr *data_addr = tables.dataAddr.data();
-    const Addr *line_phys = tables.linePhys.data();
-    const u32 *site_line_start = tables.siteLineStart.data();
     const u32 *ev_site = plan.site.data();
     const u16 *ev_insts = plan.nInsts.data();
     const u8 *ev_extra = plan.extraExecCycles.data();
     const u16 *ev_nmem = plan.nMem.data();
     const u8 *ev_flags = plan.flags.data();
-    const u32 *ev_target = plan.targetSite.data();
     const u8 *mem_is_store = plan.memIsStore.data();
     const u64 *l1d_hit_bits = data.hitBits.data();
     const u64 *l2_first_bits = data.l2FirstBits.data();
-    const u64 *btb_hit_bits = flow.btbHitBits.data();
-    const u64 *btb_target_bits = flow.btbTargetBits.data();
-    const u64 *ras_miss_bits = flow.rasMissBits.data();
     auto bit = [](const u64 *bits, size_t i) -> bool {
         return (bits[i >> 6] >> (i & 63)) & 1;
     };
@@ -453,12 +567,10 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
                       : predictor_->predictAndTrain(pc, taken);
     };
 
-    // HitLevel is a dense enum (L1, L2, Memory); lookups replace the
-    // reference loop's switch and its fetch-stall conditional.
+    // HitLevel is a dense enum (L1, L2, Memory); a lookup replaces the
+    // reference loop's switch.
     const u32 lat_by_level[3] = {cfg_.l1Latency, cfg_.l2Latency,
                                  cfg_.memLatency};
-    const Cycle fetch_stall_by_level[3] = {
-        0, fetchStall(cfg_.l2Latency), fetchStall(cfg_.memLatency)};
     auto mem_latency = [&](cache::HitLevel level) -> u32 {
         return lat_by_level[static_cast<u32>(level)];
     };
@@ -472,8 +584,7 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
         static_cast<u32>(std::countr_zero(width ? width : 1u));
 
     const size_t n = plan.eventCount();
-    const size_t warmup_events = static_cast<size_t>(
-        static_cast<double>(n) * cfg_.warmupFraction);
+    const size_t warmup_events = warmupEvent(cfg_, plan);
 
     // The event loop body, over [lo, hi). Split at the warmup boundary
     // so the boundary test is not paid per event (the reference loop
@@ -484,22 +595,9 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     for (size_t ev_idx = lo; ev_idx < hi; ++ev_idx) {
         const u32 s = ev_site[ev_idx];
 
-        // ---- Front end: fetch the lines this block occupies. Fetch
-        // lines are physical; the page map is a bijection that keeps
-        // offsets, so deduping on them is deduping on virtual lines.
-        if constexpr (!ShareL1i) {
-            const u32 li_end = site_line_start[s + 1];
-            for (u32 li = site_line_start[s]; li < li_end; ++li) {
-                const Addr line = line_phys[li];
-                if (line == last_fetch_line)
-                    continue; // same fetch group continuing
-                last_fetch_line = line;
-                cache::HitLevel level = hierarchy_.fetchInst(line);
-                // Demand I-miss stalls fetch; the decode queue hides a
-                // few cycles (precomputed per level, zero for L1 hits).
-                cycles += fetch_stall_by_level[static_cast<u32>(level)];
-            }
-        }
+        // ---- Front end: fetch the lines this block occupies.
+        if constexpr (!ShareL2)
+            cycles += fetch(s);
 
         // ---- Issue/retire.
         slot_carry += ev_insts[ev_idx];
@@ -553,13 +651,12 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
         const u8 f = ev_flags[ev_idx];
         if (!(f & ReplayPlan::kHasBranch))
             continue;
-        Addr branch_pc = branch_addr[s];
         bool mispredicted = false;
 
         if (f & ReplayPlan::kCond) {
             ++res.condBranches;
             bool taken = (f & ReplayPlan::kTaken) != 0;
-            bool pred = predict_and_train(branch_pc, taken);
+            bool pred = predict_and_train(branch_addr[s], taken);
             if (pred != taken) {
                 ++res.mispredicts;
                 mispredicted = true;
@@ -573,47 +670,31 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
 
         // ---- Returns: the return-address stack's verdict.
         if (f & ReplayPlan::kReturn) {
-            if (bit(ras_miss_bits, ev_idx)) {
+            if (bit(flow.rasMiss, ev_idx)) {
                 ++res.rasMispredicts;
                 cycles += cfg_.frontendDepth;
             }
-            if constexpr (!ShareL1i)
-                last_fetch_line = ~Addr{0};
+            if constexpr (!ShareL2)
+                fetch.redirect();
             continue;
         }
 
-        // ---- Target prediction (BTB) for taken redirects.
+        // ---- Target prediction (BTB) for taken redirects: its
+        // verdict, shared or from this layout's BTB pass.
         if (f & ReplayPlan::kTaken) {
-            // The BTB stores the plan's site index, not the 8-byte
-            // target address: block addresses are injective per layout
-            // (every block has nonzero size), so site-token equality
-            // is exactly target-address equality — same hit/miss
-            // stream as the reference loop's address-tagged BTB.
-            bool hit, target_ok;
-            if constexpr (ShareBtb) {
-                hit = bit(btb_hit_bits, ev_idx);
-                target_ok = bit(btb_target_bits, ev_idx);
-            } else {
-                // Fused lookup + update: one tag scan (same outcome as
-                // the reference loop's separate calls).
-                const u32 target_site = ev_target[ev_idx];
-                const bpred::BtbResult r =
-                    btb_.lookupUpdate(branch_pc, target_site);
-                hit = r.hit;
-                target_ok = r.hit && r.target == target_site;
-            }
-            if (!target_ok) {
+            if (!bit(flow.btbTarget, ev_idx)) {
                 ++res.btbMisses;
                 if (!mispredicted) {
-                    if ((f & ReplayPlan::kIndirect) && hit) {
+                    if ((f & ReplayPlan::kIndirect) &&
+                        bit(flow.btbHit, ev_idx)) {
                         cycles += cfg_.frontendDepth;
                     } else {
                         cycles += cfg_.misfetchPenalty;
                     }
                 }
             }
-            if constexpr (!ShareL1i)
-                last_fetch_line = ~Addr{0};
+            if constexpr (!ShareL2)
+                fetch.redirect();
         }
     }
     };
@@ -637,17 +718,21 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
 
     INTERF_ASSERT(mem_cursor == plan.memCount());
 
-    // A shared L2 data side never reached the hierarchy's L2: its
-    // misses are the first touches after warmup.
-    auto hs = hierarchy_.stats();
-    const Count l2_data_misses =
-        ShareL2 ? data.l2Misses : hs.l2DataMisses;
-    res.l1iMisses = hs.l1i.misses;
     res.l1dMisses = data.misses;
-    res.l2Misses = hs.l2.misses + (ShareL2 ? l2_data_misses : 0);
-    res.l2InstMisses = hs.l2InstMisses;
-    res.l2PrefMisses = hs.l2PrefMisses;
-    res.l2DataMisses = l2_data_misses;
+    if constexpr (ShareL2) {
+        // Neither side of the L2 reached the hierarchy: the data misses
+        // are the first touches after warmup, and replayWith() adds the
+        // fetch outcome.
+        res.l2Misses = data.l2Misses;
+        res.l2DataMisses = data.l2Misses;
+    } else {
+        const cache::HierarchyStats hs = hierarchy_.stats();
+        res.l1iMisses = hs.l1i.misses;
+        res.l2Misses = hs.l2.misses;
+        res.l2InstMisses = hs.l2InstMisses;
+        res.l2PrefMisses = hs.l2PrefMisses;
+        res.l2DataMisses = hs.l2DataMisses;
+    }
     res.cycles = cycles;
     return res;
 }

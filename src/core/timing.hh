@@ -109,32 +109,41 @@ class Machine
 
     /**
      * Replay a compiled plan under one layout's address tables: the
-     * kernel below with a RAS-only SharedOutcomes, so it runs its own
-     * L1D pass over the tables and simulates the L2 and BTB.
-     * Bit-identical to runReference() on the same (trace, layout) —
-     * every counter and cycle count — which tests/test_replay.cc
-     * enforces. The tables must carry data addresses (not code-only).
+     * four-argument overload with a RAS-only SharedOutcomes, so it runs
+     * its own L1D pass over the tables, simulates the L2 in the kernel
+     * and the BTB in its pass. Bit-identical to runReference() on the
+     * same (trace, layout) — every counter and cycle count — which
+     * tests/test_replay.cc enforces. The tables must carry data
+     * addresses (not code-only).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables);
 
     /**
-     * The replay kernel: the hot path of every campaign. Iterates the
-     * plan's flat arrays with no Program or Trace access; instruction
-     * fetch reads the tables' pre-translated fetch lines, which must
-     * have been built for this machine's L1I line size (panics
-     * otherwise).
+     * Replay @p plan under the layout of @p tables: the hot path of
+     * every campaign. Reads the plan's flat arrays with no Program or
+     * Trace access; instruction fetch reads the tables' pre-translated
+     * fetch lines, which must have been built for this machine's L1I
+     * line size (panics otherwise).
      *
-     * Neither the L1D nor the RAS is simulated here: each data access
-     * reads its L1D hit bit and each return its mispredict bit from
-     * @p shared, and only L1D misses reach the L2. When @p shared has
-     * no L1D part, one L1D pass over @p tables runs first. @p paths
-     * names the structures a proof (canShareL2Data, canShareBtb,
-     * canShareL1i) showed @p shared's outcome holds for on this layout;
-     * the kernel reads those and simulates the rest. On the L1I path
-     * there is no fetch loop: the layout's fetch outcome comes from
-     * fetchFirstTouch() over @p tables and is added to the kernel's
-     * counters; it needs the L2 data path too (panics otherwise).
+     * Each structure has a shared form, read from @p shared, and a
+     * per-layout form (DESIGN.md §5s). @p paths names the structures a
+     * proof (canShareL2Data, canShareBtb, canShareL1i) showed
+     * @p shared's outcome holds for on this layout:
+     *
+     *  - L1D and RAS: always read from @p shared; when it has no L1D
+     *    part, one L1D pass over @p tables runs first.
+     *  - BTB: @p shared's bits, or a BTB pass over this layout's taken
+     *    branches. The kernel reads the bits either way.
+     *  - L2 data side: @p shared's first-touch bits, or the L2
+     *    simulated in the kernel, where fetch and data misses meet;
+     *    the kernel then fetches in line too.
+     *  - L1I fetch, where the L2 data side is shared: fetchFirstTouch()
+     *    over @p tables, or a fetch pass that simulates the L1I and the
+     *    L2's code side. Either outcome is added to the kernel's
+     *    counters. The shared form needs the L2 data path (panics
+     *    otherwise).
+     *
      * @p tables may lack data addresses only when both the L1D and the
      * L2 data side come from @p shared. @p shared must cover this
      * plan's streams (panics otherwise).
@@ -169,23 +178,45 @@ class Machine
   private:
     void resetState();
 
-    /** Check the inputs, then dispatch on @p paths; @p data supplies
-     *  the data parts and @p flow the control parts. */
+    /** The per-event control verdicts the kernel reads. */
+    struct FlowBits
+    {
+        const u64 *btbHit;    ///< A taken non-return branch hits the BTB.
+        const u64 *btbTarget; ///< ... and its target is right.
+        const u64 *rasMiss;   ///< A return mispredicts.
+    };
+
+    /** Check the inputs, then run the passes and the kernel @p paths
+     *  choose; @p data supplies the data parts and @p flow the control
+     *  parts. */
     RunResult replayWith(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
                          const SharedOutcomes &data,
                          const SharedOutcomes &flow, SharedPaths paths);
 
-    template <bool ShareL2, bool ShareBtb, bool ShareL1i>
+    /** Fill btbHitBits_ / btbTargetBits_ for this layout: btb_ over the
+     *  plan's taken non-return branches, in event order. */
+    void btbPass(const trace::ReplayPlan &plan,
+                 const trace::LayoutTables &tables);
+
+    /** Simulate this layout's fetch stream alone through hierarchy_:
+     *  exact where nothing else reaches the L2 (a shared data side). */
+    FetchOutcome fetchPass(const trace::ReplayPlan &plan,
+                           const trace::LayoutTables &tables);
+
+    template <bool ShareL2>
     RunResult replayImpl(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
-                         const SharedOutcomes &data,
-                         const SharedOutcomes &flow);
+                         const SharedOutcomes &data, FlowBits flow);
 
     MachineConfig cfg_;
     cache::MemoryHierarchy hierarchy_;
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
+    /** @{ The BTB pass's bits, reused across layouts. */
+    std::vector<u64> btbHitBits_;
+    std::vector<u64> btbTargetBits_;
+    /** @} */
 };
 
 } // namespace interf::core

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -357,28 +358,23 @@ flipFileByte(const std::string &path, u64 offset)
 
 struct FitnessMutation
 {
-    /** Damage the entry of candidate 9 in store @p fs; returns the
-     *  (store, candidate) a load must now read from. */
-    using Mutate = std::function<std::pair<u64, u64>(
-        const std::string &root, const store::FitnessStore &fs,
-        const std::string &entry)>;
-
-    FitnessMutation(const char *n, const char *f, Mutate m)
-        : mutate(std::move(m)), name(n), fault(f)
-    {
-    }
-
-    // gtest prints this parameter as a byte dump, and ctest puts the
-    // dump in the test's name. The captureless callable leads so the
-    // dump opens with its storage, not with a string address that
-    // moves with the binary's layout and build directory. That storage
-    // reads as zeros under libstdc++, which value-initializes it and
-    // stores nothing for an empty lambda; the bytes after it (the
-    // manager pointer, then the two strings) are addresses still.
-    Mutate mutate;
     const char *name;
     const char *fault; ///< Substring load's fatal message must carry.
+    /** Damage the entry of candidate 9 in store @p fs; returns the
+     *  (store, candidate) a load must now read from. */
+    std::function<std::pair<u64, u64>(const std::string &root,
+                                       const store::FitnessStore &fs,
+                                       const std::string &entry)>
+        mutate;
 };
+
+/** gtest prints a parameter into its test's ctest name: print the
+ *  mutation's name rather than the object's bytes. */
+void
+PrintTo(const FitnessMutation &m, std::ostream *os)
+{
+    *os << m.name;
+}
 
 constexpr u64 kFitBase = 42;
 constexpr u64 kFitCand = 9;

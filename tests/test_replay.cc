@@ -373,21 +373,33 @@ pathCases()
     PathCase random_l1i{"random L1I", xeon, true, true, true};
     random_l1i.cfg.hierarchy.l1i.replacement = cache::Replacement::Random;
     cases.push_back(random_l1i);
+    // Both per-layout passes beside the shared-L2 kernel, and the BTB
+    // pass beside the kernel that simulates the L2 and fetches in line.
+    PathCase btb_and_l1i{"64-set BTB + 4 KiB 2-way L1I", xeon, true, false,
+                         false};
+    btb_and_l1i.cfg.btbSets = small_btb.cfg.btbSets;
+    btb_and_l1i.cfg.hierarchy.l1i = tiny_l1i.cfg.hierarchy.l1i;
+    cases.push_back(btb_and_l1i);
+    PathCase all_refuse{"every proof refuses", xeon, false, false, false};
+    all_refuse.cfg = btb_and_l1i.cfg;
+    all_refuse.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
+    cases.push_back(all_refuse);
     return cases;
 }
 
-/** The shared-path golden sweep (DESIGN.md §5p, §5r): outcomes built
- *  once per workload from the fixed heap's data stream under the
+/** The shared-path golden sweep (DESIGN.md §5p, §5r, §5s): outcomes
+ *  built once per workload from the fixed heap's data stream under the
  *  identity map, then every layout replays with the paths its proofs
  *  allow, as a LayoutEvaluator does: from tables without data
  *  addresses when the L2 data side is shared, with them otherwise, and
  *  with the L1I's first-touch outcome where the L2 and L1I proofs both
  *  hold. The default machine shares the L2 data side, the BTB, the RAS
  *  and the L1I; a 64 KiB L2, a 64-set BTB and a 4 KiB L1I overflow
- *  sets and fall back to simulation; a 2-entry RAS overflows on deep
- *  call chains. Every result equals the reference model on a fresh
- *  Machine, and the replay.* counters record the path each replay
- *  took. */
+ *  sets and fall back to simulation (the BTB and fetch passes, or the
+ *  kernel that simulates the L2), alone and together; a 2-entry RAS
+ *  overflows on deep call chains. Every result equals the reference
+ *  model on a fresh Machine, and the replay.* counters record the path
+ *  each replay took. */
 TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
 {
     const layout::HeapKey fixed = layout::HeapKey::deterministic();
@@ -745,7 +757,9 @@ TEST(ReplayGolden, L1iProofCountsPhysicalLinesAndSuccessors)
  *  fetch misses of its own (the reference counts more of them with
  *  warmup there than one event later): a line's first demand falls on
  *  the boundary. On a layout where the L2 and L1I proofs hold, the
- *  first-touch replay equals the reference there. */
+ *  first-touch replay equals the reference there; on a 4 KiB 2-way
+ *  L1I, where the L1I proof refuses and the fetch pass runs, so does
+ *  the pass, whose boundary event also costs a demand-miss stall. */
 TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
 {
     const auto &profile = workloads::specFor("400.perlbench").profile;
@@ -768,57 +782,74 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
         layout::Linker().link(prog, layout::LayoutKey{1, true, true});
     const layout::HeapLayout heap(prog, layout::HeapKey::deterministic());
     const layout::PageMap pages(5);
-    for (double frac : {0.0, 0.5}) {
-        auto cfg = MachineConfig::xeonE5440();
-        cfg.warmupFraction = frac;
-        bool found = false;
-        for (size_t f : frac == 0.0 ? std::vector<size_t>{0} : fresh) {
-            // The first 2f events (all of them at fraction 0), so that
-            // the warmup event is f.
-            Trace cut = full;
-            if (frac > 0.0) {
-                cut.events.resize(2 * f);
-                size_t mem = 0;
-                for (size_t e = 0; e < 2 * f; ++e)
-                    mem += full_plan.nMem[e];
-                cut.memIds.resize(mem);
-                cut.recount(prog);
+    for (bool shared_l1i : {true, false}) {
+        for (double frac : {0.0, 0.5}) {
+            auto cfg = MachineConfig::xeonE5440();
+            if (!shared_l1i)
+                cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 4 << 10, 2, 64};
+            cfg.warmupFraction = frac;
+            const std::string what = std::string(shared_l1i ? "first touch"
+                                                            : "fetch pass") +
+                                     ", warmup " + std::to_string(frac);
+            bool found = false;
+            for (size_t f : frac == 0.0 ? std::vector<size_t>{0} : fresh) {
+                // The first 2f events (all of them at fraction 0), so that
+                // the warmup event is f.
+                Trace cut = full;
+                if (frac > 0.0) {
+                    cut.events.resize(2 * f);
+                    size_t mem = 0;
+                    for (size_t e = 0; e < 2 * f; ++e)
+                        mem += full_plan.nMem[e];
+                    cut.memIds.resize(mem);
+                    cut.recount(prog);
+                }
+                const ReplayPlan plan(prog, cut);
+                const size_t warm = static_cast<size_t>(
+                    static_cast<double>(plan.eventCount()) * frac);
+                ASSERT_EQ(warm, f);
+                const LayoutTables data(plan, heap, layout::PageMap());
+                const SharedOutcomes shared =
+                    simulateShared(cfg, plan, &data, kShareAll);
+                ASSERT_EQ(shared.siteFirstEvent[plan.site[warm]], warm);
+                const LayoutTables tables(plan, code, pages,
+                                          cfg.hierarchy.l1i.lineBytes);
+                SharedPaths paths;
+                paths.l2Data = canShareL2Data(cfg, plan, tables, shared);
+                paths.btb = canShareBtb(cfg, plan, tables, shared);
+                paths.l1i = canShareL1i(cfg, plan, tables, shared);
+                ASSERT_TRUE(paths.l2Data) << what;
+                ASSERT_EQ(paths.l1i, shared_l1i) << what;
+                Machine fresh_machine(cfg);
+                const RunResult ref =
+                    fresh_machine.runReference(prog, cut, code, heap, pages);
+                auto later = cfg;
+                later.warmupFraction = (static_cast<double>(warm) + 1.5) /
+                                       static_cast<double>(plan.eventCount());
+                Machine later_machine(later);
+                const RunResult ref_later =
+                    later_machine.runReference(prog, cut, code, heap, pages);
+                // The fetch pass also owes event f's stall: a demand miss.
+                const bool boundary_misses =
+                    ref.l1iMisses != ref_later.l1iMisses ||
+                    (shared_l1i && ref.l2PrefMisses != ref_later.l2PrefMisses);
+                if (!boundary_misses)
+                    continue; // Every line of event f arrived earlier.
+                found = true;
+                Machine machine(cfg);
+                RunResult fast;
+                const auto count = countersDuring([&] {
+                    fast = machine.replay(plan, tables, shared, paths);
+                });
+                expectSameResult(ref, fast,
+                                 what + ", warmup event " +
+                                     std::to_string(warm));
+                EXPECT_EQ(count("replay.l1i_shared"), shared_l1i ? 1u : 0u)
+                    << what;
+                break;
             }
-            const ReplayPlan plan(prog, cut);
-            const size_t warm = static_cast<size_t>(
-                static_cast<double>(plan.eventCount()) * frac);
-            ASSERT_EQ(warm, f);
-            const LayoutTables data(plan, heap, layout::PageMap());
-            const SharedOutcomes shared =
-                simulateShared(cfg, plan, &data, kShareAll);
-            ASSERT_EQ(shared.siteFirstEvent[plan.site[warm]], warm);
-            const LayoutTables tables(plan, code, pages,
-                                      cfg.hierarchy.l1i.lineBytes);
-            SharedPaths paths;
-            paths.l2Data = canShareL2Data(cfg, plan, tables, shared);
-            paths.btb = canShareBtb(cfg, plan, tables, shared);
-            paths.l1i = canShareL1i(cfg, plan, tables, shared);
-            ASSERT_TRUE(paths.l2Data && paths.l1i);
-            Machine fresh_machine(cfg);
-            const RunResult ref =
-                fresh_machine.runReference(prog, cut, code, heap, pages);
-            auto later = cfg;
-            later.warmupFraction = (static_cast<double>(warm) + 1.5) /
-                                   static_cast<double>(plan.eventCount());
-            Machine later_machine(later);
-            const RunResult ref_later =
-                later_machine.runReference(prog, cut, code, heap, pages);
-            if (ref.l1iMisses + ref.l2PrefMisses ==
-                ref_later.l1iMisses + ref_later.l2PrefMisses)
-                continue; // Every line of event f arrived earlier.
-            found = true;
-            Machine machine(cfg);
-            expectSameResult(ref, machine.replay(plan, tables, shared, paths),
-                             "warmup " + std::to_string(frac) +
-                                 ", warmup event " + std::to_string(warm));
-            break;
+            EXPECT_TRUE(found) << "no first demand on " << what;
         }
-        EXPECT_TRUE(found) << "no first demand on warmup " << frac;
     }
 }
 

@@ -11,11 +11,12 @@ enforces them here, next to clang-tidy.
 Two kinds of hot region, configured in HOT_FILES below:
 
   * marker regions — `// lint:hot-begin ...` / `// lint:hot-end`
-    comment pairs bracketing the event loop in src/core/timing.cc and
-    the L1D pass in src/core/shared.cc, whose enclosing functions may
-    do setup work (devirtualization, latency tables, allocation)
-    before entering the loop, and the per-branch paths of the
-    Pin-style simulation (L-TAGE, PinSim);
+    comment pairs bracketing, in src/core/timing.cc, the kernel's event
+    loop, the BTB pass loop, the fetch pass loop and the fetch step
+    both fetch paths call, and in src/core/shared.cc the L1D pass,
+    whose enclosing functions may do setup work (devirtualization,
+    latency tables, allocation) before entering the loop, and the
+    per-branch paths of the Pin-style simulation (L-TAGE, PinSim);
   * function manifests — named inline member functions in the cache /
     BTB headers whose whole body is hot (they are called per event or
     per line from inside the marker regions).
