@@ -16,9 +16,13 @@
  *                    (DESIGN.md §5n);
  *   plan_shared      the fixed heap as campaigns run it by default:
  *                    every shared outcome built once before the batch,
- *                    and each layout's paths set by the L2, BTB and L1I
- *                    proofs, as LayoutEvaluator sets them (§5p, §5r,
- *                    §5s).
+ *                    cycle sum included, and each layout's paths set
+ *                    by the L2, BTB and L1I proofs, as LayoutEvaluator
+ *                    sets them (§5p, §5r, §5s). Where the L2 proof
+ *                    holds (every layout on this workload), the layout
+ *                    runs no event loop: its cycles are the cycle sum
+ *                    over its predictor's pass on the branch stream
+ *                    (§5t).
  *
  * Each path's per-layout cost includes everything a campaign pays for
  * that layout (layout construction and proofs included; the shared

@@ -21,8 +21,9 @@ namespace interf::bpred
 {
 
 /** Chooser-based hybrid of a GAs component and a bimodal component.
- *  Final so the replay kernel's devirtualized call inlines the whole
- *  predict-and-train chain. */
+ *  Final so the replay kernel's devirtualized call and the stream
+ *  engine (streamMispredicts) inline the whole predict-and-train
+ *  chain. */
 class HybridPredictor final : public BranchPredictor
 {
   public:
@@ -57,6 +58,11 @@ class HybridPredictor final : public BranchPredictor
         u8 trained = counter2::update(choose, gas_pred == taken);
         chooser_.set(ci, gas_pred != bim_pred ? trained : choose);
         return prediction;
+    }
+
+    StreamTally tallyStream(const BranchStream &stream) override
+    {
+        return streamMispredicts(*this, stream);
     }
 
     void reset() override;

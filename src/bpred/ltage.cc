@@ -338,8 +338,8 @@ LtagePredictor::predictAndTrain(Addr pc, bool taken)
     return step(pc, taken);
 }
 
-Count
-LtagePredictor::replayStream(const BranchStream &stream)
+StreamTally
+LtagePredictor::tallyStream(const BranchStream &stream)
 {
     return streamMispredicts(*this, stream);
 }

@@ -116,7 +116,7 @@ class LtagePredictor final : public BranchPredictor
     explicit LtagePredictor(LtageConfig config = LtageConfig());
 
     bool predictAndTrain(Addr pc, bool taken) override;
-    Count replayStream(const BranchStream &stream) override;
+    StreamTally tallyStream(const BranchStream &stream) override;
     void reset() override;
     std::string name() const override;
     u64 sizeBits() const override;
@@ -162,7 +162,7 @@ class LtagePredictor final : public BranchPredictor
     using PerTable = std::array<u32, kMaxTables>;
 
     /** Predict the branch at @p pc, then train with @p taken. The one
-     *  per-branch path, shared by predictAndTrain and replayStream. */
+     *  per-branch path, shared by predictAndTrain and tallyStream. */
     inline bool step(Addr pc, bool taken);
     inline bool loopLookup(Addr pc, u32 loop_idx, bool &loop_pred) const;
     inline void loopUpdate(Addr pc, u32 loop_idx, bool taken,

@@ -33,7 +33,10 @@ namespace interf::bpred
 /**
  * A conditional-branch stream in execution order, borrowed from a
  * compiled plan and a layout's tables: branch j sits at
- * sitePc[site[j]] and resolves taken iff taken[j] != 0.
+ * sitePc[site[j]] and resolves taken iff taken[j] != 0. A replay
+ * trains on every branch but tallies only from countFrom on (the
+ * first branch after a warmup); with weights it also sums weight[j]
+ * over the tallied branches it mispredicts.
  */
 struct BranchStream
 {
@@ -41,25 +44,48 @@ struct BranchStream
     const u8 *taken = nullptr;    ///< ReplayPlan::condTaken.
     size_t size = 0;              ///< Branches in the stream.
     const Addr *sitePc = nullptr; ///< LayoutTables::branchAddr.
+    size_t countFrom = 0;         ///< First branch tallied.
+    const u16 *weight = nullptr;  ///< Per-branch weight, or null.
+};
+
+/** What a stream replay tallied, from BranchStream::countFrom on. */
+struct StreamTally
+{
+    Count mispredicts = 0;
+    u64 weight = 0; ///< Weight sum of the mispredicted branches.
 };
 
 /**
- * Predict and train @p pred on every branch of @p stream in order;
- * returns the mispredictions. With P a `final` predictor class the
+ * Predict and train @p pred on every branch of @p stream in order, and
+ * tally it (BranchStream). With P a `final` predictor class the
  * per-branch call is direct and inlinable, so a whole stream costs one
- * virtual call.
+ * virtual call. Without weights, the tallying loop is the plain
+ * mispredict count.
  */
 template <class P>
-Count
+StreamTally
 streamMispredicts(P &pred, const BranchStream &stream)
 {
-    Count miss = 0;
-    for (size_t j = 0; j < stream.size; ++j) {
+    auto mispredicts = [&](size_t j) -> bool {
         const bool taken = stream.taken[j] != 0;
-        miss += pred.predictAndTrain(stream.sitePc[stream.site[j]],
-                                     taken) != taken;
+        return pred.predictAndTrain(stream.sitePc[stream.site[j]],
+                                    taken) != taken;
+    };
+    const size_t from = std::min(stream.countFrom, stream.size);
+    for (size_t j = 0; j < from; ++j)
+        (void)mispredicts(j);
+    StreamTally tally;
+    if (!stream.weight) {
+        for (size_t j = from; j < stream.size; ++j)
+            tally.mispredicts += mispredicts(j);
+        return tally;
     }
-    return miss;
+    for (size_t j = from; j < stream.size; ++j) {
+        const bool miss = mispredicts(j);
+        tally.mispredicts += miss;
+        tally.weight += u64{stream.weight[j]} * miss;
+    }
+    return tally;
 }
 
 /**
@@ -86,13 +112,19 @@ class BranchPredictor
 
     /**
      * predictAndTrain() every branch of @p stream in order, from the
-     * current state; returns the mispredictions. `final` predictors
+     * current state, and tally it (BranchStream). `final` predictors
      * override this with streamMispredicts(*this, stream) to drop the
      * per-branch virtual call.
      */
-    virtual Count replayStream(const BranchStream &stream)
+    virtual StreamTally tallyStream(const BranchStream &stream)
     {
         return streamMispredicts(*this, stream);
+    }
+
+    /** tallyStream()'s mispredicts: the count-only call (PinSim's). */
+    Count replayStream(const BranchStream &stream)
+    {
+        return tallyStream(stream).mispredicts;
     }
 
     /** Restore the power-on state. */

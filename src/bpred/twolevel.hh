@@ -47,7 +47,7 @@ class TwoLevelPredictor final : public BranchPredictor
         return prediction;
     }
 
-    Count replayStream(const BranchStream &stream) override
+    StreamTally tallyStream(const BranchStream &stream) override
     {
         return streamMispredicts(*this, stream);
     }

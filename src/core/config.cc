@@ -1,5 +1,8 @@
 #include "core/config.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "bpred/btb.hh"
 
 #include "util/logging.hh"
@@ -55,6 +58,21 @@ MachineConfig::validate() const
     if (l2Latency <= l1Latency || memLatency <= l2Latency)
         fatal("machine '%s': latencies must increase down the hierarchy",
               name.c_str());
+    // The cycle sum's per-branch charge, frontendDepth plus a resolve
+    // time (a load latency, at most memLatency, or a ReplayPlan
+    // extraExecCycles u8 plus 1) less a suppressed misfetchPenalty,
+    // must fit a CycleDelta and never go below 0.
+    constexpr u32 kMaxExtraResolve = std::numeric_limits<u8>::max() + 1;
+    if (u64{frontendDepth} + std::max(memLatency, kMaxExtraResolve) >
+        std::numeric_limits<CycleDelta>::max())
+        fatal("machine '%s': memLatency %u with frontendDepth %u exceeds "
+              "the %u-cycle mispredict charge",
+              name.c_str(), memLatency, frontendDepth,
+              static_cast<u32>(std::numeric_limits<CycleDelta>::max()));
+    if (misfetchPenalty > frontendDepth + 1)
+        fatal("machine '%s': misfetchPenalty %u exceeds frontendDepth + 1 "
+              "(%u)",
+              name.c_str(), misfetchPenalty, frontendDepth + 1);
     if (warmupFraction < 0.0 || warmupFraction >= 1.0)
         fatal("machine '%s': warmupFraction %g out of [0, 1)",
               name.c_str(), warmupFraction);

@@ -22,6 +22,15 @@
 namespace interf::core
 {
 
+/**
+ * One conditional branch's cycle charge when it mispredicts, as the
+ * cycle sum stores it (SharedOutcomes::delta, DESIGN.md §5t):
+ * frontendDepth plus a resolve time, less a misfetch the mispredict
+ * suppresses. MachineConfig::validate() bounds the fields it is made
+ * of so that every charge fits.
+ */
+using CycleDelta = u16;
+
 /** Full parameterization of the modeled machine. */
 struct MachineConfig
 {

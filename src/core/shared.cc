@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "bpred/btb.hh"
+#include "cache/hierarchy.hh"
 #include "core/config.hh"
 #include "layout/pagemap.hh"
 #include "telemetry/metrics.hh"
@@ -215,6 +216,108 @@ buildL1i(const ReplayPlan &plan, SharedOutcomes &out)
         out.siteFirstEvent[plan.site[e]] = static_cast<u32>(e);
 }
 
+/**
+ * The cycle sum's terms: the kernel's event loop where the L2 data side
+ * is shared (Machine::replayImpl, runReference()), without the three
+ * per-layout terms. Levels come from the L1D and L2 bits, the RAS
+ * verdicts from its bits; each conditional branch records the charge a
+ * mispredict would add, less the shared BTB's misfetch it would
+ * suppress, instead of consulting a predictor.
+ */
+void
+buildSum(const MachineConfig &machine, const ReplayPlan &plan,
+         SharedOutcomes &out)
+{
+    machine.validate(); // Proves every charge fits a CycleDelta.
+    const BtbCharges btb =
+        btbCharges(machine, plan, out.btbHitBits.data(),
+                   out.btbTargetBits.data(), out.condBtbMissBits);
+    out.btbMisses = btb.misses;
+    out.btbPenalty = btb.penalty;
+    out.delta.assign(plan.condSite.size(), 0);
+
+    const u32 lat_by_level[3] = {machine.l1Latency, machine.l2Latency,
+                                 machine.memLatency};
+    const u32 width = machine.width;
+    const u64 *l1d_hit = out.hitBits.data();
+    const u64 *l2_first = out.l2FirstBits.data();
+    const u64 *ras_miss = out.rasMissBits.data();
+    const u64 *cond_btb_miss = out.condBtbMissBits.data();
+    auto bit = [](const u64 *bits, size_t i) -> bool {
+        return (bits[i >> 6] >> (i & 63)) & 1;
+    };
+    Cycle cycles = 0;
+    u32 slot_carry = 0;
+    u64 insts = 0;
+    u64 cluster_start_inst = 0;
+    u32 cluster_outstanding = 0;
+    Count ras_misses = 0;
+    size_t mem = 0;
+    size_t cond = 0;
+    // lint:hot-begin cycle-sum builder (tools/lint_hotpath.py)
+    auto run_events = [&](size_t lo, size_t hi) {
+        for (size_t e = lo; e < hi; ++e) {
+            slot_carry += plan.nInsts[e];
+            cycles += slot_carry / width;
+            slot_carry %= width;
+            cycles += plan.extraExecCycles[e];
+            insts += plan.nInsts[e];
+            u32 last_load_latency = 0;
+            for (u32 m = plan.nMem[e]; m > 0; --m, ++mem) {
+                const cache::HitLevel level =
+                    bit(l1d_hit, mem)    ? cache::HitLevel::L1
+                    : bit(l2_first, mem) ? cache::HitLevel::Memory
+                                         : cache::HitLevel::L2;
+                const u32 lat = lat_by_level[static_cast<u32>(level)];
+                if (!plan.memIsStore[mem])
+                    last_load_latency = lat;
+                if (level == cache::HitLevel::L1)
+                    continue;
+                if (insts - cluster_start_inst <= machine.robSize &&
+                    cluster_outstanding > 0 &&
+                    cluster_outstanding < machine.maxMlp) {
+                    ++cluster_outstanding;
+                } else {
+                    cycles += lat;
+                    cluster_start_inst = insts;
+                    cluster_outstanding = 1;
+                }
+            }
+            const u8 f = plan.flags[e];
+            if (f & ReplayPlan::kCond) {
+                const u32 resolve =
+                    (f & ReplayPlan::kDependsOnLoad) && last_load_latency > 0
+                        ? last_load_latency
+                        : u32{plan.extraExecCycles[e]} + 1;
+                const u32 suppressed =
+                    bit(cond_btb_miss, cond) ? machine.misfetchPenalty : 0;
+                out.delta[cond++] = static_cast<CycleDelta>(
+                    machine.frontendDepth + resolve - suppressed);
+            } else if ((f & ReplayPlan::kReturn) && bit(ras_miss, e)) {
+                ++ras_misses;
+                cycles += machine.frontendDepth;
+            }
+        }
+    };
+    // lint:hot-end
+    // The kernel's warmup split.
+    const size_t warmup_event = warmupEvent(machine, plan);
+    run_events(0, warmup_event);
+    cycles = 0;
+    slot_carry = 0;
+    insts = 0;
+    cluster_start_inst = 0;
+    cluster_outstanding = 0;
+    ras_misses = 0;
+    out.condFrom = cond;
+    run_events(warmup_event, plan.eventCount());
+    INTERF_ASSERT(mem == plan.memCount() && cond == out.delta.size());
+    out.sumBase = cycles;
+    out.instructions = insts;
+    out.condBranches = cond - out.condFrom;
+    out.rasMispredicts = ras_misses;
+}
+
 /** Whether @p shared carries an L1I part built for @p plan. */
 bool
 coversL1i(const SharedOutcomes &shared, const ReplayPlan &plan)
@@ -272,11 +375,47 @@ warmupEvent(const MachineConfig &machine, const trace::ReplayPlan &plan)
                                machine.warmupFraction);
 }
 
+BtbCharges
+btbCharges(const MachineConfig &machine, const trace::ReplayPlan &plan,
+           const u64 *hit_bits, const u64 *target_bits,
+           std::vector<u64> &cond_miss_bits)
+{
+    cond_miss_bits.assign((plan.condSite.size() + 63) / 64, 0);
+    u64 *cond_miss = cond_miss_bits.data();
+    const u8 *flags = plan.flags.data();
+    const size_t warmup_event = warmupEvent(machine, plan);
+    BtbCharges out;
+    size_t cond = 0;
+    for (size_t e = 0; e < plan.eventCount(); ++e) {
+        const u8 f = flags[e];
+        const bool is_cond = (f & ReplayPlan::kCond) != 0;
+        if ((f & (ReplayPlan::kHasBranch | ReplayPlan::kReturn |
+                  ReplayPlan::kTaken)) ==
+                (ReplayPlan::kHasBranch | ReplayPlan::kTaken) &&
+            !((target_bits[e >> 6] >> (e & 63)) & 1)) {
+            if (is_cond)
+                cond_miss[cond >> 6] |= u64{1} << (cond & 63);
+            if (e >= warmup_event) {
+                ++out.misses;
+                const bool hit = (hit_bits[e >> 6] >> (e & 63)) & 1;
+                out.penalty += (f & ReplayPlan::kIndirect) && hit
+                                   ? machine.frontendDepth
+                                   : machine.misfetchPenalty;
+            }
+        }
+        cond += is_cond;
+    }
+    return out;
+}
+
 SharedOutcomes
 simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
                const trace::LayoutTables *data, u8 parts)
 {
     INTERF_ASSERT(!(parts & kShareL2) || (parts & kShareL1d));
+    INTERF_ASSERT(!(parts & kShareSum) ||
+                  (parts & (kShareL1d | kShareL2 | kShareBtb | kShareRas)) ==
+                      (kShareL1d | kShareL2 | kShareBtb | kShareRas));
     SharedOutcomes out;
     out.parts = parts;
     if (parts & kShareL1d) {
@@ -290,7 +429,7 @@ simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
             if (machine.hierarchy.l2.lineBytes <= kPageBytes)
                 buildL2(machine, plan, *data, warmup_mem, out);
             else
-                out.parts &= static_cast<u8>(~kShareL2);
+                out.parts &= static_cast<u8>(~(kShareL2 | kShareSum));
         }
     }
     if (parts & (kShareBtb | kShareRas | kShareL1i))
@@ -301,6 +440,8 @@ simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
         buildRas(machine, plan, out);
     if (parts & kShareL1i)
         buildL1i(plan, out);
+    if (out.has(kShareSum))
+        buildSum(machine, plan, out);
     return out;
 }
 

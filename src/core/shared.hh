@@ -1,7 +1,7 @@
 /**
  * @file
- * Outcomes the replay kernel reads instead of simulating a structure,
- * and the proofs that say when it may (DESIGN.md §5n, §5p).
+ * Outcomes a replay reads instead of simulating a structure, and the
+ * proofs that say when it may (DESIGN.md §5n, §5p, §5r, §5t).
  *
  * Some structures' hit/miss outcomes do not depend on the layout:
  *
@@ -23,6 +23,14 @@
  *    of each layout's (line, first demand) pairs gives its whole fetch
  *    outcome, from the first event of each site (DESIGN.md §5r).
  *
+ * With the L1D and the L2 data side fixed, every term of a replay's
+ * cycles is fixed too, except three: the fetch stalls, the BTB
+ * penalties where the BTB proof refuses, and the charge of each
+ * conditional branch the layout's predictor mispredicts. So one more
+ * part, the cycle sum, holds the rest of the cycles and counters and
+ * a charge per conditional branch, and such a replay runs only its
+ * predictor over the branch stream (DESIGN.md §5t).
+ *
  * simulateShared() computes those outcomes once; canShareL2Data(),
  * canShareBtb() and canShareL1i() prove, per layout, that the
  * no-overflow premise holds, and fetchFirstTouch() derives a layout's
@@ -37,6 +45,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "core/config.hh"
 #include "layout/pagemap.hh"
 #include "trace/replay.hh"
 #include "util/types.hh"
@@ -44,21 +53,22 @@
 namespace interf::core
 {
 
-struct MachineConfig;
-
 /** @{ Parts of a SharedOutcomes (bit flags for simulateShared). */
 constexpr u8 kShareL1d = 1u << 0; ///< L1D hit bits (needs data tables).
 constexpr u8 kShareL2 = 1u << 1;  ///< L2 first-touch bits (with kShareL1d).
 constexpr u8 kShareBtb = 1u << 2; ///< BTB hit and target bits.
 constexpr u8 kShareRas = 1u << 3; ///< RAS mispredict bits.
 constexpr u8 kShareL1i = 1u << 4; ///< First event of each site.
+/** The cycle sum's terms (with kShareL1d, kShareL2, kShareBtb and
+ *  kShareRas, which it reads). */
+constexpr u8 kShareSum = 1u << 5;
 constexpr u8 kShareAll =
-    kShareL1d | kShareL2 | kShareBtb | kShareRas | kShareL1i;
+    kShareL1d | kShareL2 | kShareBtb | kShareRas | kShareL1i | kShareSum;
 /** @} */
 
 /**
- * What the replay kernel reads in place of the structures it skips,
- * and what a layout's L1I fetch outcome is derived from.
+ * What a replay reads in place of the structures it skips, what a
+ * layout's L1I fetch outcome is derived from, and the cycle sum.
  * Bit i % 64 of word i / 64 of each bit vector belongs to memory access
  * i (data parts) or event i (control parts). Immutable once built, so
  * pool workers share one.
@@ -99,6 +109,30 @@ struct SharedOutcomes
     size_t eventCount = 0;     ///< Events covered.
     /** @} */
 
+    /**
+     * @{ The cycle sum (DESIGN.md §5t), one data stream's. Where the L2
+     * data side is shared, every term of a replay's cycles but three is
+     * plan-invariant, so a replay's cycles are sumBase + its BTB
+     * penalty + its fetch stalls + delta[j] summed over the conditional
+     * branches j >= condFrom it mispredicts. Counts start at the
+     * warmup event, as the kernel's do.
+     */
+    Cycle sumBase = 0;      ///< Issue slots, extra execution, MLP, RAS.
+    Count instructions = 0; ///< Retired after warmup.
+    Count condBranches = 0; ///< Conditional branches after warmup.
+    Count rasMispredicts = 0;
+    Count btbMisses = 0;  ///< The shared BTB's (BtbCharges).
+    Cycle btbPenalty = 0; ///< Its penalties, as if nothing mispredicted.
+    size_t condFrom = 0;  ///< First conditional branch at or after warmup.
+    /** Per conditional branch: frontendDepth + its resolve time, less
+     *  the misfetchPenalty a mispredict suppresses where its
+     *  condBtbMissBits bit is set. */
+    std::vector<CycleDelta> delta;
+    /** Per conditional branch: taken, and the shared BTB misses its
+     *  target (BtbCharges). */
+    std::vector<u64> condBtbMissBits;
+    /** @} */
+
     bool has(u8 part) const { return (parts & part) == part; }
 };
 
@@ -107,8 +141,9 @@ struct SharedOutcomes
  * The data parts run over @p data's stream (any tables with data
  * addresses; may be null when @p parts has none), from power-on state;
  * their miss counts start at the kernel's warmup event. kShareL2
- * requires kShareL1d. Counts one replay.l1d_passes when it runs the
- * L1D.
+ * requires kShareL1d, and kShareSum every part but kShareL1i; where
+ * kShareL2 cannot be built (an L2 line wider than a page), kShareSum is
+ * not built either. Counts one replay.l1d_passes when it runs the L1D.
  */
 SharedOutcomes simulateShared(const MachineConfig &machine,
                               const trace::ReplayPlan &plan,
@@ -199,6 +234,31 @@ bool canShareL1i(const MachineConfig &machine,
                  const trace::LayoutTables &tables,
                  const SharedOutcomes &shared,
                  ConflictFacts *facts = nullptr);
+
+/**
+ * What a BTB charges one replay, from its verdicts on the plan's taken
+ * non-return branches, counted from the warmup event: the misses and
+ * their penalties as if no branch mispredicted (misfetchPenalty, or
+ * frontendDepth for an indirect branch that hit with a wrong target).
+ * A conditional branch is neither a return nor indirect, so where it
+ * mispredicts, the penalty it suppresses is misfetchPenalty.
+ */
+struct BtbCharges
+{
+    Count misses = 0;
+    Cycle penalty = 0;
+};
+
+/**
+ * The charges of the BTB whose per-event hit and target bits are
+ * @p hit_bits and @p target_bits (SharedOutcomes::btbHitBits layout).
+ * Sets bit j of @p cond_miss_bits, resized to the plan's conditional
+ * branches, where conditional branch j is taken and missed.
+ */
+BtbCharges btbCharges(const MachineConfig &machine,
+                      const trace::ReplayPlan &plan, const u64 *hit_bits,
+                      const u64 *target_bits,
+                      std::vector<u64> &cond_miss_bits);
 
 /**
  * The event at which a replay of @p plan on @p machine clears its

@@ -389,7 +389,7 @@ Machine::replayWith(const trace::ReplayPlan &plan,
         flow.rasMissBits.size() != (flow.eventCount + 63) / 64)
         panic("shared outcomes cover %zu events, the plan has %zu",
               flow.eventCount, plan.eventCount());
-    if ((paths.l2Data && !data.has(kShareL2)) ||
+    if ((paths.l2Data && !data.has(kShareL2 | kShareSum)) ||
         (paths.btb && !flow.has(kShareBtb)) ||
         (paths.l1i && !flow.has(kShareL1i)))
         panic("a shared path has no outcome to read");
@@ -406,7 +406,7 @@ Machine::replayWith(const trace::ReplayPlan &plan,
     resetState();
 
     // The BTB meets no other structure, so its per-layout form is a
-    // pass of its own, and the kernel reads bits either way.
+    // pass of its own, and the kernel and the sum read bits either way.
     FlowBits bits{flow.btbHitBits.data(), flow.btbTargetBits.data(),
                   flow.rasMissBits.data()};
     if (paths.btb) {
@@ -423,10 +423,12 @@ Machine::replayWith(const trace::ReplayPlan &plan,
     if (!paths.l2Data) {
         INTERF_TELEM_COUNT("replay.l2_simulated", 1);
         INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-        return replayImpl<false>(plan, tables, data, bits);
+        INTERF_TELEM_COUNT("replay.kernel", 1);
+        return replayImpl(plan, tables, data, bits);
     }
     // A shared L2 data side leaves the hierarchy only fetches, which
-    // only ever add stalls to cycles, so their outcome adds on exactly.
+    // only ever add stalls to cycles, so their outcome adds on exactly;
+    // every other term is the cycle sum's.
     INTERF_TELEM_COUNT("replay.l2_shared", 1);
     FetchOutcome fetch;
     if (paths.l1i) {
@@ -436,12 +438,67 @@ Machine::replayWith(const trace::ReplayPlan &plan,
         INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
         fetch = fetchPass(plan, tables);
     }
-    RunResult res = replayImpl<true>(plan, tables, data, bits);
+    RunResult res = replaySum(plan, tables, data, bits, paths.btb);
     res.cycles += fetch.stallCycles;
     res.l1iMisses += fetch.l1iMisses;
     res.l2InstMisses += fetch.l2InstMisses;
     res.l2PrefMisses += fetch.l2PrefMisses;
     res.l2Misses += fetch.l2InstMisses + fetch.l2PrefMisses;
+    return res;
+}
+
+RunResult
+Machine::replaySum(const trace::ReplayPlan &plan,
+                   const trace::LayoutTables &tables,
+                   const SharedOutcomes &shared, FlowBits bits,
+                   bool btb_shared)
+{
+    if (shared.delta.size() != plan.condSite.size())
+        panic("the cycle sum covers %zu conditional branches, the plan "
+              "has %zu",
+              shared.delta.size(), plan.condSite.size());
+    RunResult res;
+    res.instructions = shared.instructions;
+    res.condBranches = shared.condBranches;
+    res.rasMispredicts = shared.rasMispredicts;
+    res.l1dMisses = shared.misses;
+    res.l2Misses = shared.l2Misses;
+    res.l2DataMisses = shared.l2Misses;
+    BtbCharges btb{shared.btbMisses, shared.btbPenalty};
+    const CycleDelta *delta = shared.delta.data();
+    if (!btb_shared) {
+        // This layout's BTB misses other taken conditional branches
+        // than the shared one, whose misfetches shared.delta
+        // subtracts: move that correction to this layout's misses.
+        btb = btbCharges(cfg_, plan, bits.btbHit, bits.btbTarget,
+                         condBtbMissBits_);
+        condDelta_.assign(shared.delta.begin(), shared.delta.end());
+        const u64 *shared_miss = shared.condBtbMissBits.data();
+        const u64 *own_miss = condBtbMissBits_.data();
+        CycleDelta *own_delta = condDelta_.data();
+        const CycleDelta misfetch =
+            static_cast<CycleDelta>(cfg_.misfetchPenalty);
+        // lint:hot-begin cycle-sum BTB correction (tools/lint_hotpath.py)
+        for (size_t w = 0; w < condBtbMissBits_.size(); ++w) {
+            for (u64 d = shared_miss[w] ^ own_miss[w]; d; d &= d - 1) {
+                const u32 b = static_cast<u32>(std::countr_zero(d));
+                const size_t j = w * 64 + b;
+                own_delta[j] = static_cast<CycleDelta>(
+                    (own_miss[w] >> b) & 1 ? own_delta[j] - misfetch
+                                           : own_delta[j] + misfetch);
+            }
+        }
+        // lint:hot-end
+        delta = own_delta;
+    }
+    // One virtual call per layout: the stream loop inside it calls the
+    // predictor directly (DESIGN.md §5l, §5t).
+    const bpred::StreamTally tally = predictor_->tallyStream(
+        {plan.condSite.data(), plan.condTaken.data(), plan.condSite.size(),
+         tables.branchAddr.data(), shared.condFrom, delta});
+    res.mispredicts = tally.mispredicts;
+    res.btbMisses = btb.misses;
+    res.cycles = shared.sumBase + btb.penalty + tally.weight;
     return res;
 }
 
@@ -513,20 +570,19 @@ Machine::fetchPass(const trace::ReplayPlan &plan,
 }
 
 /**
- * The dense replay kernel. Mirrors runReference() block for block —
- * the per-event model steps and their order are identical, only the
- * operand sources differ: flat plan/table arrays instead of Program
- * traversal and per-access address computation (fetch lines and data
- * addresses come pre-translated), and the verdicts of the L1D, the RAS
- * and the BTB — plus the L2 data side under ShareL2 — read from
- * precomputed bits instead of simulated in line (DESIGN.md §5n, §5p,
- * §5s). Under ShareL2 there is no fetch at all: replayWith() adds the
- * layout's fetch outcome (§5r, §5s). Without it the L2 sees fetch and
- * data misses interleaved, so the kernel fetches in line. Any
- * behavioural edit here must be made in runReference() too
- * (test_replay.cc enforces equality).
+ * The dense replay kernel, for a layout whose L2 data side is simulated
+ * (elsewhere the cycle sum replaces it, DESIGN.md §5t). Mirrors
+ * runReference() block for block — the per-event model steps and their
+ * order are identical, only the operand sources differ: flat plan/table
+ * arrays instead of Program traversal and per-access address
+ * computation (fetch lines and data addresses come pre-translated), and
+ * the verdicts of the L1D, the RAS and the BTB read from precomputed
+ * bits instead of simulated in line (DESIGN.md §5n, §5p, §5s). The L2
+ * sees fetch and data misses interleaved, so the kernel fetches in
+ * line. Any behavioural edit here must be made in runReference() and
+ * in the cycle sum's builder (core/shared.cc) too (test_replay.cc
+ * enforces equality).
  */
-template <bool ShareL2>
 RunResult
 Machine::replayImpl(const trace::ReplayPlan &plan,
                     const trace::LayoutTables &tables,
@@ -552,7 +608,6 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     const u8 *ev_flags = plan.flags.data();
     const u8 *mem_is_store = plan.memIsStore.data();
     const u64 *l1d_hit_bits = data.hitBits.data();
-    const u64 *l2_first_bits = data.l2FirstBits.data();
     auto bit = [](const u64 *bits, size_t i) -> bool {
         return (bits[i >> 6] >> (i & 63)) & 1;
     };
@@ -596,8 +651,7 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
         const u32 s = ev_site[ev_idx];
 
         // ---- Front end: fetch the lines this block occupies.
-        if constexpr (!ShareL2)
-            cycles += fetch(s);
+        cycles += fetch(s);
 
         // ---- Issue/retire.
         slot_carry += ev_insts[ev_idx];
@@ -613,20 +667,16 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
 
         // ---- Data accesses (addresses pre-translated in the tables).
         // The L1D's verdict is a precomputed bit; only its misses
-        // reach the L2, whose data verdict is a first-touch bit when
-        // shared. L1D hits (the common, well-predicted case) skip the
-        // cluster bookkeeping entirely; a select-based rewrite
-        // measured slower because it puts the bookkeeping on every
-        // access's dependence chain.
+        // reach the L2. L1D hits (the common, well-predicted case)
+        // skip the cluster bookkeeping entirely; a select-based
+        // rewrite measured slower because it puts the bookkeeping on
+        // every access's dependence chain.
         u32 last_load_latency = 0;
         for (u32 m = ev_nmem[ev_idx]; m > 0; --m, ++mem_cursor) {
             cache::HitLevel level =
-                bit(l1d_hit_bits, mem_cursor) ? cache::HitLevel::L1
-                : ShareL2 ? (bit(l2_first_bits, mem_cursor)
-                                 ? cache::HitLevel::Memory
-                                 : cache::HitLevel::L2)
-                          : hierarchy_.accessDataBelowL1(
-                                data_addr[mem_cursor]);
+                bit(l1d_hit_bits, mem_cursor)
+                    ? cache::HitLevel::L1
+                    : hierarchy_.accessDataBelowL1(data_addr[mem_cursor]);
             u32 lat = mem_latency(level);
             // Loads update the resolution latency.
             last_load_latency =
@@ -674,8 +724,7 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
                 ++res.rasMispredicts;
                 cycles += cfg_.frontendDepth;
             }
-            if constexpr (!ShareL2)
-                fetch.redirect();
+            fetch.redirect();
             continue;
         }
 
@@ -693,8 +742,7 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
                     }
                 }
             }
-            if constexpr (!ShareL2)
-                fetch.redirect();
+            fetch.redirect();
         }
     }
     };
@@ -719,20 +767,12 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     INTERF_ASSERT(mem_cursor == plan.memCount());
 
     res.l1dMisses = data.misses;
-    if constexpr (ShareL2) {
-        // Neither side of the L2 reached the hierarchy: the data misses
-        // are the first touches after warmup, and replayWith() adds the
-        // fetch outcome.
-        res.l2Misses = data.l2Misses;
-        res.l2DataMisses = data.l2Misses;
-    } else {
-        const cache::HierarchyStats hs = hierarchy_.stats();
-        res.l1iMisses = hs.l1i.misses;
-        res.l2Misses = hs.l2.misses;
-        res.l2InstMisses = hs.l2InstMisses;
-        res.l2PrefMisses = hs.l2PrefMisses;
-        res.l2DataMisses = hs.l2DataMisses;
-    }
+    const cache::HierarchyStats hs = hierarchy_.stats();
+    res.l1iMisses = hs.l1i.misses;
+    res.l2Misses = hs.l2.misses;
+    res.l2InstMisses = hs.l2InstMisses;
+    res.l2PrefMisses = hs.l2PrefMisses;
+    res.l2DataMisses = hs.l2DataMisses;
     res.cycles = cycles;
     return res;
 }

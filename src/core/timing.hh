@@ -134,15 +134,17 @@ class Machine
      *  - L1D and RAS: always read from @p shared; when it has no L1D
      *    part, one L1D pass over @p tables runs first.
      *  - BTB: @p shared's bits, or a BTB pass over this layout's taken
-     *    branches. The kernel reads the bits either way.
-     *  - L2 data side: @p shared's first-touch bits, or the L2
-     *    simulated in the kernel, where fetch and data misses meet;
-     *    the kernel then fetches in line too.
+     *    branches.
+     *  - L2 data side: shared, and then no event loop runs: the
+     *    layout's cycles are @p shared's cycle sum over the conditional
+     *    branches its predictor mispredicts, one pass over the branch
+     *    stream (DESIGN.md §5t). Or simulated, in the replay kernel,
+     *    where fetch and data misses meet, so the kernel fetches in
+     *    line too; only this path enters the kernel.
      *  - L1I fetch, where the L2 data side is shared: fetchFirstTouch()
      *    over @p tables, or a fetch pass that simulates the L1I and the
-     *    L2's code side. Either outcome is added to the kernel's
-     *    counters. The shared form needs the L2 data path (panics
-     *    otherwise).
+     *    L2's code side. Either outcome is added to the cycle sum. The
+     *    shared form needs the L2 data path (panics otherwise).
      *
      * @p tables may lack data addresses only when both the L1D and the
      * L2 data side come from @p shared. @p shared must cover this
@@ -178,7 +180,7 @@ class Machine
   private:
     void resetState();
 
-    /** The per-event control verdicts the kernel reads. */
+    /** The per-event control verdicts the kernel and the sum read. */
     struct FlowBits
     {
         const u64 *btbHit;    ///< A taken non-return branch hits the BTB.
@@ -186,9 +188,9 @@ class Machine
         const u64 *rasMiss;   ///< A return mispredicts.
     };
 
-    /** Check the inputs, then run the passes and the kernel @p paths
-     *  choose; @p data supplies the data parts and @p flow the control
-     *  parts. */
+    /** Check the inputs, then run the passes and the kernel or the sum
+     *  @p paths choose; @p data supplies the data parts and @p flow the
+     *  control parts. */
     RunResult replayWith(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
                          const SharedOutcomes &data,
@@ -204,7 +206,16 @@ class Machine
     FetchOutcome fetchPass(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables);
 
-    template <bool ShareL2>
+    /** The cycle sum of @p shared (with a kShareSum part) for this
+     *  layout: the predictor over the branch stream, with the BTB
+     *  verdicts of @p bits, which are @p shared's where @p btb_shared.
+     *  Every counter but the fetch outcome's. */
+    RunResult replaySum(const trace::ReplayPlan &plan,
+                        const trace::LayoutTables &tables,
+                        const SharedOutcomes &shared, FlowBits bits,
+                        bool btb_shared);
+
+    /** The dense event loop, with the L2 simulated. */
     RunResult replayImpl(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
                          const SharedOutcomes &data, FlowBits flow);
@@ -213,9 +224,12 @@ class Machine
     cache::MemoryHierarchy hierarchy_;
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
-    /** @{ The BTB pass's bits, reused across layouts. */
+    /** @{ The BTB pass's bits and, on the sum path, its per-branch
+     *  misses and the charges they make, reused across layouts. */
     std::vector<u64> btbHitBits_;
     std::vector<u64> btbTargetBits_;
+    std::vector<u64> condBtbMissBits_;
+    std::vector<CycleDelta> condDelta_;
     /** @} */
 };
 

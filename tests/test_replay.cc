@@ -399,7 +399,9 @@ pathCases()
  *  kernel that simulates the L2), alone and together; a 2-entry RAS
  *  overflows on deep call chains. Every result equals the reference
  *  model on a fresh Machine, and the replay.* counters record the path
- *  each replay took. */
+ *  each replay took: the cycle sum wherever the L2 data side is shared
+ *  (DESIGN.md §5t), the 64-set BTB rows with this layout's BTB bits,
+ *  the kernel only where it is simulated. */
 TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
 {
     const layout::HeapKey fixed = layout::HeapKey::deterministic();
@@ -452,6 +454,10 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
             }
         });
         EXPECT_EQ(count("replay.calls"), replays) << pc.name;
+        // Only a simulated L2 enters the kernel; a shared one takes the
+        // cycle sum, with the BTB in either form.
+        EXPECT_EQ(count("replay.kernel"), pc.l2Shared ? 0 : replays)
+            << pc.name;
         EXPECT_EQ(count("replay.l2_shared"), pc.l2Shared ? replays : 0)
             << pc.name;
         EXPECT_EQ(count("replay.l2_simulated"), pc.l2Shared ? 0 : replays)
@@ -849,6 +855,109 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 break;
             }
             EXPECT_TRUE(found) << "no first demand on " << what;
+        }
+    }
+}
+
+/** The cycle sum counts mispredicts and their charges from the first
+ *  conditional branch at or after the warmup event, and trains the
+ *  predictor on every branch before it. For warmup fractions 0 and 0.5
+ *  the trace is cut so that its warmup event is a conditional branch
+ *  the reference mispredicts (it counts one more mispredict with warmup
+ *  there than one event later): at fraction 0 by dropping leading
+ *  events, at 0.5 by keeping the first 2f. On the default machine and
+ *  on a 64-set BTB, whose layouts take the sum with their own BTB bits,
+ *  the replay equals the reference there without entering the kernel. */
+TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
+{
+    const auto &profile = workloads::specFor("400.perlbench").profile;
+    const Program prog = workloads::buildProgram(profile);
+    const Trace full =
+        TraceGenerator(prog, profile.behaviourSeed).makeTrace(80000);
+    const ReplayPlan full_plan(prog, full);
+    // Events [lo, hi) of the full trace as a trace of their own.
+    auto window = [&](size_t lo, size_t hi) {
+        Trace cut;
+        cut.events.assign(full.events.begin() + static_cast<long>(lo),
+                          full.events.begin() + static_cast<long>(hi));
+        size_t mem_lo = 0;
+        for (size_t e = 0; e < lo; ++e)
+            mem_lo += full_plan.nMem[e];
+        size_t mem_hi = mem_lo;
+        for (size_t e = lo; e < hi; ++e)
+            mem_hi += full_plan.nMem[e];
+        cut.memIds.assign(full.memIds.begin() + static_cast<long>(mem_lo),
+                          full.memIds.begin() + static_cast<long>(mem_hi));
+        cut.recount(prog);
+        return cut;
+    };
+    std::vector<size_t> conds; // Conditional branches, first half.
+    for (size_t e = 1; 2 * e <= full_plan.eventCount(); ++e)
+        if (full_plan.flags[e] & ReplayPlan::kCond)
+            conds.push_back(e);
+    ASSERT_GT(conds.size(), 1u);
+
+    const auto code =
+        layout::Linker().link(prog, layout::LayoutKey{1, true, true});
+    const layout::HeapLayout heap(prog, layout::HeapKey::deterministic());
+    const layout::PageMap pages(5);
+    for (bool shared_btb : {true, false}) {
+        for (double frac : {0.0, 0.5}) {
+            auto cfg = MachineConfig::xeonE5440();
+            if (!shared_btb)
+                cfg.btbSets = 64;
+            cfg.warmupFraction = frac;
+            const std::string what =
+                std::string(shared_btb ? "shared BTB" : "64-set BTB") +
+                ", warmup " + std::to_string(frac);
+            bool found = false;
+            // At 0.5 the latest candidates first: a warmed predictor.
+            for (size_t i = 0; i < conds.size() && !found; ++i) {
+                const size_t c =
+                    frac == 0.0 ? conds[i] : conds[conds.size() - 1 - i];
+                const Trace cut = frac == 0.0
+                                      ? window(c, full_plan.eventCount())
+                                      : window(0, 2 * c);
+                const ReplayPlan plan(prog, cut);
+                const size_t warm = warmupEvent(cfg, plan);
+                ASSERT_EQ(warm, frac == 0.0 ? 0 : c);
+                ASSERT_TRUE(plan.flags[warm] & ReplayPlan::kCond);
+                Machine ref_machine(cfg);
+                const RunResult ref =
+                    ref_machine.runReference(prog, cut, code, heap, pages);
+                auto later = cfg;
+                later.warmupFraction = (static_cast<double>(warm) + 1.5) /
+                                       static_cast<double>(plan.eventCount());
+                Machine later_machine(later);
+                const RunResult ref_later =
+                    later_machine.runReference(prog, cut, code, heap, pages);
+                if (ref.mispredicts != ref_later.mispredicts + 1)
+                    continue; // The warmup branch is predicted right.
+                found = true;
+                const LayoutTables data(plan, heap, layout::PageMap());
+                const SharedOutcomes shared =
+                    simulateShared(cfg, plan, &data, kShareAll);
+                const LayoutTables tables(plan, code, pages,
+                                          cfg.hierarchy.l1i.lineBytes);
+                SharedPaths paths;
+                paths.l2Data = canShareL2Data(cfg, plan, tables, shared);
+                paths.btb = canShareBtb(cfg, plan, tables, shared);
+                paths.l1i = canShareL1i(cfg, plan, tables, shared);
+                ASSERT_TRUE(paths.l2Data) << what;
+                ASSERT_EQ(paths.btb, shared_btb) << what;
+                Machine machine(cfg);
+                RunResult fast;
+                const auto count = countersDuring([&] {
+                    fast = machine.replay(plan, tables, shared, paths);
+                });
+                expectSameResult(ref, fast,
+                                 what + ", warmup event " +
+                                     std::to_string(c));
+                EXPECT_EQ(count("replay.kernel"), 0u) << what;
+                EXPECT_EQ(count("replay.btb_simulated"), shared_btb ? 0u : 1u)
+                    << what;
+            }
+            EXPECT_TRUE(found) << "no mispredicted warmup branch on " << what;
         }
     }
 }

@@ -1,6 +1,8 @@
 /** @file Tests for the machine timing model — the properties program
  *  interferometry depends on. */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/timing.hh"
@@ -257,6 +259,34 @@ TEST(TimingDeathTest, InvalidConfigIsFatal)
     wide_btb.btbWays = 33;
     EXPECT_EXIT(wide_btb.validate(), ::testing::ExitedWithCode(1),
                 "exceeds 32");
+}
+
+/** A mispredict's cycle charge, frontendDepth plus at most memLatency,
+ *  is stored in a CycleDelta: a memLatency one cycle past what fits is
+ *  fatal, and the largest that fits is valid. */
+TEST(TimingDeathTest, MemLatencyPastTheCycleDeltaIsFatal)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    cfg.memLatency =
+        std::numeric_limits<CycleDelta>::max() - cfg.frontendDepth;
+    cfg.validate();
+    cfg.memLatency += 1;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "memLatency 65520 with frontendDepth 16 exceeds");
+}
+
+/** A mispredict suppresses a taken branch's misfetch, so the cycle sum
+ *  subtracts misfetchPenalty from a charge of at least frontendDepth +
+ *  1: a larger misfetchPenalty is fatal. */
+TEST(TimingDeathTest, MisfetchPastTheFrontendRefillIsFatal)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    cfg.frontendDepth = 5;
+    cfg.misfetchPenalty = 6;
+    cfg.validate();
+    cfg.misfetchPenalty = 7;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "misfetchPenalty 7 exceeds frontendDepth \\+ 1");
 }
 
 } // anonymous namespace

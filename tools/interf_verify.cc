@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "analyze/analyze.hh"
@@ -145,8 +146,8 @@ main(int argc, char **argv)
     opts.addInt("layouts", 0,
                 "link this many seeded layouts, verify placements and "
                 "page maps, and report their L2/BTB/L1I conflict facts "
-                "(requires --profile; without --budget the facts use "
-                "a 300000-instruction trace)");
+                "(requires --profile; at most 4294967295; without "
+                "--budget the facts use a 300000-instruction trace)");
     opts.addString("trace", "",
                    "trace file to lint against the profile's program "
                    "(requires --profile)");
@@ -177,6 +178,10 @@ main(int argc, char **argv)
         return usageError("--key requires --store");
     if (budget < 0 || layouts < 0)
         return usageError("--budget and --layouts must be >= 0");
+    // Layouts are seeded and reported as u32.
+    if (layouts > static_cast<i64>(std::numeric_limits<u32>::max()))
+        return usageError(strprintf("--layouts must be <= %u",
+                                    std::numeric_limits<u32>::max()));
     if (budget > 0 &&
         budget < static_cast<i64>(trace::kMinInstructionBudget))
         return usageError(strprintf(
@@ -247,8 +252,10 @@ main(int argc, char **argv)
         const layout::HeapLayout heap(prog,
                                       layout::HeapKey::deterministic());
         const trace::LayoutTables data(plan, heap, layout::PageMap());
-        const core::SharedOutcomes shared =
-            core::simulateShared(machine, plan, &data, core::kShareAll);
+        // The proofs read every part but the cycle sum.
+        const core::SharedOutcomes shared = core::simulateShared(
+            machine, plan, &data,
+            static_cast<u8>(core::kShareAll & ~core::kShareSum));
         for (i64 i = 0; i < layouts; ++i) {
             layout::LayoutKey key;
             key.seed = static_cast<u64>(i);

@@ -12,11 +12,13 @@ Two kinds of hot region, configured in HOT_FILES below:
 
   * marker regions — `// lint:hot-begin ...` / `// lint:hot-end`
     comment pairs bracketing, in src/core/timing.cc, the kernel's event
-    loop, the BTB pass loop, the fetch pass loop and the fetch step
-    both fetch paths call, and in src/core/shared.cc the L1D pass,
-    whose enclosing functions may do setup work (devirtualization,
-    latency tables, allocation) before entering the loop, and the
-    per-branch paths of the Pin-style simulation (L-TAGE, PinSim);
+    loop, the BTB pass loop, the fetch pass loop, the fetch step both
+    fetch paths call and the cycle sum's call site (its per-layout BTB
+    correction loop), and in src/core/shared.cc the L1D pass and the
+    cycle sum's builder loop, whose enclosing functions may do setup
+    work (devirtualization, latency tables, allocation) before entering
+    the loop, and the per-branch paths of the Pin-style simulation
+    (L-TAGE, PinSim);
   * function manifests — named inline member functions in the cache /
     BTB headers whose whole body is hot (they are called per event or
     per line from inside the marker regions).
@@ -52,7 +54,7 @@ HOT_FILES = [
     },
     {
         # The shared passes run once per campaign; only the L1D pass
-        # loop is marked hot.
+        # loop and the cycle sum's builder loop are marked hot.
         "path": "src/core/shared.cc",
         "markers": True,
         "functions": [],
@@ -103,7 +105,8 @@ HOT_FILES = [
     {
         # Pin-style simulation (DESIGN.md §5l): L-TAGE's per-branch
         # predict/update path, PinSim's predictor-major stream loop and
-        # the shared per-branch stream loop every predictor runs.
+        # the shared per-branch stream loop every predictor runs, which
+        # the Machine's cycle sum runs too (§5t).
         "path": "src/bpred/ltage.cc",
         "markers": True,
         "functions": [],
@@ -117,6 +120,13 @@ HOT_FILES = [
         "path": "src/bpred/predictor.hh",
         "markers": False,
         "functions": ["streamMispredicts"],
+    },
+    {
+        # The machine's predictor: the per-branch body of the cycle
+        # sum's stream loop (DESIGN.md §5t).
+        "path": "src/bpred/hybrid.hh",
+        "markers": False,
+        "functions": ["predictAndTrain", "tallyStream"],
     },
 ]
 
@@ -248,7 +258,7 @@ def function_regions(sanitized, name, path, errors):
     """Line ranges of every definition of member function `name`.
 
     A definition is `name ( ... )` followed (after qualifiers like
-    const/noexcept/-> type) by `{`; calls are followed by anything
+    const/noexcept/override/final/-> type) by `{`; calls are followed by anything
     else and are skipped. Config error if no definition matches.
     """
     regions = []
@@ -259,7 +269,8 @@ def function_regions(sanitized, name, path, errors):
             continue
         rest = sanitized[after_args:]
         qual = re.match(
-            r"\s*(?:const\b\s*|noexcept\b\s*|->\s*[\w:<>&*\s]+?\s*)*\{",
+            r"\s*(?:const\b\s*|noexcept\b\s*|override\b\s*|final\b\s*"
+            r"|->\s*[\w:<>&*\s]+?\s*)*\{",
             rest)
         if not qual:
             continue
