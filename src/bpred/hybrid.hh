@@ -21,9 +21,9 @@ namespace interf::bpred
 {
 
 /** Chooser-based hybrid of a GAs component and a bimodal component.
- *  Final so the replay kernel's devirtualized call and the stream
- *  engine (streamMispredicts) inline the whole predict-and-train
- *  chain. */
+ *  Final so the stream engine (streamMispredicts), which every
+ *  Machine replay runs through tallyStream, inlines the whole
+ *  predict-and-train chain. */
 class HybridPredictor final : public BranchPredictor
 {
   public:

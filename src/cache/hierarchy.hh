@@ -5,19 +5,20 @@
  * and large shared L2 (Section 5.4).
  *
  * The hierarchy reports which level served each access; the timing
- * model converts levels into latencies (with MLP overlap). The replay
- * kernel enters data accesses below the L1D (accessDataBelowL1): the
- * L1D's outcome per access is simulated once per data stream by
+ * model converts levels into latencies (with MLP overlap). A replay
+ * enters data accesses below the L1D (accessDataBelowL1): the L1D's
+ * outcome per access is simulated once per data stream by
  * core::simulateShared and shared across layouts (DESIGN.md §5n), so
  * this class's own L1D serves only accessData(), the whole-hierarchy
  * entry that single-structure probes use. Where no L2 set can
- * overflow, the kernel skips accessDataBelowL1 too, and this L2 sees
- * only instruction fetches, all from a fetch pass that runs before the
- * kernel (§5p, §5s); where no L1I set can overflow either, that pass
- * does not run, so neither cache here sees an access and the fetch
- * outcome comes from first touches (§5r). Only where the L2 data side
- * is simulated does the kernel call fetchInst itself, interleaved with
- * the data misses. An optional next-line instruction prefetcher
+ * overflow, no replay calls accessDataBelowL1 either, and this L2 sees
+ * only instruction fetches, all from a fetch pass (§5p, §5s); where no
+ * L1I set can overflow either, that pass does not run, so neither
+ * cache here sees an access and the fetch outcome comes from first
+ * touches (§5r). Only where the L2 data side is simulated does the
+ * layout's own cycle-sum builder call fetchInst and accessDataBelowL1
+ * in one event loop, so the L2 sees fetch and data misses interleaved
+ * (§5u). An optional next-line instruction prefetcher
  * reduces sequential-fetch misses the way real front ends do, keeping
  * conflict misses (the layout-sensitive kind) as the dominant L1I miss
  * source.
@@ -62,8 +63,8 @@ class MemoryHierarchy
 
     /**
      * Instruction fetch of one line-covered address. Inlined: this and
-     * accessDataBelowL1() are the two hottest calls in the replay
-     * kernel.
+     * accessDataBelowL1() are the two hottest calls of a replay that
+     * simulates the L2.
      */
     HitLevel fetchInst(Addr addr)
     {

@@ -7,6 +7,7 @@
 #include "bpred/btb.hh"
 #include "cache/hierarchy.hh"
 #include "core/config.hh"
+#include "core/cyclesum.hh"
 #include "layout/pagemap.hh"
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
@@ -145,7 +146,8 @@ buildL2(const MachineConfig &machine, const ReplayPlan &plan,
 
 /** A BTB that never evicts holds each site's last target token. */
 void
-buildBtb(const ReplayPlan &plan, SharedOutcomes &out)
+buildBtb(const MachineConfig &machine, const ReplayPlan &plan,
+         SharedOutcomes &out)
 {
     const size_t n = plan.eventCount();
     out.btbHitBits = zeroBits(n);
@@ -169,6 +171,11 @@ buildBtb(const ReplayPlan &plan, SharedOutcomes &out)
         }
         seen = target;
     }
+    const BtbCharges charges =
+        btbCharges(machine, plan, out.btbHitBits.data(),
+                   out.btbTargetBits.data(), out.condBtbMissBits);
+    out.btbMisses = charges.misses;
+    out.btbPenalty = charges.penalty;
 }
 
 /** bpred::ReturnAddressStack over site ids: an empty pop yields
@@ -217,106 +224,26 @@ buildL1i(const ReplayPlan &plan, SharedOutcomes &out)
 }
 
 /**
- * The cycle sum's terms: the kernel's event loop where the L2 data side
- * is shared (Machine::replayImpl, runReference()), without the three
- * per-layout terms. Levels come from the L1D and L2 bits, the RAS
- * verdicts from its bits; each conditional branch records the charge a
- * mispredict would add, less the shared BTB's misfetch it would
- * suppress, instead of consulting a predictor.
+ * The shared form's level source (core/cyclesum.hh): where no L2 set
+ * can overflow, an access that missed the L1D misses the L2 exactly at
+ * the first access to its L2 line. Nothing fetches: the fetch outcome
+ * is a pass or a first-touch count of its own, added per layout.
  */
-void
-buildSum(const MachineConfig &machine, const ReplayPlan &plan,
-         SharedOutcomes &out)
+struct SharedLevels
 {
-    machine.validate(); // Proves every charge fits a CycleDelta.
-    const BtbCharges btb =
-        btbCharges(machine, plan, out.btbHitBits.data(),
-                   out.btbTargetBits.data(), out.condBtbMissBits);
-    out.btbMisses = btb.misses;
-    out.btbPenalty = btb.penalty;
-    out.delta.assign(plan.condSite.size(), 0);
+    const u64 *l2First;
 
-    const u32 lat_by_level[3] = {machine.l1Latency, machine.l2Latency,
-                                 machine.memLatency};
-    const u32 width = machine.width;
-    const u64 *l1d_hit = out.hitBits.data();
-    const u64 *l2_first = out.l2FirstBits.data();
-    const u64 *ras_miss = out.rasMissBits.data();
-    const u64 *cond_btb_miss = out.condBtbMissBits.data();
-    auto bit = [](const u64 *bits, size_t i) -> bool {
-        return (bits[i >> 6] >> (i & 63)) & 1;
-    };
-    Cycle cycles = 0;
-    u32 slot_carry = 0;
-    u64 insts = 0;
-    u64 cluster_start_inst = 0;
-    u32 cluster_outstanding = 0;
-    Count ras_misses = 0;
-    size_t mem = 0;
-    size_t cond = 0;
-    // lint:hot-begin cycle-sum builder (tools/lint_hotpath.py)
-    auto run_events = [&](size_t lo, size_t hi) {
-        for (size_t e = lo; e < hi; ++e) {
-            slot_carry += plan.nInsts[e];
-            cycles += slot_carry / width;
-            slot_carry %= width;
-            cycles += plan.extraExecCycles[e];
-            insts += plan.nInsts[e];
-            u32 last_load_latency = 0;
-            for (u32 m = plan.nMem[e]; m > 0; --m, ++mem) {
-                const cache::HitLevel level =
-                    bit(l1d_hit, mem)    ? cache::HitLevel::L1
-                    : bit(l2_first, mem) ? cache::HitLevel::Memory
-                                         : cache::HitLevel::L2;
-                const u32 lat = lat_by_level[static_cast<u32>(level)];
-                if (!plan.memIsStore[mem])
-                    last_load_latency = lat;
-                if (level == cache::HitLevel::L1)
-                    continue;
-                if (insts - cluster_start_inst <= machine.robSize &&
-                    cluster_outstanding > 0 &&
-                    cluster_outstanding < machine.maxMlp) {
-                    ++cluster_outstanding;
-                } else {
-                    cycles += lat;
-                    cluster_start_inst = insts;
-                    cluster_outstanding = 1;
-                }
-            }
-            const u8 f = plan.flags[e];
-            if (f & ReplayPlan::kCond) {
-                const u32 resolve =
-                    (f & ReplayPlan::kDependsOnLoad) && last_load_latency > 0
-                        ? last_load_latency
-                        : u32{plan.extraExecCycles[e]} + 1;
-                const u32 suppressed =
-                    bit(cond_btb_miss, cond) ? machine.misfetchPenalty : 0;
-                out.delta[cond++] = static_cast<CycleDelta>(
-                    machine.frontendDepth + resolve - suppressed);
-            } else if ((f & ReplayPlan::kReturn) && bit(ras_miss, e)) {
-                ++ras_misses;
-                cycles += machine.frontendDepth;
-            }
-        }
-    };
+    // lint:hot-begin shared level source (tools/lint_hotpath.py)
+    Cycle beforeEvent(size_t) const { return 0; }
+    cache::HitLevel belowL1(size_t mem) const
+    {
+        return (l2First[mem >> 6] >> (mem & 63)) & 1 ? cache::HitLevel::Memory
+                                                     : cache::HitLevel::L2;
+    }
+    void redirect() {}
     // lint:hot-end
-    // The kernel's warmup split.
-    const size_t warmup_event = warmupEvent(machine, plan);
-    run_events(0, warmup_event);
-    cycles = 0;
-    slot_carry = 0;
-    insts = 0;
-    cluster_start_inst = 0;
-    cluster_outstanding = 0;
-    ras_misses = 0;
-    out.condFrom = cond;
-    run_events(warmup_event, plan.eventCount());
-    INTERF_ASSERT(mem == plan.memCount() && cond == out.delta.size());
-    out.sumBase = cycles;
-    out.instructions = insts;
-    out.condBranches = cond - out.condFrom;
-    out.rasMispredicts = ras_misses;
-}
+    void warmup() {}
+};
 
 /** Whether @p shared carries an L1I part built for @p plan. */
 bool
@@ -435,13 +362,17 @@ simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
     if (parts & (kShareBtb | kShareRas | kShareL1i))
         out.eventCount = plan.eventCount();
     if (parts & kShareBtb)
-        buildBtb(plan, out);
+        buildBtb(machine, plan, out);
     if (parts & kShareRas)
         buildRas(machine, plan, out);
     if (parts & kShareL1i)
         buildL1i(plan, out);
-    if (out.has(kShareSum))
-        buildSum(machine, plan, out);
+    if (out.has(kShareSum)) {
+        machine.validate(); // Proves every charge fits a CycleDelta.
+        SharedLevels levels{out.l2FirstBits.data()};
+        buildSum(machine, plan, out.hitBits.data(), out.rasMissBits.data(),
+                 out.condBtbMissBits.data(), levels, out);
+    }
     return out;
 }
 

@@ -103,6 +103,13 @@ struct SharedOutcomes
     std::vector<u64> btbTargetBits; ///< ... and its target is right.
     std::vector<u64> rasMissBits;   ///< A return mispredicts.
     std::vector<u32> btbSites; ///< Distinct taken non-return sites.
+    /** The charges of the BTB bits (btbCharges), which every layout
+     *  whose BTB proof holds pays. */
+    Count btbMisses = 0;
+    Cycle btbPenalty = 0; ///< As if nothing mispredicted.
+    /** Per conditional branch: taken, and the shared BTB misses its
+     *  target. */
+    std::vector<u64> condBtbMissBits;
     /** First event of each site, or ReplayPlan::kNoSite for a site
      *  never executed (the input of canShareL1i and fetchFirstTouch). */
     std::vector<u32> siteFirstEvent;
@@ -110,27 +117,23 @@ struct SharedOutcomes
     /** @} */
 
     /**
-     * @{ The cycle sum (DESIGN.md §5t), one data stream's. Where the L2
-     * data side is shared, every term of a replay's cycles but three is
-     * plan-invariant, so a replay's cycles are sumBase + its BTB
-     * penalty + its fetch stalls + delta[j] summed over the conditional
-     * branches j >= condFrom it mispredicts. Counts start at the
-     * warmup event, as the kernel's do.
+     * @{ The cycle sum (DESIGN.md §5t, §5u): one data stream's, or,
+     * where the L2 is simulated, one layout's own. Every term of a
+     * replay's cycles but three is fixed by these, so a replay's cycles
+     * are sumBase + its BTB penalty + its fetch stalls + delta[j]
+     * summed over the conditional branches j >= condFrom it
+     * mispredicts. Counts start at the warmup event.
      */
     Cycle sumBase = 0;      ///< Issue slots, extra execution, MLP, RAS.
     Count instructions = 0; ///< Retired after warmup.
     Count condBranches = 0; ///< Conditional branches after warmup.
     Count rasMispredicts = 0;
-    Count btbMisses = 0;  ///< The shared BTB's (BtbCharges).
-    Cycle btbPenalty = 0; ///< Its penalties, as if nothing mispredicted.
     size_t condFrom = 0;  ///< First conditional branch at or after warmup.
     /** Per conditional branch: frontendDepth + its resolve time, less
-     *  the misfetchPenalty a mispredict suppresses where its
-     *  condBtbMissBits bit is set. */
+     *  the misfetchPenalty a mispredict suppresses where the BTB the
+     *  sum was built with misses it (condBtbMissBits for the shared
+     *  sum). */
     std::vector<CycleDelta> delta;
-    /** Per conditional branch: taken, and the shared BTB misses its
-     *  target (BtbCharges). */
-    std::vector<u64> condBtbMissBits;
     /** @} */
 
     bool has(u8 part) const { return (parts & part) == part; }

@@ -3,8 +3,8 @@
 #include <bit>
 
 #include "bpred/factory.hh"
-#include "bpred/hybrid.hh"
 #include "bpred/ras.hh"
+#include "core/cyclesum.hh"
 #include "core/refmodel.hh"
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
@@ -17,12 +17,12 @@ namespace
 
 /**
  * The front end's per-event step, the one fetch body beside
- * runReference(): the kernel's inline fetch and the fetch pass both
- * call it. It fetches the lines a site spans through the hierarchy,
- * skipping a line equal to the last one fetched (the same fetch group
- * continuing), and returns the demand-miss stall. Fetch lines are
- * physical; the page map is a bijection that keeps offsets, so deduping
- * on them is deduping on virtual lines.
+ * runReference(): the per-layout cycle sum's inline fetch and the
+ * fetch pass both call it. It fetches the lines a site spans through
+ * the hierarchy, skipping a line equal to the last one fetched (the
+ * same fetch group continuing), and returns the demand-miss stall.
+ * Fetch lines are physical; the page map is a bijection that keeps
+ * offsets, so deduping on them is deduping on virtual lines.
  */
 class FetchStep
 {
@@ -66,6 +66,47 @@ class FetchStep
     const u32 *siteLineStart_;
     const Cycle stallByLevel_[3];
     Addr lastLine_ = ~Addr{0};
+};
+
+/**
+ * The per-layout form's level source (core/cyclesum.hh), where the L2
+ * is simulated: an access that missed the L1D goes through the
+ * hierarchy's L2, and each event's fetch runs in line before its
+ * accesses, so the L2 sees fetch and data misses in runReference()'s
+ * order.
+ */
+class SimulatedLevels
+{
+  public:
+    SimulatedLevels(cache::MemoryHierarchy &hierarchy,
+                    const trace::ReplayPlan &plan,
+                    const trace::LayoutTables &tables,
+                    const MachineConfig &cfg)
+        : hierarchy_(hierarchy),
+          fetch_(hierarchy, tables, cfg),
+          evSite_(plan.site.data()),
+          dataAddr_(tables.dataAddr.data())
+    {
+    }
+
+    // lint:hot-begin per-layout level source (tools/lint_hotpath.py)
+    Cycle beforeEvent(size_t e) { return fetch_(evSite_[e]); }
+    cache::HitLevel belowL1(size_t mem)
+    {
+        return hierarchy_.accessDataBelowL1(dataAddr_[mem]);
+    }
+    void redirect() { fetch_.redirect(); }
+    // lint:hot-end
+
+    /** The warmup split: forget the misses so far, keep the cache
+     *  contents and the fetch dedup. */
+    void warmup() { hierarchy_.clearStats(); }
+
+  private:
+    cache::MemoryHierarchy &hierarchy_;
+    FetchStep fetch_;
+    const u32 *evSite_;
+    const Addr *dataAddr_;
 };
 
 } // anonymous namespace
@@ -133,8 +174,8 @@ Machine::runReference(const trace::Program &prog, const trace::Trace &trace,
                       const layout::PageMap &pages)
 {
     // Fresh reference components per run: power-on state, and fully
-    // independent of the optimized SoA structures the replay kernel
-    // uses (see core/refmodel.hh). The predictor is driven through its
+    // independent of the optimized SoA structures replay() uses (see
+    // core/refmodel.hh). The predictor is driven through its
     // virtual interface, as the pre-plan measurement path did.
     refmodel::RefHierarchy hierarchy(cfg_.hierarchy);
     refmodel::RefBtb btb(cfg_.btbSets, cfg_.btbWays);
@@ -406,39 +447,41 @@ Machine::replayWith(const trace::ReplayPlan &plan,
     resetState();
 
     // The BTB meets no other structure, so its per-layout form is a
-    // pass of its own, and the kernel and the sum read bits either way.
-    FlowBits bits{flow.btbHitBits.data(), flow.btbTargetBits.data(),
-                  flow.rasMissBits.data()};
+    // pass of its own, and the sum reads bits either way.
+    FlowBits bits{flow.rasMissBits.data(), flow.condBtbMissBits.data(),
+                  {flow.btbMisses, flow.btbPenalty}};
     if (paths.btb) {
         INTERF_TELEM_COUNT("replay.btb_shared", 1);
     } else {
         INTERF_TELEM_COUNT("replay.btb_simulated", 1);
-        btbPass(plan, tables);
-        bits.btbHit = btbHitBits_.data();
-        bits.btbTarget = btbTargetBits_.data();
+        bits.btb = btbPass(plan, tables);
+        bits.condBtbMiss = condBtbMissBits_.data();
     }
 
-    // A simulated L2 sees fetch and data misses interleaved: only the
-    // kernel, fetching in line, keeps their order.
-    if (!paths.l2Data) {
+    FetchOutcome fetch;
+    RunResult res;
+    if (paths.l2Data) {
+        // A shared L2 data side leaves the hierarchy only fetches, which
+        // only ever add stalls to cycles, so their outcome adds on
+        // exactly; every other term is the shared cycle sum's.
+        INTERF_TELEM_COUNT("replay.l2_shared", 1);
+        if (paths.l1i) {
+            INTERF_TELEM_COUNT("replay.l1i_shared", 1);
+            fetch = fetchFirstTouch(cfg_, plan, tables, flow);
+        } else {
+            INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
+            fetch = fetchPass(plan, tables);
+        }
+        res = replaySum(plan, tables, data, bits, paths.btb);
+    } else {
+        // A simulated L2 sees fetch and data misses interleaved: this
+        // layout builds its own sum, fetching in line.
         INTERF_TELEM_COUNT("replay.l2_simulated", 1);
         INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-        INTERF_TELEM_COUNT("replay.kernel", 1);
-        return replayImpl(plan, tables, data, bits);
+        SharedOutcomes own;
+        fetch = simulatedSum(plan, tables, data, bits, own);
+        res = replaySum(plan, tables, own, bits, true);
     }
-    // A shared L2 data side leaves the hierarchy only fetches, which
-    // only ever add stalls to cycles, so their outcome adds on exactly;
-    // every other term is the cycle sum's.
-    INTERF_TELEM_COUNT("replay.l2_shared", 1);
-    FetchOutcome fetch;
-    if (paths.l1i) {
-        INTERF_TELEM_COUNT("replay.l1i_shared", 1);
-        fetch = fetchFirstTouch(cfg_, plan, tables, flow);
-    } else {
-        INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-        fetch = fetchPass(plan, tables);
-    }
-    RunResult res = replaySum(plan, tables, data, bits, paths.btb);
     res.cycles += fetch.stallCycles;
     res.l1iMisses += fetch.l1iMisses;
     res.l2InstMisses += fetch.l2InstMisses;
@@ -450,36 +493,34 @@ Machine::replayWith(const trace::ReplayPlan &plan,
 RunResult
 Machine::replaySum(const trace::ReplayPlan &plan,
                    const trace::LayoutTables &tables,
-                   const SharedOutcomes &shared, FlowBits bits,
-                   bool btb_shared)
+                   const SharedOutcomes &sum, FlowBits bits,
+                   bool btb_in_sum)
 {
-    if (shared.delta.size() != plan.condSite.size())
+    if (sum.delta.size() != plan.condSite.size())
         panic("the cycle sum covers %zu conditional branches, the plan "
               "has %zu",
-              shared.delta.size(), plan.condSite.size());
+              sum.delta.size(), plan.condSite.size());
     RunResult res;
-    res.instructions = shared.instructions;
-    res.condBranches = shared.condBranches;
-    res.rasMispredicts = shared.rasMispredicts;
-    res.l1dMisses = shared.misses;
-    res.l2Misses = shared.l2Misses;
-    res.l2DataMisses = shared.l2Misses;
-    BtbCharges btb{shared.btbMisses, shared.btbPenalty};
-    const CycleDelta *delta = shared.delta.data();
-    if (!btb_shared) {
+    res.instructions = sum.instructions;
+    res.condBranches = sum.condBranches;
+    res.rasMispredicts = sum.rasMispredicts;
+    res.l1dMisses = sum.misses;
+    res.l2Misses = sum.l2Misses;
+    res.l2DataMisses = sum.l2Misses;
+    const CycleDelta *delta = sum.delta.data();
+    if (!btb_in_sum) {
         // This layout's BTB misses other taken conditional branches
-        // than the shared one, whose misfetches shared.delta
-        // subtracts: move that correction to this layout's misses.
-        btb = btbCharges(cfg_, plan, bits.btbHit, bits.btbTarget,
-                         condBtbMissBits_);
-        condDelta_.assign(shared.delta.begin(), shared.delta.end());
-        const u64 *shared_miss = shared.condBtbMissBits.data();
-        const u64 *own_miss = condBtbMissBits_.data();
+        // than the shared one, whose misfetches sum.delta subtracts:
+        // move that correction to this layout's misses.
+        condDelta_.assign(sum.delta.begin(), sum.delta.end());
+        const u64 *shared_miss = sum.condBtbMissBits.data();
+        const u64 *own_miss = bits.condBtbMiss;
         CycleDelta *own_delta = condDelta_.data();
         const CycleDelta misfetch =
             static_cast<CycleDelta>(cfg_.misfetchPenalty);
+        const size_t words = (plan.condSite.size() + 63) / 64;
         // lint:hot-begin cycle-sum BTB correction (tools/lint_hotpath.py)
-        for (size_t w = 0; w < condBtbMissBits_.size(); ++w) {
+        for (size_t w = 0; w < words; ++w) {
             for (u64 d = shared_miss[w] ^ own_miss[w]; d; d &= d - 1) {
                 const u32 b = static_cast<u32>(std::countr_zero(d));
                 const size_t j = w * 64 + b;
@@ -495,14 +536,14 @@ Machine::replaySum(const trace::ReplayPlan &plan,
     // predictor directly (DESIGN.md §5l, §5t).
     const bpred::StreamTally tally = predictor_->tallyStream(
         {plan.condSite.data(), plan.condTaken.data(), plan.condSite.size(),
-         tables.branchAddr.data(), shared.condFrom, delta});
+         tables.branchAddr.data(), sum.condFrom, delta});
     res.mispredicts = tally.mispredicts;
-    res.btbMisses = btb.misses;
-    res.cycles = shared.sumBase + btb.penalty + tally.weight;
+    res.btbMisses = bits.btb.misses;
+    res.cycles = sum.sumBase + bits.btb.penalty + tally.weight;
     return res;
 }
 
-void
+BtbCharges
 Machine::btbPass(const trace::ReplayPlan &plan,
                  const trace::LayoutTables &tables)
 {
@@ -536,6 +577,7 @@ Machine::btbPass(const trace::ReplayPlan &plan,
         target_bits[e >> 6] |= u64{r.hit && r.target == target} << (e & 63);
     }
     // lint:hot-end
+    return btbCharges(cfg_, plan, hit_bits, target_bits, condBtbMissBits_);
 }
 
 FetchOutcome
@@ -558,8 +600,8 @@ Machine::fetchPass(const trace::ReplayPlan &plan,
         }
     };
     // lint:hot-end
-    // The kernel's warmup split: forget what was counted, keep the
-    // cache contents.
+    // The warmup split: forget what was counted, keep the cache
+    // contents.
     const size_t warmup_events = warmupEvent(cfg_, plan);
     run_events(0, warmup_events);
     stall = 0;
@@ -569,212 +611,20 @@ Machine::fetchPass(const trace::ReplayPlan &plan,
     return {stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses};
 }
 
-/**
- * The dense replay kernel, for a layout whose L2 data side is simulated
- * (elsewhere the cycle sum replaces it, DESIGN.md §5t). Mirrors
- * runReference() block for block — the per-event model steps and their
- * order are identical, only the operand sources differ: flat plan/table
- * arrays instead of Program traversal and per-access address
- * computation (fetch lines and data addresses come pre-translated), and
- * the verdicts of the L1D, the RAS and the BTB read from precomputed
- * bits instead of simulated in line (DESIGN.md §5n, §5p, §5s). The L2
- * sees fetch and data misses interleaved, so the kernel fetches in
- * line. Any behavioural edit here must be made in runReference() and
- * in the cycle sum's builder (core/shared.cc) too (test_replay.cc
- * enforces equality).
- */
-RunResult
-Machine::replayImpl(const trace::ReplayPlan &plan,
-                    const trace::LayoutTables &tables,
-                    const SharedOutcomes &data, FlowBits flow)
+FetchOutcome
+Machine::simulatedSum(const trace::ReplayPlan &plan,
+                      const trace::LayoutTables &tables,
+                      const SharedOutcomes &data, FlowBits bits,
+                      SharedOutcomes &own)
 {
-    using trace::ReplayPlan;
-
-    RunResult res;
-
-    Cycle cycles = 0;
-    u32 slot_carry = 0;
-    u64 cluster_start_inst = 0;
-    u32 cluster_outstanding = 0;
-    size_t mem_cursor = 0;
-
-    FetchStep fetch(hierarchy_, tables, cfg_);
-    const Addr *branch_addr = tables.branchAddr.data();
-    const Addr *data_addr = tables.dataAddr.data();
-    const u32 *ev_site = plan.site.data();
-    const u16 *ev_insts = plan.nInsts.data();
-    const u8 *ev_extra = plan.extraExecCycles.data();
-    const u16 *ev_nmem = plan.nMem.data();
-    const u8 *ev_flags = plan.flags.data();
-    const u8 *mem_is_store = plan.memIsStore.data();
-    const u64 *l1d_hit_bits = data.hitBits.data();
-    auto bit = [](const u64 *bits, size_t i) -> bool {
-        return (bits[i >> 6] >> (i & 63)) & 1;
-    };
-
-    // Devirtualize the hottest polymorphic call: the standard machine
-    // predictor is the hybrid, whose final class lets the direct call
-    // inline the whole predict-and-train chain. Other predictors fall
-    // back to the virtual dispatch; results are identical either way.
-    auto *hybrid = dynamic_cast<bpred::HybridPredictor *>(predictor_.get());
-    auto predict_and_train = [&](Addr pc, bool taken) -> bool {
-        return hybrid ? hybrid->predictAndTrain(pc, taken)
-                      : predictor_->predictAndTrain(pc, taken);
-    };
-
-    // HitLevel is a dense enum (L1, L2, Memory); a lookup replaces the
-    // reference loop's switch.
-    const u32 lat_by_level[3] = {cfg_.l1Latency, cfg_.l2Latency,
-                                 cfg_.memLatency};
-    auto mem_latency = [&](cache::HitLevel level) -> u32 {
-        return lat_by_level[static_cast<u32>(level)];
-    };
-
-    // Issue width is a runtime config value, so the reference loop's
-    // `/ width` is a hardware divide on every event; all modeled
-    // machines use a power-of-two width, which reduces to shift/mask.
-    const u32 width = cfg_.width;
-    const bool width_pow2 = (width & (width - 1)) == 0;
-    const u32 width_shift =
-        static_cast<u32>(std::countr_zero(width ? width : 1u));
-
-    const size_t n = plan.eventCount();
-    const size_t warmup_events = warmupEvent(cfg_, plan);
-
-    // The event loop body, over [lo, hi). Split at the warmup boundary
-    // so the boundary test is not paid per event (the reference loop
-    // checks `ev_idx == warmup_events` each iteration; hoisting it is
-    // behaviour-preserving).
-    // lint:hot-begin replay event loop (tools/lint_hotpath.py)
-    auto run_events = [&](size_t lo, size_t hi) {
-    for (size_t ev_idx = lo; ev_idx < hi; ++ev_idx) {
-        const u32 s = ev_site[ev_idx];
-
-        // ---- Front end: fetch the lines this block occupies.
-        cycles += fetch(s);
-
-        // ---- Issue/retire.
-        slot_carry += ev_insts[ev_idx];
-        if (width_pow2) {
-            cycles += slot_carry >> width_shift;
-            slot_carry &= width - 1;
-        } else {
-            cycles += slot_carry / width;
-            slot_carry %= width;
-        }
-        cycles += ev_extra[ev_idx];
-        res.instructions += ev_insts[ev_idx];
-
-        // ---- Data accesses (addresses pre-translated in the tables).
-        // The L1D's verdict is a precomputed bit; only its misses
-        // reach the L2. L1D hits (the common, well-predicted case)
-        // skip the cluster bookkeeping entirely; a select-based
-        // rewrite measured slower because it puts the bookkeeping on
-        // every access's dependence chain.
-        u32 last_load_latency = 0;
-        for (u32 m = ev_nmem[ev_idx]; m > 0; --m, ++mem_cursor) {
-            cache::HitLevel level =
-                bit(l1d_hit_bits, mem_cursor)
-                    ? cache::HitLevel::L1
-                    : hierarchy_.accessDataBelowL1(data_addr[mem_cursor]);
-            u32 lat = mem_latency(level);
-            // Loads update the resolution latency.
-            last_load_latency =
-                mem_is_store[mem_cursor] ? last_load_latency : lat;
-            if (level != cache::HitLevel::L1) {
-                bool overlaps =
-                    res.instructions - cluster_start_inst <=
-                        cfg_.robSize &&
-                    cluster_outstanding > 0 &&
-                    cluster_outstanding < cfg_.maxMlp;
-                if (overlaps) {
-                    ++cluster_outstanding;
-                } else {
-                    cycles += lat;
-                    cluster_start_inst = res.instructions;
-                    cluster_outstanding = 1;
-                }
-            }
-        }
-
-        // ---- Branch.
-        const u8 f = ev_flags[ev_idx];
-        if (!(f & ReplayPlan::kHasBranch))
-            continue;
-        bool mispredicted = false;
-
-        if (f & ReplayPlan::kCond) {
-            ++res.condBranches;
-            bool taken = (f & ReplayPlan::kTaken) != 0;
-            bool pred = predict_and_train(branch_addr[s], taken);
-            if (pred != taken) {
-                ++res.mispredicts;
-                mispredicted = true;
-                u32 resolve = (f & ReplayPlan::kDependsOnLoad) &&
-                                      last_load_latency > 0
-                                  ? last_load_latency
-                                  : static_cast<u32>(ev_extra[ev_idx]) + 1;
-                cycles += cfg_.frontendDepth + resolve;
-            }
-        }
-
-        // ---- Returns: the return-address stack's verdict.
-        if (f & ReplayPlan::kReturn) {
-            if (bit(flow.rasMiss, ev_idx)) {
-                ++res.rasMispredicts;
-                cycles += cfg_.frontendDepth;
-            }
-            fetch.redirect();
-            continue;
-        }
-
-        // ---- Target prediction (BTB) for taken redirects: its
-        // verdict, shared or from this layout's BTB pass.
-        if (f & ReplayPlan::kTaken) {
-            if (!bit(flow.btbTarget, ev_idx)) {
-                ++res.btbMisses;
-                if (!mispredicted) {
-                    if ((f & ReplayPlan::kIndirect) &&
-                        bit(flow.btbHit, ev_idx)) {
-                        cycles += cfg_.frontendDepth;
-                    } else {
-                        cycles += cfg_.misfetchPenalty;
-                    }
-                }
-            }
-            fetch.redirect();
-        }
-    }
-    };
-    // lint:hot-end
-
-    if (warmup_events < n) {
-        run_events(0, warmup_events);
-        // End of warmup: forget everything measured so far, keep the
-        // microarchitectural state (exactly the reference loop's
-        // mid-loop clear).
-        res = RunResult();
-        cycles = 0;
-        slot_carry = 0;
-        cluster_start_inst = 0;
-        cluster_outstanding = 0;
-        hierarchy_.clearStats();
-        run_events(warmup_events, n);
-    } else {
-        run_events(0, n);
-    }
-
-    INTERF_ASSERT(mem_cursor == plan.memCount());
-
-    res.l1dMisses = data.misses;
+    SimulatedLevels levels(hierarchy_, plan, tables, cfg_);
+    const Cycle stall =
+        buildSum(cfg_, plan, data.hitBits.data(), bits.rasMiss,
+                 bits.condBtbMiss, levels, own);
     const cache::HierarchyStats hs = hierarchy_.stats();
-    res.l1iMisses = hs.l1i.misses;
-    res.l2Misses = hs.l2.misses;
-    res.l2InstMisses = hs.l2InstMisses;
-    res.l2PrefMisses = hs.l2PrefMisses;
-    res.l2DataMisses = hs.l2DataMisses;
-    res.cycles = cycles;
-    return res;
+    own.misses = data.misses;
+    own.l2Misses = hs.l2DataMisses;
+    return {stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses};
 }
 
 } // namespace interf::core

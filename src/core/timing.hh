@@ -84,7 +84,8 @@ class Machine
      * Execute a trace under a code + data layout.
      *
      * A thin adapter over replay(): compiles the trace into a one-off
-     * ReplayPlan and LayoutTables, then runs the dense kernel.
+     * ReplayPlan and LayoutTables, then replays them with every
+     * structure simulated for this layout.
      * Callers replaying the same trace many times (campaigns, sweeps)
      * should build the plan once and call replay() directly.
      *
@@ -110,11 +111,11 @@ class Machine
     /**
      * Replay a compiled plan under one layout's address tables: the
      * four-argument overload with a RAS-only SharedOutcomes, so it runs
-     * its own L1D pass over the tables, simulates the L2 in the kernel
-     * and the BTB in its pass. Bit-identical to runReference() on the
-     * same (trace, layout) — every counter and cycle count — which
-     * tests/test_replay.cc enforces. The tables must carry data
-     * addresses (not code-only).
+     * its own L1D pass over the tables, its BTB pass, and builds its
+     * own cycle sum with the L2 simulated. Bit-identical to
+     * runReference() on the same (trace, layout) — every counter and
+     * cycle count — which tests/test_replay.cc enforces. The tables
+     * must carry data addresses (not code-only).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables);
@@ -138,13 +139,16 @@ class Machine
      *  - L2 data side: shared, and then no event loop runs: the
      *    layout's cycles are @p shared's cycle sum over the conditional
      *    branches its predictor mispredicts, one pass over the branch
-     *    stream (DESIGN.md §5t). Or simulated, in the replay kernel,
-     *    where fetch and data misses meet, so the kernel fetches in
-     *    line too; only this path enters the kernel.
+     *    stream (DESIGN.md §5t). Or simulated: fetch and data misses
+     *    meet in the L2, so this layout builds its own cycle sum in one
+     *    event loop that fetches in line and takes each L1D miss's
+     *    level from the hierarchy (§5u), then runs the same pass over
+     *    the branch stream.
      *  - L1I fetch, where the L2 data side is shared: fetchFirstTouch()
      *    over @p tables, or a fetch pass that simulates the L1I and the
-     *    L2's code side. Either outcome is added to the cycle sum. The
-     *    shared form needs the L2 data path (panics otherwise).
+     *    L2's code side. The shared form needs the L2 data path
+     *    (panics otherwise). Every fetch outcome, the in-line one
+     *    included, is added to the cycle sum.
      *
      * @p tables may lack data addresses only when both the L1D and the
      * L2 data side come from @p shared. @p shared must cover this
@@ -157,7 +161,7 @@ class Machine
     /**
      * The event-at-a-time reference implementation: walks Program and
      * Trace directly, one block event at a time. This is the
-     * executable specification the replay kernel is tested against
+     * executable specification replay() is tested against
      * (and the pre-plan measurement path benchmarked as "legacy" in
      * bench_micro_replay); not for hot loops.
      */
@@ -180,52 +184,62 @@ class Machine
   private:
     void resetState();
 
-    /** The per-event control verdicts the kernel and the sum read. */
+    /** The control verdicts the cycle sum reads, and the BTB's
+     *  charges, shared or from this layout's BTB pass. */
     struct FlowBits
     {
-        const u64 *btbHit;    ///< A taken non-return branch hits the BTB.
-        const u64 *btbTarget; ///< ... and its target is right.
-        const u64 *rasMiss;   ///< A return mispredicts.
+        const u64 *rasMiss;     ///< Per event: a return mispredicts.
+        /** Per conditional branch: taken, and the BTB misses it. */
+        const u64 *condBtbMiss;
+        BtbCharges btb;
     };
 
-    /** Check the inputs, then run the passes and the kernel or the sum
-     *  @p paths choose; @p data supplies the data parts and @p flow the
-     *  control parts. */
+    /** Check the inputs, then run the passes and the cycle sum @p paths
+     *  choose; @p data supplies the data parts and @p flow the control
+     *  parts. */
     RunResult replayWith(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables,
                          const SharedOutcomes &data,
                          const SharedOutcomes &flow, SharedPaths paths);
 
     /** Fill btbHitBits_ / btbTargetBits_ for this layout: btb_ over the
-     *  plan's taken non-return branches, in event order. */
-    void btbPass(const trace::ReplayPlan &plan,
-                 const trace::LayoutTables &tables);
+     *  plan's taken non-return branches, in event order. Returns their
+     *  charges and fills condBtbMissBits_ (btbCharges). */
+    BtbCharges btbPass(const trace::ReplayPlan &plan,
+                       const trace::LayoutTables &tables);
 
     /** Simulate this layout's fetch stream alone through hierarchy_:
      *  exact where nothing else reaches the L2 (a shared data side). */
     FetchOutcome fetchPass(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables);
 
-    /** The cycle sum of @p shared (with a kShareSum part) for this
-     *  layout: the predictor over the branch stream, with the BTB
-     *  verdicts of @p bits, which are @p shared's where @p btb_shared.
-     *  Every counter but the fetch outcome's. */
+    /** Build @p own, this layout's cycle sum with the L2 simulated:
+     *  one event loop through hierarchy_ with the L1D bits of @p data,
+     *  the RAS and BTB verdicts of @p bits, and the fetch in line.
+     *  Returns the fetch outcome, counted from the warmup event. */
+    FetchOutcome simulatedSum(const trace::ReplayPlan &plan,
+                              const trace::LayoutTables &tables,
+                              const SharedOutcomes &data, FlowBits bits,
+                              SharedOutcomes &own);
+
+    /** Replay @p sum (a cycle sum part, shared or this layout's own)
+     *  for this layout: the predictor over the branch stream, plus the
+     *  BTB charges of @p bits. @p btb_in_sum says @p sum's delta was
+     *  built from @p bits' BTB verdicts; otherwise it was built from
+     *  the shared ones (sum.condBtbMissBits) and its misfetch
+     *  correction moves to @p bits'. Every counter but the fetch
+     *  outcome's. */
     RunResult replaySum(const trace::ReplayPlan &plan,
                         const trace::LayoutTables &tables,
-                        const SharedOutcomes &shared, FlowBits bits,
-                        bool btb_shared);
-
-    /** The dense event loop, with the L2 simulated. */
-    RunResult replayImpl(const trace::ReplayPlan &plan,
-                         const trace::LayoutTables &tables,
-                         const SharedOutcomes &data, FlowBits flow);
+                        const SharedOutcomes &sum, FlowBits bits,
+                        bool btb_in_sum);
 
     MachineConfig cfg_;
     cache::MemoryHierarchy hierarchy_;
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
-    /** @{ The BTB pass's bits and, on the sum path, its per-branch
-     *  misses and the charges they make, reused across layouts. */
+    /** @{ The BTB pass's bits and its per-branch misses, and the
+     *  shared sum's charges moved to them, reused across layouts. */
     std::vector<u64> btbHitBits_;
     std::vector<u64> btbTargetBits_;
     std::vector<u64> condBtbMissBits_;

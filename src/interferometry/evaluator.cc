@@ -86,7 +86,7 @@ LayoutEvaluator::measureOne(core::MeasurementRunner &runner,
     }();
     INTERF_TELEM_COUNT("layout.tables_built", 1);
     // Each shared outcome applies only where this layout's proof holds;
-    // elsewhere the kernel simulates the structure.
+    // elsewhere the replay simulates the structure for this layout.
     core::SharedPaths paths;
     paths.l2Data =
         shareL1d_ && core::canShareL2Data(machine_, plan_, tables, *shared_);

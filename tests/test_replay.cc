@@ -1,7 +1,7 @@
 /** @file Golden tests for the compiled replay plan: Machine::replay
  *  must be bit-identical to the event-at-a-time reference model on
  *  every counter, for every layout — this is the contract that lets
- *  campaigns run the dense kernel at all. */
+ *  campaigns replay through shared outcomes and the cycle sum at all. */
 
 #include <algorithm>
 #include <functional>
@@ -207,7 +207,7 @@ TEST(ReplayGolden, SharedL1dOutcomesMatchReferenceAcrossLayouts)
     }
 }
 
-/** The L1D pass clears its statistics where the kernel's warmup does:
+/** The L1D pass clears its statistics where the replay's warmup does:
  *  at the first access of the warmup event. Swept over warmup
  *  fractions so the boundary lands on events with and without memory
  *  references. */
@@ -373,13 +373,22 @@ pathCases()
     PathCase random_l1i{"random L1I", xeon, true, true, true};
     random_l1i.cfg.hierarchy.l1i.replacement = cache::Replacement::Random;
     cases.push_back(random_l1i);
-    // Both per-layout passes beside the shared-L2 kernel, and the BTB
-    // pass beside the kernel that simulates the L2 and fetches in line.
+    // Both per-layout passes beside the shared sum, and the BTB pass
+    // beside a sum of its own that simulates the L2 and fetches in line.
     PathCase btb_and_l1i{"64-set BTB + 4 KiB 2-way L1I", xeon, true, false,
                          false};
     btb_and_l1i.cfg.btbSets = small_btb.cfg.btbSets;
     btb_and_l1i.cfg.hierarchy.l1i = tiny_l1i.cfg.hierarchy.l1i;
     cases.push_back(btb_and_l1i);
+    // The fetch dedup's reset after a redirect is visible only where a
+    // line's next-line prefetch can land in its own set: there the
+    // re-fetch decides which of the two is most recent. So a one-set
+    // L1I, beside the sum that simulates the L2 and fetches in line.
+    PathCase one_set{"fully associative L1I + 64 KiB L2", xeon, false,
+                     true, false};
+    one_set.cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 1 << 10, 16, 64};
+    one_set.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
+    cases.push_back(one_set);
     PathCase all_refuse{"every proof refuses", xeon, false, false, false};
     all_refuse.cfg = btb_and_l1i.cfg;
     all_refuse.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
@@ -395,13 +404,14 @@ pathCases()
  *  with the L1I's first-touch outcome where the L2 and L1I proofs both
  *  hold. The default machine shares the L2 data side, the BTB, the RAS
  *  and the L1I; a 64 KiB L2, a 64-set BTB and a 4 KiB L1I overflow
- *  sets and fall back to simulation (the BTB and fetch passes, or the
- *  kernel that simulates the L2), alone and together; a 2-entry RAS
- *  overflows on deep call chains. Every result equals the reference
- *  model on a fresh Machine, and the replay.* counters record the path
- *  each replay took: the cycle sum wherever the L2 data side is shared
- *  (DESIGN.md §5t), the 64-set BTB rows with this layout's BTB bits,
- *  the kernel only where it is simulated. */
+ *  sets and fall back to simulation (the BTB and fetch passes, or a
+ *  cycle sum of the layout's own that simulates the L2), alone and
+ *  together; a 2-entry RAS overflows on deep call chains. Every result
+ *  equals the reference model on a fresh Machine, and the replay.*
+ *  counters record the path each replay took: the shared cycle sum
+ *  wherever the L2 data side is shared (DESIGN.md §5t), the 64-set BTB
+ *  rows with this layout's BTB bits, and the layout's own sum where the
+ *  L2 is simulated (§5u). */
 TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
 {
     const layout::HeapKey fixed = layout::HeapKey::deterministic();
@@ -454,10 +464,6 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
             }
         });
         EXPECT_EQ(count("replay.calls"), replays) << pc.name;
-        // Only a simulated L2 enters the kernel; a shared one takes the
-        // cycle sum, with the BTB in either form.
-        EXPECT_EQ(count("replay.kernel"), pc.l2Shared ? 0 : replays)
-            << pc.name;
         EXPECT_EQ(count("replay.l2_shared"), pc.l2Shared ? replays : 0)
             << pc.name;
         EXPECT_EQ(count("replay.l2_simulated"), pc.l2Shared ? 0 : replays)
@@ -757,7 +763,7 @@ TEST(ReplayGolden, L1iProofCountsPhysicalLinesAndSuccessors)
     EXPECT_GT(refused, 0u) << "no geometry overflows: the count is vacuous";
 }
 
-/** The L1I outcome counts from the warmup event on, as the kernel's
+/** The L1I outcome counts from the warmup event on, as the replay's
  *  statistics do. For warmup fractions 0 and 0.5, the trace is cut so
  *  that its warmup event is the first event of a site and carries
  *  fetch misses of its own (the reference counts more of them with
@@ -865,9 +871,12 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
  *  the trace is cut so that its warmup event is a conditional branch
  *  the reference mispredicts (it counts one more mispredict with warmup
  *  there than one event later): at fraction 0 by dropping leading
- *  events, at 0.5 by keeping the first 2f. On the default machine and
- *  on a 64-set BTB, whose layouts take the sum with their own BTB bits,
- *  the replay equals the reference there without entering the kernel. */
+ *  events, at 0.5 by keeping the first 2f. The default machine and a
+ *  64-set BTB take the shared sum, with the shared BTB bits or their
+ *  own; a 64 KiB L2 and a randomized heap (no shared L1D part) build
+ *  their own sum with the L2 simulated and the fetch in line (DESIGN.md
+ *  §5u). Each replay equals the reference there, on the path its row
+ *  names. */
 TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
 {
     const auto &profile = workloads::specFor("400.perlbench").profile;
@@ -897,19 +906,32 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
             conds.push_back(e);
     ASSERT_GT(conds.size(), 1u);
 
+    // Each row with whether its heap is randomized.
+    std::vector<std::pair<PathCase, bool>> rows;
+    for (const PathCase &pc : pathCases())
+        if (pc.name == "default" || pc.name == "64-set BTB" ||
+            pc.name == "64 KiB L2")
+            rows.push_back({pc, false});
+    PathCase randomized = pathCases().front();
+    randomized.name = "randomized heap";
+    randomized.l2Shared = false;
+    rows.push_back({randomized, true});
+
     const auto code =
         layout::Linker().link(prog, layout::LayoutKey{1, true, true});
-    const layout::HeapLayout heap(prog, layout::HeapKey::deterministic());
     const layout::PageMap pages(5);
-    for (bool shared_btb : {true, false}) {
+    for (const auto &[row, random_heap] : rows) {
+        layout::HeapKey hk = layout::HeapKey::deterministic();
+        if (random_heap) {
+            hk.seed = 3;
+            hk.randomize = true;
+        }
+        const layout::HeapLayout heap(prog, hk);
         for (double frac : {0.0, 0.5}) {
-            auto cfg = MachineConfig::xeonE5440();
-            if (!shared_btb)
-                cfg.btbSets = 64;
+            auto cfg = row.cfg;
             cfg.warmupFraction = frac;
             const std::string what =
-                std::string(shared_btb ? "shared BTB" : "64-set BTB") +
-                ", warmup " + std::to_string(frac);
+                row.name + ", warmup " + std::to_string(frac);
             bool found = false;
             // At 0.5 the latest candidates first: a warmed predictor.
             for (size_t i = 0; i < conds.size() && !found; ++i) {
@@ -934,17 +956,26 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
                 if (ref.mispredicts != ref_later.mispredicts + 1)
                     continue; // The warmup branch is predicted right.
                 found = true;
+                // As a LayoutEvaluator builds them: a randomized heap has
+                // no shared data parts.
                 const LayoutTables data(plan, heap, layout::PageMap());
                 const SharedOutcomes shared =
-                    simulateShared(cfg, plan, &data, kShareAll);
-                const LayoutTables tables(plan, code, pages,
-                                          cfg.hierarchy.l1i.lineBytes);
+                    random_heap
+                        ? simulateShared(cfg, plan, nullptr,
+                                         kShareBtb | kShareRas)
+                        : simulateShared(cfg, plan, &data, kShareAll);
+                LayoutTables tables(plan, code, pages,
+                                    cfg.hierarchy.l1i.lineBytes);
                 SharedPaths paths;
                 paths.l2Data = canShareL2Data(cfg, plan, tables, shared);
                 paths.btb = canShareBtb(cfg, plan, tables, shared);
-                paths.l1i = canShareL1i(cfg, plan, tables, shared);
-                ASSERT_TRUE(paths.l2Data) << what;
-                ASSERT_EQ(paths.btb, shared_btb) << what;
+                paths.l1i = paths.l2Data &&
+                            canShareL1i(cfg, plan, tables, shared);
+                ASSERT_EQ(paths.l2Data, row.l2Shared) << what;
+                ASSERT_EQ(paths.btb, row.btbShared) << what;
+                if (!paths.l2Data)
+                    tables = LayoutTables(plan, code, heap, pages,
+                                          cfg.hierarchy.l1i.lineBytes);
                 Machine machine(cfg);
                 RunResult fast;
                 const auto count = countersDuring([&] {
@@ -953,8 +984,11 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
                 expectSameResult(ref, fast,
                                  what + ", warmup event " +
                                      std::to_string(c));
-                EXPECT_EQ(count("replay.kernel"), 0u) << what;
-                EXPECT_EQ(count("replay.btb_simulated"), shared_btb ? 0u : 1u)
+                EXPECT_EQ(count("replay.l2_simulated"),
+                          row.l2Shared ? 0u : 1u)
+                    << what;
+                EXPECT_EQ(count("replay.btb_simulated"),
+                          row.btbShared ? 0u : 1u)
                     << what;
             }
             EXPECT_TRUE(found) << "no mispredicted warmup branch on " << what;
@@ -1106,8 +1140,8 @@ TEST(ReplayGolden, RunAdapterMatchesReplay)
     }
 }
 
-/** The golden contract holds for non-default machine geometry too
- *  (non-power-of-two width exercises the kernel's slow divide path). */
+/** The golden contract holds for non-default machine geometry too: a
+ *  non-power-of-two issue width. */
 TEST(ReplayGolden, HoldsForOddMachineWidth)
 {
     auto cfg = MachineConfig::xeonE5440();

@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
-"""Lint the replay kernel's hot paths for constructs they must not use.
+"""Lint the replay's hot paths for constructs they must not use.
 
-The replay kernel's throughput rests on its hot event loop doing
-nothing but arithmetic and array reads: no allocation, no logging, no
-virtual dispatch, no exceptions, and no non-relaxed atomics anywhere
-near them (DESIGN.md §5k). Those properties are invisible to the type
-system and easy to regress with a well-meaning one-line change, so CI
-enforces them here, next to clang-tidy.
+A replay's throughput rests on its hot event loops doing nothing but
+arithmetic and array reads: no allocation, no logging, no virtual
+dispatch, no exceptions, and no non-relaxed atomics anywhere near them
+(DESIGN.md §5k). Those properties are invisible to the type system and
+easy to regress with a well-meaning one-line change, so CI enforces
+them here, next to clang-tidy.
 
 Two kinds of hot region, configured in HOT_FILES below:
 
   * marker regions — `// lint:hot-begin ...` / `// lint:hot-end`
-    comment pairs bracketing, in src/core/timing.cc, the kernel's event
-    loop, the BTB pass loop, the fetch pass loop, the fetch step both
-    fetch paths call and the cycle sum's call site (its per-layout BTB
-    correction loop), and in src/core/shared.cc the L1D pass and the
-    cycle sum's builder loop, whose enclosing functions may do setup
-    work (devirtualization, latency tables, allocation) before entering
-    the loop, and the per-branch paths of the Pin-style simulation
-    (L-TAGE, PinSim);
+    comment pairs bracketing, in src/core/cyclesum.hh, the cycle sum's
+    builder loop, the one event loop both of its forms run (DESIGN.md
+    §5u); in src/core/timing.cc, the per-layout form's level source,
+    the BTB pass loop, the fetch pass loop, the fetch step the fetch
+    pass and the per-layout form call, and the cycle sum's per-layout
+    BTB correction loop; in src/core/shared.cc, the L1D pass and the
+    shared form's level source. Their enclosing functions may do setup
+    work (latency tables, allocation) before entering the loop. The
+    per-branch paths of the Pin-style simulation (L-TAGE, PinSim) are
+    marked too;
   * function manifests — named inline member functions in the cache /
     BTB headers whose whole body is hot (they are called per event or
     per line from inside the marker regions).
@@ -48,13 +50,19 @@ import sys
 # lint:hot-begin/end pair. The atomics rule applies to all of them.
 HOT_FILES = [
     {
+        # The cycle sum's builder: the one event loop of both forms.
+        "path": "src/core/cyclesum.hh",
+        "markers": True,
+        "functions": [],
+    },
+    {
         "path": "src/core/timing.cc",
         "markers": True,
         "functions": [],
     },
     {
         # The shared passes run once per campaign; only the L1D pass
-        # loop and the cycle sum's builder loop are marked hot.
+        # loop and the shared form's level source are marked hot.
         "path": "src/core/shared.cc",
         "markers": True,
         "functions": [],
