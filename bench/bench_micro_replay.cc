@@ -1,6 +1,6 @@
 /**
  * @file
- * Replay-kernel micro-benchmark: events/sec and layouts/sec of the
+ * Replay micro-benchmark: events/sec and layouts/sec of the
  * four per-layout measurement paths, on bench_scaling_parallel's
  * workload (445.gobmk, 300k instructions, 40 layouts by default),
  * every layout under its own randomized PageMap:
@@ -17,8 +17,8 @@
  *   plan_shared      the fixed heap as campaigns run it by default:
  *                    every shared outcome built once before the batch,
  *                    cycle sum included, and each layout's paths set
- *                    by the L2, BTB and L1I proofs, as LayoutEvaluator
- *                    sets them (§5p, §5r, §5s). Where the L2 proof
+ *                    by core::choosePaths, as LayoutEvaluator sets
+ *                    them (§5p, §5r, §5s, §5v). Where the L2 proof
  *                    holds (every layout on this workload), the layout
  *                    runs no event loop: its cycles are the cycle sum
  *                    over its predictor's pass on the branch stream
@@ -131,24 +131,17 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
     // The shared paths pay their shared passes up front, serially, as a
     // campaign does before its fan-out.
     const u32 line = cfg.hierarchy.l1i.lineBytes;
-    std::optional<core::SharedOutcomes> shared;
+    std::optional<core::PlanOutcomes> plan_part;
+    std::optional<core::StreamOutcomes> stream;
     if (fixedHeap(path) && layouts > 0) {
         BenchLayout l = layoutFor(path, prog, 0);
-        if (path == Path::PlanSharedL1d) {
-            const trace::LayoutTables data(plan, l.heap, l.pages);
-            shared = core::simulateShared(cfg, plan, &data,
-                                          core::kShareL1d | core::kShareRas);
-        } else {
-            // Under the identity map where the L1D outcome holds across
-            // page maps, so the L2 proof places the data pages under
-            // each layout's map (LayoutEvaluator::measure).
-            const trace::LayoutTables data(
-                plan, l.heap,
-                core::canShareL1d(cfg.hierarchy.l1d, true, false)
-                    ? layout::PageMap()
-                    : l.pages);
-            shared = core::simulateShared(cfg, plan, &data, core::kShareAll);
-        }
+        plan_part = core::simulatePlan(cfg, plan);
+        if (path == Path::PlanSharedL1d)
+            stream = core::simulateL1d(
+                cfg, plan, trace::LayoutTables(plan, l.heap, l.pages));
+        else
+            stream = core::simulateStream(cfg, plan, l.heap, l.pages,
+                                          *plan_part);
     }
     exec::parallelForChunks(pool, layouts, [&](size_t lo, size_t hi) {
         core::Machine machine(cfg);
@@ -162,20 +155,18 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
                 // LayoutEvaluator::measureOne: tables without data
                 // addresses unless the L2 proof refuses.
                 trace::LayoutTables tables(plan, l.code, l.pages, line);
-                core::SharedPaths paths;
-                paths.l2Data =
-                    core::canShareL2Data(cfg, plan, tables, *shared);
-                paths.btb = core::canShareBtb(cfg, plan, tables, *shared);
-                paths.l1i = paths.l2Data &&
-                            core::canShareL1i(cfg, plan, tables, *shared);
+                const core::SharedPaths paths = core::choosePaths(
+                    cfg, plan, tables, *plan_part, &*stream);
                 if (!paths.l2Data)
                     tables = trace::LayoutTables(plan, l.code, l.heap,
                                                  l.pages, line);
-                res = machine.replay(plan, tables, *shared, paths);
+                res = machine.replay(plan, tables, *plan_part, &*stream,
+                                     paths);
             } else {
                 trace::LayoutTables tables(plan, l.code, l.heap, l.pages,
                                            line);
-                res = shared ? machine.replay(plan, tables, *shared)
+                res = stream ? machine.replay(plan, tables, *plan_part,
+                                              &*stream)
                              : machine.replay(plan, tables);
             }
             cycles[i] = res.cycles;

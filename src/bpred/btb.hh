@@ -84,8 +84,8 @@ class Btb
     /**
      * lookup() followed by update() with a single tag scan: returns
      * what lookup(pc) would have, then installs/refreshes the target.
-     * The replay kernel always pairs the two on taken branches, and
-     * the scan is the dominant cost of each.
+     * The BTB pass always pairs the two on taken branches, and the
+     * scan is the dominant cost of each.
      */
     BtbResult lookupUpdate(Addr pc, u32 target)
     {

@@ -8,10 +8,11 @@
  * silently overwritten) and mispredict on the way back out — a small
  * but real placement-independent cost real front ends pay.
  *
- * The reference model (Machine::runReference) drives this class. The
- * replay kernel reads the same verdicts from core::SharedOutcomes,
- * which runs this stack's logic over site ids once per plan
- * (DESIGN.md §5p).
+ * The reference model (Machine::runReference) drives this class.
+ * Machine::replay reads the same verdicts from the plan part
+ * (core::PlanOutcomes::rasMissBits), which core::simulatePlan builds by
+ * running this stack's logic over site ids once per plan (DESIGN.md
+ * §5p, §5v).
  */
 
 #ifndef INTERF_BPRED_RAS_HH

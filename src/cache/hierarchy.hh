@@ -8,7 +8,7 @@
  * model converts levels into latencies (with MLP overlap). A replay
  * enters data accesses below the L1D (accessDataBelowL1): the L1D's
  * outcome per access is simulated once per data stream by
- * core::simulateShared and shared across layouts (DESIGN.md §5n), so
+ * core::simulateStream and shared across layouts (DESIGN.md §5n), so
  * this class's own L1D serves only accessData(), the whole-hierarchy
  * entry that single-structure probes use. Where no L2 set can
  * overflow, no replay calls accessDataBelowL1 either, and this L2 sees
@@ -124,8 +124,9 @@ class MemoryHierarchy
 
     /**
      * A data access the L1D already missed, whose L1D outcome was
-     * simulated elsewhere (core::simulateShared): the L2-and-memory half
-     * of accessData(). Never touches this hierarchy's L1D.
+     * simulated elsewhere (core::simulateStream, core::simulateL1d):
+     * the L2-and-memory half of accessData(). Never touches this
+     * hierarchy's L1D.
      */
     HitLevel accessDataBelowL1(Addr addr)
     {

@@ -24,7 +24,7 @@ namespace interf::core
 
 /**
  * One conditional branch's cycle charge when it mispredicts, as the
- * cycle sum stores it (SharedOutcomes::delta, DESIGN.md §5t):
+ * cycle sum stores it (CycleSum::delta, DESIGN.md §5t):
  * frontendDepth plus a resolve time, less a misfetch the mispredict
  * suppresses. MachineConfig::validate() bounds the fields it is made
  * of so that every charge fits.

@@ -1,8 +1,11 @@
 /**
  * @file
- * The cycle sum's builder (DESIGN.md §5t, §5u): beside runReference(),
- * the one event loop that computes a replay's cycle terms. Internal to
- * src/core. It is templated on where each L1D miss's level comes from:
+ * The event loops the shared and per-layout forms share (DESIGN.md
+ * §5t, §5u, §5v). Internal to src/core. The BTB outcome's builder is
+ * templated on the lookup: the plan part's first touch, or the
+ * Machine's own BTB. The cycle sum's builder is, beside runReference(),
+ * the one event loop that computes a replay's cycle terms. It is
+ * templated on where each L1D miss's level comes from:
  *
  *  - core/shared.cc builds the shared form once per data stream, with
  *    levels read from the L2 first-touch bits;
@@ -19,6 +22,7 @@
 #ifndef INTERF_CORE_CYCLESUM_HH
 #define INTERF_CORE_CYCLESUM_HH
 
+#include "bpred/btb.hh"
 #include "cache/hierarchy.hh"
 #include "core/config.hh"
 #include "core/shared.hh"
@@ -29,11 +33,63 @@ namespace interf::core
 {
 
 /**
- * Fill @p out's cycle sum part over @p plan's events: sumBase,
- * instructions, condBranches, rasMispredicts, condFrom and one delta
- * per conditional branch. @p l1d_hit, @p ras_miss and @p cond_btb_miss
+ * Fill @p out, a BTB's outcome over @p plan's taken non-return
+ * branches, in event order. @p lookup(site, target) returns what the
+ * BTB held for the branch of @p site and leaves @p target there.
+ */
+template <class Lookup>
+void
+buildBtb(const MachineConfig &machine, const trace::ReplayPlan &plan,
+         Lookup &lookup, BtbOutcome &out)
+{
+    using trace::ReplayPlan;
+    out.condMissBits.assign((plan.condSite.size() + 63) / 64, 0);
+    u64 *cond_miss = out.condMissBits.data();
+    const u32 *ev_site = plan.site.data();
+    const u8 *ev_flags = plan.flags.data();
+    const u32 *ev_target = plan.targetSite.data();
+    const Cycle depth = machine.frontendDepth;
+    const Cycle misfetch = machine.misfetchPenalty;
+    const size_t n = plan.eventCount();
+    const size_t warmup_event = warmupEvent(machine, plan);
+    constexpr u8 kMask =
+        ReplayPlan::kHasBranch | ReplayPlan::kReturn | ReplayPlan::kTaken;
+    Count misses = 0;
+    Cycle penalty = 0;
+    size_t cond = 0;
+    // lint:hot-begin BTB outcome builder (tools/lint_hotpath.py)
+    for (size_t e = 0; e < n; ++e) {
+        const u8 f = ev_flags[e];
+        if ((f & kMask) == (ReplayPlan::kHasBranch | ReplayPlan::kTaken)) {
+            // Site tokens stand for target addresses: block addresses
+            // are injective per layout, so the equalities agree.
+            const u32 target = ev_target[e];
+            const bpred::BtbResult held = lookup(ev_site[e], target);
+            if (!held.hit || held.target != target) {
+                if (f & ReplayPlan::kCond)
+                    cond_miss[cond >> 6] |= u64{1} << (cond & 63);
+                if (e >= warmup_event) {
+                    ++misses;
+                    penalty += (f & ReplayPlan::kIndirect) && held.hit
+                                   ? depth
+                                   : misfetch;
+                }
+            }
+        }
+        cond += (f & ReplayPlan::kCond) != 0;
+    }
+    // lint:hot-end
+    INTERF_ASSERT(cond == plan.condSite.size());
+    out.misses = misses;
+    out.penalty = penalty;
+}
+
+/**
+ * Fill @p out's terms over @p plan's events: sumBase, instructions,
+ * condBranches, rasMispredicts, condFrom and one delta per conditional
+ * branch (the caller fills the data-miss counts). @p l1d_hit, @p ras_miss and @p cond_btb_miss
  * are per-access, per-event and per-conditional-branch verdict bits
- * (SharedOutcomes layout); the last marks the taken conditional
+ * (bit i % 64 of word i / 64); the last marks the taken conditional
  * branches whose BTB misses, on which a mispredict suppresses the
  * misfetch. @p levels is the level source:
  *
@@ -51,7 +107,7 @@ template <class Levels>
 Cycle
 buildSum(const MachineConfig &machine, const trace::ReplayPlan &plan,
          const u64 *l1d_hit, const u64 *ras_miss, const u64 *cond_btb_miss,
-         Levels &levels, SharedOutcomes &out)
+         Levels &levels, CycleSum &out)
 {
     using trace::ReplayPlan;
     out.delta.assign(plan.condSite.size(), 0);

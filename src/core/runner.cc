@@ -35,11 +35,12 @@ MeasurementRunner::measureWithTruth(const trace::ReplayPlan &plan,
 Measurement
 MeasurementRunner::measure(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables,
-                           const SharedOutcomes &shared,
-                           SharedPaths paths, u64 noise_seed)
+                           const PlanOutcomes &plan_part,
+                           const StreamOutcomes *stream, SharedPaths paths,
+                           u64 noise_seed)
 {
     INTERF_SPAN("runner.measure");
-    return protocol(machine_.replay(plan, tables, shared, paths),
+    return protocol(machine_.replay(plan, tables, plan_part, stream, paths),
                     noise_seed)
         .sample;
 }

@@ -86,7 +86,7 @@ class MeasurementRunner
     /**
      * @{ Measure one layout: replay a compiled ReplayPlan under the
      * layout's address tables and run the protocol over the result
-     * (the replay kernel is bit-identical to the reference loop).
+     * (Machine::replay is bit-identical to the reference loop).
      *
      * @param noise_seed Seed for this layout's measurement noise; pass
      *        the layout seed so campaigns are reproducible end to end.
@@ -100,11 +100,13 @@ class MeasurementRunner
                                  u64 noise_seed);
 
     /** With outcomes shared across layouts (core/shared.hh): the
-     *  replay reads @p shared, and the structures @p paths names, in
-     *  place of simulating them. */
+     *  replay reads @p plan_part, @p stream (may be null) and the
+     *  structures @p paths names in place of simulating them
+     *  (Machine::replay). */
     Measurement measure(const trace::ReplayPlan &plan,
                         const trace::LayoutTables &tables,
-                        const SharedOutcomes &shared, SharedPaths paths,
+                        const PlanOutcomes &plan_part,
+                        const StreamOutcomes *stream, SharedPaths paths,
                         u64 noise_seed);
     /** @} */
 

@@ -59,11 +59,14 @@ warmupMem(const MachineConfig &machine, const ReplayPlan &plan)
     return warmup_mem;
 }
 
-void
-buildL1d(const MachineConfig &machine, const trace::LayoutTables &data,
-         size_t warmup_mem, SharedOutcomes &out)
+StreamOutcomes
+buildL1d(const MachineConfig &machine, const ReplayPlan &plan,
+         const trace::LayoutTables &data, size_t warmup_mem)
 {
+    INTERF_ASSERT(data.hasData() && data.dataAddr.size() == plan.memCount());
     INTERF_TELEM_COUNT("replay.l1d_passes", 1);
+    StreamOutcomes out;
+    out.memCount = plan.memCount();
     out.hitBits = zeroBits(out.memCount);
     cache::Cache l1d(machine.hierarchy.l1d); // power-on state
     const Addr *data_addr = data.dataAddr.data();
@@ -74,6 +77,7 @@ buildL1d(const MachineConfig &machine, const trace::LayoutTables &data,
                             << (j & 63);
     // lint:hot-end
     out.misses = clearFrom(out.hitBits, warmup_mem, out.memCount);
+    return out;
 }
 
 /**
@@ -84,20 +88,22 @@ buildL1d(const MachineConfig &machine, const trace::LayoutTables &data,
  * searchable set, and a second pass marks each line at its first id.
  * Lines are physical under @p data's page map; a page map keeps line
  * offsets and moves whole pages, so the bits hold under any other.
- * Pages are listed in stream order of their first line.
+ * Pages are listed in stream order of their first line. Returns the
+ * first touches from the warmup access on.
  */
-void
+Count
 buildL2(const MachineConfig &machine, const ReplayPlan &plan,
         const trace::LayoutTables &data, size_t warmup_mem,
-        SharedOutcomes &out)
+        L2FirstTouch &out)
 {
+    const size_t n = plan.memCount();
     const u32 l2_shift =
         static_cast<u32>(std::countr_zero(machine.hierarchy.l2.lineBytes));
     const u64 lines_per_page = kPageBytes >> l2_shift;
     const u32 *rank = plan.memRank.data();
     std::vector<Addr> lines;
     lines.reserve(plan.memUniverse.size());
-    for (size_t j = 0; j < out.memCount; ++j)
+    for (size_t j = 0; j < n; ++j)
         if (rank[j] == lines.size())
             lines.push_back(data.dataAddr[j] >> l2_shift);
     INTERF_ASSERT(lines.size() == plan.memUniverse.size());
@@ -111,11 +117,12 @@ buildL2(const MachineConfig &machine, const ReplayPlan &plan,
     constexpr u32 kUnseen = ~u32{0};
     std::vector<u64> line_seen = zeroBits(lines.size());
     std::vector<u32> page_slot(pages.size(), kUnseen);
-    out.l2FirstBits = zeroBits(out.memCount);
-    out.l2PageWords = static_cast<u32>((lines_per_page + 63) / 64);
-    out.l2PageMap = data.pages();
+    out.firstBits = zeroBits(n);
+    out.pageWords = static_cast<u32>((lines_per_page + 63) / 64);
+    out.pageMap = data.pages();
+    Count misses = 0;
     u32 next = 0;
-    for (size_t j = 0; j < out.memCount; ++j) {
+    for (size_t j = 0; j < n; ++j) {
         if (rank[j] != next)
             continue;
         ++next;
@@ -126,69 +133,34 @@ buildL2(const MachineConfig &machine, const ReplayPlan &plan,
         if ((line_seen[k >> 6] >> (k & 63)) & 1)
             continue; // An earlier id sits on this line.
         setBit(line_seen, k);
-        setBit(out.l2FirstBits, j);
-        out.l2Misses += j >= warmup_mem;
+        setBit(out.firstBits, j);
+        misses += j >= warmup_mem;
         const size_t g = static_cast<size_t>(
             std::lower_bound(pages.begin(), pages.end(),
                              line / lines_per_page) -
             pages.begin());
         if (page_slot[g] == kUnseen) {
-            page_slot[g] = static_cast<u32>(out.l2Pages.size());
-            out.l2Pages.push_back(pages[g]);
-            out.l2PageMask.resize(out.l2PageMask.size() + out.l2PageWords,
-                                  0);
+            page_slot[g] = static_cast<u32>(out.pages.size());
+            out.pages.push_back(pages[g]);
+            out.pageMask.resize(out.pageMask.size() + out.pageWords, 0);
         }
         const u64 b = line % lines_per_page;
-        out.l2PageMask[size_t{page_slot[g]} * out.l2PageWords + b / 64] |=
+        out.pageMask[size_t{page_slot[g]} * out.pageWords + b / 64] |=
             u64{1} << (b % 64);
     }
-}
-
-/** A BTB that never evicts holds each site's last target token. */
-void
-buildBtb(const MachineConfig &machine, const ReplayPlan &plan,
-         SharedOutcomes &out)
-{
-    const size_t n = plan.eventCount();
-    out.btbHitBits = zeroBits(n);
-    out.btbTargetBits = zeroBits(n);
-    std::vector<u32> last(plan.siteCount(), ReplayPlan::kNoSite);
-    constexpr u8 kMask =
-        ReplayPlan::kHasBranch | ReplayPlan::kReturn | ReplayPlan::kTaken;
-    for (size_t e = 0; e < n; ++e) {
-        if ((plan.flags[e] & kMask) !=
-            (ReplayPlan::kHasBranch | ReplayPlan::kTaken))
-            continue;
-        const u32 target = plan.targetSite[e];
-        INTERF_ASSERT(target != ReplayPlan::kNoSite);
-        u32 &seen = last[plan.site[e]];
-        if (seen == ReplayPlan::kNoSite) {
-            out.btbSites.push_back(plan.site[e]);
-        } else {
-            setBit(out.btbHitBits, e);
-            if (seen == target)
-                setBit(out.btbTargetBits, e);
-        }
-        seen = target;
-    }
-    const BtbCharges charges =
-        btbCharges(machine, plan, out.btbHitBits.data(),
-                   out.btbTargetBits.data(), out.condBtbMissBits);
-    out.btbMisses = charges.misses;
-    out.btbPenalty = charges.penalty;
+    return misses;
 }
 
 /** bpred::ReturnAddressStack over site ids: an empty pop yields
  *  kNoSite where the address-keyed stack yields 0, and neither equals
  *  any return site. */
-void
-buildRas(const MachineConfig &machine, const ReplayPlan &plan,
-         SharedOutcomes &out)
+std::vector<u64>
+rasMissBits(const MachineConfig &machine, const ReplayPlan &plan)
 {
     const size_t n = plan.eventCount();
     const u32 depth = machine.rasDepth;
     INTERF_ASSERT(depth >= 1);
-    out.rasMissBits = zeroBits(n);
+    std::vector<u64> out = zeroBits(n);
     std::vector<u32> ring(depth, ReplayPlan::kNoSite);
     u32 top = 0;
     u32 occupancy = 0;
@@ -205,7 +177,7 @@ buildRas(const MachineConfig &machine, const ReplayPlan &plan,
             }
             const u32 actual = plan.returnSite[e];
             if (actual != ReplayPlan::kNoSite && predicted != actual)
-                setBit(out.rasMissBits, e);
+                setBit(out, e);
         } else if ((f & ReplayPlan::kTaken) && (f & ReplayPlan::kCall) &&
                    plan.rasPushSite[e] != ReplayPlan::kNoSite) {
             ring[top] = plan.rasPushSite[e];
@@ -213,14 +185,7 @@ buildRas(const MachineConfig &machine, const ReplayPlan &plan,
             occupancy += occupancy < depth;
         }
     }
-}
-
-void
-buildL1i(const ReplayPlan &plan, SharedOutcomes &out)
-{
-    out.siteFirstEvent.assign(plan.siteCount(), ReplayPlan::kNoSite);
-    for (size_t e = plan.eventCount(); e-- > 0;)
-        out.siteFirstEvent[plan.site[e]] = static_cast<u32>(e);
+    return out;
 }
 
 /**
@@ -245,12 +210,12 @@ struct SharedLevels
     void warmup() {}
 };
 
-/** Whether @p shared carries an L1I part built for @p plan. */
+/** Whether @p plan_part was built for @p plan. */
 bool
-coversL1i(const SharedOutcomes &shared, const ReplayPlan &plan)
+covers(const PlanOutcomes &plan_part, const ReplayPlan &plan)
 {
-    return shared.has(kShareL1i) && shared.eventCount == plan.eventCount() &&
-           shared.siteFirstEvent.size() == plan.siteCount();
+    return plan_part.eventCount == plan.eventCount() &&
+           plan_part.siteFirstEvent.size() == plan.siteCount();
 }
 
 /** Each fetch line (a line number at the L1I line size) that a site
@@ -259,13 +224,13 @@ coversL1i(const SharedOutcomes &shared, const ReplayPlan &plan)
  *  << 32 | the line's slot in that site. */
 std::vector<std::pair<Addr, u64>>
 firstDemands(const MachineConfig &machine, const ReplayPlan &plan,
-             const trace::LayoutTables &tables, const SharedOutcomes &shared)
+             const trace::LayoutTables &tables, const PlanOutcomes &plan_part)
 {
     const u32 shift = static_cast<u32>(
         std::countr_zero(machine.hierarchy.l1i.lineBytes));
     std::vector<std::pair<Addr, u64>> firsts;
     for (size_t s = 0; s < plan.siteCount(); ++s) {
-        const u32 first = shared.siteFirstEvent[s];
+        const u32 first = plan_part.siteFirstEvent[s];
         if (first == ReplayPlan::kNoSite)
             continue;
         const u32 start = tables.siteLineStart[s];
@@ -302,77 +267,59 @@ warmupEvent(const MachineConfig &machine, const trace::ReplayPlan &plan)
                                machine.warmupFraction);
 }
 
-BtbCharges
-btbCharges(const MachineConfig &machine, const trace::ReplayPlan &plan,
-           const u64 *hit_bits, const u64 *target_bits,
-           std::vector<u64> &cond_miss_bits)
+PlanOutcomes
+simulatePlan(const MachineConfig &machine, const trace::ReplayPlan &plan)
 {
-    cond_miss_bits.assign((plan.condSite.size() + 63) / 64, 0);
-    u64 *cond_miss = cond_miss_bits.data();
-    const u8 *flags = plan.flags.data();
-    const size_t warmup_event = warmupEvent(machine, plan);
-    BtbCharges out;
-    size_t cond = 0;
-    for (size_t e = 0; e < plan.eventCount(); ++e) {
-        const u8 f = flags[e];
-        const bool is_cond = (f & ReplayPlan::kCond) != 0;
-        if ((f & (ReplayPlan::kHasBranch | ReplayPlan::kReturn |
-                  ReplayPlan::kTaken)) ==
-                (ReplayPlan::kHasBranch | ReplayPlan::kTaken) &&
-            !((target_bits[e >> 6] >> (e & 63)) & 1)) {
-            if (is_cond)
-                cond_miss[cond >> 6] |= u64{1} << (cond & 63);
-            if (e >= warmup_event) {
-                ++out.misses;
-                const bool hit = (hit_bits[e >> 6] >> (e & 63)) & 1;
-                out.penalty += (f & ReplayPlan::kIndirect) && hit
-                                   ? machine.frontendDepth
-                                   : machine.misfetchPenalty;
-            }
-        }
-        cond += is_cond;
-    }
+    PlanOutcomes out;
+    out.eventCount = plan.eventCount();
+    out.rasMissBits = rasMissBits(machine, plan);
+    // A BTB that never evicts holds each site's last target token.
+    std::vector<u32> last(plan.siteCount(), ReplayPlan::kNoSite);
+    auto first_touch = [&](u32 site, u32 target) {
+        INTERF_ASSERT(target != ReplayPlan::kNoSite);
+        const bpred::BtbResult held{last[site] != ReplayPlan::kNoSite,
+                                    last[site]};
+        if (!held.hit)
+            out.btbSites.push_back(site);
+        last[site] = target;
+        return held;
+    };
+    buildBtb(machine, plan, first_touch, out.btb);
+    out.siteFirstEvent.assign(plan.siteCount(), ReplayPlan::kNoSite);
+    for (size_t e = plan.eventCount(); e-- > 0;)
+        out.siteFirstEvent[plan.site[e]] = static_cast<u32>(e);
     return out;
 }
 
-SharedOutcomes
-simulateShared(const MachineConfig &machine, const trace::ReplayPlan &plan,
-               const trace::LayoutTables *data, u8 parts)
+StreamOutcomes
+simulateL1d(const MachineConfig &machine, const trace::ReplayPlan &plan,
+            const trace::LayoutTables &data)
 {
-    INTERF_ASSERT(!(parts & kShareL2) || (parts & kShareL1d));
-    INTERF_ASSERT(!(parts & kShareSum) ||
-                  (parts & (kShareL1d | kShareL2 | kShareBtb | kShareRas)) ==
-                      (kShareL1d | kShareL2 | kShareBtb | kShareRas));
-    SharedOutcomes out;
-    out.parts = parts;
-    if (parts & kShareL1d) {
-        INTERF_ASSERT(data && data->hasData());
-        INTERF_ASSERT(data->dataAddr.size() == plan.memCount());
-        out.memCount = plan.memCount();
-        const size_t warmup_mem = warmupMem(machine, plan);
-        buildL1d(machine, *data, warmup_mem, out);
-        if (parts & kShareL2) {
-            // Lines wider than a page would straddle page-map moves.
-            if (machine.hierarchy.l2.lineBytes <= kPageBytes)
-                buildL2(machine, plan, *data, warmup_mem, out);
-            else
-                out.parts &= static_cast<u8>(~(kShareL2 | kShareSum));
-        }
-    }
-    if (parts & (kShareBtb | kShareRas | kShareL1i))
-        out.eventCount = plan.eventCount();
-    if (parts & kShareBtb)
-        buildBtb(machine, plan, out);
-    if (parts & kShareRas)
-        buildRas(machine, plan, out);
-    if (parts & kShareL1i)
-        buildL1i(plan, out);
-    if (out.has(kShareSum)) {
-        machine.validate(); // Proves every charge fits a CycleDelta.
-        SharedLevels levels{out.l2FirstBits.data()};
-        buildSum(machine, plan, out.hitBits.data(), out.rasMissBits.data(),
-                 out.condBtbMissBits.data(), levels, out);
-    }
+    return buildL1d(machine, plan, data, warmupMem(machine, plan));
+}
+
+StreamOutcomes
+simulateStream(const MachineConfig &machine, const trace::ReplayPlan &plan,
+               const layout::HeapLayout &heap, const layout::PageMap &pages,
+               const PlanOutcomes &plan_part)
+{
+    INTERF_ASSERT(covers(plan_part, plan));
+    const trace::LayoutTables data(
+        plan, heap,
+        canShareL1d(machine.hierarchy.l1d, true, false) ? layout::PageMap()
+                                                        : pages);
+    const size_t warmup_mem = warmupMem(machine, plan);
+    StreamOutcomes out = buildL1d(machine, plan, data, warmup_mem);
+    // Lines wider than a page would straddle page-map moves.
+    if (machine.hierarchy.l2.lineBytes > kPageBytes)
+        return out;
+    L2FirstTouch &l2 = out.l2.emplace();
+    l2.sum.l2DataMisses = buildL2(machine, plan, data, warmup_mem, l2);
+    l2.sum.l1dMisses = out.misses;
+    machine.validate(); // Proves every charge fits a CycleDelta.
+    SharedLevels levels{l2.firstBits.data()};
+    buildSum(machine, plan, out.hitBits.data(), plan_part.rasMissBits.data(),
+             plan_part.btb.condMissBits.data(), levels, l2.sum);
     return out;
 }
 
@@ -389,7 +336,7 @@ canShareL1d(const cache::CacheConfig &l1d, bool same_heap, bool same_pages)
 bool
 canShareL2Data(const MachineConfig &machine, const trace::ReplayPlan &plan,
                const trace::LayoutTables &tables,
-               const SharedOutcomes &shared, ConflictFacts *facts)
+               const StreamOutcomes &stream, ConflictFacts *facts)
 {
     ConflictFacts local;
     ConflictFacts &f = facts ? *facts : local;
@@ -399,10 +346,9 @@ canShareL2Data(const MachineConfig &machine, const trace::ReplayPlan &plan,
     // one L2 line, and lines move with whole pages only if none is
     // wider than a page.
     const layout::PageMap &pages = tables.pages();
-    const bool translate_data = shared.l2PageMap.isIdentity();
-    if (!shared.has(kShareL1d | kShareL2) ||
-        (!translate_data && shared.l2PageMap != pages) ||
-        shared.memCount != plan.memCount() ||
+    if (!stream.l2 ||
+        (!stream.l2->pageMap.isIdentity() && stream.l2->pageMap != pages) ||
+        stream.memCount != plan.memCount() ||
         tables.siteAddr.size() != plan.siteCount() ||
         !h.l2.geometryError().empty() ||
         h.l1d.lineBytes > h.l2.lineBytes || h.l2.lineBytes > kPageBytes ||
@@ -410,11 +356,13 @@ canShareL2Data(const MachineConfig &machine, const trace::ReplayPlan &plan,
         f.checked = false;
         return false;
     }
+    const L2FirstTouch &l2 = *stream.l2;
+    const bool translate_data = l2.pageMap.isIdentity();
     const u32 l1i_line = h.l1i.lineBytes;
     const u64 l1i_mask = ~static_cast<u64>(l1i_line - 1);
     const u32 l2_shift = static_cast<u32>(std::countr_zero(h.l2.lineBytes));
     const u64 lines_per_page = kPageBytes >> l2_shift;
-    const u32 words = shared.l2PageWords;
+    const u32 words = l2.pageWords;
 
     // Code-reachable lines per virtual page: each line a site spans and
     // its successor. A successor inside the page is the translation of
@@ -497,14 +445,14 @@ canShareL2Data(const MachineConfig &machine, const trace::ReplayPlan &plan,
     }
     // Distinct data pages sit on distinct physical pages; only a code
     // page can share one, and then no line may be both.
-    for (size_t g = 0; g < shared.l2Pages.size(); ++g) {
+    for (size_t g = 0; g < l2.pages.size(); ++g) {
         if (overflow && !facts)
             return false;
         const Addr ppage =
             translate_data
-                ? pages.translate(shared.l2Pages[g] << kPageBits) >> kPageBits
-                : shared.l2Pages[g];
-        const u64 *mask = shared.l2PageMask.data() + g * words;
+                ? pages.translate(l2.pages[g] << kPageBits) >> kPageBits
+                : l2.pages[g];
+        const u64 *mask = l2.pageMask.data() + g * words;
         auto it = std::lower_bound(
             code_pages.begin(), code_pages.end(),
             std::pair<Addr, u32>{ppage, 0});
@@ -515,12 +463,12 @@ canShareL2Data(const MachineConfig &machine, const trace::ReplayPlan &plan,
         count(ppage, mask);
     }
     tally(per_set, ways, f);
-    return f.checked && f.overflowingSets == 0;
+    return f.holds();
 }
 
 bool
 canShareBtb(const MachineConfig &machine, const trace::ReplayPlan &plan,
-            const trace::LayoutTables &tables, const SharedOutcomes &shared,
+            const trace::LayoutTables &tables, const PlanOutcomes &plan_part,
             ConflictFacts *facts)
 {
     ConflictFacts local;
@@ -528,21 +476,21 @@ canShareBtb(const MachineConfig &machine, const trace::ReplayPlan &plan,
     f = ConflictFacts();
     const u32 sets = machine.btbSets;
     const u32 ways = machine.btbWays;
-    if (!shared.has(kShareBtb) || shared.eventCount != plan.eventCount() ||
+    if (plan_part.eventCount != plan.eventCount() ||
         tables.branchAddr.size() != plan.siteCount() ||
         !bpred::Btb::geometryError(sets, ways).empty()) {
         f.checked = false;
         return false;
     }
-    // The kernel's BTB tags full u32 PCs, so distinct PCs never alias;
-    // the first `ways` PCs of each set are kept to prove the sites'
-    // PCs distinct (a set past `ways` fails the proof anyway).
+    // The BTB pass's bpred::Btb tags full u32 PCs, so distinct PCs never
+    // alias; the first `ways` PCs of each set are kept to prove the
+    // sites' PCs distinct (a set past `ways` fails the proof anyway).
     std::vector<u32> per_set(sets, 0);
     std::vector<Addr> held(static_cast<size_t>(sets) * ways);
-    for (u32 s : shared.btbSites) {
+    for (u32 s : plan_part.btbSites) {
         const Addr pc = tables.branchAddr[s];
         if (pc >= ~u32{0}) {
-            f.checked = false; // Past the u32 tag: the kernel asserts.
+            f.checked = false; // Past the u32 tag: bpred::Btb asserts.
             continue;
         }
         const u32 set = bpred::Btb::setOf(pc, sets);
@@ -555,12 +503,12 @@ canShareBtb(const MachineConfig &machine, const trace::ReplayPlan &plan,
         ++per_set[set];
     }
     tally(per_set, ways, f);
-    return f.checked && f.overflowingSets == 0;
+    return f.holds();
 }
 
 bool
 canShareL1i(const MachineConfig &machine, const trace::ReplayPlan &plan,
-            const trace::LayoutTables &tables, const SharedOutcomes &shared,
+            const trace::LayoutTables &tables, const PlanOutcomes &plan_part,
             ConflictFacts *facts)
 {
     ConflictFacts local;
@@ -569,7 +517,7 @@ canShareL1i(const MachineConfig &machine, const trace::ReplayPlan &plan,
     const cache::HierarchyConfig &h = machine.hierarchy;
     // A demand miss is a first L2 touch only if L1I and L2 lines
     // coincide.
-    if (!coversL1i(shared, plan) || !h.l1i.geometryError().empty() ||
+    if (!covers(plan_part, plan) || !h.l1i.geometryError().empty() ||
         h.l1i.lineBytes != h.l2.lineBytes ||
         tables.fetchLineBytes() != h.l1i.lineBytes ||
         tables.siteLineStart.size() != plan.siteCount() + 1) {
@@ -581,7 +529,7 @@ canShareL1i(const MachineConfig &machine, const trace::ReplayPlan &plan,
     // site spans it too. linePhys is physical, so the successor of a
     // page's last line is line 0 of the next *physical* page, as
     // MemoryHierarchy::fetchInst prefetches it.
-    const auto firsts = firstDemands(machine, plan, tables, shared);
+    const auto firsts = firstDemands(machine, plan, tables, plan_part);
     const u32 sets = h.l1i.numSets();
     std::vector<u32> per_set(sets, 0);
     for (size_t i = 0; i < firsts.size(); ++i) {
@@ -592,18 +540,39 @@ canShareL1i(const MachineConfig &machine, const trace::ReplayPlan &plan,
             ++per_set[(line + 1) & (sets - 1)];
     }
     tally(per_set, h.l1i.assoc, f);
-    return f.overflowingSets == 0;
+    return f.holds();
+}
+
+SharedPaths
+choosePaths(const MachineConfig &machine, const trace::ReplayPlan &plan,
+            const trace::LayoutTables &tables, const PlanOutcomes &plan_part,
+            const StreamOutcomes *stream, PathFacts *facts)
+{
+    SharedPaths paths;
+    if (stream)
+        paths.l2Data = canShareL2Data(machine, plan, tables, *stream,
+                                      facts ? &facts->l2 : nullptr);
+    else if (facts)
+        facts->l2 = ConflictFacts{0, 0, false}; // No stream to prove.
+    paths.btb = canShareBtb(machine, plan, tables, plan_part,
+                            facts ? &facts->btb : nullptr);
+    // Fetch misses are first L2 touches only where no L2 set overflows.
+    if (paths.l2Data || facts)
+        paths.l1i = canShareL1i(machine, plan, tables, plan_part,
+                                facts ? &facts->l1i : nullptr) &&
+                    paths.l2Data;
+    return paths;
 }
 
 FetchOutcome
 fetchFirstTouch(const MachineConfig &machine, const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables,
-                const SharedOutcomes &shared)
+                const PlanOutcomes &plan_part)
 {
     const cache::HierarchyConfig &h = machine.hierarchy;
-    INTERF_ASSERT(coversL1i(shared, plan));
+    INTERF_ASSERT(covers(plan_part, plan));
     INTERF_ASSERT(tables.fetchLineBytes() == h.l1i.lineBytes);
-    const auto firsts = firstDemands(machine, plan, tables, shared);
+    const auto firsts = firstDemands(machine, plan, tables, plan_part);
     const u64 counted_from = u64{warmupEvent(machine, plan)} << 32;
     const bool prefetch = h.nextLinePrefetch;
     FetchOutcome out;

@@ -31,21 +31,23 @@
  * a charge per conditional branch, and such a replay runs only its
  * predictor over the branch stream (DESIGN.md §5t).
  *
- * simulateShared() computes those outcomes once; canShareL2Data(),
- * canShareBtb() and canShareL1i() prove, per layout, that the
- * no-overflow premise holds, and fetchFirstTouch() derives a layout's
- * fetch outcome where the L1I proof does. Campaigns and the optimizer
- * call the proofs through interferometry::LayoutEvaluator; interf_verify
- * reports their facts.
+ * simulatePlan() and simulateStream() build the plan part and one heap
+ * layout's data-stream part (DESIGN.md §5v); choosePaths() runs the
+ * proofs canShareL2Data(), canShareBtb() and canShareL1i() per layout,
+ * and fetchFirstTouch() derives a layout's fetch outcome where the L1I
+ * proof holds. Campaigns and the optimizer call choosePaths() through
+ * interferometry::LayoutEvaluator; interf_verify reports its facts.
  */
 
 #ifndef INTERF_CORE_SHARED_HH
 #define INTERF_CORE_SHARED_HH
 
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "core/config.hh"
+#include "layout/heap.hh"
 #include "layout/pagemap.hh"
 #include "trace/replay.hh"
 #include "util/types.hh"
@@ -53,110 +55,134 @@
 namespace interf::core
 {
 
-/** @{ Parts of a SharedOutcomes (bit flags for simulateShared). */
-constexpr u8 kShareL1d = 1u << 0; ///< L1D hit bits (needs data tables).
-constexpr u8 kShareL2 = 1u << 1;  ///< L2 first-touch bits (with kShareL1d).
-constexpr u8 kShareBtb = 1u << 2; ///< BTB hit and target bits.
-constexpr u8 kShareRas = 1u << 3; ///< RAS mispredict bits.
-constexpr u8 kShareL1i = 1u << 4; ///< First event of each site.
-/** The cycle sum's terms (with kShareL1d, kShareL2, kShareBtb and
- *  kShareRas, which it reads). */
-constexpr u8 kShareSum = 1u << 5;
-constexpr u8 kShareAll =
-    kShareL1d | kShareL2 | kShareBtb | kShareRas | kShareL1i | kShareSum;
-/** @} */
+/**
+ * A BTB's outcome over one replay's taken non-return branches, counted
+ * from the warmup event: its misses and their penalties as if no
+ * branch mispredicted (misfetchPenalty, or frontendDepth for an
+ * indirect branch that hit with a wrong target), and which taken
+ * conditional branches it misses. A conditional branch is neither a
+ * return nor indirect, so where it mispredicts, the penalty it
+ * suppresses is misfetchPenalty.
+ */
+struct BtbOutcome
+{
+    Count misses = 0;
+    Cycle penalty = 0;
+    /** Per conditional branch: taken, and the BTB misses its target. */
+    std::vector<u64> condMissBits;
+};
 
 /**
- * What a replay reads in place of the structures it skips, what a
- * layout's L1I fetch outcome is derived from, and the cycle sum.
- * Bit i % 64 of word i / 64 of each bit vector belongs to memory access
- * i (data parts) or event i (control parts). Immutable once built, so
- * pool workers share one.
+ * The plan's part: the outcomes every layout of one plan shares, built
+ * whole by simulatePlan(). Bit i % 64 of word i / 64 of rasMissBits
+ * belongs to event i. Immutable once built, so pool workers share one.
  */
-struct SharedOutcomes
+struct PlanOutcomes
 {
-    u8 parts = 0; ///< kShare* flags of the parts built.
-
-    /** @{ One data stream's (one heap layout's). */
-    std::vector<u64> hitBits;     ///< L1D hit.
-    std::vector<u64> l2FirstBits; ///< First access to its L2 line.
-    Count misses = 0;             ///< L1D misses after warmup.
-    Count l2Misses = 0;           ///< First touches after warmup.
-    size_t memCount = 0;          ///< Accesses covered.
-    /**
-     * The distinct data L2 lines, grouped by page (the input of
-     * canShareL2Data). Page l2Pages[g], numbered under l2PageMap (the
-     * map of the tables the outcomes were built from), holds the lines
-     * whose bits are set in words [g * l2PageWords, (g + 1) *
-     * l2PageWords) of l2PageMask (bit b: the b-th L2 line of the
-     * page). A page map moves whole pages, so the masks hold under any
-     * of them.
-     */
-    std::vector<Addr> l2Pages;
-    std::vector<u64> l2PageMask;
-    u32 l2PageWords = 0;
-    layout::PageMap l2PageMap;
-    /** @} */
-
-    /** @{ The plan's (every layout's). */
-    std::vector<u64> btbHitBits;    ///< A taken non-return branch hits.
-    std::vector<u64> btbTargetBits; ///< ... and its target is right.
-    std::vector<u64> rasMissBits;   ///< A return mispredicts.
-    std::vector<u32> btbSites; ///< Distinct taken non-return sites.
-    /** The charges of the BTB bits (btbCharges), which every layout
-     *  whose BTB proof holds pays. */
-    Count btbMisses = 0;
-    Cycle btbPenalty = 0; ///< As if nothing mispredicted.
-    /** Per conditional branch: taken, and the shared BTB misses its
-     *  target. */
-    std::vector<u64> condBtbMissBits;
+    size_t eventCount = 0;         ///< Events covered.
+    std::vector<u64> rasMissBits;  ///< A return mispredicts.
+    BtbOutcome btb;                ///< Of a BTB that never evicts.
+    std::vector<u32> btbSites;     ///< Distinct taken non-return sites.
     /** First event of each site, or ReplayPlan::kNoSite for a site
      *  never executed (the input of canShareL1i and fetchFirstTouch). */
     std::vector<u32> siteFirstEvent;
-    size_t eventCount = 0;     ///< Events covered.
-    /** @} */
+};
 
-    /**
-     * @{ The cycle sum (DESIGN.md §5t, §5u): one data stream's, or,
-     * where the L2 is simulated, one layout's own. Every term of a
-     * replay's cycles but three is fixed by these, so a replay's cycles
-     * are sumBase + its BTB penalty + its fetch stalls + delta[j]
-     * summed over the conditional branches j >= condFrom it
-     * mispredicts. Counts start at the warmup event.
-     */
+/**
+ * The cycle sum (DESIGN.md §5t, §5u): one data stream's, or, where the
+ * L2 is simulated, one layout's own. Every term of a replay's cycles
+ * but three is fixed by it, so a replay's cycles are sumBase + its BTB
+ * penalty + its fetch stalls + delta[j] summed over the conditional
+ * branches j >= condFrom it mispredicts. Counts start at the warmup
+ * event.
+ */
+struct CycleSum
+{
     Cycle sumBase = 0;      ///< Issue slots, extra execution, MLP, RAS.
     Count instructions = 0; ///< Retired after warmup.
     Count condBranches = 0; ///< Conditional branches after warmup.
     Count rasMispredicts = 0;
-    size_t condFrom = 0;  ///< First conditional branch at or after warmup.
+    Count l1dMisses = 0;    ///< The data stream's.
+    Count l2DataMisses = 0; ///< The data accesses that missed the L2.
+    size_t condFrom = 0; ///< First conditional branch at or after warmup.
     /** Per conditional branch: frontendDepth + its resolve time, less
      *  the misfetchPenalty a mispredict suppresses where the BTB the
-     *  sum was built with misses it (condBtbMissBits for the shared
-     *  sum). */
+     *  sum was built with misses it. */
     std::vector<CycleDelta> delta;
-    /** @} */
-
-    bool has(u8 part) const { return (parts & part) == part; }
 };
 
 /**
- * Build the @p parts of the shared outcomes of @p plan on @p machine.
- * The data parts run over @p data's stream (any tables with data
- * addresses; may be null when @p parts has none), from power-on state;
- * their miss counts start at the kernel's warmup event. kShareL2
- * requires kShareL1d, and kShareSum every part but kShareL1i; where
- * kShareL2 cannot be built (an L2 line wider than a page), kShareSum is
- * not built either. Counts one replay.l1d_passes when it runs the L1D.
+ * One data stream's L2 part, where no L2 set overflows: a data access
+ * that missed the L1D misses the L2 exactly at the first access to its
+ * L2 line.
  */
-SharedOutcomes simulateShared(const MachineConfig &machine,
-                              const trace::ReplayPlan &plan,
-                              const trace::LayoutTables *data, u8 parts);
+struct L2FirstTouch
+{
+    std::vector<u64> firstBits; ///< First access to its L2 line.
+    /**
+     * The distinct data L2 lines, grouped by page (the input of
+     * canShareL2Data). Page pages[g], numbered under pageMap (the map
+     * the stream was recorded under), holds the lines whose bits are
+     * set in words [g * pageWords, (g + 1) * pageWords) of pageMask
+     * (bit b: the b-th L2 line of the page). A page map moves whole
+     * pages, so the masks hold under any of them.
+     */
+    std::vector<Addr> pages;
+    std::vector<u64> pageMask;
+    u32 pageWords = 0;
+    layout::PageMap pageMap;
+    /** The stream's cycle sum, built with the plan part's BTB. */
+    CycleSum sum;
+};
 
 /**
- * Which structures one replay takes from its SharedOutcomes instead of
- * simulating. Set per layout from the proofs below; the default
- * simulates all three. The L1I path needs the L2 data path: its misses
- * go to memory only because the L2 proof holds.
+ * The data-stream part: one heap layout's outcomes. Bit i % 64 of word
+ * i / 64 of each bit vector belongs to memory access i. Immutable once
+ * built, so pool workers share one.
+ */
+struct StreamOutcomes
+{
+    size_t memCount = 0;       ///< Accesses covered.
+    std::vector<u64> hitBits;  ///< L1D hit.
+    Count misses = 0;          ///< L1D misses after warmup.
+    /** Exactly where the machine's L2 line fits in a page: a wider line
+     *  would straddle page-map moves. */
+    std::optional<L2FirstTouch> l2;
+};
+
+/** The plan part of @p plan on @p machine: the RAS verdicts, the
+ *  outcome and sites of a BTB that never evicts, and each site's first
+ *  event. */
+PlanOutcomes simulatePlan(const MachineConfig &machine,
+                          const trace::ReplayPlan &plan);
+
+/**
+ * The data-stream part of @p heap: the L1D hit bits from power-on
+ * state, and the L2 first-touch bits, pages and cycle sum (built with
+ * @p plan_part's RAS and BTB verdicts) where the L2 line fits in a
+ * page. The stream is recorded under the identity map where the L1D
+ * outcome holds across page maps (canShareL1d), so the L2 proof places
+ * its pages under each layout's own map, and under @p pages otherwise.
+ * Miss counts start at the warmup event. Counts one replay.l1d_passes.
+ */
+StreamOutcomes simulateStream(const MachineConfig &machine,
+                              const trace::ReplayPlan &plan,
+                              const layout::HeapLayout &heap,
+                              const layout::PageMap &pages,
+                              const PlanOutcomes &plan_part);
+
+/** The L1D part alone, over the data addresses of @p data: a layout's
+ *  own pass where no stream is shared (a randomized heap). Counts one
+ *  replay.l1d_passes. */
+StreamOutcomes simulateL1d(const MachineConfig &machine,
+                           const trace::ReplayPlan &plan,
+                           const trace::LayoutTables &data);
+
+/**
+ * Which structures one replay takes from its plan and data-stream
+ * parts instead of simulating. Set per layout by choosePaths(); the
+ * default simulates all three. The L1I path needs the L2 data path:
+ * its misses go to memory only because the L2 proof holds.
  */
 struct SharedPaths
 {
@@ -174,6 +200,17 @@ struct ConflictFacts
      *  refuse (L2: a code-reachable line that is also a data line;
      *  BTB: two sites on one PC; L1I: a line size it cannot use). */
     bool checked = true;
+
+    /** The proof's verdict: it ran, and no set overflows. */
+    bool holds() const { return checked && overflowingSets == 0; }
+};
+
+/** The facts of each of one layout's three proofs. */
+struct PathFacts
+{
+    ConflictFacts l2;
+    ConflictFacts btb;
+    ConflictFacts l1i;
 };
 
 /**
@@ -189,27 +226,28 @@ bool canShareL1d(const cache::CacheConfig &l1d, bool same_heap,
                  bool same_pages);
 
 /**
- * The L2 proof: whether @p shared's L2 data outcome holds for the
- * layout of @p tables (which place the heap @p shared was built from;
+ * The L2 proof: whether @p stream's L2 data outcome holds for the
+ * layout of @p tables (which place the heap @p stream was built from;
  * their data addresses are not read, so code tables suffice). It does
  * when the L1D line is at most the L2 line, neither L2 nor L1I line
  * exceeds a page, the L2 lines code can reach (every line a site spans
  * and its physical successor, which the next-line prefetcher fetches)
  * are disjoint from the data lines, and no L2 set receives more of
  * these distinct physical lines than it has ways. The data pages are
- * placed by translating shared.l2Pages through the layout's page map
- * when they were recorded under the identity map; pages recorded under
- * another map apply only to layouts under that same map. Fills
- * @p facts when given.
+ * placed by translating its L2 part's pages through the layout's page
+ * map when they were recorded under the identity map; pages recorded
+ * under another map apply only to layouts under that same map. A
+ * stream without an L2 part refuses, unchecked. Fills @p facts when
+ * given.
  */
 bool canShareL2Data(const MachineConfig &machine,
                     const trace::ReplayPlan &plan,
                     const trace::LayoutTables &tables,
-                    const SharedOutcomes &shared,
+                    const StreamOutcomes &stream,
                     ConflictFacts *facts = nullptr);
 
 /**
- * The BTB proof: whether @p shared's BTB outcome holds for the layout
+ * The BTB proof: whether @p plan_part's BTB outcome holds for the layout
  * of @p tables. It does when the distinct taken non-return branch
  * sites sit on distinct u32 PCs and no BTB set receives more of them
  * than it has ways. Fills @p facts when given.
@@ -217,7 +255,7 @@ bool canShareL2Data(const MachineConfig &machine,
 bool canShareBtb(const MachineConfig &machine,
                  const trace::ReplayPlan &plan,
                  const trace::LayoutTables &tables,
-                 const SharedOutcomes &shared,
+                 const PlanOutcomes &plan_part,
                  ConflictFacts *facts = nullptr);
 
 /**
@@ -227,47 +265,39 @@ bool canShareBtb(const MachineConfig &machine,
  * executed sites span plus, with the next-line prefetcher, each one's
  * physical successor (at a page end: line 0 of the next *physical*
  * page). It refuses when the L1I and L2 lines differ, when @p tables
- * carry fetch lines of another size, when @p shared has no L1I part
- * for this plan, or when any set receives more lines than it has ways.
+ * carry fetch lines of another size, when @p plan_part was built for
+ * another plan, or when any set receives more lines than it has ways.
  * The replay may use the outcome only where canShareL2Data() holds
  * too. Fills @p facts when given.
  */
 bool canShareL1i(const MachineConfig &machine,
                  const trace::ReplayPlan &plan,
                  const trace::LayoutTables &tables,
-                 const SharedOutcomes &shared,
+                 const PlanOutcomes &plan_part,
                  ConflictFacts *facts = nullptr);
 
 /**
- * What a BTB charges one replay, from its verdicts on the plan's taken
- * non-return branches, counted from the warmup event: the misses and
- * their penalties as if no branch mispredicted (misfetchPenalty, or
- * frontendDepth for an indirect branch that hit with a wrong target).
- * A conditional branch is neither a return nor indirect, so where it
- * mispredicts, the penalty it suppresses is misfetchPenalty.
+ * The paths one replay of the layout of @p tables may take: the L2
+ * data side where @p stream (may be null: no stream is shared) passes
+ * the L2 proof, the BTB where @p plan_part passes the BTB proof, and
+ * the L1I where the L1I proof holds too, since fetch misses are first
+ * L2 touches only under the L2 proof. Fills @p facts, when given, with
+ * every proof's facts, the L1I's included where the L2 proof refuses;
+ * without them the L1I proof runs only where its path can be taken.
  */
-struct BtbCharges
-{
-    Count misses = 0;
-    Cycle penalty = 0;
-};
-
-/**
- * The charges of the BTB whose per-event hit and target bits are
- * @p hit_bits and @p target_bits (SharedOutcomes::btbHitBits layout).
- * Sets bit j of @p cond_miss_bits, resized to the plan's conditional
- * branches, where conditional branch j is taken and missed.
- */
-BtbCharges btbCharges(const MachineConfig &machine,
-                      const trace::ReplayPlan &plan, const u64 *hit_bits,
-                      const u64 *target_bits,
-                      std::vector<u64> &cond_miss_bits);
+SharedPaths choosePaths(const MachineConfig &machine,
+                        const trace::ReplayPlan &plan,
+                        const trace::LayoutTables &tables,
+                        const PlanOutcomes &plan_part,
+                        const StreamOutcomes *stream,
+                        PathFacts *facts = nullptr);
 
 /**
  * The event at which a replay of @p plan on @p machine clears its
  * statistics (MachineConfig::warmupFraction): every count and cycle
- * before it is warmup. The kernel, the passes and the shared outcomes
- * all split there; runReference() computes it on its own, as the spec.
+ * before it is warmup. The cycle sums, the passes and the shared
+ * outcomes all split there; runReference() computes it on its own, as
+ * the spec.
  */
 size_t warmupEvent(const MachineConfig &machine,
                    const trace::ReplayPlan &plan);
@@ -311,7 +341,7 @@ struct FetchOutcome
 FetchOutcome fetchFirstTouch(const MachineConfig &machine,
                              const trace::ReplayPlan &plan,
                              const trace::LayoutTables &tables,
-                             const SharedOutcomes &shared);
+                             const PlanOutcomes &plan_part);
 
 } // namespace interf::core
 

@@ -390,50 +390,37 @@ RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables)
 {
-    return replay(plan, tables,
-                  simulateShared(cfg_, plan, nullptr, kShareRas));
+    return replay(plan, tables, simulatePlan(cfg_, plan), nullptr);
 }
 
 RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables,
-                const SharedOutcomes &shared, SharedPaths paths)
+                const PlanOutcomes &plan_part, const StreamOutcomes *stream,
+                SharedPaths paths)
 {
     // Without data addresses only the shared L2 path can run: the L1D
-    // and L2 verdicts then both come from @p shared.
-    if (!tables.hasData() && !(paths.l2Data && shared.has(kShareL1d)))
+    // and L2 verdicts then both come from @p stream.
+    if (!tables.hasData() && !(paths.l2Data && stream))
         panic("tables without data addresses replay only with a shared "
               "L1D and L2 data side");
-    if (shared.has(kShareL1d))
-        return replayWith(plan, tables, shared, shared, paths);
-    // No data parts (a randomized heap, or the two-argument replay):
-    // this layout's own L1D pass.
-    return replayWith(plan, tables,
-                      simulateShared(cfg_, plan, &tables, kShareL1d),
-                      shared, paths);
-}
-
-RunResult
-Machine::replayWith(const trace::ReplayPlan &plan,
-                    const trace::LayoutTables &tables,
-                    const SharedOutcomes &data, const SharedOutcomes &flow,
-                    SharedPaths paths)
-{
     INTERF_ASSERT(tables.siteAddr.size() == plan.siteCount());
     INTERF_ASSERT(!tables.hasData() ||
                   tables.dataAddr.size() == plan.memCount());
-    if (data.memCount != plan.memCount() ||
-        data.hitBits.size() != (data.memCount + 63) / 64)
+    // No shared stream (a randomized heap, or the two-argument replay):
+    // this layout's own L1D pass.
+    const StreamOutcomes own_l1d =
+        stream ? StreamOutcomes() : simulateL1d(cfg_, plan, tables);
+    const StreamOutcomes &data = stream ? *stream : own_l1d;
+    if (data.memCount != plan.memCount())
         panic("L1D outcomes cover %zu accesses, the plan has %zu",
               data.memCount, plan.memCount());
-    if (!flow.has(kShareRas) || flow.eventCount != plan.eventCount() ||
-        flow.rasMissBits.size() != (flow.eventCount + 63) / 64)
+    if (plan_part.eventCount != plan.eventCount())
         panic("shared outcomes cover %zu events, the plan has %zu",
-              flow.eventCount, plan.eventCount());
-    if ((paths.l2Data && !data.has(kShareL2 | kShareSum)) ||
-        (paths.btb && !flow.has(kShareBtb)) ||
-        (paths.l1i && !flow.has(kShareL1i)))
-        panic("a shared path has no outcome to read");
+              plan_part.eventCount, plan.eventCount());
+    // An L2 line wider than a page leaves a stream no L2 part to share.
+    if (paths.l2Data && !data.l2)
+        panic("the shared L2 data side needs a stream with an L2 part");
     // Fetch misses are first L2 touches only where no L2 set overflows.
     if (paths.l1i && !paths.l2Data)
         panic("the shared L1I path needs the shared L2 data side");
@@ -447,40 +434,38 @@ Machine::replayWith(const trace::ReplayPlan &plan,
     resetState();
 
     // The BTB meets no other structure, so its per-layout form is a
-    // pass of its own, and the sum reads bits either way.
-    FlowBits bits{flow.rasMissBits.data(), flow.condBtbMissBits.data(),
-                  {flow.btbMisses, flow.btbPenalty}};
-    if (paths.btb) {
+    // pass of its own, and the sum reads an outcome either way.
+    if (paths.btb)
         INTERF_TELEM_COUNT("replay.btb_shared", 1);
-    } else {
+    else
         INTERF_TELEM_COUNT("replay.btb_simulated", 1);
-        bits.btb = btbPass(plan, tables);
-        bits.condBtbMiss = condBtbMissBits_.data();
-    }
+    const BtbOutcome &btb =
+        paths.btb ? plan_part.btb : btbPass(plan, tables);
 
     FetchOutcome fetch;
     RunResult res;
     if (paths.l2Data) {
         // A shared L2 data side leaves the hierarchy only fetches, which
         // only ever add stalls to cycles, so their outcome adds on
-        // exactly; every other term is the shared cycle sum's.
+        // exactly; every other term is the stream's cycle sum's.
         INTERF_TELEM_COUNT("replay.l2_shared", 1);
         if (paths.l1i) {
             INTERF_TELEM_COUNT("replay.l1i_shared", 1);
-            fetch = fetchFirstTouch(cfg_, plan, tables, flow);
+            fetch = fetchFirstTouch(cfg_, plan, tables, plan_part);
         } else {
             INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
             fetch = fetchPass(plan, tables);
         }
-        res = replaySum(plan, tables, data, bits, paths.btb);
+        res = replaySum(plan, tables, data.l2->sum, plan_part.btb, btb);
     } else {
         // A simulated L2 sees fetch and data misses interleaved: this
         // layout builds its own sum, fetching in line.
         INTERF_TELEM_COUNT("replay.l2_simulated", 1);
         INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-        SharedOutcomes own;
-        fetch = simulatedSum(plan, tables, data, bits, own);
-        res = replaySum(plan, tables, own, bits, true);
+        CycleSum own;
+        fetch = simulatedSum(plan, tables, data,
+                             plan_part.rasMissBits.data(), btb, own);
+        res = replaySum(plan, tables, own, btb, btb);
     }
     res.cycles += fetch.stallCycles;
     res.l1iMisses += fetch.l1iMisses;
@@ -492,9 +477,8 @@ Machine::replayWith(const trace::ReplayPlan &plan,
 
 RunResult
 Machine::replaySum(const trace::ReplayPlan &plan,
-                   const trace::LayoutTables &tables,
-                   const SharedOutcomes &sum, FlowBits bits,
-                   bool btb_in_sum)
+                   const trace::LayoutTables &tables, const CycleSum &sum,
+                   const BtbOutcome &sum_btb, const BtbOutcome &btb)
 {
     if (sum.delta.size() != plan.condSite.size())
         panic("the cycle sum covers %zu conditional branches, the plan "
@@ -504,24 +488,25 @@ Machine::replaySum(const trace::ReplayPlan &plan,
     res.instructions = sum.instructions;
     res.condBranches = sum.condBranches;
     res.rasMispredicts = sum.rasMispredicts;
-    res.l1dMisses = sum.misses;
-    res.l2Misses = sum.l2Misses;
-    res.l2DataMisses = sum.l2Misses;
+    res.l1dMisses = sum.l1dMisses;
+    res.l2Misses = sum.l2DataMisses;
+    res.l2DataMisses = sum.l2DataMisses;
     const CycleDelta *delta = sum.delta.data();
-    if (!btb_in_sum) {
+    if (&btb != &sum_btb) {
         // This layout's BTB misses other taken conditional branches
-        // than the shared one, whose misfetches sum.delta subtracts:
-        // move that correction to this layout's misses.
+        // than the one the sum was built with, whose misfetches
+        // sum.delta subtracts: move that correction to this layout's
+        // misses.
         condDelta_.assign(sum.delta.begin(), sum.delta.end());
-        const u64 *shared_miss = sum.condBtbMissBits.data();
-        const u64 *own_miss = bits.condBtbMiss;
+        const u64 *sum_miss = sum_btb.condMissBits.data();
+        const u64 *own_miss = btb.condMissBits.data();
         CycleDelta *own_delta = condDelta_.data();
         const CycleDelta misfetch =
             static_cast<CycleDelta>(cfg_.misfetchPenalty);
         const size_t words = (plan.condSite.size() + 63) / 64;
         // lint:hot-begin cycle-sum BTB correction (tools/lint_hotpath.py)
         for (size_t w = 0; w < words; ++w) {
-            for (u64 d = shared_miss[w] ^ own_miss[w]; d; d &= d - 1) {
+            for (u64 d = sum_miss[w] ^ own_miss[w]; d; d &= d - 1) {
                 const u32 b = static_cast<u32>(std::countr_zero(d));
                 const size_t j = w * 64 + b;
                 own_delta[j] = static_cast<CycleDelta>(
@@ -538,46 +523,24 @@ Machine::replaySum(const trace::ReplayPlan &plan,
         {plan.condSite.data(), plan.condTaken.data(), plan.condSite.size(),
          tables.branchAddr.data(), sum.condFrom, delta});
     res.mispredicts = tally.mispredicts;
-    res.btbMisses = bits.btb.misses;
-    res.cycles = sum.sumBase + bits.btb.penalty + tally.weight;
+    res.btbMisses = btb.misses;
+    res.cycles = sum.sumBase + btb.penalty + tally.weight;
     return res;
 }
 
-BtbCharges
+const BtbOutcome &
 Machine::btbPass(const trace::ReplayPlan &plan,
                  const trace::LayoutTables &tables)
 {
-    using trace::ReplayPlan;
-    const size_t n = plan.eventCount();
-    btbHitBits_.assign((n + 63) / 64, 0);
-    btbTargetBits_.assign((n + 63) / 64, 0);
     const Addr *branch_addr = tables.branchAddr.data();
-    const u32 *ev_site = plan.site.data();
-    const u8 *ev_flags = plan.flags.data();
-    const u32 *ev_target = plan.targetSite.data();
-    u64 *hit_bits = btbHitBits_.data();
-    u64 *target_bits = btbTargetBits_.data();
-    constexpr u8 kMask =
-        ReplayPlan::kHasBranch | ReplayPlan::kReturn | ReplayPlan::kTaken;
-    // lint:hot-begin BTB pass (tools/lint_hotpath.py)
-    for (size_t e = 0; e < n; ++e) {
-        if ((ev_flags[e] & kMask) !=
-            (ReplayPlan::kHasBranch | ReplayPlan::kTaken))
-            continue;
-        // The BTB stores the plan's site index, not the 8-byte target
-        // address: block addresses are injective per layout (every
-        // block has nonzero size), so site-token equality is exactly
-        // target-address equality — same hit/miss stream as the
-        // reference loop's address-tagged BTB. The fused lookup +
-        // update scans the tags once.
-        const u32 target = ev_target[e];
-        const bpred::BtbResult r =
-            btb_.lookupUpdate(branch_addr[ev_site[e]], target);
-        hit_bits[e >> 6] |= u64{r.hit} << (e & 63);
-        target_bits[e >> 6] |= u64{r.hit && r.target == target} << (e & 63);
-    }
+    // lint:hot-begin BTB pass lookup (tools/lint_hotpath.py)
+    // The fused lookup + update scans the tags once.
+    auto lookup = [&](u32 site, u32 target) {
+        return btb_.lookupUpdate(branch_addr[site], target);
+    };
     // lint:hot-end
-    return btbCharges(cfg_, plan, hit_bits, target_bits, condBtbMissBits_);
+    buildBtb(cfg_, plan, lookup, btbOwn_);
+    return btbOwn_;
 }
 
 FetchOutcome
@@ -614,16 +577,16 @@ Machine::fetchPass(const trace::ReplayPlan &plan,
 FetchOutcome
 Machine::simulatedSum(const trace::ReplayPlan &plan,
                       const trace::LayoutTables &tables,
-                      const SharedOutcomes &data, FlowBits bits,
-                      SharedOutcomes &own)
+                      const StreamOutcomes &stream, const u64 *ras_miss,
+                      const BtbOutcome &btb, CycleSum &own)
 {
     SimulatedLevels levels(hierarchy_, plan, tables, cfg_);
     const Cycle stall =
-        buildSum(cfg_, plan, data.hitBits.data(), bits.rasMiss,
-                 bits.condBtbMiss, levels, own);
+        buildSum(cfg_, plan, stream.hitBits.data(), ras_miss,
+                 btb.condMissBits.data(), levels, own);
     const cache::HierarchyStats hs = hierarchy_.stats();
-    own.misses = data.misses;
-    own.l2Misses = hs.l2DataMisses;
+    own.l1dMisses = stream.misses;
+    own.l2DataMisses = hs.l2DataMisses;
     return {stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses};
 }
 

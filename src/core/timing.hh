@@ -110,12 +110,12 @@ class Machine
 
     /**
      * Replay a compiled plan under one layout's address tables: the
-     * four-argument overload with a RAS-only SharedOutcomes, so it runs
-     * its own L1D pass over the tables, its BTB pass, and builds its
-     * own cycle sum with the L2 simulated. Bit-identical to
-     * runReference() on the same (trace, layout) — every counter and
-     * cycle count — which tests/test_replay.cc enforces. The tables
-     * must carry data addresses (not code-only).
+     * five-argument overload with this plan's plan part and no shared
+     * data stream, so it runs its own L1D pass over the tables, its BTB
+     * pass, and builds its own cycle sum with the L2 simulated.
+     * Bit-identical to runReference() on the same (trace, layout) —
+     * every counter and cycle count — which tests/test_replay.cc
+     * enforces. The tables must carry data addresses (not code-only).
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables);
@@ -127,36 +127,39 @@ class Machine
      * fetch lines, which must have been built for this machine's L1I
      * line size (panics otherwise).
      *
-     * Each structure has a shared form, read from @p shared, and a
-     * per-layout form (DESIGN.md §5s). @p paths names the structures a
-     * proof (canShareL2Data, canShareBtb, canShareL1i) showed
-     * @p shared's outcome holds for on this layout:
+     * Each structure has a shared form, read from @p plan_part or
+     * @p stream, and a per-layout form (DESIGN.md §5s). @p paths names
+     * the structures whose shared outcome holds on this layout
+     * (choosePaths()):
      *
-     *  - L1D and RAS: always read from @p shared; when it has no L1D
-     *    part, one L1D pass over @p tables runs first.
-     *  - BTB: @p shared's bits, or a BTB pass over this layout's taken
-     *    branches.
+     *  - L1D: read from @p stream; where it is null (no stream is
+     *    shared), one L1D pass over @p tables runs first. RAS: always
+     *    read from @p plan_part.
+     *  - BTB: @p plan_part's outcome, or a BTB pass over this layout's
+     *    taken branches.
      *  - L2 data side: shared, and then no event loop runs: the
-     *    layout's cycles are @p shared's cycle sum over the conditional
+     *    layout's cycles are @p stream's cycle sum over the conditional
      *    branches its predictor mispredicts, one pass over the branch
-     *    stream (DESIGN.md §5t). Or simulated: fetch and data misses
-     *    meet in the L2, so this layout builds its own cycle sum in one
-     *    event loop that fetches in line and takes each L1D miss's
-     *    level from the hierarchy (§5u), then runs the same pass over
-     *    the branch stream.
+     *    stream (DESIGN.md §5t); @p stream must have an L2 part. Or
+     *    simulated: fetch and data misses meet in the L2, so this
+     *    layout builds its own cycle sum in one event loop that fetches
+     *    in line and takes each L1D miss's level from the hierarchy
+     *    (§5u), then runs the same pass over the branch stream.
      *  - L1I fetch, where the L2 data side is shared: fetchFirstTouch()
      *    over @p tables, or a fetch pass that simulates the L1I and the
      *    L2's code side. The shared form needs the L2 data path
      *    (panics otherwise). Every fetch outcome, the in-line one
      *    included, is added to the cycle sum.
      *
-     * @p tables may lack data addresses only when both the L1D and the
-     * L2 data side come from @p shared. @p shared must cover this
-     * plan's streams (panics otherwise).
+     * @p tables may lack data addresses only when the L2 data side is
+     * shared. @p plan_part and @p stream must cover this plan's
+     * streams (panics otherwise), and @p stream must have been built
+     * with @p plan_part (simulateStream), whose BTB its sum assumes.
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables,
-                     const SharedOutcomes &shared, SharedPaths paths = {});
+                     const PlanOutcomes &plan_part,
+                     const StreamOutcomes *stream, SharedPaths paths = {});
 
     /**
      * The event-at-a-time reference implementation: walks Program and
@@ -184,29 +187,10 @@ class Machine
   private:
     void resetState();
 
-    /** The control verdicts the cycle sum reads, and the BTB's
-     *  charges, shared or from this layout's BTB pass. */
-    struct FlowBits
-    {
-        const u64 *rasMiss;     ///< Per event: a return mispredicts.
-        /** Per conditional branch: taken, and the BTB misses it. */
-        const u64 *condBtbMiss;
-        BtbCharges btb;
-    };
-
-    /** Check the inputs, then run the passes and the cycle sum @p paths
-     *  choose; @p data supplies the data parts and @p flow the control
-     *  parts. */
-    RunResult replayWith(const trace::ReplayPlan &plan,
-                         const trace::LayoutTables &tables,
-                         const SharedOutcomes &data,
-                         const SharedOutcomes &flow, SharedPaths paths);
-
-    /** Fill btbHitBits_ / btbTargetBits_ for this layout: btb_ over the
-     *  plan's taken non-return branches, in event order. Returns their
-     *  charges and fills condBtbMissBits_ (btbCharges). */
-    BtbCharges btbPass(const trace::ReplayPlan &plan,
-                       const trace::LayoutTables &tables);
+    /** This layout's BTB outcome: btb_ over the plan's taken non-return
+     *  branches, in event order, into btbOwn_. */
+    const BtbOutcome &btbPass(const trace::ReplayPlan &plan,
+                              const trace::LayoutTables &tables);
 
     /** Simulate this layout's fetch stream alone through hierarchy_:
      *  exact where nothing else reaches the L2 (a shared data side). */
@@ -214,35 +198,34 @@ class Machine
                            const trace::LayoutTables &tables);
 
     /** Build @p own, this layout's cycle sum with the L2 simulated:
-     *  one event loop through hierarchy_ with the L1D bits of @p data,
-     *  the RAS and BTB verdicts of @p bits, and the fetch in line.
-     *  Returns the fetch outcome, counted from the warmup event. */
+     *  one event loop through hierarchy_ with the L1D bits of
+     *  @p stream, the RAS verdicts @p ras_miss, the BTB outcome @p btb
+     *  and the fetch in line. Returns the fetch outcome, counted from
+     *  the warmup event. */
     FetchOutcome simulatedSum(const trace::ReplayPlan &plan,
                               const trace::LayoutTables &tables,
-                              const SharedOutcomes &data, FlowBits bits,
-                              SharedOutcomes &own);
+                              const StreamOutcomes &stream,
+                              const u64 *ras_miss, const BtbOutcome &btb,
+                              CycleSum &own);
 
-    /** Replay @p sum (a cycle sum part, shared or this layout's own)
-     *  for this layout: the predictor over the branch stream, plus the
-     *  BTB charges of @p bits. @p btb_in_sum says @p sum's delta was
-     *  built from @p bits' BTB verdicts; otherwise it was built from
-     *  the shared ones (sum.condBtbMissBits) and its misfetch
-     *  correction moves to @p bits'. Every counter but the fetch
+    /** Replay @p sum (a stream's or this layout's own) for this layout:
+     *  the predictor over the branch stream, plus the charges of @p btb,
+     *  this layout's BTB outcome. Where @p btb is not @p sum_btb, the
+     *  outcome @p sum was built with, the misfetch correction in
+     *  sum.delta moves to @p btb's misses. Every counter but the fetch
      *  outcome's. */
     RunResult replaySum(const trace::ReplayPlan &plan,
                         const trace::LayoutTables &tables,
-                        const SharedOutcomes &sum, FlowBits bits,
-                        bool btb_in_sum);
+                        const CycleSum &sum, const BtbOutcome &sum_btb,
+                        const BtbOutcome &btb);
 
     MachineConfig cfg_;
     cache::MemoryHierarchy hierarchy_;
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
-    /** @{ The BTB pass's bits and its per-branch misses, and the
-     *  shared sum's charges moved to them, reused across layouts. */
-    std::vector<u64> btbHitBits_;
-    std::vector<u64> btbTargetBits_;
-    std::vector<u64> condBtbMissBits_;
+    /** @{ The BTB pass's outcome, and a stream's sum with its charges
+     *  moved to it, reused across layouts. */
+    BtbOutcome btbOwn_;
     std::vector<CycleDelta> condDelta_;
     /** @} */
 };

@@ -54,8 +54,8 @@ LayoutEvaluator::LayoutEvaluator(const workloads::WorkloadProfile &profile,
     plan_ = trace::ReplayPlan(program_, trace_);
     // Fail closed, in every build type: a machine geometry that breaks
     // a compaction invariant (tag width, epoch salt, LRU wrap bound)
-    // must never reach the replay kernel, where it would assert in
-    // Debug and silently corrupt victim choice in Release. The static
+    // must never reach Machine::replay's caches, where it would assert
+    // in Debug and silently corrupt victim choice in Release. The static
     // analysis is a few hundred comparisons per set-up.
     analyze::requireSoundMachine(
         machine_, &plan_, strprintf("%s machine config", owner).c_str());
@@ -87,17 +87,14 @@ LayoutEvaluator::measureOne(core::MeasurementRunner &runner,
     INTERF_TELEM_COUNT("layout.tables_built", 1);
     // Each shared outcome applies only where this layout's proof holds;
     // elsewhere the replay simulates the structure for this layout.
-    core::SharedPaths paths;
-    paths.l2Data =
-        shareL1d_ && core::canShareL2Data(machine_, plan_, tables, *shared_);
-    paths.btb = core::canShareBtb(machine_, plan_, tables, *shared_);
-    paths.l1i =
-        paths.l2Data && core::canShareL1i(machine_, plan_, tables, *shared_);
-    if (shareL1d_ && !paths.l2Data) {
+    const core::StreamOutcomes *stream = stream_ ? &*stream_ : nullptr;
+    const core::SharedPaths paths =
+        core::choosePaths(machine_, plan_, tables, *planPart_, stream);
+    if (stream && !paths.l2Data) {
         INTERF_SPAN("layout.gen");
         tables = tables_for(true);
     }
-    return runner.measure(plan_, tables, *shared_, paths, seed);
+    return runner.measure(plan_, tables, *planPart_, stream, paths, seed);
 }
 
 std::vector<core::Measurement>
@@ -109,24 +106,12 @@ LayoutEvaluator::measure(u32 count, const LayoutRecipe &recipe,
         return out;
     // The shared pass runs here, serially, so workers only ever read
     // it and a run served wholly from a cache never pays it.
-    if (!shared_) {
+    if (!planPart_) {
         INTERF_SPAN("replay.shared_pass");
-        if (shareL1d_) {
-            // Built under the identity map when the L1D outcome holds
-            // across page maps, so the L2 proof can place the data pages
-            // under each layout's own map.
-            const trace::LayoutTables data(
-                plan_, recipe.heap(0),
-                core::canShareL1d(machine_.hierarchy.l1d, true, false)
-                    ? layout::PageMap()
-                    : recipe.pages(0));
-            shared_ = core::simulateShared(machine_, plan_, &data,
-                                           core::kShareAll);
-        } else {
-            shared_ = core::simulateShared(machine_, plan_, nullptr,
-                                           core::kShareBtb |
-                                               core::kShareRas);
-        }
+        planPart_ = core::simulatePlan(machine_, plan_);
+        if (shareL1d_)
+            stream_ = core::simulateStream(machine_, plan_, recipe.heap(0),
+                                           recipe.pages(0), *planPart_);
     }
     auto run_one = [&](core::MeasurementRunner &runner, u32 k) {
         out[k] = measureOne(runner, recipe, k);

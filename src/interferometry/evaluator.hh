@@ -113,12 +113,13 @@ class LayoutEvaluator
     trace::ReplayPlan plan_;
     layout::Linker linker_;
     core::MeasurementRunner runner_; ///< Serial path (jobs == 1).
-    /** The outcomes every layout shares (DESIGN.md §5n, §5p, §5r):
-     *  the BTB and RAS always; the L1D, the L2 data side and the
-     *  sites' first events (the L1I's input) when shareL1d_.
-     *  Built once, serially, before the first fan-out, then
+    /** @{ The outcomes every layout shares (DESIGN.md §5n, §5p, §5r,
+     *  §5v): the plan part always; the data-stream part when
+     *  shareL1d_. Built once, serially, before the first fan-out, then
      *  read-only. */
-    std::optional<core::SharedOutcomes> shared_;
+    std::optional<core::PlanOutcomes> planPart_;
+    std::optional<core::StreamOutcomes> stream_;
+    /** @} */
     std::unique_ptr<exec::ThreadPool> pool_; ///< Lazily sized to jobs.
     u64 verifyErrors_ = 0;
     u64 verifyWarnings_ = 0;

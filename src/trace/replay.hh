@@ -184,7 +184,7 @@ class LayoutTables
 
     /**
      * Data-only tables for a (heap, pages) pair: the input of
-     * core::simulateShared when one pass serves many layouts. Carry
+     * core::simulateStream when one pass serves many layouts. Carry
      * no code addresses, so Machine::replay rejects them.
      */
     LayoutTables(const ReplayPlan &plan, const layout::HeapLayout &heap,

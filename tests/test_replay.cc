@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -184,8 +185,9 @@ TEST(ReplayGolden, SharedL1dOutcomesMatchReferenceAcrossLayouts)
         const LayoutTables first(w.plan, codeFor(w, 1), heap,
                                  layout::PageMap(),
                                  cfg.hierarchy.l1i.lineBytes);
-        const SharedOutcomes shared =
-            simulateShared(cfg, w.plan, &first, kShareAll);
+        const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+        const StreamOutcomes stream = simulateStream(
+            cfg, w.plan, heap, first.pages(), plan_part);
         Machine machine(cfg);
         for (u64 seed = 1; seed <= 8; ++seed) {
             auto code = codeFor(w, seed);
@@ -198,7 +200,9 @@ TEST(ReplayGolden, SharedL1dOutcomesMatchReferenceAcrossLayouts)
                                               pages);
                 LayoutTables tables(w.plan, code, heap, pages,
                                     cfg.hierarchy.l1i.lineBytes);
-                expectSameResult(ref, machine.replay(w.plan, tables, shared),
+                expectSameResult(ref,
+                                 machine.replay(w.plan, tables, plan_part,
+                                                &stream),
                                  "workload " + std::to_string(wi) +
                                      " seed " + std::to_string(seed) +
                                      (physical ? " physical" : " identity"));
@@ -226,7 +230,7 @@ TEST(ReplayGolden, L1dPassWarmupSplitMatchesReference)
                 w.prog, w.trace, code, heap, layout::PageMap());
             LayoutTables tables(w.plan, code, heap, layout::PageMap(),
                                 cfg.hierarchy.l1i.lineBytes);
-            EXPECT_EQ(simulateShared(cfg, w.plan, &tables, kShareAll).misses,
+            EXPECT_EQ(simulateL1d(cfg, w.plan, tables).misses,
                       ref.l1dMisses)
                 << "workload " << wi << " warmup " << frac;
         }
@@ -253,8 +257,11 @@ TEST(ReplayGolden, PageSpanningL1dIsNotShareableAcrossPageMaps)
         LayoutTables b(w.plan, code, heap, layout::PageMap(12),
                        cfg.hierarchy.l1i.lineBytes);
         Machine machine(cfg);
-        const RunResult reused = machine.replay(
-            w.plan, b, simulateShared(cfg, w.plan, &a, kShareAll));
+        const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+        const StreamOutcomes from_a =
+            simulateStream(cfg, w.plan, heap, a.pages(), plan_part);
+        const RunResult reused =
+            machine.replay(w.plan, b, plan_part, &from_a);
         const RunResult own = machine.replay(w.plan, b);
         differing += reused.l1dMisses != own.l1dMisses;
     }
@@ -361,6 +368,11 @@ pathCases()
     PathCase narrow_l2{"32 B L2 lines", xeon, false, true, false};
     narrow_l2.cfg.hierarchy.l2.lineBytes = 32;
     cases.push_back(narrow_l2);
+    // An L2 line wider than a page would straddle page-map moves, so the
+    // data stream has no L2 part and the L2 proof cannot run.
+    PathCase page_wide_l2{"8 KiB L2 lines", xeon, false, true, false};
+    page_wide_l2.cfg.hierarchy.l2.lineBytes = 8 << 10;
+    cases.push_back(page_wide_l2);
     // L1I geometry: a 4 KiB 2-way L1I overflows sets; without the
     // prefetcher, and with random replacement where the lines fit, the
     // first-touch outcome still holds.
@@ -423,9 +435,9 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
             for (size_t wi = 0; wi < workloads().size(); ++wi) {
                 const Workload &w = workloads()[wi];
                 layout::HeapLayout heap(w.prog, fixed);
-                const LayoutTables data(w.plan, heap, layout::PageMap());
-                const SharedOutcomes shared =
-                    simulateShared(cfg, w.plan, &data, kShareAll);
+                const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+                const StreamOutcomes stream = simulateStream(
+                    cfg, w.plan, heap, layout::PageMap(), plan_part);
                 Machine machine(cfg);
                 for (u64 seed = 1; seed <= 3; ++seed) {
                     auto code = codeFor(w, seed);
@@ -439,12 +451,8 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                             (physical ? " physical" : " identity");
                         LayoutTables tables(w.plan, code, pages,
                                             cfg.hierarchy.l1i.lineBytes);
-                        SharedPaths paths;
-                        paths.l2Data =
-                            canShareL2Data(cfg, w.plan, tables, shared);
-                        paths.btb = canShareBtb(cfg, w.plan, tables, shared);
-                        paths.l1i = paths.l2Data &&
-                                    canShareL1i(cfg, w.plan, tables, shared);
+                        const SharedPaths paths = choosePaths(
+                            cfg, w.plan, tables, plan_part, &stream);
                         EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
                         EXPECT_EQ(paths.btb, pc.btbShared) << what;
                         EXPECT_EQ(paths.l1i, pc.l1iShared) << what;
@@ -454,9 +462,11 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                         Machine fresh(cfg);
                         const RunResult ref = fresh.runReference(
                             w.prog, w.trace, code, heap, pages);
-                        expectSameResult(
-                            ref, machine.replay(w.plan, tables, shared, paths),
-                            what);
+                        expectSameResult(ref,
+                                         machine.replay(w.plan, tables,
+                                                        plan_part, &stream,
+                                                        paths),
+                                         what);
                         ras_mispredicts += ref.rasMispredicts;
                         ++replays;
                     }
@@ -498,12 +508,15 @@ TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
                                   : RP::kHasBranch | RP::kReturn);
         plan.rasPushSite.push_back(call && site != 3 ? site : RP::kNoSite);
         plan.returnSite.push_back(call ? RP::kNoSite : site);
+        // The plan part is built whole: its BTB reads each taken call's
+        // target, its first events the site table.
+        plan.targetSite.push_back(call ? site : RP::kNoSite);
     }
+    plan.siteProc.assign(4, 0);
     for (u32 depth : {1u, 2u, 4u, 16u}) {
         auto cfg = MachineConfig::xeonE5440();
         cfg.rasDepth = depth;
-        const SharedOutcomes shared =
-            simulateShared(cfg, plan, nullptr, kShareRas);
+        const PlanOutcomes plan_part = simulatePlan(cfg, plan);
         bpred::ReturnAddressStack ras(depth);
         u32 misses = 0;
         for (size_t e = 0; e < plan.eventCount(); ++e) {
@@ -515,7 +528,7 @@ TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
                 ras.push(plan.rasPushSite[e] + 1);
             }
             misses += miss;
-            EXPECT_EQ((shared.rasMissBits[e / 64] >> (e % 64)) & 1,
+            EXPECT_EQ((plan_part.rasMissBits[e / 64] >> (e % 64)) & 1,
                       u64{miss})
                 << "depth " << depth << " event " << e;
         }
@@ -530,11 +543,15 @@ TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
  *  where the L2 proof holds but the L1I proof refuses: an overflowing
  *  L1I set shows in the demand misses, L1I and L2 lines of different
  *  sizes in the L2 verdicts of fetches and prefetches. (Where the L2
- *  proof refuses, the L1I path is never taken.) */
+ *  proof refuses, the L1I path is never taken.) An L2 line wider than
+ *  a page leaves the stream no L2 part: no L2 outcome to force. */
 TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
 {
     for (const PathCase &pc : pathCases()) {
-        const bool l2_or_btb_refused = !pc.l2Shared || !pc.btbShared;
+        const bool l2_part = pc.cfg.hierarchy.l2.lineBytes <=
+                             (Addr{1} << layout::PageMap::pageBits);
+        const bool l2_refused = !pc.l2Shared && l2_part;
+        const bool l2_or_btb_refused = l2_refused || !pc.btbShared;
         const bool l1i_refused = pc.l2Shared && !pc.l1iShared;
         if (!l2_or_btb_refused && !l1i_refused)
             continue;
@@ -546,16 +563,18 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
             LayoutTables tables(w.plan, codeFor(w, 4), heap,
                                 layout::PageMap(9),
                                 cfg.hierarchy.l1i.lineBytes);
-            const SharedOutcomes shared =
-                simulateShared(cfg, w.plan, &tables, kShareAll);
+            const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+            const StreamOutcomes stream = simulateStream(
+                cfg, w.plan, heap, tables.pages(), plan_part);
+            ASSERT_EQ(stream.l2.has_value(), l2_part) << pc.name;
             Machine machine(cfg);
             const RunResult honest = machine.replay(w.plan, tables);
             if (l2_or_btb_refused) {
                 SharedPaths forced;
-                forced.l2Data = !pc.l2Shared;
+                forced.l2Data = l2_refused;
                 forced.btb = !pc.btbShared;
-                const RunResult wrong =
-                    machine.replay(w.plan, tables, shared, forced);
+                const RunResult wrong = machine.replay(
+                    w.plan, tables, plan_part, &stream, forced);
                 differing += honest.l2Misses != wrong.l2Misses ||
                              honest.btbMisses != wrong.btbMisses;
             }
@@ -563,8 +582,8 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
                 SharedPaths forced;
                 forced.l2Data = true;
                 forced.l1i = true;
-                const RunResult wrong =
-                    machine.replay(w.plan, tables, shared, forced);
+                const RunResult wrong = machine.replay(
+                    w.plan, tables, plan_part, &stream, forced);
                 l1i_differing += honest.l1iMisses != wrong.l1iMisses ||
                                  honest.l2InstMisses != wrong.l2InstMisses ||
                                  honest.l2PrefMisses != wrong.l2PrefMisses;
@@ -642,43 +661,54 @@ TEST(ReplayGolden, L2ProofRefusesPageEndPrefetchOntoDataLine)
 
     const layout::PageMap pages(found);
     const LayoutTables tables(w.plan, code, heap, pages, line);
-    const SharedOutcomes shared =
-        simulateShared(cfg, w.plan, &virt, kShareAll);
+    const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+    const StreamOutcomes stream =
+        simulateStream(cfg, w.plan, heap, virt.pages(), plan_part);
     ConflictFacts facts;
-    EXPECT_FALSE(canShareL2Data(cfg, w.plan, tables, shared, &facts))
+    EXPECT_FALSE(canShareL2Data(cfg, w.plan, tables, stream, &facts))
         << "page seed " << found;
     EXPECT_FALSE(facts.checked);
     EXPECT_EQ(facts.overflowingSets, 0u);
     // The identity map keeps code and data pages apart: same program,
     // same heap, the proof holds.
     const LayoutTables identity(w.plan, code, heap, layout::PageMap(), line);
-    EXPECT_TRUE(canShareL2Data(cfg, w.plan, identity, shared));
+    EXPECT_TRUE(canShareL2Data(cfg, w.plan, identity, stream));
 
-    SharedPaths paths;
-    paths.btb = canShareBtb(cfg, w.plan, tables, shared);
+    const SharedPaths paths =
+        choosePaths(cfg, w.plan, tables, plan_part, &stream);
+    EXPECT_FALSE(paths.l2Data);
     Machine machine(cfg);
     expectSameResult(
         machine.runReference(w.prog, w.trace, code, heap, pages),
-        machine.replay(w.plan, tables, shared, paths),
+        machine.replay(w.plan, tables, plan_part, &stream, paths),
         "page seed " + std::to_string(found));
 }
 
 /** Data pages recorded under the identity map are placed through each
  *  layout's page map; pages recorded under another map apply only to
- *  layouts under that same map, and the proof refuses the rest. */
+ *  layouts under that same map, and the proof refuses the rest. A
+ *  stream is recorded under another map only where the L1D outcome
+ *  does not hold across page maps, so this machine's L1D indexes past
+ *  the page offset (the L2 proof reads only its line size). */
 TEST(ReplayGolden, L2ProofPlacesDataPagesThroughTheRecordingMap)
 {
     auto cfg = MachineConfig::xeonE5440();
     const Workload &w = workloads()[1];
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
+    const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+    // Where the L1D outcome holds across page maps, the stream is
+    // recorded under the identity map whatever map it is built under.
+    EXPECT_TRUE(simulateStream(cfg, w.plan, heap, layout::PageMap(5),
+                               plan_part)
+                    .l2->pageMap.isIdentity());
+    cfg.hierarchy.l1d = cache::CacheConfig{"L1D", 64 << 10, 8, 64};
+    ASSERT_FALSE(canShareL1d(cfg.hierarchy.l1d, true, false));
     const auto code = codeFor(w, 6);
     const u32 line = cfg.hierarchy.l1i.lineBytes;
-    const LayoutTables data_5(w.plan, heap, layout::PageMap(5));
-    const LayoutTables data_virtual(w.plan, heap, layout::PageMap());
-    const SharedOutcomes recorded_under_5 =
-        simulateShared(cfg, w.plan, &data_5, kShareAll);
-    const SharedOutcomes recorded_virtual =
-        simulateShared(cfg, w.plan, &data_virtual, kShareAll);
+    const StreamOutcomes recorded_under_5 = simulateStream(
+        cfg, w.plan, heap, layout::PageMap(5), plan_part);
+    const StreamOutcomes recorded_virtual = simulateStream(
+        cfg, w.plan, heap, layout::PageMap(), plan_part);
     const LayoutTables under_5(w.plan, code, layout::PageMap(5), line);
     const LayoutTables under_6(w.plan, code, layout::PageMap(6), line);
     EXPECT_TRUE(canShareL2Data(cfg, w.plan, under_5, recorded_under_5));
@@ -714,15 +744,15 @@ TEST(ReplayGolden, L1iProofCountsPhysicalLinesAndSuccessors)
                 cfg.hierarchy.l1i = l1i;
                 cfg.hierarchy.nextLinePrefetch = prefetch;
                 const u32 line = l1i.lineBytes;
-                const SharedOutcomes shared =
-                    simulateShared(cfg, w.plan, nullptr, kShareL1i);
+                const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
                 for (u64 seed = 1; seed <= 3; ++seed) {
                     const auto code = codeFor(w, seed);
                     const layout::PageMap pages(seed * 31 + 7);
                     const LayoutTables tables(w.plan, code, pages, line);
                     std::set<Addr> lines;
                     for (u32 s = 0; s < w.plan.siteCount(); ++s) {
-                        if (shared.siteFirstEvent[s] == ReplayPlan::kNoSite)
+                        if (plan_part.siteFirstEvent[s] ==
+                            ReplayPlan::kNoSite)
                             continue;
                         const Addr end =
                             tables.siteAddr[s] + w.plan.siteBytes[s] - 1;
@@ -745,7 +775,7 @@ TEST(ReplayGolden, L1iProofCountsPhysicalLinesAndSuccessors)
                     }
                     ConflictFacts facts;
                     const bool holds =
-                        canShareL1i(cfg, w.plan, tables, shared, &facts);
+                        canShareL1i(cfg, w.plan, tables, plan_part, &facts);
                     const std::string what =
                         std::to_string(l1i.sizeBytes >> 10) + " KiB " +
                         std::to_string(l1i.assoc) + "-way, prefetch " +
@@ -820,16 +850,14 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 const size_t warm = static_cast<size_t>(
                     static_cast<double>(plan.eventCount()) * frac);
                 ASSERT_EQ(warm, f);
-                const LayoutTables data(plan, heap, layout::PageMap());
-                const SharedOutcomes shared =
-                    simulateShared(cfg, plan, &data, kShareAll);
-                ASSERT_EQ(shared.siteFirstEvent[plan.site[warm]], warm);
+                const PlanOutcomes plan_part = simulatePlan(cfg, plan);
+                const StreamOutcomes stream = simulateStream(
+                    cfg, plan, heap, layout::PageMap(), plan_part);
+                ASSERT_EQ(plan_part.siteFirstEvent[plan.site[warm]], warm);
                 const LayoutTables tables(plan, code, pages,
                                           cfg.hierarchy.l1i.lineBytes);
-                SharedPaths paths;
-                paths.l2Data = canShareL2Data(cfg, plan, tables, shared);
-                paths.btb = canShareBtb(cfg, plan, tables, shared);
-                paths.l1i = canShareL1i(cfg, plan, tables, shared);
+                const SharedPaths paths =
+                    choosePaths(cfg, plan, tables, plan_part, &stream);
                 ASSERT_TRUE(paths.l2Data) << what;
                 ASSERT_EQ(paths.l1i, shared_l1i) << what;
                 Machine fresh_machine(cfg);
@@ -851,7 +879,8 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 Machine machine(cfg);
                 RunResult fast;
                 const auto count = countersDuring([&] {
-                    fast = machine.replay(plan, tables, shared, paths);
+                    fast = machine.replay(plan, tables, plan_part, &stream,
+                                          paths);
                 });
                 expectSameResult(ref, fast,
                                  what + ", warmup event " +
@@ -957,20 +986,18 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
                     continue; // The warmup branch is predicted right.
                 found = true;
                 // As a LayoutEvaluator builds them: a randomized heap has
-                // no shared data parts.
-                const LayoutTables data(plan, heap, layout::PageMap());
-                const SharedOutcomes shared =
-                    random_heap
-                        ? simulateShared(cfg, plan, nullptr,
-                                         kShareBtb | kShareRas)
-                        : simulateShared(cfg, plan, &data, kShareAll);
+                // no shared data stream.
+                const PlanOutcomes plan_part = simulatePlan(cfg, plan);
+                std::optional<StreamOutcomes> stream;
+                if (!random_heap)
+                    stream = simulateStream(cfg, plan, heap,
+                                            layout::PageMap(), plan_part);
+                const StreamOutcomes *shared_stream =
+                    stream ? &*stream : nullptr;
                 LayoutTables tables(plan, code, pages,
                                     cfg.hierarchy.l1i.lineBytes);
-                SharedPaths paths;
-                paths.l2Data = canShareL2Data(cfg, plan, tables, shared);
-                paths.btb = canShareBtb(cfg, plan, tables, shared);
-                paths.l1i = paths.l2Data &&
-                            canShareL1i(cfg, plan, tables, shared);
+                const SharedPaths paths = choosePaths(
+                    cfg, plan, tables, plan_part, shared_stream);
                 ASSERT_EQ(paths.l2Data, row.l2Shared) << what;
                 ASSERT_EQ(paths.btb, row.btbShared) << what;
                 if (!paths.l2Data)
@@ -979,7 +1006,8 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
                 Machine machine(cfg);
                 RunResult fast;
                 const auto count = countersDuring([&] {
-                    fast = machine.replay(plan, tables, shared, paths);
+                    fast = machine.replay(plan, tables, plan_part,
+                                          shared_stream, paths);
                 });
                 expectSameResult(ref, fast,
                                  what + ", warmup event " +
@@ -1005,12 +1033,14 @@ TEST(ReplayGoldenDeathTest, SharedL1iPathNeedsTheSharedL2Path)
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
     const LayoutTables tables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
                               cfg.hierarchy.l1i.lineBytes);
-    const SharedOutcomes shared =
-        simulateShared(cfg, w.plan, &tables, kShareAll);
+    const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+    const StreamOutcomes stream =
+        simulateStream(cfg, w.plan, heap, tables.pages(), plan_part);
     Machine machine(cfg);
     SharedPaths l1i_only;
     l1i_only.l1i = true;
-    EXPECT_DEATH(machine.replay(w.plan, tables, shared, l1i_only),
+    EXPECT_DEATH(
+        machine.replay(w.plan, tables, plan_part, &stream, l1i_only),
                  "the shared L1I path needs the shared L2 data side");
 }
 
@@ -1021,15 +1051,16 @@ TEST(ReplayGoldenDeathTest, DatalessTablesNeedTheSharedL2Path)
     auto cfg = MachineConfig::xeonE5440();
     const Workload &w = workloads()[0];
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
-    const LayoutTables data(w.plan, heap, layout::PageMap());
-    const SharedOutcomes shared =
-        simulateShared(cfg, w.plan, &data, kShareAll);
+    const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+    const StreamOutcomes stream =
+        simulateStream(cfg, w.plan, heap, layout::PageMap(), plan_part);
     const LayoutTables code_only(w.plan, codeFor(w, 1), layout::PageMap(3),
                                  cfg.hierarchy.l1i.lineBytes);
     Machine machine(cfg);
     SharedPaths btb_only;
     btb_only.btb = true;
-    EXPECT_DEATH(machine.replay(w.plan, code_only, shared, btb_only),
+    EXPECT_DEATH(
+        machine.replay(w.plan, code_only, plan_part, &stream, btb_only),
                  "tables without data addresses");
 }
 
@@ -1044,10 +1075,9 @@ TEST(ReplayGoldenDeathTest, SharedOutcomesForAnotherStreamPanic)
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
     LayoutTables tables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
                         cfg.hierarchy.l1i.lineBytes);
-    const SharedOutcomes foreign =
-        simulateShared(cfg, other.plan, nullptr, kShareBtb | kShareRas);
+    const PlanOutcomes foreign = simulatePlan(cfg, other.plan);
     Machine machine(cfg);
-    EXPECT_DEATH(machine.replay(w.plan, tables, foreign),
+    EXPECT_DEATH(machine.replay(w.plan, tables, foreign, nullptr),
                  "shared outcomes cover");
 }
 
@@ -1110,11 +1140,12 @@ TEST(ReplayGoldenDeathTest, MismatchedL1dOutcomesPanic)
     layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
     LayoutTables tables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
                         cfg.hierarchy.l1i.lineBytes);
-    SharedOutcomes short_by_one =
-        simulateShared(cfg, w.plan, &tables, kShareAll);
+    const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+    StreamOutcomes short_by_one =
+        simulateStream(cfg, w.plan, heap, tables.pages(), plan_part);
     short_by_one.memCount -= 1;
     Machine machine(cfg);
-    EXPECT_DEATH(machine.replay(w.plan, tables, short_by_one),
+    EXPECT_DEATH(machine.replay(w.plan, tables, plan_part, &short_by_one),
                  "L1D outcomes cover");
 }
 

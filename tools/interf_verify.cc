@@ -105,12 +105,16 @@ struct ConflictSummary
     u32 overflowingSets = 0; ///< Worst layout.
     u32 maxPerSet = 0;       ///< Worst layout.
     u32 sharedLayouts = 0;   ///< Layouts whose proof holds.
+    /** Layouts whose proof could not run or found an aliasing it must
+     *  refuse (ConflictFacts::checked false). */
+    u32 uncheckedLayouts = 0;
 
-    void add(bool holds, const core::ConflictFacts &f)
+    void add(const core::ConflictFacts &f)
     {
         overflowingSets = std::max(overflowingSets, f.overflowingSets);
         maxPerSet = std::max(maxPerSet, f.maxPerSet);
-        sharedLayouts += holds;
+        sharedLayouts += f.holds();
+        uncheckedLayouts += !f.checked;
     }
 
     Json toJson(u32 ways, u32 layouts) const
@@ -120,6 +124,7 @@ struct ConflictSummary
         j.set("maxPerSet", maxPerSet);
         j.set("ways", ways);
         j.set("sharedLayouts", sharedLayouts);
+        j.set("uncheckedLayouts", uncheckedLayouts);
         j.set("proofHolds", sharedLayouts == layouts);
         return j;
     }
@@ -242,7 +247,7 @@ main(int argc, char **argv)
     if (!trace_path.empty())
         all.merge(verify::verifyTraceFile(trace_path, prog));
 
-    // Conflict facts, through the evaluator's own proofs: the fixed
+    // Conflict facts, through the evaluator's own choosePaths: the fixed
     // heap's data stream, recorded under the identity map so each
     // layout's page map places it. Only a machine and plan that
     // verified clean can be simulated.
@@ -251,11 +256,10 @@ main(int argc, char **argv)
     if (conflicts) {
         const layout::HeapLayout heap(prog,
                                       layout::HeapKey::deterministic());
-        const trace::LayoutTables data(plan, heap, layout::PageMap());
-        // The proofs read every part but the cycle sum.
-        const core::SharedOutcomes shared = core::simulateShared(
-            machine, plan, &data,
-            static_cast<u8>(core::kShareAll & ~core::kShareSum));
+        const core::PlanOutcomes plan_part =
+            core::simulatePlan(machine, plan);
+        const core::StreamOutcomes stream = core::simulateStream(
+            machine, plan, heap, layout::PageMap(), plan_part);
         for (i64 i = 0; i < layouts; ++i) {
             layout::LayoutKey key;
             key.seed = static_cast<u64>(i);
@@ -263,16 +267,12 @@ main(int argc, char **argv)
                 plan, linker.link(prog, key),
                 layout::PageMap(static_cast<u64>(i) + 1),
                 machine.hierarchy.l1i.lineBytes);
-            core::ConflictFacts f;
-            const bool l2 =
-                core::canShareL2Data(machine, plan, tables, shared, &f);
-            l2_facts.add(l2, f);
-            const bool btb =
-                core::canShareBtb(machine, plan, tables, shared, &f);
-            btb_facts.add(btb, f);
-            const bool l1i =
-                core::canShareL1i(machine, plan, tables, shared, &f);
-            l1i_facts.add(l1i, f);
+            core::PathFacts f;
+            core::choosePaths(machine, plan, tables, plan_part, &stream,
+                              &f);
+            l2_facts.add(f.l2);
+            btb_facts.add(f.btb);
+            l1i_facts.add(f.l1i);
         }
     }
 
@@ -378,10 +378,11 @@ main(int argc, char **argv)
                             u32 ways) {
                 std::printf("    %-4s %u overflowing sets, largest set "
                             "%u distinct / %u ways, shared on %u/%lld "
-                            "layouts\n",
+                            "layouts, %u unchecked\n",
                             name, c.overflowingSets, c.maxPerSet, ways,
                             c.sharedLayouts,
-                            static_cast<long long>(layouts));
+                            static_cast<long long>(layouts),
+                            c.uncheckedLayouts);
             };
             line("l2", l2_facts, machine.hierarchy.l2.assoc);
             line("btb", btb_facts, machine.btbWays);

@@ -13,11 +13,12 @@ Two kinds of hot region, configured in HOT_FILES below:
   * marker regions — `// lint:hot-begin ...` / `// lint:hot-end`
     comment pairs bracketing, in src/core/cyclesum.hh, the cycle sum's
     builder loop, the one event loop both of its forms run (DESIGN.md
-    §5u); in src/core/timing.cc, the per-layout form's level source,
-    the BTB pass loop, the fetch pass loop, the fetch step the fetch
-    pass and the per-layout form call, and the cycle sum's per-layout
-    BTB correction loop; in src/core/shared.cc, the L1D pass and the
-    shared form's level source. Their enclosing functions may do setup
+    §5u), and the BTB outcome's builder loop, which the plan part and
+    the BTB pass both run (§5v); in src/core/timing.cc, the per-layout
+    form's level source, the BTB pass's lookup, the fetch pass loop,
+    the fetch step the fetch pass and the per-layout form call, and the
+    cycle sum's per-layout BTB correction loop; in src/core/shared.cc,
+    the L1D pass and the shared form's level source. Their enclosing functions may do setup
     work (latency tables, allocation) before entering the loop. The
     per-branch paths of the Pin-style simulation (L-TAGE, PinSim) are
     marked too;
@@ -50,7 +51,8 @@ import sys
 # lint:hot-begin/end pair. The atomics rule applies to all of them.
 HOT_FILES = [
     {
-        # The cycle sum's builder: the one event loop of both forms.
+        # The cycle sum's and the BTB outcome's builders: the event
+        # loops the shared and per-layout forms share.
         "path": "src/core/cyclesum.hh",
         "markers": True,
         "functions": [],
