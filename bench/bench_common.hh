@@ -70,11 +70,11 @@ struct JsonRow
  * schemaVersion 2 added the version field itself and the "phases"
  * array — where the wall time went, per telemetry phase span, present
  * when telemetry was enabled for the run (--json implies it) and empty
- * otherwise. schemaVersion 3 added bench_micro_replay's batched-kernel
- * rows and schemaVersion 4 added "state_bytes_per_lane" and
- * "verify_rate" to every row. schemaVersion 5 retires the batched
- * kernel: its rows and "verify_rate" (the way-memo hit fraction) are
- * gone. "state_bytes_per_lane" stays — the microarchitectural hot
+ * otherwise. schemaVersion 3 added bench_micro_replay's rows for
+ * batched multi-layout replay and schemaVersion 4 added
+ * "state_bytes_per_lane" and "verify_rate" to every row. schemaVersion
+ * 5 retires batched replay: its rows and "verify_rate" (the way-memo
+ * hit fraction) are gone. "state_bytes_per_lane" stays — the microarchitectural hot
  * state one replay keeps (cache tag/stamp/generation arrays, predictor
  * tables, BTB, RAS; 0 for benches that are not replay rows).
  */

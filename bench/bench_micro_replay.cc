@@ -3,7 +3,8 @@
  * Replay micro-benchmark: events/sec and layouts/sec of the
  * four per-layout measurement paths, on bench_scaling_parallel's
  * workload (445.gobmk, 300k instructions, 40 layouts by default),
- * every layout under its own randomized PageMap:
+ * plus the optimizer's shape, every layout under its own randomized
+ * PageMap:
  *
  *   reference        link + heap + runReference() — the event-at-a-time
  *                    pre-plan path (what campaigns paid before the
@@ -22,13 +23,18 @@
  *                    holds (every layout on this workload), the layout
  *                    runs no event loop: its cycles are the cycle sum
  *                    over its predictor's pass on the branch stream
- *                    (§5t).
+ *                    (§5t);
+ *   optimize_gcc     plan_shared on the `optimize` benchmark's program
+ *                    and budget, 403.gcc at 1M instructions (300k with
+ *                    --smoke), whose layouts overflow L1I sets and take
+ *                    the per-set fetch (§5w). Its `paths ms` column is
+ *                    choosePaths()'s time per layout, the proofs alone.
  *
  * Each path's per-layout cost includes everything a campaign pays for
  * that layout (layout construction and proofs included; the shared
  * passes are inside the batch's time), so layouts/sec ratios are
  * end-to-end speedups. Rounds are interleaved across paths —
- * reference, plan, shared L1D, shared, repeat — and the per-path
+ * reference, plan, shared L1D, shared, gcc, repeat — and the per-path
  * minimum over rounds is reported, so machine-noise epochs hit all
  * paths alike rather than whichever ran last. Every replay path must
  * produce the reference model's cycle counts (the replay golden
@@ -64,16 +70,51 @@ namespace
 using namespace interf;
 using Clock = std::chrono::steady_clock;
 
-enum class Path : u32 { Reference, Plan, PlanSharedL1d, PlanShared };
+enum class Path : u32
+{
+    Reference,
+    Plan,
+    PlanSharedL1d,
+    PlanShared,
+    OptimizeGcc
+};
 
 const char *const kPathNames[] = {"reference", "plan", "plan_shared_l1d",
-                                  "plan_shared"};
+                                  "plan_shared", "optimize_gcc"};
 
 bool
 fixedHeap(Path path)
 {
-    return path == Path::PlanSharedL1d || path == Path::PlanShared;
+    return path != Path::Reference && path != Path::Plan;
 }
+
+/** Whether @p path picks its layouts' paths with choosePaths(). */
+bool
+choosesPaths(Path path)
+{
+    return path == Path::PlanShared || path == Path::OptimizeGcc;
+}
+
+/** One benchmark program and its trace, compiled. */
+struct Workload
+{
+    std::string name;
+    u64 budget; ///< Instructions asked of the trace generator.
+    trace::Program prog;
+    trace::Trace trace;
+    trace::ReplayPlan plan;
+
+    Workload(const std::string &bench, u64 instructions)
+        : name(bench),
+          budget(instructions),
+          prog(workloads::buildProgram(workloads::specFor(bench).profile)),
+          trace(trace::TraceGenerator(
+                    prog, workloads::specFor(bench).profile.behaviourSeed)
+                    .makeTrace(instructions)),
+          plan(prog, trace)
+    {
+    }
+};
 
 /** Layout @p i of the batch: code, heap and page map for @p path. */
 struct BenchLayout
@@ -96,14 +137,14 @@ layoutFor(Path path, const trace::Program &prog, size_t i)
 /** Sum of the reference model's cycles over the batch's layouts as
  *  @p path places them (untimed; the checksum each path must match). */
 u64
-referenceChecksum(Path path, u32 layouts, const trace::Program &prog,
-                  const trace::Trace &trace, const core::MachineConfig &cfg)
+referenceChecksum(Path path, u32 layouts, const Workload &w,
+                  const core::MachineConfig &cfg)
 {
     u64 sum = 0;
     core::Machine machine(cfg);
     for (size_t i = 0; i < layouts; ++i) {
-        BenchLayout l = layoutFor(path, prog, i);
-        sum += machine.runReference(prog, trace, l.code, l.heap, l.pages)
+        BenchLayout l = layoutFor(path, w.prog, i);
+        sum += machine.runReference(w.prog, w.trace, l.code, l.heap, l.pages)
                    .cycles;
     }
     return sum;
@@ -111,8 +152,9 @@ referenceChecksum(Path path, u32 layouts, const trace::Program &prog,
 
 struct PathTiming
 {
-    double wallMs = 0.0; ///< Best full-batch wall time over rounds.
-    u64 checksum = 0;    ///< Sum of per-layout cycle counts.
+    double wallMs = 0.0;  ///< Best full-batch wall time over rounds.
+    double pathsMs = 0.0; ///< choosePaths() time of that batch, summed.
+    u64 checksum = 0;     ///< Sum of per-layout cycle counts.
 };
 
 /**
@@ -122,11 +164,14 @@ struct PathTiming
  * checksum used for the reference-vs-plan identity check.
  */
 PathTiming
-runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
-         const trace::Program &prog, const trace::Trace &trace,
-         const trace::ReplayPlan &plan, const core::MachineConfig &cfg)
+runBatch(Path path, exec::ThreadPool &pool, u32 layouts, const Workload &w,
+         const core::MachineConfig &cfg)
 {
+    const trace::Program &prog = w.prog;
+    const trace::Trace &trace = w.trace;
+    const trace::ReplayPlan &plan = w.plan;
     std::vector<u64> cycles(layouts, 0);
+    std::vector<double> paths_ms(layouts, 0.0);
     auto start = Clock::now();
     // The shared paths pay their shared passes up front, serially, as a
     // campaign does before its fan-out.
@@ -151,12 +196,16 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
             if (path == Path::Reference) {
                 res = machine.runReference(prog, trace, l.code, l.heap,
                                            l.pages);
-            } else if (path == Path::PlanShared) {
+            } else if (choosesPaths(path)) {
                 // LayoutEvaluator::measureOne: tables without data
                 // addresses unless the L2 proof refuses.
                 trace::LayoutTables tables(plan, l.code, l.pages, line);
+                const auto paths_start = Clock::now();
                 const core::SharedPaths paths = core::choosePaths(
                     cfg, plan, tables, *plan_part, &*stream);
+                paths_ms[i] = std::chrono::duration<double, std::milli>(
+                                  Clock::now() - paths_start)
+                                  .count();
                 if (!paths.l2Data)
                     tables = trace::LayoutTables(plan, l.code, l.heap,
                                                  l.pages, line);
@@ -177,6 +226,8 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts,
     t.wallMs = std::chrono::duration<double, std::milli>(stop - start).count();
     for (u64 c : cycles)
         t.checksum += c;
+    for (double ms : paths_ms)
+        t.pathsMs += ms;
     return t;
 }
 
@@ -193,49 +244,57 @@ main(int argc, char **argv)
                 "interleaved measurement rounds per thread count; the "
                 "per-path minimum is reported");
     opts.addFlag("smoke",
-                 "CI scale: 6 layouts, 60k instructions, 2 rounds");
+                 "CI scale: 6 layouts, 60k instructions (gcc: 300k), "
+                 "2 rounds");
     opts.parse(argc, argv);
     bench::Scale scale = bench::readScale(opts);
     u32 rounds = static_cast<u32>(opts.getInt("rounds"));
     if (rounds < 1)
         fatal("--rounds must be >= 1");
+    // The optimizer's budget; at 300k gcc still overflows L1I sets.
+    u64 gcc_instructions = 1000000;
     if (opts.getFlag("smoke")) {
         scale.layouts = 6;
         scale.instructions = 60000;
+        gcc_instructions = 300000;
         rounds = 2;
     }
 
-    auto profile = workloads::specFor("445.gobmk").profile;
-    trace::Program prog = workloads::buildProgram(profile);
-    trace::Trace trace =
-        trace::TraceGenerator(prog, profile.behaviourSeed)
-            .makeTrace(scale.instructions);
-    trace::ReplayPlan plan(prog, trace);
+    const Workload gobmk("445.gobmk", scale.instructions);
+    const Workload gcc("403.gcc", gcc_instructions);
+    auto workload_of = [&](Path path) -> const Workload & {
+        return path == Path::OptimizeGcc ? gcc : gobmk;
+    };
     auto cfg = core::MachineConfig::xeonE5440();
     const u64 state_bytes = core::Machine(cfg).hotStateBytes();
 
-    std::printf("workload: 445.gobmk, %zu events, %llu instructions, "
-                "%u layouts, %u rounds\n",
-                plan.eventCount(),
-                static_cast<unsigned long long>(plan.instCount),
-                scale.layouts, rounds);
+    for (const Workload *w : {&gobmk, &gcc})
+        std::printf("workload: %s, %zu events, %llu instructions, "
+                    "%u layouts, %u rounds\n",
+                    w->name.c_str(), w->plan.eventCount(),
+                    static_cast<unsigned long long>(w->plan.instCount),
+                    scale.layouts, rounds);
     std::printf("machine state: %llu bytes (%.2f MiB) microarchitectural "
                 "state per replay\n\n",
                 static_cast<unsigned long long>(state_bytes),
                 static_cast<double>(state_bytes) / (1024.0 * 1024.0));
-    std::printf("%-16s %8s %14s %12s %14s\n", "path", "threads",
-                "ms/layout", "layouts/sec", "events/sec");
+    std::printf("%-16s %8s %14s %12s %14s %10s\n", "path", "threads",
+                "ms/layout", "layouts/sec", "events/sec", "paths ms");
 
     const Path paths[] = {Path::Reference, Path::Plan, Path::PlanSharedL1d,
-                          Path::PlanShared};
+                          Path::PlanShared, Path::OptimizeGcc};
     constexpr size_t kPaths = std::size(paths);
     std::vector<u32> threadAxis = {1};
     u32 hw = exec::ThreadPool::resolveJobs(scale.jobs);
     if (hw > 1)
         threadAxis.push_back(hw);
 
-    const u64 fixedHeapRefChecksum = referenceChecksum(
-        Path::PlanShared, scale.layouts, prog, trace, cfg);
+    // The fixed-heap paths replay another heap than the reference path.
+    std::vector<u64> fixed_heap_ref(kPaths, 0);
+    for (size_t pi = 0; pi < kPaths; ++pi)
+        if (fixedHeap(paths[pi]))
+            fixed_heap_ref[pi] = referenceChecksum(
+                paths[pi], scale.layouts, workload_of(paths[pi]), cfg);
     bench::JsonReport report;
     double refSingle = 0.0, planSingle = 0.0;
     for (u32 threads : threadAxis) {
@@ -243,43 +302,46 @@ main(int argc, char **argv)
         std::vector<PathTiming> best(kPaths);
         for (u32 round = 0; round < rounds; ++round) {
             for (size_t pi = 0; pi < kPaths; ++pi) {
-                PathTiming t =
-                    runBatch(paths[pi], pool, scale.layouts, prog, trace,
-                             plan, cfg);
-                if (round == 0 || t.wallMs < best[pi].wallMs)
+                PathTiming t = runBatch(paths[pi], pool, scale.layouts,
+                                        workload_of(paths[pi]), cfg);
+                if (round == 0 || t.wallMs < best[pi].wallMs) {
                     best[pi].wallMs = t.wallMs;
+                    best[pi].pathsMs = t.pathsMs;
+                }
                 best[pi].checksum = t.checksum;
             }
         }
         for (size_t pi = 1; pi < kPaths; ++pi) {
-            // The fixed-heap paths replay another heap than the
-            // reference path.
-            const u64 want = fixedHeap(paths[pi]) ? fixedHeapRefChecksum
+            const u64 want = fixedHeap(paths[pi]) ? fixed_heap_ref[pi]
                                                   : best[0].checksum;
             if (best[pi].checksum != want)
                 fatal("reference and %s paths disagree (checksum %llu vs "
-                      "%llu): the replay kernel broke bit-identity",
+                      "%llu): the replay broke bit-identity",
                       kPathNames[pi], static_cast<unsigned long long>(want),
                       static_cast<unsigned long long>(best[pi].checksum));
         }
         for (size_t pi = 0; pi < kPaths; ++pi) {
+            const Workload &w = workload_of(paths[pi]);
             double perLayoutMs = best[pi].wallMs / scale.layouts;
             double layoutsPerSec = 1000.0 / perLayoutMs;
             double eventsPerSec =
-                layoutsPerSec * static_cast<double>(plan.eventCount());
-            std::printf("%-16s %8u %14.3f %12.1f %14.3e\n",
+                layoutsPerSec * static_cast<double>(w.plan.eventCount());
+            const std::string paths_ms =
+                choosesPaths(paths[pi])
+                    ? strprintf("%.3f", best[pi].pathsMs / scale.layouts)
+                    : std::string("-");
+            std::printf("%-16s %8u %14.3f %12.1f %14.3e %10s\n",
                         kPathNames[pi], threads, perLayoutMs,
-                        layoutsPerSec, eventsPerSec);
+                        layoutsPerSec, eventsPerSec, paths_ms.c_str());
             if (threads == 1 && paths[pi] == Path::Reference)
                 refSingle = perLayoutMs;
             if (threads == 1 && paths[pi] == Path::Plan)
                 planSingle = perLayoutMs;
-            char config[128];
+            char config[160];
             std::snprintf(config, sizeof config,
                           "jobs=%u layouts=%u instructions=%llu rounds=%u",
                           threads, scale.layouts,
-                          static_cast<unsigned long long>(
-                              scale.instructions),
+                          static_cast<unsigned long long>(w.budget),
                           rounds);
             report.add({std::string("micro_replay/") + kPathNames[pi],
                         config, layoutsPerSec, eventsPerSec,

@@ -179,7 +179,7 @@ analyzeMachine(const core::MachineConfig &machine,
  * invariant. Campaign and FitnessOracle call this before any replay
  * state is built, so an unsound fleet config dies with a typed
  * explanation instead of asserting (Debug) or silently corrupting
- * victim choice (Release) deep inside the kernel.
+ * victim choice (Release) deep inside a replay.
  */
 void requireSoundMachine(const core::MachineConfig &machine,
                          const trace::ReplayPlan *plan,

@@ -13,7 +13,7 @@
  *
  * The representation is compact: tags are stored once as u32 (branch
  * PCs are text-segment addresses, far below 2^32 — installs assert
- * it), targets are u32 *tokens* the caller chooses (the replay kernel
+ * it), targets are u32 *tokens* the caller chooses (the BTB pass
  * stores plan site indices instead of 8-byte addresses; equality of
  * tokens is equality of targets because block addresses are injective
  * per layout), and recency is a u8 age per way against a u8 per-set
@@ -41,8 +41,8 @@ namespace interf::bpred
 {
 
 /** Result of a BTB lookup. The target is the u32 token the last
- *  update for this branch stored (a plan site index in the replay
- *  kernels; any caller-defined encoding elsewhere). */
+ *  update for this branch stored (a plan site index in the BTB pass;
+ *  any caller-defined encoding elsewhere). */
 struct BtbResult
 {
     bool hit = false;
@@ -68,8 +68,8 @@ class Btb
 
     /**
      * Look up the predicted target for a branch; no state change.
-     * Inlined (with SoA tag storage) for the replay kernel, which
-     * calls this once per taken branch.
+     * Inlined (with SoA tag storage) for the BTB pass, which calls
+     * this once per taken branch.
      */
     BtbResult lookup(Addr pc) const
     {

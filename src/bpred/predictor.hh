@@ -154,7 +154,7 @@ namespace counter2
  * Update a 2-bit counter toward taken/not-taken: +1 saturating at 3,
  * -1 saturating at 0. Written branchlessly (the compiler emits
  * conditional moves): the direction bit is the least predictable data
- * the replay kernel consumes, and a branch here mispredicts on the
+ * a replay consumes, and a branch here mispredicts on the
  * host about as often as the modeled counter itself is wrong.
  */
 inline u8

@@ -9,7 +9,7 @@
  * The model tracks hits and misses only (no data), which is all the
  * PMU observes.
  *
- * The replay kernel calls access() roughly once per trace event and
+ * A replay's passes call access() roughly once per trace event and
  * once per memory reference, so the lookup path is inlined here and
  * the ways are stored as parallel tag arrays (an invalid way holds the
  * kNoTag sentinel) rather than an array of line structs: a set's tags
@@ -23,7 +23,7 @@
  *  - LRU recency is a u32 stamp per way from one cache-wide clock,
  *    written and never read on the touch path. Narrower schemes were
  *    measured and lost: a u8 per-set age clock forms a store-forwarding
- *    chain through per-set bytes (~10-15% of the replay kernel on the
+ *    chain through per-set bytes (~10-15% of a replay's time on the
  *    L1s) and u16 stamps with a rank-renormalizing wrap lost ~5-9%.
  *    On the L2, u8 ages and stamps measured the same, so one
  *    representation serves every LRU cache (DESIGN.md §5m). reset()
@@ -213,7 +213,7 @@ class Cache
     /**
      * @{ Compacted-tag representation constants, public so the static
      * soundness analyzer (src/analyze) re-derives the invariants the
-     * kernel assumes from the same values the kernel uses.
+     * cache assumes from the same values the cache uses.
      *
      * kTagBits is the total stored tag width (the split u32 lo /
      * u16 hi pair). kNoTag is the invalid-way sentinel: all-ones in
@@ -298,8 +298,8 @@ class Cache
      * full tags are equal — so the hit way is a single ctz away with
      * no data-dependent load or branch. The per-way early-exit loop
      * this replaces paid one mispredict per lookup — the way holding a
-     * tag is effectively random — which dominated the replay kernel's
-     * cycle budget.
+     * tag is effectively random — which dominated the replay's cycle
+     * budget.
      */
     template <u32 kAssoc>
     u32 findWay(size_t base, Addr tag) const

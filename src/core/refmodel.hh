@@ -8,7 +8,7 @@
  * hot-path versions in cache/ and bpred/ moved to inlined SoA storage
  * with branchless tag scans. Keeping them separate serves two roles:
  *
- *  - tests/test_replay.cc checks the replay kernel against
+ *  - tests/test_replay.cc checks Machine::replay against
  *    runReference(), so the optimized structures are verified
  *    bit-for-bit against these independent, obviously-correct models
  *    rather than against themselves;
@@ -101,7 +101,7 @@ class RefHierarchy
 
 /** Result of a RefBtb lookup: full target address (the reference
  *  model stays address-tagged and address-valued; the optimized Btb
- *  stores u32 tokens instead, which the replay kernels prove
+ *  stores u32 tokens instead, which the replay proves
  *  equivalent through site-address injectivity). */
 struct RefBtbResult
 {

@@ -109,6 +109,18 @@ class SimulatedLevels
     const Addr *dataAddr_;
 };
 
+/** Add a fetch outcome, whichever form produced it, to the rest of a
+ *  replay's counters. */
+void
+addFetch(const FetchOutcome &fetch, RunResult &res)
+{
+    res.cycles += fetch.stallCycles;
+    res.l1iMisses += fetch.l1iMisses;
+    res.l2InstMisses += fetch.l2InstMisses;
+    res.l2PrefMisses += fetch.l2PrefMisses;
+    res.l2Misses += fetch.l2InstMisses + fetch.l2PrefMisses;
+}
+
 } // anonymous namespace
 
 double
@@ -136,7 +148,8 @@ Machine::Machine(const MachineConfig &config)
     : cfg_(config),
       hierarchy_(config.hierarchy),
       predictor_(bpred::makePredictor(config.predictorSpec)),
-      btb_(config.btbSets, config.btbWays)
+      btb_(config.btbSets, config.btbWays),
+      fetchScratch_(config.hierarchy.l1i)
 {
     cfg_.validate();
 }
@@ -383,14 +396,41 @@ u64
 Machine::hotStateBytes() const
 {
     return hierarchy_.hotStateBytes() + predictor_->stateBytes() +
-           btb_.hotStateBytes();
+           btb_.hotStateBytes() + fetchScratch_.l1i.hotStateBytes();
+}
+
+void
+Machine::begin(const trace::ReplayPlan &plan,
+               const trace::LayoutTables &tables)
+{
+    INTERF_ASSERT(tables.siteAddr.size() == plan.siteCount());
+    INTERF_ASSERT(!tables.hasData() ||
+                  tables.dataAddr.size() == plan.memCount());
+    if (tables.fetchLineBytes() != cfg_.hierarchy.l1i.lineBytes)
+        panic("tables carry fetch lines of %u B, the machine's L1I "
+              "line is %u B",
+              tables.fetchLineBytes(), cfg_.hierarchy.l1i.lineBytes);
+    INTERF_ASSERT(tables.siteLineStart.size() == plan.siteCount() + 1);
+    INTERF_TELEM_COUNT("replay.calls", 1);
+    INTERF_TELEM_COUNT("replay.events", plan.eventCount());
+    resetState();
 }
 
 RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables)
 {
-    return replay(plan, tables, simulatePlan(cfg_, plan), nullptr);
+    if (!tables.hasData())
+        panic("tables without data addresses replay only with a shared "
+              "L1D and L2 data side");
+    // Every structure is simulated: of the plan part, only the RAS
+    // verdicts are read.
+    const std::vector<u64> ras_miss = simulateRas(cfg_, plan);
+    const StreamOutcomes own_l1d = simulateL1d(cfg_, plan, tables);
+    begin(plan, tables);
+    INTERF_TELEM_COUNT("replay.btb_simulated", 1);
+    return ownSumReplay(plan, tables, own_l1d, ras_miss.data(),
+                        btbPass(plan, tables));
 }
 
 RunResult
@@ -404,11 +444,7 @@ Machine::replay(const trace::ReplayPlan &plan,
     if (!tables.hasData() && !(paths.l2Data && stream))
         panic("tables without data addresses replay only with a shared "
               "L1D and L2 data side");
-    INTERF_ASSERT(tables.siteAddr.size() == plan.siteCount());
-    INTERF_ASSERT(!tables.hasData() ||
-                  tables.dataAddr.size() == plan.memCount());
-    // No shared stream (a randomized heap, or the two-argument replay):
-    // this layout's own L1D pass.
+    // No shared stream (a randomized heap): this layout's own L1D pass.
     const StreamOutcomes own_l1d =
         stream ? StreamOutcomes() : simulateL1d(cfg_, plan, tables);
     const StreamOutcomes &data = stream ? *stream : own_l1d;
@@ -421,17 +457,11 @@ Machine::replay(const trace::ReplayPlan &plan,
     // An L2 line wider than a page leaves a stream no L2 part to share.
     if (paths.l2Data && !data.l2)
         panic("the shared L2 data side needs a stream with an L2 part");
-    // Fetch misses are first L2 touches only where no L2 set overflows.
+    // Fetch misses are first L2 touches or L2 hits only where no L2 set
+    // overflows.
     if (paths.l1i && !paths.l2Data)
         panic("the shared L1I path needs the shared L2 data side");
-    if (tables.fetchLineBytes() != cfg_.hierarchy.l1i.lineBytes)
-        panic("tables carry fetch lines of %u B, the machine's L1I "
-              "line is %u B",
-              tables.fetchLineBytes(), cfg_.hierarchy.l1i.lineBytes);
-    INTERF_ASSERT(tables.siteLineStart.size() == plan.siteCount() + 1);
-    INTERF_TELEM_COUNT("replay.calls", 1);
-    INTERF_TELEM_COUNT("replay.events", plan.eventCount());
-    resetState();
+    begin(plan, tables);
 
     // The BTB meets no other structure, so its per-layout form is a
     // pass of its own, and the sum reads an outcome either way.
@@ -442,36 +472,45 @@ Machine::replay(const trace::ReplayPlan &plan,
     const BtbOutcome &btb =
         paths.btb ? plan_part.btb : btbPass(plan, tables);
 
+    if (!paths.l2Data)
+        return ownSumReplay(plan, tables, data, plan_part.rasMissBits.data(),
+                            btb);
+    // A shared L2 data side leaves the hierarchy only fetches, which
+    // only ever add stalls to cycles, so their outcome adds on exactly;
+    // every other term is the stream's cycle sum's.
+    INTERF_TELEM_COUNT("replay.l2_shared", 1);
     FetchOutcome fetch;
-    RunResult res;
-    if (paths.l2Data) {
-        // A shared L2 data side leaves the hierarchy only fetches, which
-        // only ever add stalls to cycles, so their outcome adds on
-        // exactly; every other term is the stream's cycle sum's.
-        INTERF_TELEM_COUNT("replay.l2_shared", 1);
-        if (paths.l1i) {
-            INTERF_TELEM_COUNT("replay.l1i_shared", 1);
-            fetch = fetchFirstTouch(cfg_, plan, tables, plan_part);
-        } else {
-            INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-            fetch = fetchPass(plan, tables);
-        }
-        res = replaySum(plan, tables, data.l2->sum, plan_part.btb, btb);
+    if (paths.l1i) {
+        fetch = fetchPerSet(cfg_, plan, tables, plan_part, fetchScratch_);
     } else {
-        // A simulated L2 sees fetch and data misses interleaved: this
-        // layout builds its own sum, fetching in line.
-        INTERF_TELEM_COUNT("replay.l2_simulated", 1);
         INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-        CycleSum own;
-        fetch = simulatedSum(plan, tables, data,
-                             plan_part.rasMissBits.data(), btb, own);
-        res = replaySum(plan, tables, own, btb, btb);
+        fetch = fetchPass(plan, tables);
     }
-    res.cycles += fetch.stallCycles;
-    res.l1iMisses += fetch.l1iMisses;
-    res.l2InstMisses += fetch.l2InstMisses;
-    res.l2PrefMisses += fetch.l2PrefMisses;
-    res.l2Misses += fetch.l2InstMisses + fetch.l2PrefMisses;
+    RunResult res = replaySum(plan, tables, data.l2->sum, plan_part.btb, btb);
+    addFetch(fetch, res);
+    return res;
+}
+
+RunResult
+Machine::ownSumReplay(const trace::ReplayPlan &plan,
+                      const trace::LayoutTables &tables,
+                      const StreamOutcomes &stream, const u64 *ras_miss,
+                      const BtbOutcome &btb)
+{
+    // A simulated L2 sees fetch and data misses interleaved: this
+    // layout builds its own sum, fetching in line.
+    INTERF_TELEM_COUNT("replay.l2_simulated", 1);
+    INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
+    SimulatedLevels levels(hierarchy_, plan, tables, cfg_);
+    CycleSum own;
+    const Cycle stall =
+        buildSum(cfg_, plan, stream.hitBits.data(), ras_miss,
+                 btb.condMissBits.data(), levels, own);
+    const cache::HierarchyStats hs = hierarchy_.stats();
+    own.l1dMisses = stream.misses;
+    own.l2DataMisses = hs.l2DataMisses;
+    RunResult res = replaySum(plan, tables, own, btb, btb);
+    addFetch({stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses}, res);
     return res;
 }
 
@@ -571,22 +610,6 @@ Machine::fetchPass(const trace::ReplayPlan &plan,
     hierarchy_.clearStats();
     run_events(warmup_events, plan.eventCount());
     const cache::HierarchyStats hs = hierarchy_.stats();
-    return {stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses};
-}
-
-FetchOutcome
-Machine::simulatedSum(const trace::ReplayPlan &plan,
-                      const trace::LayoutTables &tables,
-                      const StreamOutcomes &stream, const u64 *ras_miss,
-                      const BtbOutcome &btb, CycleSum &own)
-{
-    SimulatedLevels levels(hierarchy_, plan, tables, cfg_);
-    const Cycle stall =
-        buildSum(cfg_, plan, stream.hitBits.data(), ras_miss,
-                 btb.condMissBits.data(), levels, own);
-    const cache::HierarchyStats hs = hierarchy_.stats();
-    own.l1dMisses = stream.misses;
-    own.l2DataMisses = hs.l2DataMisses;
     return {stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses};
 }
 

@@ -109,9 +109,10 @@ class Machine
                   const layout::PageMap &pages);
 
     /**
-     * Replay a compiled plan under one layout's address tables: the
-     * five-argument overload with this plan's plan part and no shared
-     * data stream, so it runs its own L1D pass over the tables, its BTB
+     * Replay a compiled plan under one layout's address tables with
+     * every structure simulated for this layout: the five-argument
+     * overload's per-layout forms. It builds the plan's RAS verdicts
+     * (simulateRas), runs its own L1D pass over the tables and its BTB
      * pass, and builds its own cycle sum with the L2 simulated.
      * Bit-identical to runReference() on the same (trace, layout) —
      * every counter and cycle count — which tests/test_replay.cc
@@ -145,9 +146,10 @@ class Machine
      *    layout builds its own cycle sum in one event loop that fetches
      *    in line and takes each L1D miss's level from the hierarchy
      *    (§5u), then runs the same pass over the branch stream.
-     *  - L1I fetch, where the L2 data side is shared: fetchFirstTouch()
-     *    over @p tables, or a fetch pass that simulates the L1I and the
-     *    L2's code side. The shared form needs the L2 data path
+     *  - L1I fetch, where the L2 data side is shared: fetchPerSet()
+     *    over @p tables, which simulates only the overflowing sets
+     *    (§5w), or a fetch pass that simulates the whole L1I and the
+     *    L2's code side. The per-set form needs the L2 data path
      *    (panics otherwise). Every fetch outcome, the in-line one
      *    included, is added to the cycle sum.
      *
@@ -178,8 +180,9 @@ class Machine
 
     /**
      * Microarchitectural hot-state bytes a replay keeps: the
-     * hierarchy's tag/stamp/generation arrays, the predictor's counter
-     * tables and the BTB — the state the compaction work budgets
+     * hierarchy's tag/stamp/generation arrays, the per-set fetch's L1I,
+     * the predictor's counter tables and the BTB — the state the
+     * compaction work budgets
      * (DESIGN.md §5j). bench_micro_replay reports it per row.
      */
     u64 hotStateBytes() const;
@@ -187,26 +190,32 @@ class Machine
   private:
     void resetState();
 
+    /** Check @p tables against @p plan and this machine's L1I line,
+     *  count the replay, and reset to power-on state. */
+    void begin(const trace::ReplayPlan &plan,
+               const trace::LayoutTables &tables);
+
+    /** The replay where the L2 is simulated: this layout's own cycle
+     *  sum, built in one event loop through hierarchy_ with the L1D
+     *  bits of @p stream, the RAS verdicts @p ras_miss, the BTB outcome
+     *  @p btb and the fetch in line, then replayed with its fetch
+     *  outcome, counted from the warmup event, added. */
+    RunResult ownSumReplay(const trace::ReplayPlan &plan,
+                           const trace::LayoutTables &tables,
+                           const StreamOutcomes &stream,
+                           const u64 *ras_miss, const BtbOutcome &btb);
+
     /** This layout's BTB outcome: btb_ over the plan's taken non-return
      *  branches, in event order, into btbOwn_. */
     const BtbOutcome &btbPass(const trace::ReplayPlan &plan,
                               const trace::LayoutTables &tables);
 
-    /** Simulate this layout's fetch stream alone through hierarchy_:
-     *  exact where nothing else reaches the L2 (a shared data side). */
+    /** Simulate this layout's fetch stream alone through hierarchy_,
+     *  every L1I set: exact where nothing else reaches the L2 (a shared
+     *  data side). Runs where fetchPerSet() cannot: L1I and L2 lines
+     *  differ. */
     FetchOutcome fetchPass(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables);
-
-    /** Build @p own, this layout's cycle sum with the L2 simulated:
-     *  one event loop through hierarchy_ with the L1D bits of
-     *  @p stream, the RAS verdicts @p ras_miss, the BTB outcome @p btb
-     *  and the fetch in line. Returns the fetch outcome, counted from
-     *  the warmup event. */
-    FetchOutcome simulatedSum(const trace::ReplayPlan &plan,
-                              const trace::LayoutTables &tables,
-                              const StreamOutcomes &stream,
-                              const u64 *ras_miss, const BtbOutcome &btb,
-                              CycleSum &own);
 
     /** Replay @p sum (a stream's or this layout's own) for this layout:
      *  the predictor over the branch stream, plus the charges of @p btb,
@@ -223,10 +232,12 @@ class Machine
     cache::MemoryHierarchy hierarchy_;
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
-    /** @{ The BTB pass's outcome, and a stream's sum with its charges
-     *  moved to it, reused across layouts. */
+    /** @{ The BTB pass's outcome, a stream's sum with its charges
+     *  moved to it, and the per-set fetch's buffers, reused across
+     *  layouts. */
     BtbOutcome btbOwn_;
     std::vector<CycleDelta> condDelta_;
+    FetchScratch fetchScratch_;
     /** @} */
 };
 

@@ -12,7 +12,7 @@
  *     count — tests/test_telemetry.cc proves this.
  *  2. **Zero cost when off.** Every recording call is gated on one
  *     relaxed atomic load (enabled()); the hot-path counters in the
- *     replay kernel and thread pool are additionally compile-time
+ *     replay passes and thread pool are additionally compile-time
  *     guarded (INTERF_TELEMETRY_HOTPATH, a CMake knob) so a build can
  *     strip them entirely.
  *
@@ -33,7 +33,7 @@
 #include "util/types.hh"
 
 /**
- * Compile-time guard for hot-path counters (replay kernel, thread
+ * Compile-time guard for hot-path counters (replay passes, thread
  * pool). Configure with -DINTERF_TELEMETRY_HOTPATH=OFF to compile them
  * out entirely; everything else in the telemetry layer stays available.
  */

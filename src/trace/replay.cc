@@ -135,7 +135,7 @@ ReplayPlan::ReplayPlan(const Program &prog, const Trace &trace)
     instCount = trace.instCount;
 
     // Trust boundary: everything downstream (layout tables, the replay
-    // kernel, the campaign cache key) assumes this plan restates the
+    // passes, the campaign cache key) assumes this plan restates the
     // trace exactly. Debug builds / INTERF_VERIFY=1 prove it here.
     if (verify::verifyOnTrust())
         verify::requireClean(verify::verifyPlan(prog, trace, *this),
@@ -167,7 +167,7 @@ LayoutTables::fillCode(const ReplayPlan &plan,
         branchAddr[s] = code.branchAddr(proc, block);
     }
 
-    // The replay kernel's BTB tags targets by plan site index where the
+    // The BTB pass tags targets by plan site index where the
     // reference model tags by target address (timing.cc), which agrees
     // only if no two target sites share a block address in this layout.
     // Blocks have nonzero size so a well-formed CodeLayout cannot alias
@@ -256,7 +256,7 @@ LayoutTables::buildLineTable(const ReplayPlan &plan, u32 fetch_line_bytes)
     // on where the layout put the block inside its first line, so the
     // table (counts included) is per layout. The page map is an
     // offset-preserving bijection, so two of these lines are equal iff
-    // their virtual lines are: the kernel dedups fetches on them.
+    // their virtual lines are: the fetch dedups on them.
     INTERF_ASSERT(std::has_single_bit(fetch_line_bytes));
     fetchLineBytes_ = fetch_line_bytes;
     const u64 line_mask = ~static_cast<u64>(fetch_line_bytes - 1);

@@ -13,7 +13,7 @@
  * branch flags, with every control-flow target resolved to a dense
  * *site* id (a global basic-block index).
  *
- * Per layout, the only state the replay kernel needs is a
+ * Per layout, the only state a replay needs is a
  * LayoutTables: flat address arrays filled from the CodeLayout
  * (`siteAddr`, `branchAddr`, and each site's fetch lines), plus a
  * data-address table materialized from the HeapLayout over the trace's
@@ -48,7 +48,7 @@ namespace interf::trace
  * A *site* is a static basic block, numbered densely proc-major:
  * site(proc, block) = procFirstSite[proc] + block. Every per-event
  * control-flow reference (branch target, call fall-through, return
- * successor) is pre-resolved to a site id, so the replay kernel never
+ * successor) is pre-resolved to a site id, so a replay never
  * touches the Program.
  *
  * Build once per campaign (next to the trace); immutable afterwards

@@ -17,7 +17,7 @@
  * Linker/PageMap constructors could never produce.
  *
  * checkSiteAddressInjectivity is the one check that branch-target
- * sites keep distinct addresses in a layout: the replay kernel's BTB
+ * sites keep distinct addresses in a layout: the replay's BTB
  * stores u32 site indices as target tokens, which agrees with the
  * address-tagged reference only under that property.
  * LayoutTables::fillCode runs it on every table it builds under

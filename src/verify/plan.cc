@@ -3,7 +3,7 @@
  * ReplayPlanVerifier: compiled replay plans checked structurally and
  * proven equivalent to their source (Program, Trace) pair.
  *
- * A ReplayPlan is the artifact the replay kernel trusts blindly — it
+ * A ReplayPlan is the artifact a replay trusts blindly — it
  * never touches the Program or Trace again — so a silently wrong plan
  * corrupts every sample of a campaign. Two layers:
  *

@@ -10,7 +10,7 @@
  * (Program -> Trace -> ReplayPlan -> Layout tables -> Store batches):
  * each pass re-derives an artifact's invariants independently of the
  * code that built it and reports violations as Diagnostics instead of
- * crashing deep inside the replay kernel hours later.
+ * crashing deep inside a replay hours later.
  *
  * Passes (each usable alone or through PassManager):
  *   - ProgramVerifier:    CFG well-formedness, file partition,
@@ -27,7 +27,7 @@
  *     the directory sweeps: orphan batches, stale temp files, foreign
  *     files — without fatal()ing on the first bad entry.
  *   - ConfigSoundness and PlanBounds (src/analyze): the machine
- *     passes, proving the replay kernel's compaction invariants for a
+ *     passes, proving the replay's compaction invariants for a
  *     MachineConfig (and a plan's LRU clock advance) before any replay.
  *
  * Where they run (see DESIGN.md §5f): trace::io load paths always;

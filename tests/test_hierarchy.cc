@@ -30,7 +30,7 @@ TEST(Hierarchy, DataMissFillsAllLevels)
 
 TEST(Hierarchy, BelowL1EntryNeverTouchesL1d)
 {
-    // The replay kernel's data entry: the L1D outcome comes from a
+    // A replay's data entry: the L1D outcome comes from a
     // separate pass, so this path must leave the L1D cold.
     MemoryHierarchy hier(smallHierarchy());
     EXPECT_EQ(hier.accessDataBelowL1(0x10000), HitLevel::Memory);

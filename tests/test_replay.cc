@@ -326,6 +326,13 @@ countersDuring(const std::function<void()> &body)
     };
 }
 
+/** How a replay takes its L1I fetch outcome, by the replay.* counter it
+ *  counts: from first touches alone (replay.l1i_shared), from first
+ *  touches with the overflowing sets simulated (replay.l1i_per_set), or
+ *  from a simulation of every set, the fetch pass's or the in-line
+ *  fetch of a sum with the L2 simulated (replay.l1i_simulated). */
+enum class Fetch { FirstTouch, PerSet, WholePass };
+
 /** A machine variant of the shared-path sweep and the paths its proofs
  *  must choose on every layout. */
 struct PathCase
@@ -334,7 +341,10 @@ struct PathCase
     MachineConfig cfg;
     bool l2Shared;
     bool btbShared;
-    bool l1iShared;
+    Fetch fetch;
+
+    /** choosePaths's L1I path: every fetch form but the whole pass. */
+    bool l1iPath() const { return fetch != Fetch::WholePass; }
 };
 
 std::vector<PathCase>
@@ -342,88 +352,107 @@ pathCases()
 {
     const MachineConfig xeon = MachineConfig::xeonE5440();
     std::vector<PathCase> cases;
-    cases.push_back({"default", xeon, true, true, true});
+    using enum Fetch;
+    cases.push_back({"default", xeon, true, true, FirstTouch});
     // The L1I path needs the L2 proof, so an overflowing L2 takes both
     // fallbacks.
-    PathCase small_l2{"64 KiB L2", xeon, false, true, false};
+    PathCase small_l2{"64 KiB L2", xeon, false, true, WholePass};
     small_l2.cfg.hierarchy.l2 = cache::CacheConfig{
         "L2", 64 << 10, 16, 64, cache::Replacement::Random};
     cases.push_back(small_l2);
-    PathCase small_btb{"64-set BTB", xeon, true, false, true};
+    PathCase small_btb{"64-set BTB", xeon, true, false, FirstTouch};
     small_btb.cfg.btbSets = 64;
     cases.push_back(small_btb);
-    PathCase small_ras{"2-entry RAS", xeon, true, true, true};
+    PathCase small_ras{"2-entry RAS", xeon, true, true, FirstTouch};
     small_ras.cfg.rasDepth = 2;
     cases.push_back(small_ras);
     // Line geometry: 128-byte L2 lines (32 per page) and 32-byte L1I
     // lines share the L2; 32-byte L2 lines under 64-byte L1D lines
     // cannot, because a first L2 touch need not miss the L1D. The L1I
     // path needs equal L1I and L2 lines, so all three fall back there.
-    PathCase wide_l2{"128 B L2 lines", xeon, true, true, false};
+    PathCase wide_l2{"128 B L2 lines", xeon, true, true, WholePass};
     wide_l2.cfg.hierarchy.l2.lineBytes = 128;
     cases.push_back(wide_l2);
-    PathCase narrow_l1i{"32 B L1I lines", xeon, true, true, false};
+    PathCase narrow_l1i{"32 B L1I lines", xeon, true, true, WholePass};
     narrow_l1i.cfg.hierarchy.l1i.lineBytes = 32;
     cases.push_back(narrow_l1i);
-    PathCase narrow_l2{"32 B L2 lines", xeon, false, true, false};
+    PathCase narrow_l2{"32 B L2 lines", xeon, false, true, WholePass};
     narrow_l2.cfg.hierarchy.l2.lineBytes = 32;
     cases.push_back(narrow_l2);
     // An L2 line wider than a page would straddle page-map moves, so the
     // data stream has no L2 part and the L2 proof cannot run.
-    PathCase page_wide_l2{"8 KiB L2 lines", xeon, false, true, false};
+    PathCase page_wide_l2{"8 KiB L2 lines", xeon, false, true, WholePass};
     page_wide_l2.cfg.hierarchy.l2.lineBytes = 8 << 10;
     cases.push_back(page_wide_l2);
-    // L1I geometry: a 4 KiB 2-way L1I overflows sets; without the
-    // prefetcher, and with random replacement where the lines fit, the
-    // first-touch outcome still holds.
-    PathCase tiny_l1i{"4 KiB 2-way L1I", xeon, true, true, false};
+    // L1I geometry: a 4 KiB 2-way L1I overflows some of its sets, which
+    // are simulated per set (DESIGN.md §5w), with LRU or random
+    // replacement: a Random L1I draws from its RNG only on an eviction,
+    // so only in those sets. Without the prefetcher, and with random
+    // replacement where the lines fit, the first-touch outcome holds
+    // alone.
+    PathCase tiny_l1i{"4 KiB 2-way L1I", xeon, true, true, PerSet};
     tiny_l1i.cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 4 << 10, 2, 64};
     cases.push_back(tiny_l1i);
-    PathCase no_prefetch{"no next-line prefetch", xeon, true, true, true};
+    PathCase no_prefetch{"no next-line prefetch", xeon, true, true,
+                         FirstTouch};
     no_prefetch.cfg.hierarchy.nextLinePrefetch = false;
     cases.push_back(no_prefetch);
-    PathCase random_l1i{"random L1I", xeon, true, true, true};
+    PathCase random_l1i{"random L1I", xeon, true, true, FirstTouch};
     random_l1i.cfg.hierarchy.l1i.replacement = cache::Replacement::Random;
     cases.push_back(random_l1i);
+    PathCase random_tiny_l1i{"random 4 KiB 2-way L1I", xeon, true, true,
+                             PerSet};
+    random_tiny_l1i.cfg.hierarchy.l1i = tiny_l1i.cfg.hierarchy.l1i;
+    random_tiny_l1i.cfg.hierarchy.l1i.replacement =
+        cache::Replacement::Random;
+    cases.push_back(random_tiny_l1i);
     // Both per-layout passes beside the shared sum, and the BTB pass
     // beside a sum of its own that simulates the L2 and fetches in line.
     PathCase btb_and_l1i{"64-set BTB + 4 KiB 2-way L1I", xeon, true, false,
-                         false};
+                         PerSet};
     btb_and_l1i.cfg.btbSets = small_btb.cfg.btbSets;
     btb_and_l1i.cfg.hierarchy.l1i = tiny_l1i.cfg.hierarchy.l1i;
     cases.push_back(btb_and_l1i);
     // The fetch dedup's reset after a redirect is visible only where a
     // line's next-line prefetch can land in its own set: there the
     // re-fetch decides which of the two is most recent. So a one-set
-    // L1I, beside the sum that simulates the L2 and fetches in line.
-    PathCase one_set{"fully associative L1I + 64 KiB L2", xeon, false,
-                     true, false};
+    // L1I, where the per-set form simulates the one set and the
+    // hierarchy's prefetch memo is disarmed, and the same L1I beside the
+    // sum that simulates the L2 and fetches in line.
+    PathCase one_set{"fully associative L1I", xeon, true, true, PerSet};
     one_set.cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 1 << 10, 16, 64};
-    one_set.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
     cases.push_back(one_set);
-    PathCase all_refuse{"every proof refuses", xeon, false, false, false};
+    PathCase one_set_l2{"fully associative L1I + 64 KiB L2", xeon, false,
+                        true, WholePass};
+    one_set_l2.cfg.hierarchy.l1i = one_set.cfg.hierarchy.l1i;
+    one_set_l2.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
+    cases.push_back(one_set_l2);
+    PathCase all_refuse{"every proof refuses", xeon, false, false,
+                        WholePass};
     all_refuse.cfg = btb_and_l1i.cfg;
     all_refuse.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
     cases.push_back(all_refuse);
     return cases;
 }
 
-/** The shared-path golden sweep (DESIGN.md §5p, §5r, §5s): outcomes
- *  built once per workload from the fixed heap's data stream under the
- *  identity map, then every layout replays with the paths its proofs
- *  allow, as a LayoutEvaluator does: from tables without data
+/** The shared-path golden sweep (DESIGN.md §5p, §5r, §5s, §5w):
+ *  outcomes built once per workload from the fixed heap's data stream
+ *  under the identity map, then every layout replays with the paths its
+ *  proofs allow, as a LayoutEvaluator does: from tables without data
  *  addresses when the L2 data side is shared, with them otherwise, and
- *  with the L1I's first-touch outcome where the L2 and L1I proofs both
- *  hold. The default machine shares the L2 data side, the BTB, the RAS
- *  and the L1I; a 64 KiB L2, a 64-set BTB and a 4 KiB L1I overflow
- *  sets and fall back to simulation (the BTB and fetch passes, or a
- *  cycle sum of the layout's own that simulates the L2), alone and
- *  together; a 2-entry RAS overflows on deep call chains. Every result
- *  equals the reference model on a fresh Machine, and the replay.*
- *  counters record the path each replay took: the shared cycle sum
+ *  with the L1I's per-set outcome where the L2 proof holds and the L1I
+ *  and L2 lines are equal. The default machine shares the L2 data side,
+ *  the BTB, the RAS and the L1I; a 64 KiB L2 and a 64-set BTB overflow
+ *  sets and fall back to simulation (the BTB pass, or a cycle sum of
+ *  the layout's own that simulates the L2), alone and together; a 4 KiB
+ *  L1I, LRU or Random, overflows some of its sets and a one-set L1I its
+ *  one set, which the per-set form simulates; a 2-entry RAS overflows
+ *  on deep call chains. Every result equals the reference model on a
+ *  fresh Machine, and the replay.* counters record the path each
+ *  replay took: the shared cycle sum
  *  wherever the L2 data side is shared (DESIGN.md §5t), the 64-set BTB
- *  rows with this layout's BTB bits, and the layout's own sum where the
- *  L2 is simulated (§5u). */
+ *  rows with this layout's BTB bits, the layout's own sum where the L2
+ *  is simulated (§5u), and the fetch form the row names. */
 TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
 {
     const layout::HeapKey fixed = layout::HeapKey::deterministic();
@@ -431,6 +460,7 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
         const MachineConfig &cfg = pc.cfg;
         u64 replays = 0;
         Count ras_mispredicts = 0;
+        u32 partial_overflows = 0; // Layouts with some sets overflowing.
         const auto count = countersDuring([&] {
             for (size_t wi = 0; wi < workloads().size(); ++wi) {
                 const Workload &w = workloads()[wi];
@@ -455,7 +485,12 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                             cfg, w.plan, tables, plan_part, &stream);
                         EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
                         EXPECT_EQ(paths.btb, pc.btbShared) << what;
-                        EXPECT_EQ(paths.l1i, pc.l1iShared) << what;
+                        EXPECT_EQ(paths.l1i, pc.l1iPath()) << what;
+                        ConflictFacts l1i;
+                        canShareL1i(cfg, w.plan, tables, plan_part, &l1i);
+                        partial_overflows +=
+                            l1i.overflowingSets > 0 &&
+                            l1i.overflowingSets < cfg.hierarchy.l1i.numSets();
                         if (!paths.l2Data)
                             tables = LayoutTables(w.plan, code, heap, pages,
                                                   cfg.hierarchy.l1i.lineBytes);
@@ -482,11 +517,19 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
             << pc.name;
         EXPECT_EQ(count("replay.btb_simulated"), pc.btbShared ? 0 : replays)
             << pc.name;
-        EXPECT_EQ(count("replay.l1i_shared"), pc.l1iShared ? replays : 0)
+        auto replays_if = [&](Fetch f) { return pc.fetch == f ? replays : 0; };
+        EXPECT_EQ(count("replay.l1i_shared"), replays_if(Fetch::FirstTouch))
             << pc.name;
-        EXPECT_EQ(count("replay.l1i_simulated"), pc.l1iShared ? 0 : replays)
+        EXPECT_EQ(count("replay.l1i_per_set"), replays_if(Fetch::PerSet))
+            << pc.name;
+        EXPECT_EQ(count("replay.l1i_simulated"), replays_if(Fetch::WholePass))
             << pc.name;
         EXPECT_GT(ras_mispredicts, 0u) << pc.name;
+        // A multi-set L1I on the per-set path overflows some of its sets
+        // and not others: the two forms meet in one outcome.
+        if (pc.fetch == Fetch::PerSet && cfg.hierarchy.l1i.numSets() > 1) {
+            EXPECT_GT(partial_overflows, 0u) << pc.name;
+        }
     }
 }
 
@@ -540,9 +583,8 @@ TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
  *  shared outcome anyway gives a wrong result on at least one
  *  workload. The L2 and BTB paths are forced by themselves. The L1I
  *  path is forced in a run of its own, with the L2 path it needs,
- *  where the L2 proof holds but the L1I proof refuses: an overflowing
- *  L1I set shows in the demand misses, L1I and L2 lines of different
- *  sizes in the L2 verdicts of fetches and prefetches. (Where the L2
+ *  where the L2 proof holds but the L1I and L2 lines differ, which
+ *  shows in the L2 verdicts of fetches and prefetches. (Where the L2
  *  proof refuses, the L1I path is never taken.) An L2 line wider than
  *  a page leaves the stream no L2 part: no L2 outcome to force. */
 TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
@@ -552,7 +594,9 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
                              (Addr{1} << layout::PageMap::pageBits);
         const bool l2_refused = !pc.l2Shared && l2_part;
         const bool l2_or_btb_refused = l2_refused || !pc.btbShared;
-        const bool l1i_refused = pc.l2Shared && !pc.l1iShared;
+        const bool l1i_refused =
+            pc.l2Shared && !pc.l1iPath() &&
+            pc.cfg.hierarchy.l1i.lineBytes != pc.cfg.hierarchy.l2.lineBytes;
         if (!l2_or_btb_refused && !l1i_refused)
             continue;
         const MachineConfig &cfg = pc.cfg;
@@ -595,7 +639,7 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
         }
         if (l1i_refused) {
             EXPECT_GT(l1i_differing, 0u)
-                << pc.name << ": the L1I proof guards nothing on these "
+                << pc.name << ": the L1I line check guards nothing on these "
                               "workloads";
         }
     }
@@ -800,8 +844,10 @@ TEST(ReplayGolden, L1iProofCountsPhysicalLinesAndSuccessors)
  *  warmup there than one event later): a line's first demand falls on
  *  the boundary. On a layout where the L2 and L1I proofs hold, the
  *  first-touch replay equals the reference there; on a 4 KiB 2-way
- *  L1I, where the L1I proof refuses and the fetch pass runs, so does
- *  the pass, whose boundary event also costs a demand-miss stall. */
+ *  L1I, which overflows sets, so does the per-set replay, which
+ *  simulates the hot events before the warmup event and counts from
+ *  it, and, with 32-byte L1I lines, the fetch pass, whose boundary
+ *  event also costs a demand-miss stall. */
 TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
 {
     const auto &profile = workloads::specFor("400.perlbench").profile;
@@ -824,15 +870,19 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
         layout::Linker().link(prog, layout::LayoutKey{1, true, true});
     const layout::HeapLayout heap(prog, layout::HeapKey::deterministic());
     const layout::PageMap pages(5);
-    for (bool shared_l1i : {true, false}) {
+    for (Fetch fetch : {Fetch::FirstTouch, Fetch::PerSet, Fetch::WholePass}) {
         for (double frac : {0.0, 0.5}) {
             auto cfg = MachineConfig::xeonE5440();
-            if (!shared_l1i)
+            if (fetch == Fetch::PerSet)
                 cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 4 << 10, 2, 64};
+            if (fetch == Fetch::WholePass)
+                cfg.hierarchy.l1i.lineBytes = 32;
             cfg.warmupFraction = frac;
-            const std::string what = std::string(shared_l1i ? "first touch"
-                                                            : "fetch pass") +
-                                     ", warmup " + std::to_string(frac);
+            const std::string what =
+                std::string(fetch == Fetch::FirstTouch ? "first touch"
+                            : fetch == Fetch::PerSet   ? "per set"
+                                                       : "fetch pass") +
+                ", warmup " + std::to_string(frac);
             bool found = false;
             for (size_t f : frac == 0.0 ? std::vector<size_t>{0} : fresh) {
                 // The first 2f events (all of them at fraction 0), so that
@@ -859,7 +909,7 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 const SharedPaths paths =
                     choosePaths(cfg, plan, tables, plan_part, &stream);
                 ASSERT_TRUE(paths.l2Data) << what;
-                ASSERT_EQ(paths.l1i, shared_l1i) << what;
+                ASSERT_EQ(paths.l1i, fetch != Fetch::WholePass) << what;
                 Machine fresh_machine(cfg);
                 const RunResult ref =
                     fresh_machine.runReference(prog, cut, code, heap, pages);
@@ -869,10 +919,12 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 Machine later_machine(later);
                 const RunResult ref_later =
                     later_machine.runReference(prog, cut, code, heap, pages);
-                // The fetch pass also owes event f's stall: a demand miss.
+                // The simulated forms also owe event f's stall: a demand
+                // miss.
                 const bool boundary_misses =
                     ref.l1iMisses != ref_later.l1iMisses ||
-                    (shared_l1i && ref.l2PrefMisses != ref_later.l2PrefMisses);
+                    (fetch == Fetch::FirstTouch &&
+                     ref.l2PrefMisses != ref_later.l2PrefMisses);
                 if (!boundary_misses)
                     continue; // Every line of event f arrived earlier.
                 found = true;
@@ -885,7 +937,14 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 expectSameResult(ref, fast,
                                  what + ", warmup event " +
                                      std::to_string(warm));
-                EXPECT_EQ(count("replay.l1i_shared"), shared_l1i ? 1u : 0u)
+                EXPECT_EQ(count("replay.l1i_shared"),
+                          fetch == Fetch::FirstTouch ? 1u : 0u)
+                    << what;
+                EXPECT_EQ(count("replay.l1i_per_set"),
+                          fetch == Fetch::PerSet ? 1u : 0u)
+                    << what;
+                EXPECT_EQ(count("replay.l1i_simulated"),
+                          fetch == Fetch::WholePass ? 1u : 0u)
                     << what;
                 break;
             }

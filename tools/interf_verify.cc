@@ -13,7 +13,10 @@
  * under the fixed heap: overflowing sets, the largest per-set distinct
  * count and whether the sharing proofs of DESIGN.md §5p and §5r hold
  * (facts, not diagnostics: a refused proof only means the replay
- * simulates that structure). The exit code is the verdict:
+ * simulates that structure), and for the L1I the share of events whose
+ * fetch reaches an overflowing set on the worst layout that takes the
+ * per-set fetch, the events it simulates (§5w). The exit code is the
+ * verdict:
  *
  *   0  everything verified clean (warnings allowed unless --strict);
  *   1  at least one error diagnostic (--strict: any diagnostic);
@@ -252,6 +255,9 @@ main(int argc, char **argv)
     // layout's page map places it. Only a machine and plan that
     // verified clean can be simulated.
     ConflictSummary l2_facts, btb_facts, l1i_facts;
+    // The share of events the per-set fetch simulates, on the worst
+    // layout that takes it.
+    double overflow_event_share = 0.0;
     const bool conflicts = layouts > 0 && arts.plan && all.ok();
     if (conflicts) {
         const layout::HeapLayout heap(prog,
@@ -268,11 +274,16 @@ main(int argc, char **argv)
                 layout::PageMap(static_cast<u64>(i) + 1),
                 machine.hierarchy.l1i.lineBytes);
             core::PathFacts f;
-            core::choosePaths(machine, plan, tables, plan_part, &stream,
-                              &f);
+            const core::SharedPaths paths = core::choosePaths(
+                machine, plan, tables, plan_part, &stream, &f);
             l2_facts.add(f.l2);
             btb_facts.add(f.btb);
             l1i_facts.add(f.l1i);
+            if (paths.l1i)
+                overflow_event_share =
+                    std::max(overflow_event_share,
+                             static_cast<double>(f.l1i.hotEvents) /
+                                 static_cast<double>(plan.eventCount()));
         }
     }
 
@@ -325,8 +336,10 @@ main(int argc, char **argv)
                                          static_cast<u32>(layouts)));
             jc.set("btb", btb_facts.toJson(machine.btbWays,
                                            static_cast<u32>(layouts)));
-            jc.set("l1i", l1i_facts.toJson(machine.hierarchy.l1i.assoc,
-                                           static_cast<u32>(layouts)));
+            Json jl1i = l1i_facts.toJson(machine.hierarchy.l1i.assoc,
+                                         static_cast<u32>(layouts));
+            jl1i.set("overflowEventShare", overflow_event_share);
+            jc.set("l1i", std::move(jl1i));
             report.set("conflicts", std::move(jc));
         }
         Json jr;
@@ -387,6 +400,9 @@ main(int argc, char **argv)
             line("l2", l2_facts, machine.hierarchy.l2.assoc);
             line("btb", btb_facts, machine.btbWays);
             line("l1i", l1i_facts, machine.hierarchy.l1i.assoc);
+            std::printf("         overflowing sets reach %.1f%% of events "
+                        "on the worst per-set layout\n",
+                        100.0 * overflow_event_share);
         }
         all.printText(stdout);
     }

@@ -18,7 +18,9 @@ Two kinds of hot region, configured in HOT_FILES below:
     form's level source, the BTB pass's lookup, the fetch pass loop,
     the fetch step the fetch pass and the per-layout form call, and the
     cycle sum's per-layout BTB correction loop; in src/core/shared.cc,
-    the L1D pass and the shared form's level source. Their enclosing functions may do setup
+    the L1D pass, the shared form's level source and the per-set fetch
+    loop over the events that reach an overflowing L1I set (§5w). Their
+    enclosing functions may do setup
     work (latency tables, allocation) before entering the loop. The
     per-branch paths of the Pin-style simulation (L-TAGE, PinSim) are
     marked too;
@@ -64,7 +66,8 @@ HOT_FILES = [
     },
     {
         # The shared passes run once per campaign; only the L1D pass
-        # loop and the shared form's level source are marked hot.
+        # loop, the shared form's level source and the per-set fetch
+        # loop, which runs per layout, are marked hot.
         "path": "src/core/shared.cc",
         "markers": True,
         "functions": [],
