@@ -28,19 +28,30 @@
  *                    and budget, 403.gcc at 1M instructions (300k with
  *                    --smoke), whose layouts overflow L1I sets and take
  *                    the per-set fetch (§5w). Its `paths ms` column is
- *                    choosePaths()'s time per layout, the proofs alone.
+ *                    choosePaths()'s time per layout, the proofs alone;
+ *   own_stream       plan's layouts (randomized heap) as a
+ *                    LayoutEvaluator replays them: each builds its own
+ *                    data stream, proves its own L2 and, where the proof
+ *                    holds (every layout on this workload), takes the
+ *                    shared paths with its own cycle sum
+ *                    (Machine::replayOwnStream, §5x);
+ *   own_stream_mcf   own_stream on 429.mcf at 1M instructions (300k
+ *                    with --smoke), whose data lines overflow L2 sets
+ *                    at 1M: the proof refuses, and the layout builds its
+ *                    sum with the L2 simulated, as plan does.
  *
  * Each path's per-layout cost includes everything a campaign pays for
  * that layout (layout construction and proofs included; the shared
  * passes are inside the batch's time), so layouts/sec ratios are
  * end-to-end speedups. Rounds are interleaved across paths —
- * reference, plan, shared L1D, shared, gcc, repeat — and the per-path
+ * reference, plan, shared L1D, shared, gcc, own stream, mcf, repeat —
+ * and the per-path
  * minimum over rounds is reported, so machine-noise epochs hit all
  * paths alike rather than whichever ran last. Every replay path must
  * produce the reference model's cycle counts (the replay golden
- * contract) — the fixed-heap paths against a fixed-heap reference run
- * — and the bench checks that, making the CI smoke run a correctness
- * probe too.
+ * contract) — each path on another heap or workload than the reference
+ * path against a reference run of its own layouts — and the bench
+ * checks that, making the CI smoke run a correctness probe too.
  *
  * --json writes the standard machine-readable report; --smoke shrinks
  * the scale for CI.
@@ -76,16 +87,30 @@ enum class Path : u32
     Plan,
     PlanSharedL1d,
     PlanShared,
-    OptimizeGcc
+    OptimizeGcc,
+    OwnStream,
+    OwnStreamMcf
 };
 
-const char *const kPathNames[] = {"reference", "plan", "plan_shared_l1d",
-                                  "plan_shared", "optimize_gcc"};
+const char *const kPathNames[] = {"reference",       "plan",
+                                  "plan_shared_l1d", "plan_shared",
+                                  "optimize_gcc",    "own_stream",
+                                  "own_stream_mcf"};
 
 bool
 fixedHeap(Path path)
 {
-    return path != Path::Reference && path != Path::Plan;
+    return path == Path::PlanSharedL1d || path == Path::PlanShared ||
+           path == Path::OptimizeGcc;
+}
+
+/** Whether @p path replays the reference path's layouts: gobmk with a
+ *  randomized heap. */
+bool
+referenceLayouts(Path path)
+{
+    return path == Path::Reference || path == Path::Plan ||
+           path == Path::OwnStream;
 }
 
 /** Whether @p path picks its layouts' paths with choosePaths(). */
@@ -178,9 +203,10 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts, const Workload &w,
     const u32 line = cfg.hierarchy.l1i.lineBytes;
     std::optional<core::PlanOutcomes> plan_part;
     std::optional<core::StreamOutcomes> stream;
+    if (path != Path::Reference && path != Path::Plan && layouts > 0)
+        plan_part = core::simulatePlan(cfg, plan);
     if (fixedHeap(path) && layouts > 0) {
         BenchLayout l = layoutFor(path, prog, 0);
-        plan_part = core::simulatePlan(cfg, plan);
         if (path == Path::PlanSharedL1d)
             stream = core::simulateL1d(
                 cfg, plan, trace::LayoutTables(plan, l.heap, l.pages));
@@ -196,26 +222,32 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts, const Workload &w,
             if (path == Path::Reference) {
                 res = machine.runReference(prog, trace, l.code, l.heap,
                                            l.pages);
+            } else if (path == Path::OwnStream ||
+                       path == Path::OwnStreamMcf) {
+                // LayoutEvaluator::measureOne with no shared stream.
+                trace::LayoutTables tables(plan, l.code, l.heap, l.pages,
+                                           line);
+                res = machine.replayOwnStream(plan, tables, *plan_part);
             } else if (choosesPaths(path)) {
                 // LayoutEvaluator::measureOne: tables without data
                 // addresses unless the L2 proof refuses.
                 trace::LayoutTables tables(plan, l.code, l.pages, line);
                 const auto paths_start = Clock::now();
                 const core::SharedPaths paths = core::choosePaths(
-                    cfg, plan, tables, *plan_part, &*stream);
+                    cfg, plan, tables, *plan_part, *stream);
                 paths_ms[i] = std::chrono::duration<double, std::milli>(
                                   Clock::now() - paths_start)
                                   .count();
                 if (!paths.l2Data)
                     tables = trace::LayoutTables(plan, l.code, l.heap,
                                                  l.pages, line);
-                res = machine.replay(plan, tables, *plan_part, &*stream,
+                res = machine.replay(plan, tables, *plan_part, *stream,
                                      paths);
             } else {
                 trace::LayoutTables tables(plan, l.code, l.heap, l.pages,
                                            line);
                 res = stream ? machine.replay(plan, tables, *plan_part,
-                                              &*stream)
+                                              *stream)
                              : machine.replay(plan, tables);
             }
             cycles[i] = res.cycles;
@@ -244,31 +276,37 @@ main(int argc, char **argv)
                 "interleaved measurement rounds per thread count; the "
                 "per-path minimum is reported");
     opts.addFlag("smoke",
-                 "CI scale: 6 layouts, 60k instructions (gcc: 300k), "
-                 "2 rounds");
+                 "CI scale: 6 layouts, 60k instructions (gcc, mcf: "
+                 "300k), 2 rounds");
     opts.parse(argc, argv);
     bench::Scale scale = bench::readScale(opts);
     u32 rounds = static_cast<u32>(opts.getInt("rounds"));
     if (rounds < 1)
         fatal("--rounds must be >= 1");
-    // The optimizer's budget; at 300k gcc still overflows L1I sets.
+    // The optimizer's budget; at 300k gcc still overflows L1I sets. At
+    // 1M, mcf's data lines overflow L2 sets on every layout.
     u64 gcc_instructions = 1000000;
+    u64 mcf_instructions = 1000000;
     if (opts.getFlag("smoke")) {
         scale.layouts = 6;
         scale.instructions = 60000;
         gcc_instructions = 300000;
+        mcf_instructions = 300000;
         rounds = 2;
     }
 
     const Workload gobmk("445.gobmk", scale.instructions);
     const Workload gcc("403.gcc", gcc_instructions);
+    const Workload mcf("429.mcf", mcf_instructions);
     auto workload_of = [&](Path path) -> const Workload & {
-        return path == Path::OptimizeGcc ? gcc : gobmk;
+        return path == Path::OptimizeGcc    ? gcc
+               : path == Path::OwnStreamMcf ? mcf
+                                            : gobmk;
     };
     auto cfg = core::MachineConfig::xeonE5440();
     const u64 state_bytes = core::Machine(cfg).hotStateBytes();
 
-    for (const Workload *w : {&gobmk, &gcc})
+    for (const Workload *w : {&gobmk, &gcc, &mcf})
         std::printf("workload: %s, %zu events, %llu instructions, "
                     "%u layouts, %u rounds\n",
                     w->name.c_str(), w->plan.eventCount(),
@@ -281,19 +319,21 @@ main(int argc, char **argv)
     std::printf("%-16s %8s %14s %12s %14s %10s\n", "path", "threads",
                 "ms/layout", "layouts/sec", "events/sec", "paths ms");
 
-    const Path paths[] = {Path::Reference, Path::Plan, Path::PlanSharedL1d,
-                          Path::PlanShared, Path::OptimizeGcc};
+    const Path paths[] = {Path::Reference,    Path::Plan,
+                          Path::PlanSharedL1d, Path::PlanShared,
+                          Path::OptimizeGcc,   Path::OwnStream,
+                          Path::OwnStreamMcf};
     constexpr size_t kPaths = std::size(paths);
     std::vector<u32> threadAxis = {1};
     u32 hw = exec::ThreadPool::resolveJobs(scale.jobs);
     if (hw > 1)
         threadAxis.push_back(hw);
 
-    // The fixed-heap paths replay another heap than the reference path.
-    std::vector<u64> fixed_heap_ref(kPaths, 0);
+    // Paths on another heap or workload than the reference path.
+    std::vector<u64> own_ref(kPaths, 0);
     for (size_t pi = 0; pi < kPaths; ++pi)
-        if (fixedHeap(paths[pi]))
-            fixed_heap_ref[pi] = referenceChecksum(
+        if (!referenceLayouts(paths[pi]))
+            own_ref[pi] = referenceChecksum(
                 paths[pi], scale.layouts, workload_of(paths[pi]), cfg);
     bench::JsonReport report;
     double refSingle = 0.0, planSingle = 0.0;
@@ -312,8 +352,8 @@ main(int argc, char **argv)
             }
         }
         for (size_t pi = 1; pi < kPaths; ++pi) {
-            const u64 want = fixedHeap(paths[pi]) ? fixed_heap_ref[pi]
-                                                  : best[0].checksum;
+            const u64 want = referenceLayouts(paths[pi]) ? best[0].checksum
+                                                         : own_ref[pi];
             if (best[pi].checksum != want)
                 fatal("reference and %s paths disagree (checksum %llu vs "
                       "%llu): the replay broke bit-identity",

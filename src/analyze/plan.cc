@@ -89,7 +89,8 @@ class PlanBounds : public verify::Pass
                                    sink);
 
         // u32 index widths. Site ids share their space with the
-        // kNoSite sentinel; memory ranks index the universe table.
+        // kNoSite sentinel; memory ranks index the universe table and
+        // first positions the stream.
         if (plan.siteCount() >=
             static_cast<size_t>(trace::ReplayPlan::kNoSite)) {
             sink.error(EntityKind::Site, plan.siteCount() - 1,
@@ -103,6 +104,12 @@ class PlanBounds : public verify::Pass
                        strprintf("%zu distinct memory ids exceed the "
                                  "u32 memRank width",
                                  plan.memUniverse.size()));
+        }
+        if (plan.memCount() > static_cast<size_t>(~u32{0}) + 1) {
+            sink.error(EntityKind::MemAccess, plan.memCount() - 1,
+                       strprintf("%zu memory accesses exceed the u32 "
+                                 "memFirst width",
+                                 plan.memCount()));
         }
     }
 };

@@ -36,11 +36,22 @@ Measurement
 MeasurementRunner::measure(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables,
                            const PlanOutcomes &plan_part,
-                           const StreamOutcomes *stream, SharedPaths paths,
+                           const StreamOutcomes &stream, SharedPaths paths,
                            u64 noise_seed)
 {
     INTERF_SPAN("runner.measure");
     return protocol(machine_.replay(plan, tables, plan_part, stream, paths),
+                    noise_seed)
+        .sample;
+}
+
+Measurement
+MeasurementRunner::measure(const trace::ReplayPlan &plan,
+                           const trace::LayoutTables &tables,
+                           const PlanOutcomes &plan_part, u64 noise_seed)
+{
+    INTERF_SPAN("runner.measure");
+    return protocol(machine_.replayOwnStream(plan, tables, plan_part),
                     noise_seed)
         .sample;
 }

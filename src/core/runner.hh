@@ -100,15 +100,26 @@ class MeasurementRunner
                                  u64 noise_seed);
 
     /** With outcomes shared across layouts (core/shared.hh): the
-     *  replay reads @p plan_part, @p stream (may be null) and the
-     *  structures @p paths names in place of simulating them
-     *  (Machine::replay). */
+     *  replay reads @p plan_part, @p stream and the structures @p paths
+     *  names in place of simulating them (Machine::replay). */
     Measurement measure(const trace::ReplayPlan &plan,
                         const trace::LayoutTables &tables,
                         const PlanOutcomes &plan_part,
-                        const StreamOutcomes *stream, SharedPaths paths,
+                        const StreamOutcomes &stream, SharedPaths paths,
                         u64 noise_seed);
+
+    /** With only @p plan_part shared (a randomized heap): the layout's
+     *  own stream and paths (Machine::replayOwnStream). */
+    Measurement measure(const trace::ReplayPlan &plan,
+                        const trace::LayoutTables &tables,
+                        const PlanOutcomes &plan_part, u64 noise_seed);
     /** @} */
+
+    /** Machine::reserveFor on this runner's Machine. */
+    void reserveFor(const trace::ReplayPlan &plan, bool own_stream)
+    {
+        machine_.reserveFor(plan, own_stream);
+    }
 
   private:
     /** The three-group median-of-five protocol over one truth run. */

@@ -59,15 +59,17 @@ warmupMem(const MachineConfig &machine, const ReplayPlan &plan)
     return warmup_mem;
 }
 
-StreamOutcomes
+/** Set @p out's L1D part: the hit bits of @p data's addresses from
+ *  power-on state, and the misses from the warmup access on. */
+void
 buildL1d(const MachineConfig &machine, const ReplayPlan &plan,
-         const trace::LayoutTables &data, size_t warmup_mem)
+         const trace::LayoutTables &data, size_t warmup_mem,
+         StreamOutcomes &out)
 {
     INTERF_ASSERT(data.hasData() && data.dataAddr.size() == plan.memCount());
     INTERF_TELEM_COUNT("replay.l1d_passes", 1);
-    StreamOutcomes out;
     out.memCount = plan.memCount();
-    out.hitBits = zeroBits(out.memCount);
+    out.hitBits.assign((out.memCount + 63) / 64, 0);
     cache::Cache l1d(machine.hierarchy.l1d); // power-on state
     const Addr *data_addr = data.dataAddr.data();
     u64 *hit_bits = out.hitBits.data();
@@ -77,78 +79,113 @@ buildL1d(const MachineConfig &machine, const ReplayPlan &plan,
                             << (j & 63);
     // lint:hot-end
     out.misses = clearFrom(out.hitBits, warmup_mem, out.memCount);
-    return out;
+}
+
+/** Index of @p page's probe start in a page index of @p cap slots: a
+ *  multiplicative hash scaled to [0, cap) without a division. */
+size_t
+pageProbe(Addr page, size_t cap)
+{
+    const u64 h = (page * 0x9e3779b97f4a7c15ULL) >> 32;
+    return static_cast<size_t>((h * cap) >> 32);
 }
 
 /**
- * First access per L2 line, from the plan's universe of distinct ids:
- * memRank numbers ids in first-appearance order, so only an id's first
- * access can start its L2 line, and it does iff no earlier id sits on
- * the line. One pass collects each id's line, a sort makes them a
- * searchable set, and a second pass marks each line at its first id.
- * Lines are physical under @p data's page map; a page map keeps line
- * offsets and moves whole pages, so the bits hold under any other.
- * Pages are listed in stream order of their first line. Returns the
- * first touches from the warmup access on.
+ * Set @p out's first-touch bits, pages and page masks over @p data's
+ * accesses, walking the plan's distinct ids in first-appearance order
+ * (memFirst; DESIGN.md §5x): only an id's first access can start its
+ * L2 line, and it does iff no earlier id sits on the line. Each id's
+ * page is found in @p index, an open-addressing table of about 1.25x
+ * the ids, and the line has been touched iff its bit in its page's mask
+ * is set, so the pass costs O(distinct ids). Lines are physical under
+ * @p data's page map; a page map keeps line offsets and moves whole
+ * pages, so the bits hold under any other. Pages are listed in stream
+ * order of their first line. Sets out.sum.l2DataMisses, the first
+ * touches from the warmup access on. With @p per_set, counts the
+ * distinct data lines each L2 set receives and returns false at the
+ * first set they overflow, @p out then partly built.
  */
-Count
+bool
 buildL2(const MachineConfig &machine, const ReplayPlan &plan,
         const trace::LayoutTables &data, size_t warmup_mem,
+        std::vector<u32> &index, std::vector<u32> *per_set,
         L2FirstTouch &out)
 {
-    const size_t n = plan.memCount();
-    const u32 l2_shift =
-        static_cast<u32>(std::countr_zero(machine.hierarchy.l2.lineBytes));
-    const u64 lines_per_page = kPageBytes >> l2_shift;
-    const u32 *rank = plan.memRank.data();
-    std::vector<Addr> lines;
-    lines.reserve(plan.memUniverse.size());
-    for (size_t j = 0; j < n; ++j)
-        if (rank[j] == lines.size())
-            lines.push_back(data.dataAddr[j] >> l2_shift);
-    INTERF_ASSERT(lines.size() == plan.memUniverse.size());
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    std::vector<Addr> pages;
-    for (Addr line : lines)
-        if (pages.empty() || pages.back() != line / lines_per_page)
-            pages.push_back(line / lines_per_page);
-
-    constexpr u32 kUnseen = ~u32{0};
-    std::vector<u64> line_seen = zeroBits(lines.size());
-    std::vector<u32> page_slot(pages.size(), kUnseen);
-    out.firstBits = zeroBits(n);
-    out.pageWords = static_cast<u32>((lines_per_page + 63) / 64);
+    const cache::CacheConfig &l2 = machine.hierarchy.l2;
+    const size_t ids = plan.memUniverse.size();
+    INTERF_ASSERT(plan.memFirst.size() == ids &&
+                  data.dataAddr.size() == plan.memCount());
+    const u32 l2_shift = static_cast<u32>(std::countr_zero(l2.lineBytes));
+    const u32 page_shift = kPageBits - l2_shift; // Lines per page, log2.
+    const u64 line_in_page = (u64{1} << page_shift) - 1;
+    const u32 words = static_cast<u32>((line_in_page + 64) / 64);
+    out.firstBits.assign((plan.memCount() + 63) / 64, 0);
+    out.pages.clear();
+    out.pageMask.clear();
+    out.pageWords = words;
     out.pageMap = data.pages();
+    // At most one page per id, so the index is at most 80% full.
+    const size_t cap = ids + ids / 4 + 1;
+    INTERF_ASSERT(cap <= ~u32{0});
+    index.assign(cap, 0);
+    const Addr sets_mask = l2.numSets() - 1;
+    const u32 ways = l2.assoc;
+    if (per_set)
+        per_set->assign(l2.numSets(), 0);
+    u32 *slot = index.data();
+    u32 *set_count = per_set ? per_set->data() : nullptr;
+    const u32 *first = plan.memFirst.data();
+    const Addr *addr = data.dataAddr.data();
+    u64 *first_bits = out.firstBits.data();
     Count misses = 0;
-    u32 next = 0;
-    for (size_t j = 0; j < n; ++j) {
-        if (rank[j] != next)
-            continue;
-        ++next;
-        const Addr line = data.dataAddr[j] >> l2_shift;
-        const size_t k = static_cast<size_t>(
-            std::lower_bound(lines.begin(), lines.end(), line) -
-            lines.begin());
-        if ((line_seen[k >> 6] >> (k & 63)) & 1)
-            continue; // An earlier id sits on this line.
-        setBit(line_seen, k);
-        setBit(out.firstBits, j);
-        misses += j >= warmup_mem;
-        const size_t g = static_cast<size_t>(
-            std::lower_bound(pages.begin(), pages.end(),
-                             line / lines_per_page) -
-            pages.begin());
-        if (page_slot[g] == kUnseen) {
-            page_slot[g] = static_cast<u32>(out.pages.size());
-            out.pages.push_back(pages[g]);
-            out.pageMask.resize(out.pageMask.size() + out.pageWords, 0);
+    size_t n_pages = 0;
+    bool fits = true;
+    // Blocks of ids, with room for each to open a page, so the loop
+    // writes in place and never allocates.
+    constexpr size_t kBlock = 1024;
+    for (size_t r0 = 0; r0 < ids && fits; r0 += kBlock) {
+        const size_t r1 = std::min(ids, r0 + kBlock);
+        out.pages.resize(n_pages + (r1 - r0));
+        out.pageMask.resize(out.pages.size() * words, 0);
+        Addr *pages = out.pages.data();
+        u64 *mask = out.pageMask.data();
+        // lint:hot-begin L2 first-touch pass (tools/lint_hotpath.py)
+        for (size_t r = r0; r < r1; ++r) {
+            const size_t j = first[r];
+            const Addr line = addr[j] >> l2_shift;
+            const Addr page = line >> page_shift;
+            size_t h = pageProbe(page, cap);
+            while (slot[h] != 0 && pages[slot[h] - 1] != page)
+                h = h + 1 == cap ? 0 : h + 1;
+            // Branch-free: on a scattered heap, whether the page and the
+            // line are new are coin flips.
+            const bool new_page = slot[h] == 0;
+            pages[n_pages] = page;
+            n_pages += new_page;
+            slot[h] = new_page ? static_cast<u32>(n_pages) : slot[h];
+            const u64 b = line & line_in_page;
+            u64 &word = mask[size_t{slot[h] - 1} * words + b / 64];
+            const u64 bit = u64{1} << (b % 64);
+            // No earlier id sits on this line.
+            const u64 new_line = (word & bit) == 0;
+            word |= bit;
+            first_bits[j >> 6] |= new_line << (j & 63);
+            misses += new_line & (j >= warmup_mem);
+            if (set_count) {
+                u32 &lines = set_count[line & sets_mask];
+                lines += static_cast<u32>(new_line);
+                if (lines > ways) {
+                    fits = false; // Data lines alone overflow this set.
+                    break;
+                }
+            }
         }
-        const u64 b = line % lines_per_page;
-        out.pageMask[size_t{page_slot[g]} * out.pageWords + b / 64] |=
-            u64{1} << (b % 64);
+        // lint:hot-end
     }
-    return misses;
+    out.pages.resize(n_pages);
+    out.pageMask.resize(n_pages * words);
+    out.sum.l2DataMisses = misses;
+    return fits;
 }
 
 /**
@@ -181,6 +218,18 @@ covers(const PlanOutcomes &plan_part, const ReplayPlan &plan)
            plan_part.siteFirstEvent.size() == plan.siteCount();
 }
 
+/** The most fetch lines any layout's sites can span: a site of b bytes
+ *  spans at most (b + 2 * line - 2) / line lines. */
+size_t
+siteLineBound(const MachineConfig &machine, const ReplayPlan &plan)
+{
+    const u32 line = machine.hierarchy.l1i.lineBytes;
+    size_t bound = 0;
+    for (u32 bytes : plan.siteBytes)
+        bound += (bytes + 2 * line - 2) / line;
+    return bound;
+}
+
 /** Set @p firsts to each fetch line (a line number at the L1I line
  *  size) that a site @p plan executes spans, as @p tables place it,
  *  once, sorted, with its first demand position: the first event of any
@@ -193,10 +242,12 @@ firstDemands(const MachineConfig &machine, const ReplayPlan &plan,
     const u32 shift = static_cast<u32>(
         std::countr_zero(machine.hierarchy.l1i.lineBytes));
     firsts.clear();
-    // One allocation of the bound, not a doubling series: each
-    // Machine's buffer grown step by step left glibc's heap of a long
-    // optimizer search fragmented, 2.6 MiB larger (DESIGN.md §5w).
-    firsts.reserve(tables.linePhys.size());
+    // One allocation of a bound every layout of the plan fits, not a
+    // doubling series nor one per larger layout: a Machine's buffer
+    // reallocated after a layout's tables pins the hole they leave, and
+    // glibc's heap of a long optimizer search or of each campaign worker
+    // grew by megabytes (DESIGN.md §5w, §5x).
+    firsts.reserve(siteLineBound(machine, plan));
     for (size_t s = 0; s < plan.siteCount(); ++s) {
         const u32 first = plan_part.siteFirstEvent[s];
         if (first == ReplayPlan::kNoSite)
@@ -369,6 +420,34 @@ overflowMisses(const MachineConfig &machine, const ReplayPlan &plan,
 
 } // anonymous namespace
 
+void
+StreamScratch::reserve(const MachineConfig &machine,
+                       const trace::ReplayPlan &plan)
+{
+    const size_t words = (plan.memCount() + 63) / 64;
+    const size_t ids = plan.memUniverse.size();
+    const u64 lines_per_page =
+        kPageBytes >> std::countr_zero(machine.hierarchy.l2.lineBytes);
+    L2FirstTouch &l2 = stream.l2 ? *stream.l2 : spare;
+    stream.hitBits.reserve(words);
+    l2.firstBits.reserve(words);
+    l2.pages.reserve(ids);
+    l2.pageMask.reserve(ids * ((lines_per_page + 63) / 64));
+    l2.sum.delta.reserve(plan.condSite.size());
+    pageIndex.reserve(ids + ids / 4 + 1);
+    perSet.reserve(machine.hierarchy.l2.numSets());
+}
+
+void
+FetchScratch::reserve(const MachineConfig &machine,
+                      const trace::ReplayPlan &plan)
+{
+    firsts.reserve(siteLineBound(machine, plan));
+    perSet.reserve(machine.hierarchy.l1i.numSets());
+    overSets.reserve(machine.hierarchy.l1i.numSets());
+    hotSites.reserve(plan.siteCount());
+}
+
 size_t
 warmupEvent(const MachineConfig &machine, const trace::ReplayPlan &plan)
 {
@@ -441,7 +520,9 @@ StreamOutcomes
 simulateL1d(const MachineConfig &machine, const trace::ReplayPlan &plan,
             const trace::LayoutTables &data)
 {
-    return buildL1d(machine, plan, data, warmupMem(machine, plan));
+    StreamOutcomes out;
+    buildL1d(machine, plan, data, warmupMem(machine, plan), out);
+    return out;
 }
 
 StreamOutcomes
@@ -455,18 +536,52 @@ simulateStream(const MachineConfig &machine, const trace::ReplayPlan &plan,
         canShareL1d(machine.hierarchy.l1d, true, false) ? layout::PageMap()
                                                         : pages);
     const size_t warmup_mem = warmupMem(machine, plan);
-    StreamOutcomes out = buildL1d(machine, plan, data, warmup_mem);
+    StreamOutcomes out;
+    buildL1d(machine, plan, data, warmup_mem, out);
     // Lines wider than a page would straddle page-map moves.
     if (machine.hierarchy.l2.lineBytes > kPageBytes)
         return out;
-    L2FirstTouch &l2 = out.l2.emplace();
-    l2.sum.l2DataMisses = buildL2(machine, plan, data, warmup_mem, l2);
-    l2.sum.l1dMisses = out.misses;
+    std::vector<u32> index;
+    buildL2(machine, plan, data, warmup_mem, index, nullptr,
+            out.l2.emplace());
+    addStreamSum(machine, plan, plan_part, out);
+    return out;
+}
+
+const StreamOutcomes &
+simulateStream(const MachineConfig &machine, const trace::ReplayPlan &plan,
+               const trace::LayoutTables &data, StreamScratch &scratch)
+{
+    StreamOutcomes &out = scratch.stream;
+    const size_t warmup_mem = warmupMem(machine, plan);
+    buildL1d(machine, plan, data, warmup_mem, out);
+    // The L2 part's buffers move between the stream and the spare, so
+    // neither path frees them. Lines wider than a page would straddle
+    // page-map moves: no L2 part.
+    if (!out.l2)
+        out.l2.emplace(std::move(scratch.spare));
+    if (machine.hierarchy.l2.lineBytes > kPageBytes ||
+        !buildL2(machine, plan, data, warmup_mem, scratch.pageIndex,
+                 &scratch.perSet, *out.l2)) {
+        scratch.spare = std::move(*out.l2);
+        out.l2.reset();
+    }
+    return out;
+}
+
+void
+addStreamSum(const MachineConfig &machine, const trace::ReplayPlan &plan,
+             const PlanOutcomes &plan_part, StreamOutcomes &stream)
+{
+    INTERF_ASSERT(covers(plan_part, plan) && stream.l2 &&
+                  stream.memCount == plan.memCount());
+    L2FirstTouch &l2 = *stream.l2;
+    l2.sum.l1dMisses = stream.misses;
     machine.validate(); // Proves every charge fits a CycleDelta.
     SharedLevels levels{l2.firstBits.data()};
-    buildSum(machine, plan, out.hitBits.data(), plan_part.rasMissBits.data(),
-             plan_part.btb.condMissBits.data(), levels, l2.sum);
-    return out;
+    buildSum(machine, plan, stream.hitBits.data(),
+             plan_part.rasMissBits.data(), plan_part.btb.condMissBits.data(),
+             levels, l2.sum);
 }
 
 bool
@@ -682,14 +797,11 @@ canShareL1i(const MachineConfig &machine, const trace::ReplayPlan &plan,
 SharedPaths
 choosePaths(const MachineConfig &machine, const trace::ReplayPlan &plan,
             const trace::LayoutTables &tables, const PlanOutcomes &plan_part,
-            const StreamOutcomes *stream, PathFacts *facts)
+            const StreamOutcomes &stream, PathFacts *facts)
 {
     SharedPaths paths;
-    if (stream)
-        paths.l2Data = canShareL2Data(machine, plan, tables, *stream,
-                                      facts ? &facts->l2 : nullptr);
-    else if (facts)
-        facts->l2 = ConflictFacts{0, 0, false}; // No stream to prove.
+    paths.l2Data = canShareL2Data(machine, plan, tables, stream,
+                                  facts ? &facts->l2 : nullptr);
     paths.btb = canShareBtb(machine, plan, tables, plan_part,
                             facts ? &facts->btb : nullptr);
     // Fetch misses are first L2 touches or L2 hits only where no L2 set

@@ -34,11 +34,14 @@
  * predictor over the branch stream (DESIGN.md §5t).
  *
  * simulatePlan() and simulateStream() build the plan part and one heap
- * layout's data-stream part (DESIGN.md §5v); choosePaths() runs the
- * proofs canShareL2Data() and canShareBtb() per layout and picks the L1I
- * path, and fetchPerSet() derives a layout's fetch outcome where the L2
- * data side is shared. Campaigns and the optimizer call choosePaths() through
- * interferometry::LayoutEvaluator; interf_verify reports its facts.
+ * layout's data-stream part (DESIGN.md §5v), the latter shared by a
+ * fixed heap's layouts or, where the heap is randomized, each layout's
+ * own (§5x); choosePaths() runs the proofs canShareL2Data() and
+ * canShareBtb() per layout and picks the L1I path, and fetchPerSet()
+ * derives a layout's fetch outcome where the L2 data side is shared.
+ * Campaigns and the optimizer call choosePaths() through
+ * interferometry::LayoutEvaluator and core::Machine::replayOwnStream;
+ * interf_verify reports its facts.
  */
 
 #ifndef INTERF_CORE_SHARED_HH
@@ -141,7 +144,8 @@ struct L2FirstTouch
 /**
  * The data-stream part: one heap layout's outcomes. Bit i % 64 of word
  * i / 64 of each bit vector belongs to memory access i. Immutable once
- * built, so pool workers share one.
+ * built, so pool workers share one; a layout's own stream (a randomized
+ * heap) lives in its Machine's StreamScratch instead.
  */
 struct StreamOutcomes
 {
@@ -180,12 +184,57 @@ StreamOutcomes simulateStream(const MachineConfig &machine,
                               const layout::PageMap &pages,
                               const PlanOutcomes &plan_part);
 
-/** The L1D part alone, over the data addresses of @p data: a layout's
- *  own pass where no stream is shared (a randomized heap). Counts one
+/** The L1D part alone, over the data addresses of @p data: the pass of
+ *  a replay that simulates every other structure. Counts one
  *  replay.l1d_passes. */
 StreamOutcomes simulateL1d(const MachineConfig &machine,
                            const trace::ReplayPlan &plan,
                            const trace::LayoutTables &data);
+
+/**
+ * What a layout's own data stream reuses from one layout to the next
+ * (simulateStream() over tables), as FetchScratch does for the fetch:
+ * the stream's bits, pages and cycle sum, and the first-touch pass's
+ * page index and per-set counts.
+ */
+struct StreamScratch
+{
+    StreamOutcomes stream; ///< The last layout's own stream.
+    /** The L2 part's buffers while the stream has no L2 part. */
+    L2FirstTouch spare;
+    /** Open-addressing page index of the first-touch pass: each slot 0
+     *  or a page's position + 1, about 1.25x the plan's distinct ids. */
+    std::vector<u32> pageIndex;
+    std::vector<u32> perSet; ///< Distinct data lines per L2 set.
+
+    /** Room for every layout of @p plan on @p machine. */
+    void reserve(const MachineConfig &machine, const trace::ReplayPlan &plan);
+};
+
+/**
+ * A layout's own data-stream part where no stream is shared (a
+ * randomized heap; DESIGN.md §5x): the L1D hit bits over @p data's
+ * addresses and, where the machine's L2 line fits in a page, the L2
+ * first-touch bits and pages, recorded under @p data's page map, so the
+ * L2 proof places them for this layout alone. The first-touch pass
+ * counts the data lines per L2 set and stops at the first set they
+ * overflow; the stream then has no L2 part, since code lines only add
+ * to a set and the proof would refuse anyway. The cycle sum is left
+ * out: addStreamSum() builds it once the proof holds. Built in
+ * @p scratch, reusing its buffers; the result is scratch.stream. Counts
+ * one replay.l1d_passes.
+ */
+const StreamOutcomes &simulateStream(const MachineConfig &machine,
+                                     const trace::ReplayPlan &plan,
+                                     const trace::LayoutTables &data,
+                                     StreamScratch &scratch);
+
+/** Build the cycle sum of @p stream's L2 part (which it must have) with
+ *  @p plan_part's RAS and BTB verdicts, as simulateStream() over a heap
+ *  layout does. */
+void addStreamSum(const MachineConfig &machine,
+                  const trace::ReplayPlan &plan,
+                  const PlanOutcomes &plan_part, StreamOutcomes &stream);
 
 /**
  * Which structures one replay takes from its plan and data-stream
@@ -293,18 +342,17 @@ bool canShareL1i(const MachineConfig &machine,
 
 /**
  * The paths one replay of the layout of @p tables may take: the L2
- * data side where @p stream (may be null: no stream is shared) passes
- * the L2 proof, the BTB where @p plan_part passes the BTB proof, and
- * the L1I where the L2 path is taken and the L1I and L2 lines are
- * equal. Fills @p facts, when given, with every proof's facts, the
- * L1I's included where the L2 proof refuses; without them the L1I's
- * sets are not counted here.
+ * data side where @p stream passes the L2 proof, the BTB where
+ * @p plan_part passes the BTB proof, and the L1I where the L2 path is
+ * taken and the L1I and L2 lines are equal. Fills @p facts, when
+ * given, with every proof's facts, the L1I's included where the L2
+ * proof refuses; without them the L1I's sets are not counted here.
  */
 SharedPaths choosePaths(const MachineConfig &machine,
                         const trace::ReplayPlan &plan,
                         const trace::LayoutTables &tables,
                         const PlanOutcomes &plan_part,
-                        const StreamOutcomes *stream,
+                        const StreamOutcomes &stream,
                         PathFacts *facts = nullptr);
 
 /**
@@ -361,6 +409,9 @@ struct FetchScratch
     std::vector<u32> perSet;   ///< Distinct lines each L1I set receives.
     std::vector<u8> overSets;  ///< Per L1I set: it overflows.
     std::vector<u8> hotSites;  ///< Per site: it fetches into one of them.
+
+    /** Room for every layout of @p plan on @p machine. */
+    void reserve(const MachineConfig &machine, const trace::ReplayPlan &plan);
 };
 
 /**

@@ -400,6 +400,16 @@ Machine::hotStateBytes() const
 }
 
 void
+Machine::reserveFor(const trace::ReplayPlan &plan, bool own_stream)
+{
+    fetchScratch_.reserve(cfg_, plan);
+    if (own_stream)
+        streamScratch_.reserve(cfg_, plan);
+    btbOwn_.condMissBits.reserve((plan.condSite.size() + 63) / 64);
+    condDelta_.reserve(plan.condSite.size());
+}
+
+void
 Machine::begin(const trace::ReplayPlan &plan,
                const trace::LayoutTables &tables)
 {
@@ -436,26 +446,22 @@ Machine::replay(const trace::ReplayPlan &plan,
 RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables,
-                const PlanOutcomes &plan_part, const StreamOutcomes *stream,
+                const PlanOutcomes &plan_part, const StreamOutcomes &stream,
                 SharedPaths paths)
 {
     // Without data addresses only the shared L2 path can run: the L1D
     // and L2 verdicts then both come from @p stream.
-    if (!tables.hasData() && !(paths.l2Data && stream))
+    if (!tables.hasData() && !paths.l2Data)
         panic("tables without data addresses replay only with a shared "
               "L1D and L2 data side");
-    // No shared stream (a randomized heap): this layout's own L1D pass.
-    const StreamOutcomes own_l1d =
-        stream ? StreamOutcomes() : simulateL1d(cfg_, plan, tables);
-    const StreamOutcomes &data = stream ? *stream : own_l1d;
-    if (data.memCount != plan.memCount())
+    if (stream.memCount != plan.memCount())
         panic("L1D outcomes cover %zu accesses, the plan has %zu",
-              data.memCount, plan.memCount());
+              stream.memCount, plan.memCount());
     if (plan_part.eventCount != plan.eventCount())
         panic("shared outcomes cover %zu events, the plan has %zu",
               plan_part.eventCount, plan.eventCount());
     // An L2 line wider than a page leaves a stream no L2 part to share.
-    if (paths.l2Data && !data.l2)
+    if (paths.l2Data && !stream.l2)
         panic("the shared L2 data side needs a stream with an L2 part");
     // Fetch misses are first L2 touches or L2 hits only where no L2 set
     // overflows.
@@ -473,7 +479,7 @@ Machine::replay(const trace::ReplayPlan &plan,
         paths.btb ? plan_part.btb : btbPass(plan, tables);
 
     if (!paths.l2Data)
-        return ownSumReplay(plan, tables, data, plan_part.rasMissBits.data(),
+        return ownSumReplay(plan, tables, stream, plan_part.rasMissBits.data(),
                             btb);
     // A shared L2 data side leaves the hierarchy only fetches, which
     // only ever add stalls to cycles, so their outcome adds on exactly;
@@ -486,9 +492,30 @@ Machine::replay(const trace::ReplayPlan &plan,
         INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
         fetch = fetchPass(plan, tables);
     }
-    RunResult res = replaySum(plan, tables, data.l2->sum, plan_part.btb, btb);
+    RunResult res = replaySum(plan, tables, stream.l2->sum, plan_part.btb, btb);
     addFetch(fetch, res);
     return res;
+}
+
+RunResult
+Machine::replayOwnStream(const trace::ReplayPlan &plan,
+                         const trace::LayoutTables &tables,
+                         const PlanOutcomes &plan_part)
+{
+    if (!tables.hasData())
+        panic("a layout's own stream needs tables with data addresses");
+    if (plan_part.eventCount != plan.eventCount())
+        panic("shared outcomes cover %zu events, the plan has %zu",
+              plan_part.eventCount, plan.eventCount());
+    simulateStream(cfg_, plan, tables, streamScratch_);
+    StreamOutcomes &own = streamScratch_.stream;
+    const SharedPaths paths =
+        choosePaths(cfg_, plan, tables, plan_part, own);
+    // The sum costs an event loop: only a layout that reads it builds
+    // it.
+    if (paths.l2Data)
+        addStreamSum(cfg_, plan, plan_part, own);
+    return replay(plan, tables, plan_part, own, paths);
 }
 
 RunResult

@@ -129,13 +129,12 @@ class Machine
      * line size (panics otherwise).
      *
      * Each structure has a shared form, read from @p plan_part or
-     * @p stream, and a per-layout form (DESIGN.md §5s). @p paths names
-     * the structures whose shared outcome holds on this layout
-     * (choosePaths()):
+     * @p stream, and a per-layout form (DESIGN.md §5s). @p stream is a
+     * fixed heap's shared stream or, for a randomized heap, this
+     * layout's own (replayOwnStream()). @p paths names the structures
+     * whose shared outcome holds on this layout (choosePaths()):
      *
-     *  - L1D: read from @p stream; where it is null (no stream is
-     *    shared), one L1D pass over @p tables runs first. RAS: always
-     *    read from @p plan_part.
+     *  - L1D and RAS: always read, from @p stream and @p plan_part.
      *  - BTB: @p plan_part's outcome, or a BTB pass over this layout's
      *    taken branches.
      *  - L2 data side: shared, and then no event loop runs: the
@@ -161,7 +160,22 @@ class Machine
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables,
                      const PlanOutcomes &plan_part,
-                     const StreamOutcomes *stream, SharedPaths paths = {});
+                     const StreamOutcomes &stream, SharedPaths paths = {});
+
+    /**
+     * Replay the layout of @p tables, which must carry data addresses,
+     * where no data stream is shared (a randomized heap; DESIGN.md
+     * §5x): this layout's own stream (simulateStream() over
+     * @p tables, in this Machine's buffers), the paths choosePaths()
+     * allows against it, the stream's cycle sum built only where the
+     * L2 proof holds, then the five-argument replay. Where the proof
+     * holds the layout takes fetchPerSet() and the stream's sum like a
+     * fixed-heap one; where it refuses, its own sum with the L2
+     * simulated, on the stream's L1D bits.
+     */
+    RunResult replayOwnStream(const trace::ReplayPlan &plan,
+                              const trace::LayoutTables &tables,
+                              const PlanOutcomes &plan_part);
 
     /**
      * The event-at-a-time reference implementation: walks Program and
@@ -177,6 +191,17 @@ class Machine
                            const layout::PageMap &pages);
 
     const MachineConfig &config() const { return cfg_; }
+
+    /**
+     * Size the buffers this Machine reuses across layouts (the per-set
+     * fetch's, the BTB pass's and, with @p own_stream, a layout's own
+     * stream's) for every layout of @p plan, before any layout's tables
+     * exist. Grown after a layout's tables instead, they sit above the
+     * tables in the worker's heap and pin the hole the tables leave
+     * when freed: each randomized-heap campaign worker's glibc arena
+     * then kept about a table more (DESIGN.md §5x).
+     */
+    void reserveFor(const trace::ReplayPlan &plan, bool own_stream);
 
     /**
      * Microarchitectural hot-state bytes a replay keeps: the
@@ -233,11 +258,12 @@ class Machine
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
     /** @{ The BTB pass's outcome, a stream's sum with its charges
-     *  moved to it, and the per-set fetch's buffers, reused across
-     *  layouts. */
+     *  moved to it, the per-set fetch's buffers and a layout's own
+     *  stream, reused across layouts. */
     BtbOutcome btbOwn_;
     std::vector<CycleDelta> condDelta_;
     FetchScratch fetchScratch_;
+    StreamScratch streamScratch_;
     /** @} */
 };
 

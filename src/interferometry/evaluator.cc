@@ -85,16 +85,19 @@ LayoutEvaluator::measureOne(core::MeasurementRunner &runner,
         return tables_for(!shareL1d_);
     }();
     INTERF_TELEM_COUNT("layout.tables_built", 1);
+    // No shared stream (a randomized heap): the layout proves its own
+    // (DESIGN.md §5x).
+    if (!stream_)
+        return runner.measure(plan_, tables, *planPart_, seed);
     // Each shared outcome applies only where this layout's proof holds;
     // elsewhere the replay simulates the structure for this layout.
-    const core::StreamOutcomes *stream = stream_ ? &*stream_ : nullptr;
     const core::SharedPaths paths =
-        core::choosePaths(machine_, plan_, tables, *planPart_, stream);
-    if (stream && !paths.l2Data) {
+        core::choosePaths(machine_, plan_, tables, *planPart_, *stream_);
+    if (!paths.l2Data) {
         INTERF_SPAN("layout.gen");
         tables = tables_for(true);
     }
-    return runner.measure(plan_, tables, *planPart_, stream, paths, seed);
+    return runner.measure(plan_, tables, *planPart_, *stream_, paths, seed);
 }
 
 std::vector<core::Measurement>
@@ -121,6 +124,7 @@ LayoutEvaluator::measure(u32 count, const LayoutRecipe &recipe,
     const u32 jobs = exec::ThreadPool::resolveJobs(jobs_);
     if (jobs <= 1 || count <= 1) {
         INTERF_SPAN_PHASE("replay.batch");
+        runner_.reserveFor(plan_, !shareL1d_);
         for (u32 k = 0; k < count; ++k)
             run_one(runner_, k);
         return out;
@@ -135,6 +139,7 @@ LayoutEvaluator::measure(u32 count, const LayoutRecipe &recipe,
     exec::parallelForChunks(*pool_, count, [&](size_t begin, size_t end) {
         INTERF_SPAN_PHASE("replay.batch");
         core::MeasurementRunner runner(machine_, runnerConfig_);
+        runner.reserveFor(plan_, !shareL1d_);
         for (size_t k = begin; k < end; ++k)
             run_one(runner, static_cast<u32>(k));
     });

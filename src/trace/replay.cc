@@ -50,15 +50,18 @@ ReplayPlan::ReplayPlan(const Program &prog, const Trace &trace)
 
     // Rank the stream against its universe of distinct ids (first-
     // appearance order) so per-layout materialization decodes each
-    // unique id once and gathers the stream.
+    // unique id once and gathers the stream; note each id's first
+    // position for the L2 first-touch pass.
     memRank.resize(memId.size());
     std::unordered_map<u64, u32> rank_of;
     rank_of.reserve(memId.size() / 4);
     for (size_t j = 0; j < memId.size(); ++j) {
         auto [it, fresh] = rank_of.try_emplace(
             memId[j], static_cast<u32>(memUniverse.size()));
-        if (fresh)
+        if (fresh) {
             memUniverse.push_back(memId[j]);
+            memFirst.push_back(static_cast<u32>(j));
+        }
         memRank[j] = it->second;
     }
     condSite.reserve(trace.condBranches);
@@ -148,6 +151,7 @@ ReplayPlan::memoryBytes() const
     u64 per_event = sizeof(u32) * 4 + sizeof(u16) * 2 + sizeof(u8) * 2;
     return eventCount() * per_event +
            memCount() * (sizeof(u64) + sizeof(u8)) +
+           memFirst.size() * sizeof(u32) +
            condSite.size() * (sizeof(u32) + sizeof(u8)) +
            siteCount() * sizeof(u32) * 2 +
            procFirstSite.size() * sizeof(u32);

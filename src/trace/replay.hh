@@ -103,6 +103,10 @@ class ReplayPlan
      * and gathers the stream through memRank.
      */
     std::vector<u64> memUniverse;
+    /** Universe index -> the stream position of that id's first
+     *  access (strictly increasing): the L2 first-touch pass visits
+     *  each id once instead of scanning the stream (DESIGN.md §5x). */
+    std::vector<u32> memFirst;
 
     /** @{ Conditional-branch substream (the pinsim replay input). */
     std::vector<u32> condSite;

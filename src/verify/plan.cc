@@ -100,6 +100,8 @@ checkStructure(const Program &prog, const ReplayPlan &plan, Sink &sink)
     ok &= sizedLike(plan.returnSite, n_events, "returnSite", sink);
     ok &= sizedLike(plan.memIsStore, n_mem, "memIsStore", sink);
     ok &= sizedLike(plan.memRank, n_mem, "memRank", sink);
+    ok &= sizedLike(plan.memFirst, plan.memUniverse.size(), "memFirst",
+                    sink);
     ok &= sizedLike(plan.condTaken, plan.condSite.size(), "condTaken",
                     sink);
     ok &= sizedLike(plan.siteBlock, n_sites, "siteBlock", sink);
@@ -190,7 +192,8 @@ checkStructure(const Program &prog, const ReplayPlan &plan, Sink &sink)
     }
 
     // Memory universe/rank factorization: distinct universe entries,
-    // every rank in range, and the gather reproducing the stream.
+    // every rank in range, the gather reproducing the stream, and each
+    // id's recorded first access.
     std::unordered_set<u64> seen;
     seen.reserve(plan.memUniverse.size());
     for (size_t u = 0; u < plan.memUniverse.size(); ++u)
@@ -210,6 +213,32 @@ checkStructure(const Program &prog, const ReplayPlan &plan, Sink &sink)
             sink.error(EntityKind::MemAccess, j,
                        "memory rank gathers a different id than the "
                        "stream records");
+        else if (j < plan.memFirst[plan.memRank[j]])
+            sink.error(EntityKind::MemAccess, j,
+                       strprintf("access precedes the first access %u "
+                                 "that memFirst records for its id",
+                                 plan.memFirst[plan.memRank[j]]));
+    }
+    // First positions: strictly increasing (the universe is in first-
+    // appearance order), each an access of its own id; with the check
+    // above, each is that id's first access.
+    for (size_t r = 0; r < plan.memFirst.size(); ++r) {
+        const u32 first = plan.memFirst[r];
+        if (first >= n_mem)
+            sink.error(EntityKind::MemAccess, r,
+                       strprintf("memFirst[%zu] is %u, past the %zu "
+                                 "accesses",
+                                 r, first, n_mem));
+        else if (plan.memRank[first] != r)
+            sink.error(EntityKind::MemAccess, r,
+                       strprintf("memFirst[%zu] is access %u, whose "
+                                 "rank is %u",
+                                 r, first, plan.memRank[first]));
+        if (r > 0 && first <= plan.memFirst[r - 1])
+            sink.error(EntityKind::MemAccess, r,
+                       strprintf("memFirst[%zu] is %u, not past "
+                                 "memFirst[%zu] = %u",
+                                 r, first, r - 1, plan.memFirst[r - 1]));
     }
 
     return table_ok;

@@ -574,19 +574,31 @@ TEST(CampaignL1d, FixedHeapCampaignSharesL1iOnEveryLayout)
     }
 }
 
-TEST(CampaignL1d, RandomizedHeapSimulatesL2AndSharesBtb)
+TEST(CampaignL1d, RandomizedHeapProvesItsOwnL2AndSharesBtb)
 {
-    // No data stream is shared, so the L2 data side is simulated; the
-    // BTB outcome depends on the plan alone and is still shared.
-    auto cfg = quickConfig(8);
-    cfg.randomizeHeap = true;
-    auto body = [&] {
-        Campaign camp(workloads::defaultProfile("camp"), cfg);
-        camp.measureLayouts(0, 8);
-    };
-    EXPECT_EQ(counterDuring("replay.l2_simulated", body), 8u);
-    EXPECT_EQ(counterDuring("replay.l2_shared", body), 0u);
-    EXPECT_EQ(counterDuring("replay.btb_shared", body), 8u);
+    // No data stream is shared, so each layout builds its own and proves
+    // its L2 on it (DESIGN.md §5x): on the default machine the proof
+    // holds and the L2 data side is read from that stream; a 64 KiB L2
+    // overflows and the L2 is simulated. The BTB outcome depends on the
+    // plan alone and is shared either way.
+    for (bool small_l2 : {false, true}) {
+        auto cfg = quickConfig(8);
+        cfg.randomizeHeap = true;
+        if (small_l2)
+            cfg.machine.hierarchy.l2 = cache::CacheConfig{
+                "L2", 64 << 10, 16, 64, cache::Replacement::Random};
+        auto body = [&] {
+            Campaign camp(workloads::defaultProfile("camp"), cfg);
+            camp.measureLayouts(0, 8);
+        };
+        EXPECT_EQ(counterDuring("replay.l2_shared", body), small_l2 ? 0u : 8u)
+            << "64 KiB L2 " << small_l2;
+        EXPECT_EQ(counterDuring("replay.l2_simulated", body),
+                  small_l2 ? 8u : 0u)
+            << "64 KiB L2 " << small_l2;
+        EXPECT_EQ(counterDuring("replay.btb_shared", body), 8u)
+            << "64 KiB L2 " << small_l2;
+    }
 }
 
 TEST(CampaignL1d, WarmStoreRerunRunsNoL1dPass)

@@ -766,45 +766,69 @@ TEST(OptSearch, FixedHeapSearchSharesL2AndBtbOnEveryEval)
     EXPECT_EQ(counterDuring("replay.btb_simulated", body), 0u);
 }
 
-TEST(OptSearch, SearchTakesTheL1iPathOnlyWithAFixedHeap)
+TEST(OptSearch, SearchTakesTheL1iPathWhereTheL2ProofHolds)
 {
-    // A fixed-heap search reads every fresh evaluation's fetch outcome
-    // from first touches (DESIGN.md §5r); a randomized heap proves no
-    // L2, so the L1I proof is never asked and fetch is simulated.
+    // Every fresh evaluation reads its fetch outcome from first touches
+    // (DESIGN.md §5r) where its L2 proof holds: on the shared stream of
+    // a fixed heap, or on the layout's own stream of a randomized one
+    // (§5x). A 64 KiB L2 refuses the proof, and fetch is simulated.
     const auto profile = workloads::defaultProfile("opt-l1d");
-    for (bool randomize : {false, true}) {
-        OptConfig cfg = quickSearch(Strategy::Anneal, 5);
-        cfg.randomizeHeap = randomize;
+    for (bool randomize : {false, true})
+        for (bool small_l2 : {false, true}) {
+            OptConfig cfg = quickSearch(Strategy::Anneal, 5);
+            cfg.randomizeHeap = randomize;
+            if (small_l2)
+                cfg.machine.hierarchy.l2 = cache::CacheConfig{
+                    "L2", 64 << 10, 16, 64, cache::Replacement::Random};
+            u64 fresh = 0;
+            auto body = [&] {
+                FitnessOracle oracle(profile, cfg);
+                fresh = makeOptimizer(oracle, cfg)->run().freshEvals;
+            };
+            const u64 calls = counterDuring("replay.calls", body);
+            EXPECT_EQ(calls, fresh);
+            EXPECT_GT(calls, 1u);
+            const std::string what =
+                std::string("randomized heap ") + (randomize ? "1" : "0") +
+                ", 64 KiB L2 " + (small_l2 ? "1" : "0");
+            EXPECT_EQ(counterDuring("replay.l1i_shared", body),
+                      small_l2 ? 0u : calls)
+                << what;
+            EXPECT_EQ(counterDuring("replay.l1i_simulated", body),
+                      small_l2 ? calls : 0u)
+                << what;
+        }
+}
+
+TEST(OptSearch, RandomizedHeapSearchProvesItsOwnL2)
+{
+    // Each fresh evaluation of a randomized-heap search builds its own
+    // data stream and reads the L2 data side from it where its proof
+    // holds, or simulates the L2 where a 64 KiB L2 refuses; the BTB is
+    // shared either way.
+    const auto profile = workloads::defaultProfile("opt-l1d");
+    for (bool small_l2 : {false, true}) {
+        OptConfig cfg = quickSearch(Strategy::Greedy, 5);
+        ASSERT_TRUE(cfg.randomizeHeap);
+        if (small_l2)
+            cfg.machine.hierarchy.l2 = cache::CacheConfig{
+                "L2", 64 << 10, 16, 64, cache::Replacement::Random};
         u64 fresh = 0;
         auto body = [&] {
             FitnessOracle oracle(profile, cfg);
             fresh = makeOptimizer(oracle, cfg)->run().freshEvals;
         };
-        const u64 calls = counterDuring("replay.calls", body);
-        EXPECT_EQ(calls, fresh);
-        EXPECT_GT(calls, 1u);
-        EXPECT_EQ(counterDuring("replay.l1i_shared", body),
-                  randomize ? 0u : calls)
-            << "randomized heap " << randomize;
-        EXPECT_EQ(counterDuring("replay.l1i_simulated", body),
-                  randomize ? calls : 0u)
-            << "randomized heap " << randomize;
+        EXPECT_EQ(counterDuring("replay.calls", body), fresh);
+        EXPECT_GT(fresh, 1u);
+        EXPECT_EQ(counterDuring("replay.l2_shared", body),
+                  small_l2 ? 0u : fresh)
+            << "64 KiB L2 " << small_l2;
+        EXPECT_EQ(counterDuring("replay.l2_simulated", body),
+                  small_l2 ? fresh : 0u)
+            << "64 KiB L2 " << small_l2;
+        EXPECT_EQ(counterDuring("replay.btb_shared", body), fresh)
+            << "64 KiB L2 " << small_l2;
     }
-}
-
-TEST(OptSearch, RandomizedHeapSearchSharesOnlyBtb)
-{
-    const auto profile = workloads::defaultProfile("opt-l1d");
-    const OptConfig cfg = quickSearch(Strategy::Greedy, 5);
-    ASSERT_TRUE(cfg.randomizeHeap);
-    u64 fresh = 0;
-    auto body = [&] {
-        FitnessOracle oracle(profile, cfg);
-        fresh = makeOptimizer(oracle, cfg)->run().freshEvals;
-    };
-    EXPECT_EQ(counterDuring("replay.l2_simulated", body), fresh);
-    EXPECT_EQ(counterDuring("replay.btb_shared", body), fresh);
-    EXPECT_EQ(counterDuring("replay.l2_shared", body), 0u);
 }
 
 TEST(OptSearch, StrategyNamesRoundTrip)

@@ -202,7 +202,7 @@ TEST(ReplayGolden, SharedL1dOutcomesMatchReferenceAcrossLayouts)
                                     cfg.hierarchy.l1i.lineBytes);
                 expectSameResult(ref,
                                  machine.replay(w.plan, tables, plan_part,
-                                                &stream),
+                                                stream),
                                  "workload " + std::to_string(wi) +
                                      " seed " + std::to_string(seed) +
                                      (physical ? " physical" : " identity"));
@@ -261,7 +261,7 @@ TEST(ReplayGolden, PageSpanningL1dIsNotShareableAcrossPageMaps)
         const StreamOutcomes from_a =
             simulateStream(cfg, w.plan, heap, a.pages(), plan_part);
         const RunResult reused =
-            machine.replay(w.plan, b, plan_part, &from_a);
+            machine.replay(w.plan, b, plan_part, from_a);
         const RunResult own = machine.replay(w.plan, b);
         differing += reused.l1dMisses != own.l1dMisses;
     }
@@ -342,6 +342,9 @@ struct PathCase
     bool l2Shared;
     bool btbShared;
     Fetch fetch;
+    /** Each layout's heap is its own, so it replays through its own
+     *  stream (Machine::replayOwnStream; DESIGN.md §5x). */
+    bool randomHeap = false;
 
     /** choosePaths's L1I path: every fetch form but the whole pass. */
     bool l1iPath() const { return fetch != Fetch::WholePass; }
@@ -432,6 +435,13 @@ pathCases()
     all_refuse.cfg = btb_and_l1i.cfg;
     all_refuse.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
     cases.push_back(all_refuse);
+    // A randomized heap's layout proves its own stream: on both sides of
+    // the L2 proof, beside the BTB pass and beside the per-set fetch.
+    for (PathCase random : {cases.front(), small_l2, small_btb, tiny_l1i}) {
+        random.name += ", randomized heap";
+        random.randomHeap = true;
+        cases.push_back(random);
+    }
     return cases;
 }
 
@@ -452,7 +462,11 @@ pathCases()
  *  replay took: the shared cycle sum
  *  wherever the L2 data side is shared (DESIGN.md §5t), the 64-set BTB
  *  rows with this layout's BTB bits, the layout's own sum where the L2
- *  is simulated (§5u), and the fetch form the row names. */
+ *  is simulated (§5u), and the fetch form the row names. The
+ *  randomized-heap rows give each layout a heap of its own and replay
+ *  it as the evaluator does, through its own stream, where its own L2
+ *  proof holds (the default machine, beside a 64-set BTB or a 4 KiB
+ *  L1I) or refuses (a 64 KiB L2) (§5x). */
 TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
 {
     const layout::HeapKey fixed = layout::HeapKey::deterministic();
@@ -479,10 +493,41 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                             pc.name + ", workload " + std::to_string(wi) +
                             " seed " + std::to_string(seed) +
                             (physical ? " physical" : " identity");
+                        if (pc.randomHeap) {
+                            const layout::HeapLayout own_heap(
+                                w.prog, layout::HeapKey{seed, true});
+                            const LayoutTables tables(
+                                w.plan, code, own_heap, pages,
+                                cfg.hierarchy.l1i.lineBytes);
+                            StreamScratch own;
+                            simulateStream(cfg, w.plan, tables, own);
+                            const SharedPaths paths = choosePaths(
+                                cfg, w.plan, tables, plan_part, own.stream);
+                            EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
+                            EXPECT_EQ(paths.btb, pc.btbShared) << what;
+                            EXPECT_EQ(paths.l1i, pc.l1iPath()) << what;
+                            ConflictFacts l1i;
+                            canShareL1i(cfg, w.plan, tables, plan_part, &l1i);
+                            partial_overflows +=
+                                l1i.overflowingSets > 0 &&
+                                l1i.overflowingSets <
+                                    cfg.hierarchy.l1i.numSets();
+                            Machine fresh(cfg);
+                            const RunResult ref = fresh.runReference(
+                                w.prog, w.trace, code, own_heap, pages);
+                            expectSameResult(
+                                ref,
+                                machine.replayOwnStream(w.plan, tables,
+                                                        plan_part),
+                                what);
+                            ras_mispredicts += ref.rasMispredicts;
+                            ++replays;
+                            continue;
+                        }
                         LayoutTables tables(w.plan, code, pages,
                                             cfg.hierarchy.l1i.lineBytes);
                         const SharedPaths paths = choosePaths(
-                            cfg, w.plan, tables, plan_part, &stream);
+                            cfg, w.plan, tables, plan_part, stream);
                         EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
                         EXPECT_EQ(paths.btb, pc.btbShared) << what;
                         EXPECT_EQ(paths.l1i, pc.l1iPath()) << what;
@@ -499,7 +544,7 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                             w.prog, w.trace, code, heap, pages);
                         expectSameResult(ref,
                                          machine.replay(w.plan, tables,
-                                                        plan_part, &stream,
+                                                        plan_part, stream,
                                                         paths),
                                          what);
                         ras_mispredicts += ref.rasMispredicts;
@@ -590,6 +635,8 @@ TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
 TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
 {
     for (const PathCase &pc : pathCases()) {
+        if (pc.randomHeap)
+            continue; // The same machines as fixed-heap rows.
         const bool l2_part = pc.cfg.hierarchy.l2.lineBytes <=
                              (Addr{1} << layout::PageMap::pageBits);
         const bool l2_refused = !pc.l2Shared && l2_part;
@@ -618,7 +665,7 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
                 forced.l2Data = l2_refused;
                 forced.btb = !pc.btbShared;
                 const RunResult wrong = machine.replay(
-                    w.plan, tables, plan_part, &stream, forced);
+                    w.plan, tables, plan_part, stream, forced);
                 differing += honest.l2Misses != wrong.l2Misses ||
                              honest.btbMisses != wrong.btbMisses;
             }
@@ -627,7 +674,7 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
                 forced.l2Data = true;
                 forced.l1i = true;
                 const RunResult wrong = machine.replay(
-                    w.plan, tables, plan_part, &stream, forced);
+                    w.plan, tables, plan_part, stream, forced);
                 l1i_differing += honest.l1iMisses != wrong.l1iMisses ||
                                  honest.l2InstMisses != wrong.l2InstMisses ||
                                  honest.l2PrefMisses != wrong.l2PrefMisses;
@@ -719,13 +766,95 @@ TEST(ReplayGolden, L2ProofRefusesPageEndPrefetchOntoDataLine)
     EXPECT_TRUE(canShareL2Data(cfg, w.plan, identity, stream));
 
     const SharedPaths paths =
-        choosePaths(cfg, w.plan, tables, plan_part, &stream);
+        choosePaths(cfg, w.plan, tables, plan_part, stream);
     EXPECT_FALSE(paths.l2Data);
     Machine machine(cfg);
     expectSameResult(
         machine.runReference(w.prog, w.trace, code, heap, pages),
-        machine.replay(w.plan, tables, plan_part, &stream, paths),
+        machine.replay(w.plan, tables, plan_part, stream, paths),
         "page seed " + std::to_string(found));
+}
+
+/** A layout's own stream (DESIGN.md §5x), built from its physical
+ *  tables in one scratch reused across layouts, plans and machines,
+ *  equals the heap-layout builder's stream for the same heap: the same
+ *  L1D and first-touch bits, its pages the heap stream's pages placed
+ *  through the layout's page map, in the same order with the same
+ *  masks, and, once added, the same cycle sum. Where the own pass stops
+ *  at a set its data lines overflow (a 64 KiB L2), the heap stream's
+ *  proof refuses the layout on overflowing sets too. */
+TEST(ReplayGolden, OwnStreamEqualsTheHeapStream)
+{
+    using cache::CacheConfig;
+    const MachineConfig xeon = MachineConfig::xeonE5440();
+    MachineConfig small_l2 = xeon;
+    small_l2.hierarchy.l2 =
+        CacheConfig{"L2", 64 << 10, 16, 64, cache::Replacement::Random};
+    const u32 page_bits = layout::PageMap::pageBits;
+    StreamScratch own;
+    for (const MachineConfig &cfg : {xeon, small_l2, xeon}) {
+        ASSERT_TRUE(canShareL1d(cfg.hierarchy.l1d, true, false));
+        const bool small = cfg.hierarchy.l2.sizeBytes == (64 << 10);
+        u32 with_l2 = 0;
+        u32 stopped = 0;
+        for (size_t wi = 0; wi < workloads().size(); ++wi) {
+            const Workload &w = workloads()[wi];
+            const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
+            for (u64 seed = 1; seed <= 3; ++seed) {
+                const std::string what =
+                    std::string(small ? "64 KiB L2" : "default") +
+                    ", workload " + std::to_string(wi) + " seed " +
+                    std::to_string(seed);
+                const layout::HeapLayout heap(w.prog,
+                                              layout::HeapKey{seed, true});
+                const layout::PageMap pages(seed * 31 + 7);
+                const LayoutTables tables(w.plan, codeFor(w, seed), heap,
+                                          pages, cfg.hierarchy.l1i.lineBytes);
+                const StreamOutcomes from_heap =
+                    simulateStream(cfg, w.plan, heap, pages, plan_part);
+                ASSERT_TRUE(from_heap.l2 && from_heap.l2->pageMap.isIdentity())
+                    << what;
+                simulateStream(cfg, w.plan, tables, own);
+                const StreamOutcomes &s = own.stream;
+                EXPECT_EQ(s.memCount, from_heap.memCount) << what;
+                EXPECT_EQ(s.hitBits, from_heap.hitBits) << what;
+                EXPECT_EQ(s.misses, from_heap.misses) << what;
+                if (!s.l2) {
+                    ++stopped;
+                    ConflictFacts facts;
+                    EXPECT_FALSE(canShareL2Data(cfg, w.plan, tables,
+                                                from_heap, &facts))
+                        << what;
+                    EXPECT_GT(facts.overflowingSets, 0u) << what;
+                    continue;
+                }
+                ++with_l2;
+                const L2FirstTouch &a = *s.l2;
+                const L2FirstTouch &b = *from_heap.l2;
+                EXPECT_TRUE(a.pageMap == pages) << what;
+                EXPECT_EQ(a.firstBits, b.firstBits) << what;
+                EXPECT_EQ(a.sum.l2DataMisses, b.sum.l2DataMisses) << what;
+                EXPECT_EQ(a.pageWords, b.pageWords) << what;
+                EXPECT_EQ(a.pageMask, b.pageMask) << what;
+                ASSERT_EQ(a.pages.size(), b.pages.size()) << what;
+                for (size_t g = 0; g < a.pages.size(); ++g)
+                    EXPECT_EQ(a.pages[g],
+                              pages.translate(b.pages[g] << page_bits) >>
+                                  page_bits)
+                        << what << " page " << g;
+                addStreamSum(cfg, w.plan, plan_part, own.stream);
+                EXPECT_EQ(a.sum.sumBase, b.sum.sumBase) << what;
+                EXPECT_EQ(a.sum.instructions, b.sum.instructions) << what;
+                EXPECT_EQ(a.sum.condBranches, b.sum.condBranches) << what;
+                EXPECT_EQ(a.sum.rasMispredicts, b.sum.rasMispredicts) << what;
+                EXPECT_EQ(a.sum.l1dMisses, b.sum.l1dMisses) << what;
+                EXPECT_EQ(a.sum.condFrom, b.sum.condFrom) << what;
+                EXPECT_EQ(a.sum.delta, b.sum.delta) << what;
+            }
+        }
+        EXPECT_EQ(stopped > 0, small) << "stopped " << stopped;
+        EXPECT_EQ(with_l2 > 0, !small) << "with an L2 part " << with_l2;
+    }
 }
 
 /** Data pages recorded under the identity map are placed through each
@@ -907,7 +1036,7 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 const LayoutTables tables(plan, code, pages,
                                           cfg.hierarchy.l1i.lineBytes);
                 const SharedPaths paths =
-                    choosePaths(cfg, plan, tables, plan_part, &stream);
+                    choosePaths(cfg, plan, tables, plan_part, stream);
                 ASSERT_TRUE(paths.l2Data) << what;
                 ASSERT_EQ(paths.l1i, fetch != Fetch::WholePass) << what;
                 Machine fresh_machine(cfg);
@@ -931,7 +1060,7 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 Machine machine(cfg);
                 RunResult fast;
                 const auto count = countersDuring([&] {
-                    fast = machine.replay(plan, tables, plan_part, &stream,
+                    fast = machine.replay(plan, tables, plan_part, stream,
                                           paths);
                 });
                 expectSameResult(ref, fast,
@@ -994,16 +1123,20 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
             conds.push_back(e);
     ASSERT_GT(conds.size(), 1u);
 
-    // Each row with whether its heap is randomized.
+    // Each row with whether its heap is randomized: a randomized heap
+    // replays through the layout's own stream, whose L2 proof holds on
+    // the default machine and refuses on a 64 KiB L2 (DESIGN.md §5x).
     std::vector<std::pair<PathCase, bool>> rows;
     for (const PathCase &pc : pathCases())
         if (pc.name == "default" || pc.name == "64-set BTB" ||
-            pc.name == "64 KiB L2")
+            pc.name == "64 KiB L2") {
             rows.push_back({pc, false});
-    PathCase randomized = pathCases().front();
-    randomized.name = "randomized heap";
-    randomized.l2Shared = false;
-    rows.push_back({randomized, true});
+            if (pc.name != "64-set BTB") {
+                PathCase randomized = pc;
+                randomized.name += ", randomized heap";
+                rows.push_back({randomized, true});
+            }
+        }
 
     const auto code =
         layout::Linker().link(prog, layout::LayoutKey{1, true, true});
@@ -1044,29 +1177,35 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
                 if (ref.mispredicts != ref_later.mispredicts + 1)
                     continue; // The warmup branch is predicted right.
                 found = true;
-                // As a LayoutEvaluator builds them: a randomized heap has
-                // no shared data stream.
+                // As a LayoutEvaluator builds them: a fixed heap shares
+                // one data stream, a randomized heap's layout builds its
+                // own from its tables.
                 const PlanOutcomes plan_part = simulatePlan(cfg, plan);
-                std::optional<StreamOutcomes> stream;
-                if (!random_heap)
-                    stream = simulateStream(cfg, plan, heap,
-                                            layout::PageMap(), plan_part);
-                const StreamOutcomes *shared_stream =
-                    stream ? &*stream : nullptr;
-                LayoutTables tables(plan, code, pages,
-                                    cfg.hierarchy.l1i.lineBytes);
-                const SharedPaths paths = choosePaths(
-                    cfg, plan, tables, plan_part, shared_stream);
+                const u32 line = cfg.hierarchy.l1i.lineBytes;
+                LayoutTables tables =
+                    random_heap ? LayoutTables(plan, code, heap, pages, line)
+                                : LayoutTables(plan, code, pages, line);
+                StreamScratch own;
+                if (random_heap)
+                    simulateStream(cfg, plan, tables, own);
+                else
+                    own.stream = simulateStream(cfg, plan, heap,
+                                                layout::PageMap(), plan_part);
+                const StreamOutcomes &stream = own.stream;
+                const SharedPaths paths =
+                    choosePaths(cfg, plan, tables, plan_part, stream);
                 ASSERT_EQ(paths.l2Data, row.l2Shared) << what;
                 ASSERT_EQ(paths.btb, row.btbShared) << what;
                 if (!paths.l2Data)
-                    tables = LayoutTables(plan, code, heap, pages,
-                                          cfg.hierarchy.l1i.lineBytes);
+                    tables = LayoutTables(plan, code, heap, pages, line);
                 Machine machine(cfg);
                 RunResult fast;
                 const auto count = countersDuring([&] {
-                    fast = machine.replay(plan, tables, plan_part,
-                                          shared_stream, paths);
+                    fast = random_heap
+                               ? machine.replayOwnStream(plan, tables,
+                                                         plan_part)
+                               : machine.replay(plan, tables, plan_part,
+                                                stream, paths);
                 });
                 expectSameResult(ref, fast,
                                  what + ", warmup event " +
@@ -1099,7 +1238,7 @@ TEST(ReplayGoldenDeathTest, SharedL1iPathNeedsTheSharedL2Path)
     SharedPaths l1i_only;
     l1i_only.l1i = true;
     EXPECT_DEATH(
-        machine.replay(w.plan, tables, plan_part, &stream, l1i_only),
+        machine.replay(w.plan, tables, plan_part, stream, l1i_only),
                  "the shared L1I path needs the shared L2 data side");
 }
 
@@ -1119,7 +1258,7 @@ TEST(ReplayGoldenDeathTest, DatalessTablesNeedTheSharedL2Path)
     SharedPaths btb_only;
     btb_only.btb = true;
     EXPECT_DEATH(
-        machine.replay(w.plan, code_only, plan_part, &stream, btb_only),
+        machine.replay(w.plan, code_only, plan_part, stream, btb_only),
                  "tables without data addresses");
 }
 
@@ -1136,7 +1275,10 @@ TEST(ReplayGoldenDeathTest, SharedOutcomesForAnotherStreamPanic)
                         cfg.hierarchy.l1i.lineBytes);
     const PlanOutcomes foreign = simulatePlan(cfg, other.plan);
     Machine machine(cfg);
-    EXPECT_DEATH(machine.replay(w.plan, tables, foreign, nullptr),
+    EXPECT_DEATH(machine.replay(w.plan, tables, foreign,
+                                simulateL1d(cfg, w.plan, tables)),
+                 "shared outcomes cover");
+    EXPECT_DEATH(machine.replayOwnStream(w.plan, tables, foreign),
                  "shared outcomes cover");
 }
 
@@ -1204,7 +1346,7 @@ TEST(ReplayGoldenDeathTest, MismatchedL1dOutcomesPanic)
         simulateStream(cfg, w.plan, heap, tables.pages(), plan_part);
     short_by_one.memCount -= 1;
     Machine machine(cfg);
-    EXPECT_DEATH(machine.replay(w.plan, tables, plan_part, &short_by_one),
+    EXPECT_DEATH(machine.replay(w.plan, tables, plan_part, short_by_one),
                  "L1D outcomes cover");
 }
 

@@ -521,6 +521,54 @@ TEST(ReplayPlanVerifier, MemoryRankOutOfRange)
         << render(r);
 }
 
+/** memFirst feeds the L2 first-touch pass, so a plan compiled from an
+ *  on-disk trace must restate each id's first access exactly: a later
+ *  access of the same id, a swapped pair, a position past the stream
+ *  or a missing entry is each a typed diagnostic. */
+TEST(ReplayPlanVerifier, CorruptedMemFirstIsRejected)
+{
+    PlanFixture clean;
+    const trace::ReplayPlan &p = clean.plan;
+    ASSERT_GT(p.memFirst.size(), 2u);
+    // An id accessed twice, and its second access.
+    size_t r = p.memFirst.size();
+    u32 second = 0;
+    for (u32 j = 0; j < p.memCount() && r == p.memFirst.size(); ++j)
+        if (p.memFirst[p.memRank[j]] < j) {
+            r = p.memRank[j];
+            second = j;
+        }
+    ASSERT_LT(r, p.memFirst.size()) << "no id is accessed twice";
+    const u32 first = p.memFirst[r];
+    const size_t n_mem = p.memCount();
+    auto expect_rejected = [&](const char *what, size_t index,
+                               EntityKind kind, auto corrupt) {
+        PlanFixture f;
+        corrupt(f.plan);
+        const auto res = f.check();
+        EXPECT_FALSE(res.ok()) << what;
+        EXPECT_TRUE(hasDiag(res, "replay-plan", kind, index))
+            << what << "\n" << render(res);
+    };
+    // The id's first access now precedes its recorded first.
+    expect_rejected("later access", first, EntityKind::MemAccess,
+                    [&](trace::ReplayPlan &plan) {
+                        plan.memFirst[r] = second;
+                    });
+    expect_rejected("swapped", 1, EntityKind::MemAccess,
+                    [](trace::ReplayPlan &plan) {
+                        std::swap(plan.memFirst[0], plan.memFirst[1]);
+                    });
+    expect_rejected("past the stream", 0, EntityKind::MemAccess,
+                    [&](trace::ReplayPlan &plan) {
+                        plan.memFirst[0] = static_cast<u32>(n_mem);
+                    });
+    expect_rejected("short", 0, EntityKind::Artifact,
+                    [](trace::ReplayPlan &plan) {
+                        plan.memFirst.pop_back();
+                    });
+}
+
 TEST(ReplayPlanVerifier, ProcFirstSiteNotDense)
 {
     PlanFixture f;

@@ -275,7 +275,7 @@ main(int argc, char **argv)
                 machine.hierarchy.l1i.lineBytes);
             core::PathFacts f;
             const core::SharedPaths paths = core::choosePaths(
-                machine, plan, tables, plan_part, &stream, &f);
+                machine, plan, tables, plan_part, stream, &f);
             l2_facts.add(f.l2);
             btb_facts.add(f.btb);
             l1i_facts.add(f.l1i);

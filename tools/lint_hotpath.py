@@ -18,8 +18,9 @@ Two kinds of hot region, configured in HOT_FILES below:
     form's level source, the BTB pass's lookup, the fetch pass loop,
     the fetch step the fetch pass and the per-layout form call, and the
     cycle sum's per-layout BTB correction loop; in src/core/shared.cc,
-    the L1D pass, the shared form's level source and the per-set fetch
-    loop over the events that reach an overflowing L1I set (§5w). Their
+    the L1D pass, the L2 first-touch pass over the plan's distinct ids
+    (§5x), the shared form's level source and the per-set fetch loop
+    over the events that reach an overflowing L1I set (§5w). Their
     enclosing functions may do setup
     work (latency tables, allocation) before entering the loop. The
     per-branch paths of the Pin-style simulation (L-TAGE, PinSim) are
@@ -65,9 +66,10 @@ HOT_FILES = [
         "functions": [],
     },
     {
-        # The shared passes run once per campaign; only the L1D pass
-        # loop, the shared form's level source and the per-set fetch
-        # loop, which runs per layout, are marked hot.
+        # The shared passes run once per campaign, or per layout where
+        # a randomized heap shares no stream: the L1D pass loop, the L2
+        # first-touch loop, the shared form's level source and the
+        # per-set fetch loop, which runs per layout, are marked hot.
         "path": "src/core/shared.cc",
         "markers": True,
         "functions": [],
