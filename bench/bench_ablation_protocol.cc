@@ -45,6 +45,7 @@ main(int argc, char **argv)
     opts.addString("benchmark", "400.perlbench", "benchmark to study");
     opts.parse(argc, argv);
     auto scale = bench::readScale(opts, bench::kModelLayouts);
+    bench::rejectOnly(scale);
     const std::string name = opts.getString("benchmark");
     const auto &profile = workloads::specFor(name).profile;
 

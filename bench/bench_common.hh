@@ -44,7 +44,7 @@ struct Scale
 /** One machine-readable throughput row for the --json report. */
 struct JsonRow
 {
-    std::string benchmark; ///< e.g. "micro_replay/plan".
+    std::string benchmark; ///< e.g. "micro_replay/own_stream".
     std::string config;    ///< e.g. "jobs=1 layouts=40".
     double layoutsPerSec = 0.0;
     double eventsPerSec = 0.0; ///< 0 when the bench has no event axis.
@@ -231,6 +231,20 @@ readScale(const OptionParser &opts, MinLayouts min = kAnyLayouts)
     if (opts.getFlag("progress"))
         telemetry::installStderrProgressTicker();
     return s;
+}
+
+/**
+ * For a bench that runs one profile, where --only has nothing to select
+ * among: fatal() on a non-empty --only instead of ignoring it. Call
+ * after readScale(), so its --layouts check comes first.
+ */
+inline void
+rejectOnly(const Scale &scale)
+{
+    if (!scale.only.empty())
+        fatal("--only '%s' selects nothing: this bench runs one profile "
+              "(--benchmark picks it where the bench has that flag)",
+              scale.only.c_str());
 }
 
 /**

@@ -72,6 +72,7 @@ main(int argc, char **argv)
     bench::addScaleOptions(opts, 40, 400000);
     opts.parse(argc, argv);
     auto scale = bench::readScale(opts, bench::kModelLayouts);
+    bench::rejectOnly(scale);
 
     auto profile = icacheStressProfile();
     Campaign camp(profile, bench::campaignConfig(scale));

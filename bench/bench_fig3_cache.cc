@@ -100,6 +100,7 @@ main(int argc, char **argv)
                    "suite benchmark to analyze");
     opts.parse(argc, argv);
     auto scale = bench::readScale(opts, bench::kFitLayouts);
+    bench::rejectOnly(scale);
 
     const std::string name = opts.getString("benchmark");
     std::cout << "Figure 3: cache effects on performance for " << name

@@ -1,7 +1,7 @@
 /**
  * @file
  * Replay micro-benchmark: events/sec and layouts/sec of the
- * four per-layout measurement paths, on bench_scaling_parallel's
+ * per-layout measurement paths, on bench_scaling_parallel's
  * workload (445.gobmk, 300k instructions, 40 layouts by default),
  * plus the optimizer's shape, every layout under its own randomized
  * PageMap:
@@ -9,28 +9,22 @@
  *   reference        link + heap + runReference() — the event-at-a-time
  *                    pre-plan path (what campaigns paid before the
  *                    compiled ReplayPlan existed);
- *   plan             link + heap + LayoutTables + Machine::replay()
- *                    with a randomized heap — one L1D pass per layout,
- *                    the L2 simulated and the BTB in its own pass;
- *   plan_shared_l1d  plan with a fixed heap: one L1D pass before the
- *                    batch, its outcome reused by every layout
- *                    (DESIGN.md §5n);
  *   plan_shared      the fixed heap as campaigns run it by default:
  *                    every shared outcome built once before the batch,
  *                    cycle sum included, and each layout's paths set
  *                    by core::choosePaths, as LayoutEvaluator sets
- *                    them (§5p, §5r, §5s, §5v). Where the L2 proof
- *                    holds (every layout on this workload), the layout
- *                    runs no event loop: its cycles are the cycle sum
- *                    over its predictor's pass on the branch stream
+ *                    them (DESIGN.md §5p, §5r, §5s, §5v). Where the L2
+ *                    proof holds (every layout on this workload), the
+ *                    layout runs no event loop: its cycles are the cycle
+ *                    sum over its predictor's pass on the branch stream
  *                    (§5t);
  *   optimize_gcc     plan_shared on the `optimize` benchmark's program
  *                    and budget, 403.gcc at 1M instructions (300k with
  *                    --smoke), whose layouts overflow L1I sets and take
  *                    the per-set fetch (§5w). Its `paths ms` column is
  *                    choosePaths()'s time per layout, the proofs alone;
- *   own_stream       plan's layouts (randomized heap) as a
- *                    LayoutEvaluator replays them: each builds its own
+ *   own_stream       the reference path's layouts (randomized heap) as
+ *                    a LayoutEvaluator replays them: each builds its own
  *                    data stream, proves its own L2 and, where the proof
  *                    holds (every layout on this workload), takes the
  *                    shared paths with its own cycle sum
@@ -38,14 +32,13 @@
  *   own_stream_mcf   own_stream on 429.mcf at 1M instructions (300k
  *                    with --smoke), whose data lines overflow L2 sets
  *                    at 1M: the proof refuses, and the layout builds its
- *                    sum with the L2 simulated, as plan does.
+ *                    sum with the L2 simulated (§5u).
  *
  * Each path's per-layout cost includes everything a campaign pays for
  * that layout (layout construction and proofs included; the shared
  * passes are inside the batch's time), so layouts/sec ratios are
  * end-to-end speedups. Rounds are interleaved across paths —
- * reference, plan, shared L1D, shared, gcc, own stream, mcf, repeat —
- * and the per-path
+ * reference, shared, gcc, own stream, mcf, repeat — and the per-path
  * minimum over rounds is reported, so machine-noise epochs hit all
  * paths alike rather than whichever ran last. Every replay path must
  * produce the reference model's cycle counts (the replay golden
@@ -84,24 +77,22 @@ using Clock = std::chrono::steady_clock;
 enum class Path : u32
 {
     Reference,
-    Plan,
-    PlanSharedL1d,
     PlanShared,
     OptimizeGcc,
     OwnStream,
     OwnStreamMcf
 };
 
-const char *const kPathNames[] = {"reference",       "plan",
-                                  "plan_shared_l1d", "plan_shared",
-                                  "optimize_gcc",    "own_stream",
+const char *const kPathNames[] = {"reference", "plan_shared",
+                                  "optimize_gcc", "own_stream",
                                   "own_stream_mcf"};
 
+/** Whether @p path shares one fixed heap's stream and picks its
+ *  layouts' paths with choosePaths(). */
 bool
 fixedHeap(Path path)
 {
-    return path == Path::PlanSharedL1d || path == Path::PlanShared ||
-           path == Path::OptimizeGcc;
+    return path == Path::PlanShared || path == Path::OptimizeGcc;
 }
 
 /** Whether @p path replays the reference path's layouts: gobmk with a
@@ -109,15 +100,7 @@ fixedHeap(Path path)
 bool
 referenceLayouts(Path path)
 {
-    return path == Path::Reference || path == Path::Plan ||
-           path == Path::OwnStream;
-}
-
-/** Whether @p path picks its layouts' paths with choosePaths(). */
-bool
-choosesPaths(Path path)
-{
-    return path == Path::PlanShared || path == Path::OptimizeGcc;
+    return path == Path::Reference || path == Path::OwnStream;
 }
 
 /** One benchmark program and its trace, compiled. */
@@ -186,7 +169,7 @@ struct PathTiming
  * Measure one path's full layout batch once: every worker chunk owns a
  * Machine and walks its layouts in ascending order (the pool's static
  * partition keeps this deterministic). Returns wall ms and the cycle
- * checksum used for the reference-vs-plan identity check.
+ * checksum its layouts' reference runs must match.
  */
 PathTiming
 runBatch(Path path, exec::ThreadPool &pool, u32 layouts, const Workload &w,
@@ -203,16 +186,12 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts, const Workload &w,
     const u32 line = cfg.hierarchy.l1i.lineBytes;
     std::optional<core::PlanOutcomes> plan_part;
     std::optional<core::StreamOutcomes> stream;
-    if (path != Path::Reference && path != Path::Plan && layouts > 0)
+    if (path != Path::Reference && layouts > 0)
         plan_part = core::simulatePlan(cfg, plan);
     if (fixedHeap(path) && layouts > 0) {
         BenchLayout l = layoutFor(path, prog, 0);
-        if (path == Path::PlanSharedL1d)
-            stream = core::simulateL1d(
-                cfg, plan, trace::LayoutTables(plan, l.heap, l.pages));
-        else
-            stream = core::simulateStream(cfg, plan, l.heap, l.pages,
-                                          *plan_part);
+        stream = core::simulateStream(cfg, plan, l.heap, l.pages,
+                                      *plan_part);
     }
     exec::parallelForChunks(pool, layouts, [&](size_t lo, size_t hi) {
         core::Machine machine(cfg);
@@ -222,13 +201,12 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts, const Workload &w,
             if (path == Path::Reference) {
                 res = machine.runReference(prog, trace, l.code, l.heap,
                                            l.pages);
-            } else if (path == Path::OwnStream ||
-                       path == Path::OwnStreamMcf) {
+            } else if (!fixedHeap(path)) {
                 // LayoutEvaluator::measureOne with no shared stream.
                 trace::LayoutTables tables(plan, l.code, l.heap, l.pages,
                                            line);
                 res = machine.replayOwnStream(plan, tables, *plan_part);
-            } else if (choosesPaths(path)) {
+            } else {
                 // LayoutEvaluator::measureOne: tables without data
                 // addresses unless the L2 proof refuses.
                 trace::LayoutTables tables(plan, l.code, l.pages, line);
@@ -243,12 +221,6 @@ runBatch(Path path, exec::ThreadPool &pool, u32 layouts, const Workload &w,
                                                  l.pages, line);
                 res = machine.replay(plan, tables, *plan_part, *stream,
                                      paths);
-            } else {
-                trace::LayoutTables tables(plan, l.code, l.heap, l.pages,
-                                           line);
-                res = stream ? machine.replay(plan, tables, *plan_part,
-                                              *stream)
-                             : machine.replay(plan, tables);
             }
             cycles[i] = res.cycles;
         }
@@ -270,7 +242,8 @@ main(int argc, char **argv)
 {
     OptionParser opts(
         "bench_micro_replay",
-        "events/sec of the reference, plan and shared replay paths");
+        "events/sec of the reference, shared and own-stream replay "
+        "paths");
     bench::addScaleOptions(opts);
     opts.addInt("rounds", 5,
                 "interleaved measurement rounds per thread count; the "
@@ -280,6 +253,7 @@ main(int argc, char **argv)
                  "300k), 2 rounds");
     opts.parse(argc, argv);
     bench::Scale scale = bench::readScale(opts);
+    bench::rejectOnly(scale);
     u32 rounds = static_cast<u32>(opts.getInt("rounds"));
     if (rounds < 1)
         fatal("--rounds must be >= 1");
@@ -319,9 +293,8 @@ main(int argc, char **argv)
     std::printf("%-16s %8s %14s %12s %14s %10s\n", "path", "threads",
                 "ms/layout", "layouts/sec", "events/sec", "paths ms");
 
-    const Path paths[] = {Path::Reference,    Path::Plan,
-                          Path::PlanSharedL1d, Path::PlanShared,
-                          Path::OptimizeGcc,   Path::OwnStream,
+    const Path paths[] = {Path::Reference, Path::PlanShared,
+                          Path::OptimizeGcc, Path::OwnStream,
                           Path::OwnStreamMcf};
     constexpr size_t kPaths = std::size(paths);
     std::vector<u32> threadAxis = {1};
@@ -336,7 +309,7 @@ main(int argc, char **argv)
             own_ref[pi] = referenceChecksum(
                 paths[pi], scale.layouts, workload_of(paths[pi]), cfg);
     bench::JsonReport report;
-    double refSingle = 0.0, planSingle = 0.0;
+    double refSingle = 0.0, ownSingle = 0.0;
     for (u32 threads : threadAxis) {
         exec::ThreadPool pool(threads);
         std::vector<PathTiming> best(kPaths);
@@ -367,7 +340,7 @@ main(int argc, char **argv)
             double eventsPerSec =
                 layoutsPerSec * static_cast<double>(w.plan.eventCount());
             const std::string paths_ms =
-                choosesPaths(paths[pi])
+                fixedHeap(paths[pi])
                     ? strprintf("%.3f", best[pi].pathsMs / scale.layouts)
                     : std::string("-");
             std::printf("%-16s %8u %14.3f %12.1f %14.3e %10s\n",
@@ -375,8 +348,8 @@ main(int argc, char **argv)
                         layoutsPerSec, eventsPerSec, paths_ms.c_str());
             if (threads == 1 && paths[pi] == Path::Reference)
                 refSingle = perLayoutMs;
-            if (threads == 1 && paths[pi] == Path::Plan)
-                planSingle = perLayoutMs;
+            if (threads == 1 && paths[pi] == Path::OwnStream)
+                ownSingle = perLayoutMs;
             char config[160];
             std::snprintf(config, sizeof config,
                           "jobs=%u layouts=%u instructions=%llu rounds=%u",
@@ -389,9 +362,10 @@ main(int argc, char **argv)
         }
     }
 
-    if (planSingle > 0.0)
-        std::printf("\nplan vs reference, 1 thread: %.2fx layouts/sec\n",
-                    refSingle / planSingle);
+    if (ownSingle > 0.0)
+        std::printf("\nown_stream vs reference, 1 thread: %.2fx "
+                    "layouts/sec\n",
+                    refSingle / ownSingle);
     if (!scale.jsonPath.empty()) {
         report.write(scale.jsonPath);
         std::printf("wrote JSON report to %s\n", scale.jsonPath.c_str());

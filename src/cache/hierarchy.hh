@@ -11,14 +11,12 @@
  * core::simulateStream and shared across layouts (DESIGN.md §5n), so
  * this class's own L1D serves only accessData(), the whole-hierarchy
  * entry that single-structure probes use. Where no L2 set can
- * overflow, no replay calls accessDataBelowL1 either, and this L2 sees
- * only instruction fetches, all from a fetch pass (§5p, §5s); where no
- * L1I set can overflow either, that pass does not run, so neither
- * cache here sees an access and the fetch outcome comes from first
- * touches (§5r). Only where the L2 data side is simulated does the
- * layout's own cycle-sum builder call fetchInst and accessDataBelowL1
- * in one event loop, so the L2 sees fetch and data misses interleaved
- * (§5u). An optional next-line instruction prefetcher
+ * overflow, no replay accesses this class at all: the fetch outcome
+ * comes from first touches, with only the overflowing L1I sets
+ * simulated in a cache of their own (core::fetchPerSet; §5r, §5w).
+ * Only where the L2 data side is simulated does the layout's own
+ * cycle-sum builder call fetchInst and accessDataBelowL1 in one event
+ * loop, so the L2 sees fetch and data misses interleaved (§5u). An optional next-line instruction prefetcher
  * reduces sequential-fetch misses the way real front ends do, keeping
  * conflict misses (the layout-sensitive kind) as the dominant L1I miss
  * source.
@@ -124,9 +122,8 @@ class MemoryHierarchy
 
     /**
      * A data access the L1D already missed, whose L1D outcome was
-     * simulated elsewhere (core::simulateStream, core::simulateL1d):
-     * the L2-and-memory half of accessData(). Never touches this
-     * hierarchy's L1D.
+     * simulated elsewhere (core::simulateStream): the L2-and-memory
+     * half of accessData(). Never touches this hierarchy's L1D.
      */
     HitLevel accessDataBelowL1(Addr addr)
     {

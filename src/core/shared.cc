@@ -191,8 +191,8 @@ buildL2(const MachineConfig &machine, const ReplayPlan &plan,
 /**
  * The shared form's level source (core/cyclesum.hh): where no L2 set
  * can overflow, an access that missed the L1D misses the L2 exactly at
- * the first access to its L2 line. Nothing fetches: the fetch outcome
- * is a pass or a first-touch count of its own, added per layout.
+ * the first access to its L2 line. Nothing fetches: fetchPerSet()'s
+ * outcome is added per layout.
  */
 struct SharedLevels
 {
@@ -355,10 +355,10 @@ hotSites(const MachineConfig &machine, const ReplayPlan &plan,
  * set's contents depend only on the fetches and prefetches that reach
  * it, in their order, and, under Random replacement, on the victim
  * draws, which only evictions make, so only these sets; no other set
- * is simulated. Each hot event repeats the decisions FetchStep and
- * MemoryHierarchy::fetchInst take from event e - 1, the only fetch
- * state they keep: a first line equal to e - 1's last line continues
- * its fetch group and is skipped, unless
+ * is simulated. Each hot event repeats the decisions the in-line fetch
+ * (SimulatedLevels, core/timing.cc) and MemoryHierarchy::fetchInst take
+ * from event e - 1, the only fetch state they keep: a first line equal
+ * to e - 1's last line continues its fetch group and is skipped, unless
  * e - 1 redirected (a return or a taken branch); then it is fetched
  * again, refreshing its LRU position, but the hierarchy, whose last
  * line ignores redirects, skips its prefetch check.
@@ -418,43 +418,7 @@ overflowMisses(const MachineConfig &machine, const ReplayPlan &plan,
     return misses;
 }
 
-} // anonymous namespace
-
-void
-StreamScratch::reserve(const MachineConfig &machine,
-                       const trace::ReplayPlan &plan)
-{
-    const size_t words = (plan.memCount() + 63) / 64;
-    const size_t ids = plan.memUniverse.size();
-    const u64 lines_per_page =
-        kPageBytes >> std::countr_zero(machine.hierarchy.l2.lineBytes);
-    L2FirstTouch &l2 = stream.l2 ? *stream.l2 : spare;
-    stream.hitBits.reserve(words);
-    l2.firstBits.reserve(words);
-    l2.pages.reserve(ids);
-    l2.pageMask.reserve(ids * ((lines_per_page + 63) / 64));
-    l2.sum.delta.reserve(plan.condSite.size());
-    pageIndex.reserve(ids + ids / 4 + 1);
-    perSet.reserve(machine.hierarchy.l2.numSets());
-}
-
-void
-FetchScratch::reserve(const MachineConfig &machine,
-                      const trace::ReplayPlan &plan)
-{
-    firsts.reserve(siteLineBound(machine, plan));
-    perSet.reserve(machine.hierarchy.l1i.numSets());
-    overSets.reserve(machine.hierarchy.l1i.numSets());
-    hotSites.reserve(plan.siteCount());
-}
-
-size_t
-warmupEvent(const MachineConfig &machine, const trace::ReplayPlan &plan)
-{
-    return static_cast<size_t>(static_cast<double>(plan.eventCount()) *
-                               machine.warmupFraction);
-}
-
+/** The plan part's RAS verdicts (PlanOutcomes::rasMissBits). */
 std::vector<u64>
 simulateRas(const MachineConfig &machine, const trace::ReplayPlan &plan)
 {
@@ -492,6 +456,43 @@ simulateRas(const MachineConfig &machine, const trace::ReplayPlan &plan)
     return out;
 }
 
+} // anonymous namespace
+
+void
+StreamScratch::reserve(const MachineConfig &machine,
+                       const trace::ReplayPlan &plan)
+{
+    const size_t words = (plan.memCount() + 63) / 64;
+    const size_t ids = plan.memUniverse.size();
+    const u64 lines_per_page =
+        kPageBytes >> std::countr_zero(machine.hierarchy.l2.lineBytes);
+    L2FirstTouch &l2 = stream.l2 ? *stream.l2 : spare;
+    stream.hitBits.reserve(words);
+    l2.firstBits.reserve(words);
+    l2.pages.reserve(ids);
+    l2.pageMask.reserve(ids * ((lines_per_page + 63) / 64));
+    l2.sum.delta.reserve(plan.condSite.size());
+    pageIndex.reserve(ids + ids / 4 + 1);
+    perSet.reserve(machine.hierarchy.l2.numSets());
+}
+
+void
+FetchScratch::reserve(const MachineConfig &machine,
+                      const trace::ReplayPlan &plan)
+{
+    firsts.reserve(siteLineBound(machine, plan));
+    perSet.reserve(machine.hierarchy.l1i.numSets());
+    overSets.reserve(machine.hierarchy.l1i.numSets());
+    hotSites.reserve(plan.siteCount());
+}
+
+size_t
+warmupEvent(const MachineConfig &machine, const trace::ReplayPlan &plan)
+{
+    return static_cast<size_t>(static_cast<double>(plan.eventCount()) *
+                               machine.warmupFraction);
+}
+
 PlanOutcomes
 simulatePlan(const MachineConfig &machine, const trace::ReplayPlan &plan)
 {
@@ -513,15 +514,6 @@ simulatePlan(const MachineConfig &machine, const trace::ReplayPlan &plan)
     out.siteFirstEvent.assign(plan.siteCount(), ReplayPlan::kNoSite);
     for (size_t e = plan.eventCount(); e-- > 0;)
         out.siteFirstEvent[plan.site[e]] = static_cast<u32>(e);
-    return out;
-}
-
-StreamOutcomes
-simulateL1d(const MachineConfig &machine, const trace::ReplayPlan &plan,
-            const trace::LayoutTables &data)
-{
-    StreamOutcomes out;
-    buildL1d(machine, plan, data, warmupMem(machine, plan), out);
     return out;
 }
 
@@ -800,15 +792,15 @@ choosePaths(const MachineConfig &machine, const trace::ReplayPlan &plan,
             const StreamOutcomes &stream, PathFacts *facts)
 {
     SharedPaths paths;
+    // Fetch misses are first L2 touches or L2 hits only where no L2 set
+    // overflows, and one L2 line's only where the L1I and L2 lines are
+    // equal. fetchPerSet() counts the L1I's sets itself, so they are
+    // counted here only for the facts.
     paths.l2Data = canShareL2Data(machine, plan, tables, stream,
-                                  facts ? &facts->l2 : nullptr);
+                                  facts ? &facts->l2 : nullptr) &&
+                   l1iCheckable(machine, plan, tables, plan_part);
     paths.btb = canShareBtb(machine, plan, tables, plan_part,
                             facts ? &facts->btb : nullptr);
-    // Fetch misses are first L2 touches or L2 hits only where no L2 set
-    // overflows. fetchPerSet() counts the L1I's sets itself, so they are
-    // counted here only for the facts.
-    paths.l1i =
-        paths.l2Data && l1iCheckable(machine, plan, tables, plan_part);
     if (facts)
         canShareL1i(machine, plan, tables, plan_part, &facts->l1i);
     return paths;

@@ -37,8 +37,8 @@
  * layout's data-stream part (DESIGN.md §5v), the latter shared by a
  * fixed heap's layouts or, where the heap is randomized, each layout's
  * own (§5x); choosePaths() runs the proofs canShareL2Data() and
- * canShareBtb() per layout and picks the L1I path, and fetchPerSet()
- * derives a layout's fetch outcome where the L2 data side is shared.
+ * canShareBtb() per layout, and fetchPerSet() derives a layout's fetch
+ * outcome where the L2 data side is shared.
  * Campaigns and the optimizer call choosePaths() through
  * interferometry::LayoutEvaluator and core::Machine::replayOwnStream;
  * interf_verify reports its facts.
@@ -163,12 +163,6 @@ struct StreamOutcomes
 PlanOutcomes simulatePlan(const MachineConfig &machine,
                           const trace::ReplayPlan &plan);
 
-/** The plan part's RAS verdicts alone (PlanOutcomes::rasMissBits): all
- *  a replay that simulates every other structure reads of the plan
- *  part. */
-std::vector<u64> simulateRas(const MachineConfig &machine,
-                             const trace::ReplayPlan &plan);
-
 /**
  * The data-stream part of @p heap: the L1D hit bits from power-on
  * state, and the L2 first-touch bits, pages and cycle sum (built with
@@ -183,13 +177,6 @@ StreamOutcomes simulateStream(const MachineConfig &machine,
                               const layout::HeapLayout &heap,
                               const layout::PageMap &pages,
                               const PlanOutcomes &plan_part);
-
-/** The L1D part alone, over the data addresses of @p data: the pass of
- *  a replay that simulates every other structure. Counts one
- *  replay.l1d_passes. */
-StreamOutcomes simulateL1d(const MachineConfig &machine,
-                           const trace::ReplayPlan &plan,
-                           const trace::LayoutTables &data);
 
 /**
  * What a layout's own data stream reuses from one layout to the next
@@ -239,17 +226,14 @@ void addStreamSum(const MachineConfig &machine,
 /**
  * Which structures one replay takes from its plan and data-stream
  * parts instead of simulating. Set per layout by choosePaths(); the
- * default simulates all three. The L1I path needs the L2 data path:
- * its misses go to memory or hit the L2 only because the L2 proof
- * holds.
+ * default simulates both. With the L2 data side shared, the replay
+ * takes its L1I fetch from fetchPerSet(): its misses go to memory or
+ * hit the L2 only because the L2 proof holds.
  */
 struct SharedPaths
 {
-    bool l2Data = false; ///< L2 data side (canShareL2Data).
+    bool l2Data = false; ///< L2 data side and per-set fetch.
     bool btb = false;    ///< BTB (canShareBtb).
-    /** L1I fetch from fetchPerSet: first touches, and only the
-     *  overflowing sets simulated. */
-    bool l1i = false;
 };
 
 /** What a sharing proof found for one layout (interf_verify's facts). */
@@ -342,11 +326,12 @@ bool canShareL1i(const MachineConfig &machine,
 
 /**
  * The paths one replay of the layout of @p tables may take: the L2
- * data side where @p stream passes the L2 proof, the BTB where
- * @p plan_part passes the BTB proof, and the L1I where the L2 path is
- * taken and the L1I and L2 lines are equal. Fills @p facts, when
- * given, with every proof's facts, the L1I's included where the L2
- * proof refuses; without them the L1I's sets are not counted here.
+ * data side where @p stream passes the L2 proof and fetchPerSet() can
+ * run (equal L1I and L2 lines, fetch lines at the L1I size, a plan part
+ * for this plan), and the BTB where @p plan_part passes the BTB proof.
+ * Fills @p facts, when given, with every proof's facts, the L2's as its
+ * proof found them and the L1I's included where the L2 proof refuses;
+ * without them the L1I's sets are not counted here.
  */
 SharedPaths choosePaths(const MachineConfig &machine,
                         const trace::ReplayPlan &plan,
@@ -428,9 +413,10 @@ struct FetchScratch
  * @p scratch's L1I from power-on and in event order, over the events
  * whose site has a line in one of them or a line whose prefetched
  * successor is in one. Only they evict, so a Random L1I draws from its
- * RNG there alone, in the same order as a whole pass. Under the L2
- * proof the L2 never evicts a code line, so every line's first arrival,
- * a demand or a prefetch, misses the L2 and any later L1I miss hits it.
+ * RNG there alone, in the order a simulation of every set would. Under
+ * the L2 proof the L2 never evicts a code line, so every line's first
+ * arrival, a demand or a prefetch, misses the L2 and any later L1I miss
+ * hits it.
  * Counts one replay.l1i_shared where no set overflows, one
  * replay.l1i_per_set otherwise.
  */

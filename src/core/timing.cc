@@ -16,31 +16,39 @@ namespace
 {
 
 /**
- * The front end's per-event step, the one fetch body beside
- * runReference(): the per-layout cycle sum's inline fetch and the
- * fetch pass both call it. It fetches the lines a site spans through
- * the hierarchy, skipping a line equal to the last one fetched (the
- * same fetch group continuing), and returns the demand-miss stall.
- * Fetch lines are physical; the page map is a bijection that keeps
- * offsets, so deduping on them is deduping on virtual lines.
+ * The per-layout form's level source (core/cyclesum.hh), where the L2
+ * is simulated: each event's fetch runs in line before its accesses, so
+ * the L2 sees fetch and data misses in runReference()'s order, and an
+ * access that missed the L1D goes through the hierarchy's L2. The fetch,
+ * the one fetch body beside runReference(), fetches the lines a site
+ * spans through the hierarchy, skipping a line equal to the last one
+ * fetched (the same fetch group continuing). Fetch lines are physical;
+ * the page map is a bijection that keeps offsets, so deduping on them is
+ * deduping on virtual lines.
  */
-class FetchStep
+class SimulatedLevels
 {
   public:
-    FetchStep(cache::MemoryHierarchy &hierarchy,
-              const trace::LayoutTables &tables, const MachineConfig &cfg)
+    SimulatedLevels(cache::MemoryHierarchy &hierarchy,
+                    const trace::ReplayPlan &plan,
+                    const trace::LayoutTables &tables,
+                    const MachineConfig &cfg)
         : hierarchy_(hierarchy),
+          evSite_(plan.site.data()),
           linePhys_(tables.linePhys.data()),
           siteLineStart_(tables.siteLineStart.data()),
+          dataAddr_(tables.dataAddr.data()),
           stallByLevel_{0, fetchStall(cfg.l2Latency),
                         fetchStall(cfg.memLatency)}
     {
     }
 
-    // lint:hot-begin fetch step (tools/lint_hotpath.py)
-    /** Fetch site @p s's lines; returns the stall they cost. */
-    Cycle operator()(u32 s)
+    // lint:hot-begin per-layout level source (tools/lint_hotpath.py)
+    /** Fetch the lines of event @p e's site; returns the stall they
+     *  cost. */
+    Cycle beforeEvent(size_t e)
     {
+        const u32 s = evSite_[e];
         Cycle stall = 0;
         const u32 li_end = siteLineStart_[s + 1];
         for (u32 li = siteLineStart_[s]; li < li_end; ++li) {
@@ -55,47 +63,12 @@ class FetchStep
         }
         return stall;
     }
-
-    /** A return or a taken redirect breaks the sequential fetch run. */
-    void redirect() { lastLine_ = ~Addr{0}; }
-    // lint:hot-end
-
-  private:
-    cache::MemoryHierarchy &hierarchy_;
-    const Addr *linePhys_;
-    const u32 *siteLineStart_;
-    const Cycle stallByLevel_[3];
-    Addr lastLine_ = ~Addr{0};
-};
-
-/**
- * The per-layout form's level source (core/cyclesum.hh), where the L2
- * is simulated: an access that missed the L1D goes through the
- * hierarchy's L2, and each event's fetch runs in line before its
- * accesses, so the L2 sees fetch and data misses in runReference()'s
- * order.
- */
-class SimulatedLevels
-{
-  public:
-    SimulatedLevels(cache::MemoryHierarchy &hierarchy,
-                    const trace::ReplayPlan &plan,
-                    const trace::LayoutTables &tables,
-                    const MachineConfig &cfg)
-        : hierarchy_(hierarchy),
-          fetch_(hierarchy, tables, cfg),
-          evSite_(plan.site.data()),
-          dataAddr_(tables.dataAddr.data())
-    {
-    }
-
-    // lint:hot-begin per-layout level source (tools/lint_hotpath.py)
-    Cycle beforeEvent(size_t e) { return fetch_(evSite_[e]); }
     cache::HitLevel belowL1(size_t mem)
     {
         return hierarchy_.accessDataBelowL1(dataAddr_[mem]);
     }
-    void redirect() { fetch_.redirect(); }
+    /** A return or a taken redirect breaks the sequential fetch run. */
+    void redirect() { lastLine_ = ~Addr{0}; }
     // lint:hot-end
 
     /** The warmup split: forget the misses so far, keep the cache
@@ -104,9 +77,12 @@ class SimulatedLevels
 
   private:
     cache::MemoryHierarchy &hierarchy_;
-    FetchStep fetch_;
     const u32 *evSite_;
+    const Addr *linePhys_;
+    const u32 *siteLineStart_;
     const Addr *dataAddr_;
+    const Cycle stallByLevel_[3];
+    Addr lastLine_ = ~Addr{0};
 };
 
 /** Add a fetch outcome, whichever form produced it, to the rest of a
@@ -430,17 +406,7 @@ RunResult
 Machine::replay(const trace::ReplayPlan &plan,
                 const trace::LayoutTables &tables)
 {
-    if (!tables.hasData())
-        panic("tables without data addresses replay only with a shared "
-              "L1D and L2 data side");
-    // Every structure is simulated: of the plan part, only the RAS
-    // verdicts are read.
-    const std::vector<u64> ras_miss = simulateRas(cfg_, plan);
-    const StreamOutcomes own_l1d = simulateL1d(cfg_, plan, tables);
-    begin(plan, tables);
-    INTERF_TELEM_COUNT("replay.btb_simulated", 1);
-    return ownSumReplay(plan, tables, own_l1d, ras_miss.data(),
-                        btbPass(plan, tables));
+    return replayOwnStream(plan, tables, simulatePlan(cfg_, plan));
 }
 
 RunResult
@@ -463,10 +429,6 @@ Machine::replay(const trace::ReplayPlan &plan,
     // An L2 line wider than a page leaves a stream no L2 part to share.
     if (paths.l2Data && !stream.l2)
         panic("the shared L2 data side needs a stream with an L2 part");
-    // Fetch misses are first L2 touches or L2 hits only where no L2 set
-    // overflows.
-    if (paths.l1i && !paths.l2Data)
-        panic("the shared L1I path needs the shared L2 data side");
     begin(plan, tables);
 
     // The BTB meets no other structure, so its per-layout form is a
@@ -479,19 +441,13 @@ Machine::replay(const trace::ReplayPlan &plan,
         paths.btb ? plan_part.btb : btbPass(plan, tables);
 
     if (!paths.l2Data)
-        return ownSumReplay(plan, tables, stream, plan_part.rasMissBits.data(),
-                            btb);
+        return ownSumReplay(plan, tables, plan_part, stream, btb);
     // A shared L2 data side leaves the hierarchy only fetches, which
     // only ever add stalls to cycles, so their outcome adds on exactly;
     // every other term is the stream's cycle sum's.
     INTERF_TELEM_COUNT("replay.l2_shared", 1);
-    FetchOutcome fetch;
-    if (paths.l1i) {
-        fetch = fetchPerSet(cfg_, plan, tables, plan_part, fetchScratch_);
-    } else {
-        INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
-        fetch = fetchPass(plan, tables);
-    }
+    const FetchOutcome fetch =
+        fetchPerSet(cfg_, plan, tables, plan_part, fetchScratch_);
     RunResult res = replaySum(plan, tables, stream.l2->sum, plan_part.btb, btb);
     addFetch(fetch, res);
     return res;
@@ -521,18 +477,18 @@ Machine::replayOwnStream(const trace::ReplayPlan &plan,
 RunResult
 Machine::ownSumReplay(const trace::ReplayPlan &plan,
                       const trace::LayoutTables &tables,
-                      const StreamOutcomes &stream, const u64 *ras_miss,
-                      const BtbOutcome &btb)
+                      const PlanOutcomes &plan_part,
+                      const StreamOutcomes &stream, const BtbOutcome &btb)
 {
     // A simulated L2 sees fetch and data misses interleaved: this
     // layout builds its own sum, fetching in line.
     INTERF_TELEM_COUNT("replay.l2_simulated", 1);
-    INTERF_TELEM_COUNT("replay.l1i_simulated", 1);
     SimulatedLevels levels(hierarchy_, plan, tables, cfg_);
     CycleSum own;
     const Cycle stall =
-        buildSum(cfg_, plan, stream.hitBits.data(), ras_miss,
-                 btb.condMissBits.data(), levels, own);
+        buildSum(cfg_, plan, stream.hitBits.data(),
+                 plan_part.rasMissBits.data(), btb.condMissBits.data(),
+                 levels, own);
     const cache::HierarchyStats hs = hierarchy_.stats();
     own.l1dMisses = stream.misses;
     own.l2DataMisses = hs.l2DataMisses;
@@ -607,37 +563,6 @@ Machine::btbPass(const trace::ReplayPlan &plan,
     // lint:hot-end
     buildBtb(cfg_, plan, lookup, btbOwn_);
     return btbOwn_;
-}
-
-FetchOutcome
-Machine::fetchPass(const trace::ReplayPlan &plan,
-                   const trace::LayoutTables &tables)
-{
-    using trace::ReplayPlan;
-    FetchStep fetch(hierarchy_, tables, cfg_);
-    const u32 *ev_site = plan.site.data();
-    const u8 *ev_flags = plan.flags.data();
-    Cycle stall = 0;
-    // lint:hot-begin fetch pass (tools/lint_hotpath.py)
-    auto run_events = [&](size_t lo, size_t hi) {
-        for (size_t e = lo; e < hi; ++e) {
-            stall += fetch(ev_site[e]);
-            const u8 f = ev_flags[e];
-            if ((f & ReplayPlan::kHasBranch) &&
-                (f & (ReplayPlan::kReturn | ReplayPlan::kTaken)))
-                fetch.redirect();
-        }
-    };
-    // lint:hot-end
-    // The warmup split: forget what was counted, keep the cache
-    // contents.
-    const size_t warmup_events = warmupEvent(cfg_, plan);
-    run_events(0, warmup_events);
-    stall = 0;
-    hierarchy_.clearStats();
-    run_events(warmup_events, plan.eventCount());
-    const cache::HierarchyStats hs = hierarchy_.stats();
-    return {stall, hs.l1i.misses, hs.l2InstMisses, hs.l2PrefMisses};
 }
 
 } // namespace interf::core

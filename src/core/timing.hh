@@ -84,8 +84,8 @@ class Machine
      * Execute a trace under a code + data layout.
      *
      * A thin adapter over replay(): compiles the trace into a one-off
-     * ReplayPlan and LayoutTables, then replays them with every
-     * structure simulated for this layout.
+     * ReplayPlan and LayoutTables, then replays them as a randomized
+     * heap's layout is replayed.
      * Callers replaying the same trace many times (campaigns, sweeps)
      * should build the plan once and call replay() directly.
      *
@@ -109,14 +109,12 @@ class Machine
                   const layout::PageMap &pages);
 
     /**
-     * Replay a compiled plan under one layout's address tables with
-     * every structure simulated for this layout: the five-argument
-     * overload's per-layout forms. It builds the plan's RAS verdicts
-     * (simulateRas), runs its own L1D pass over the tables and its BTB
-     * pass, and builds its own cycle sum with the L2 simulated.
-     * Bit-identical to runReference() on the same (trace, layout) —
-     * every counter and cycle count — which tests/test_replay.cc
-     * enforces. The tables must carry data addresses (not code-only).
+     * Replay a compiled plan under one layout's address tables, which
+     * must carry data addresses: replayOwnStream() with a plan part
+     * built for this call (simulatePlan()), so the layout takes the
+     * paths its own proofs allow, as a campaign's would. Bit-identical
+     * to runReference() on the same (trace, layout) — every counter and
+     * cycle count — which tests/test_replay.cc enforces.
      */
     RunResult replay(const trace::ReplayPlan &plan,
                      const trace::LayoutTables &tables);
@@ -147,10 +145,8 @@ class Machine
      *    (§5u), then runs the same pass over the branch stream.
      *  - L1I fetch, where the L2 data side is shared: fetchPerSet()
      *    over @p tables, which simulates only the overflowing sets
-     *    (§5w), or a fetch pass that simulates the whole L1I and the
-     *    L2's code side. The per-set form needs the L2 data path
-     *    (panics otherwise). Every fetch outcome, the in-line one
-     *    included, is added to the cycle sum.
+     *    (§5w). Every fetch outcome, the in-line one included, is
+     *    added to the cycle sum.
      *
      * @p tables may lack data addresses only when the L2 data side is
      * shared. @p plan_part and @p stream must cover this plan's
@@ -221,26 +217,20 @@ class Machine
                const trace::LayoutTables &tables);
 
     /** The replay where the L2 is simulated: this layout's own cycle
-     *  sum, built in one event loop through hierarchy_ with the L1D
-     *  bits of @p stream, the RAS verdicts @p ras_miss, the BTB outcome
-     *  @p btb and the fetch in line, then replayed with its fetch
-     *  outcome, counted from the warmup event, added. */
+     *  sum, built in one event loop through hierarchy_ with the RAS
+     *  verdicts of @p plan_part, the L1D bits of @p stream, the BTB
+     *  outcome @p btb and the fetch in line, then replayed with its
+     *  fetch outcome, counted from the warmup event, added. */
     RunResult ownSumReplay(const trace::ReplayPlan &plan,
                            const trace::LayoutTables &tables,
+                           const PlanOutcomes &plan_part,
                            const StreamOutcomes &stream,
-                           const u64 *ras_miss, const BtbOutcome &btb);
+                           const BtbOutcome &btb);
 
     /** This layout's BTB outcome: btb_ over the plan's taken non-return
      *  branches, in event order, into btbOwn_. */
     const BtbOutcome &btbPass(const trace::ReplayPlan &plan,
                               const trace::LayoutTables &tables);
-
-    /** Simulate this layout's fetch stream alone through hierarchy_,
-     *  every L1I set: exact where nothing else reaches the L2 (a shared
-     *  data side). Runs where fetchPerSet() cannot: L1I and L2 lines
-     *  differ. */
-    FetchOutcome fetchPass(const trace::ReplayPlan &plan,
-                           const trace::LayoutTables &tables);
 
     /** Replay @p sum (a stream's or this layout's own) for this layout:
      *  the predictor over the branch stream, plus the charges of @p btb,

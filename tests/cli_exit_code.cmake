@@ -1,6 +1,8 @@
-# Run a command and require an exact exit code.
+# Run a command and require an exact exit code and, with -DMATCH, a
+# stderr that matches the regex MATCH.
 #
-#   cmake -DEXPECTED=<code> -P cli_exit_code.cmake -- <command> [args...]
+#   cmake -DEXPECTED=<code> [-DMATCH=<regex>] -P cli_exit_code.cmake --
+#         <command> [args...]
 #
 # A plain ctest entry (even with WILL_FAIL) only tells zero from
 # nonzero, so it cannot tell a diagnostic exit (1) from a usage error
@@ -28,4 +30,8 @@ execute_process(COMMAND ${command}
 if(NOT "${status}" STREQUAL "${EXPECTED}")
     message(FATAL_ERROR "exit status '${status}', expected ${EXPECTED}\n"
                         "stdout:\n${out}\nstderr:\n${err}")
+endif()
+if(DEFINED MATCH AND NOT "${err}" MATCHES "${MATCH}")
+    message(FATAL_ERROR "stderr does not match '${MATCH}'\n"
+                        "stderr:\n${err}")
 endif()

@@ -569,7 +569,7 @@ TEST(CampaignL1d, FixedHeapCampaignSharesL1iOnEveryLayout)
         EXPECT_EQ(counterDuring("replay.calls", body), 8u);
         EXPECT_EQ(counterDuring("replay.l1i_shared", body), 8u)
             << "jobs " << jobs;
-        EXPECT_EQ(counterDuring("replay.l1i_simulated", body), 0u)
+        EXPECT_EQ(counterDuring("replay.l2_simulated", body), 0u)
             << "jobs " << jobs;
     }
 }

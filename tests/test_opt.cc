@@ -771,7 +771,8 @@ TEST(OptSearch, SearchTakesTheL1iPathWhereTheL2ProofHolds)
     // Every fresh evaluation reads its fetch outcome from first touches
     // (DESIGN.md §5r) where its L2 proof holds: on the shared stream of
     // a fixed heap, or on the layout's own stream of a randomized one
-    // (§5x). A 64 KiB L2 refuses the proof, and fetch is simulated.
+    // (§5x). A 64 KiB L2 refuses the proof, and fetch is simulated in
+    // line in the layout's own sum (§5u).
     const auto profile = workloads::defaultProfile("opt-l1d");
     for (bool randomize : {false, true})
         for (bool small_l2 : {false, true}) {
@@ -794,7 +795,7 @@ TEST(OptSearch, SearchTakesTheL1iPathWhereTheL2ProofHolds)
             EXPECT_EQ(counterDuring("replay.l1i_shared", body),
                       small_l2 ? 0u : calls)
                 << what;
-            EXPECT_EQ(counterDuring("replay.l1i_simulated", body),
+            EXPECT_EQ(counterDuring("replay.l2_simulated", body),
                       small_l2 ? calls : 0u)
                 << what;
         }

@@ -230,7 +230,8 @@ TEST(ReplayGolden, L1dPassWarmupSplitMatchesReference)
                 w.prog, w.trace, code, heap, layout::PageMap());
             LayoutTables tables(w.plan, code, heap, layout::PageMap(),
                                 cfg.hierarchy.l1i.lineBytes);
-            EXPECT_EQ(simulateL1d(cfg, w.plan, tables).misses,
+            StreamScratch own;
+            EXPECT_EQ(simulateStream(cfg, w.plan, tables, own).misses,
                       ref.l1dMisses)
                 << "workload " << wi << " warmup " << frac;
         }
@@ -329,9 +330,9 @@ countersDuring(const std::function<void()> &body)
 /** How a replay takes its L1I fetch outcome, by the replay.* counter it
  *  counts: from first touches alone (replay.l1i_shared), from first
  *  touches with the overflowing sets simulated (replay.l1i_per_set), or
- *  from a simulation of every set, the fetch pass's or the in-line
- *  fetch of a sum with the L2 simulated (replay.l1i_simulated). */
-enum class Fetch { FirstTouch, PerSet, WholePass };
+ *  in line, in the event loop of the layout's own sum with the L2
+ *  simulated (replay.l2_simulated). */
+enum class Fetch { FirstTouch, PerSet, OwnSumInLine };
 
 /** A machine variant of the shared-path sweep and the paths its proofs
  *  must choose on every layout. */
@@ -345,9 +346,6 @@ struct PathCase
     /** Each layout's heap is its own, so it replays through its own
      *  stream (Machine::replayOwnStream; DESIGN.md §5x). */
     bool randomHeap = false;
-
-    /** choosePaths's L1I path: every fetch form but the whole pass. */
-    bool l1iPath() const { return fetch != Fetch::WholePass; }
 };
 
 std::vector<PathCase>
@@ -357,9 +355,8 @@ pathCases()
     std::vector<PathCase> cases;
     using enum Fetch;
     cases.push_back({"default", xeon, true, true, FirstTouch});
-    // The L1I path needs the L2 proof, so an overflowing L2 takes both
-    // fallbacks.
-    PathCase small_l2{"64 KiB L2", xeon, false, true, WholePass};
+    // An overflowing L2 builds the layout's own sum, fetching in line.
+    PathCase small_l2{"64 KiB L2", xeon, false, true, OwnSumInLine};
     small_l2.cfg.hierarchy.l2 = cache::CacheConfig{
         "L2", 64 << 10, 16, 64, cache::Replacement::Random};
     cases.push_back(small_l2);
@@ -370,21 +367,24 @@ pathCases()
     small_ras.cfg.rasDepth = 2;
     cases.push_back(small_ras);
     // Line geometry: 128-byte L2 lines (32 per page) and 32-byte L1I
-    // lines share the L2; 32-byte L2 lines under 64-byte L1D lines
-    // cannot, because a first L2 touch need not miss the L1D. The L1I
-    // path needs equal L1I and L2 lines, so all three fall back there.
-    PathCase wide_l2{"128 B L2 lines", xeon, true, true, WholePass};
+    // lines pass the L2 proof, but the per-set fetch reads a fetch miss
+    // as one L2 line's, so the shared L2 path needs equal L1I and L2
+    // lines: both build their own sum. 32-byte L2 lines under 64-byte
+    // L1D lines fail the proof, because a first L2 touch need not miss
+    // the L1D.
+    PathCase wide_l2{"128 B L2 lines", xeon, false, true, OwnSumInLine};
     wide_l2.cfg.hierarchy.l2.lineBytes = 128;
     cases.push_back(wide_l2);
-    PathCase narrow_l1i{"32 B L1I lines", xeon, true, true, WholePass};
+    PathCase narrow_l1i{"32 B L1I lines", xeon, false, true, OwnSumInLine};
     narrow_l1i.cfg.hierarchy.l1i.lineBytes = 32;
     cases.push_back(narrow_l1i);
-    PathCase narrow_l2{"32 B L2 lines", xeon, false, true, WholePass};
+    PathCase narrow_l2{"32 B L2 lines", xeon, false, true, OwnSumInLine};
     narrow_l2.cfg.hierarchy.l2.lineBytes = 32;
     cases.push_back(narrow_l2);
     // An L2 line wider than a page would straddle page-map moves, so the
     // data stream has no L2 part and the L2 proof cannot run.
-    PathCase page_wide_l2{"8 KiB L2 lines", xeon, false, true, WholePass};
+    PathCase page_wide_l2{"8 KiB L2 lines", xeon, false, true,
+                          OwnSumInLine};
     page_wide_l2.cfg.hierarchy.l2.lineBytes = 8 << 10;
     cases.push_back(page_wide_l2);
     // L1I geometry: a 4 KiB 2-way L1I overflows some of its sets, which
@@ -426,12 +426,12 @@ pathCases()
     one_set.cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 1 << 10, 16, 64};
     cases.push_back(one_set);
     PathCase one_set_l2{"fully associative L1I + 64 KiB L2", xeon, false,
-                        true, WholePass};
+                        true, OwnSumInLine};
     one_set_l2.cfg.hierarchy.l1i = one_set.cfg.hierarchy.l1i;
     one_set_l2.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
     cases.push_back(one_set_l2);
     PathCase all_refuse{"every proof refuses", xeon, false, false,
-                        WholePass};
+                        OwnSumInLine};
     all_refuse.cfg = btb_and_l1i.cfg;
     all_refuse.cfg.hierarchy.l2 = small_l2.cfg.hierarchy.l2;
     cases.push_back(all_refuse);
@@ -450,8 +450,9 @@ pathCases()
  *  under the identity map, then every layout replays with the paths its
  *  proofs allow, as a LayoutEvaluator does: from tables without data
  *  addresses when the L2 data side is shared, with them otherwise, and
- *  with the L1I's per-set outcome where the L2 proof holds and the L1I
- *  and L2 lines are equal. The default machine shares the L2 data side,
+ *  with the L1I's per-set outcome where the L2 data side is shared (the
+ *  L2 proof holds and the L1I and L2 lines are equal). The default
+ *  machine shares the L2 data side,
  *  the BTB, the RAS and the L1I; a 64 KiB L2 and a 64-set BTB overflow
  *  sets and fall back to simulation (the BTB pass, or a cycle sum of
  *  the layout's own that simulates the L2), alone and together; a 4 KiB
@@ -466,7 +467,10 @@ pathCases()
  *  randomized-heap rows give each layout a heap of its own and replay
  *  it as the evaluator does, through its own stream, where its own L2
  *  proof holds (the default machine, beside a 64-set BTB or a 4 KiB
- *  L1I) or refuses (a 64 KiB L2) (§5x). */
+ *  L1I) or refuses (a 64 KiB L2) (§5x). Every layout is also replayed
+ *  through the two-argument Machine::replay, which builds a plan part
+ *  and its own stream and takes the paths its own proofs allow: the
+ *  row's paths, counted beside the evaluator-style replay's. */
 TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
 {
     const layout::HeapKey fixed = layout::HeapKey::deterministic();
@@ -505,7 +509,6 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                                 cfg, w.plan, tables, plan_part, own.stream);
                             EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
                             EXPECT_EQ(paths.btb, pc.btbShared) << what;
-                            EXPECT_EQ(paths.l1i, pc.l1iPath()) << what;
                             ConflictFacts l1i;
                             canShareL1i(cfg, w.plan, tables, plan_part, &l1i);
                             partial_overflows +=
@@ -520,43 +523,46 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
                                 machine.replayOwnStream(w.plan, tables,
                                                         plan_part),
                                 what);
+                            expectSameResult(ref,
+                                             machine.replay(w.plan, tables),
+                                             what + ", two-argument");
                             ras_mispredicts += ref.rasMispredicts;
-                            ++replays;
+                            replays += 2;
                             continue;
                         }
-                        LayoutTables tables(w.plan, code, pages,
-                                            cfg.hierarchy.l1i.lineBytes);
+                        const LayoutTables tables(
+                            w.plan, code, pages, cfg.hierarchy.l1i.lineBytes);
                         const SharedPaths paths = choosePaths(
                             cfg, w.plan, tables, plan_part, stream);
                         EXPECT_EQ(paths.l2Data, pc.l2Shared) << what;
                         EXPECT_EQ(paths.btb, pc.btbShared) << what;
-                        EXPECT_EQ(paths.l1i, pc.l1iPath()) << what;
                         ConflictFacts l1i;
                         canShareL1i(cfg, w.plan, tables, plan_part, &l1i);
                         partial_overflows +=
                             l1i.overflowingSets > 0 &&
                             l1i.overflowingSets < cfg.hierarchy.l1i.numSets();
-                        if (!paths.l2Data)
-                            tables = LayoutTables(w.plan, code, heap, pages,
-                                                  cfg.hierarchy.l1i.lineBytes);
+                        const LayoutTables with_data(
+                            w.plan, code, heap, pages,
+                            cfg.hierarchy.l1i.lineBytes);
                         Machine fresh(cfg);
                         const RunResult ref = fresh.runReference(
                             w.prog, w.trace, code, heap, pages);
-                        expectSameResult(ref,
-                                         machine.replay(w.plan, tables,
-                                                        plan_part, stream,
-                                                        paths),
-                                         what);
+                        expectSameResult(
+                            ref,
+                            machine.replay(w.plan,
+                                           paths.l2Data ? tables : with_data,
+                                           plan_part, stream, paths),
+                            what);
+                        expectSameResult(ref, machine.replay(w.plan, with_data),
+                                         what + ", two-argument");
                         ras_mispredicts += ref.rasMispredicts;
-                        ++replays;
+                        replays += 2;
                     }
                 }
             }
         });
         EXPECT_EQ(count("replay.calls"), replays) << pc.name;
         EXPECT_EQ(count("replay.l2_shared"), pc.l2Shared ? replays : 0)
-            << pc.name;
-        EXPECT_EQ(count("replay.l2_simulated"), pc.l2Shared ? 0 : replays)
             << pc.name;
         EXPECT_EQ(count("replay.btb_shared"), pc.btbShared ? replays : 0)
             << pc.name;
@@ -567,7 +573,8 @@ TEST(ReplayGolden, SharedPathsMatchReferenceOnBothSidesOfEveryProof)
             << pc.name;
         EXPECT_EQ(count("replay.l1i_per_set"), replays_if(Fetch::PerSet))
             << pc.name;
-        EXPECT_EQ(count("replay.l1i_simulated"), replays_if(Fetch::WholePass))
+        EXPECT_EQ(count("replay.l2_simulated"),
+                  replays_if(Fetch::OwnSumInLine))
             << pc.name;
         EXPECT_GT(ras_mispredicts, 0u) << pc.name;
         // A multi-set L1I on the per-set path overflows some of its sets
@@ -624,14 +631,13 @@ TEST(ReplayGolden, SharedRasBitsMatchReturnAddressStack)
     }
 }
 
-/** The fallbacks are not vacuous: where a proof refuses, reading the
- *  shared outcome anyway gives a wrong result on at least one
- *  workload. The L2 and BTB paths are forced by themselves. The L1I
- *  path is forced in a run of its own, with the L2 path it needs,
- *  where the L2 proof holds but the L1I and L2 lines differ, which
- *  shows in the L2 verdicts of fetches and prefetches. (Where the L2
- *  proof refuses, the L1I path is never taken.) An L2 line wider than
- *  a page leaves the stream no L2 part: no L2 outcome to force. */
+/** The fallbacks are not vacuous: where a path is refused, taking it
+ *  anyway gives a wrong result on at least one workload. That includes
+ *  the rows whose L2 proof holds but whose L1I and L2 lines differ:
+ *  there the per-set fetch's L1I misses hold, but it misreads the L2
+ *  verdicts of fetches and prefetches, which shows in l2Misses. An L2
+ *  line wider than a page leaves the stream no L2 part: no L2 outcome
+ *  to force. */
 TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
 {
     for (const PathCase &pc : pathCases()) {
@@ -640,15 +646,10 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
         const bool l2_part = pc.cfg.hierarchy.l2.lineBytes <=
                              (Addr{1} << layout::PageMap::pageBits);
         const bool l2_refused = !pc.l2Shared && l2_part;
-        const bool l2_or_btb_refused = l2_refused || !pc.btbShared;
-        const bool l1i_refused =
-            pc.l2Shared && !pc.l1iPath() &&
-            pc.cfg.hierarchy.l1i.lineBytes != pc.cfg.hierarchy.l2.lineBytes;
-        if (!l2_or_btb_refused && !l1i_refused)
+        if (!l2_refused && pc.btbShared)
             continue;
         const MachineConfig &cfg = pc.cfg;
         u32 differing = 0;
-        u32 l1i_differing = 0;
         for (const Workload &w : workloads()) {
             layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
             LayoutTables tables(w.plan, codeFor(w, 4), heap,
@@ -660,35 +661,16 @@ TEST(ReplayGolden, RefusedSharedPathsWouldDiverge)
             ASSERT_EQ(stream.l2.has_value(), l2_part) << pc.name;
             Machine machine(cfg);
             const RunResult honest = machine.replay(w.plan, tables);
-            if (l2_or_btb_refused) {
-                SharedPaths forced;
-                forced.l2Data = l2_refused;
-                forced.btb = !pc.btbShared;
-                const RunResult wrong = machine.replay(
-                    w.plan, tables, plan_part, stream, forced);
-                differing += honest.l2Misses != wrong.l2Misses ||
-                             honest.btbMisses != wrong.btbMisses;
-            }
-            if (l1i_refused) {
-                SharedPaths forced;
-                forced.l2Data = true;
-                forced.l1i = true;
-                const RunResult wrong = machine.replay(
-                    w.plan, tables, plan_part, stream, forced);
-                l1i_differing += honest.l1iMisses != wrong.l1iMisses ||
-                                 honest.l2InstMisses != wrong.l2InstMisses ||
-                                 honest.l2PrefMisses != wrong.l2PrefMisses;
-            }
+            SharedPaths forced;
+            forced.l2Data = l2_refused;
+            forced.btb = !pc.btbShared;
+            const RunResult wrong =
+                machine.replay(w.plan, tables, plan_part, stream, forced);
+            differing += honest.l2Misses != wrong.l2Misses ||
+                         honest.btbMisses != wrong.btbMisses;
         }
-        if (l2_or_btb_refused) {
-            EXPECT_GT(differing, 0u)
-                << pc.name << ": the proof guards nothing on these workloads";
-        }
-        if (l1i_refused) {
-            EXPECT_GT(l1i_differing, 0u)
-                << pc.name << ": the L1I line check guards nothing on these "
-                              "workloads";
-        }
+        EXPECT_GT(differing, 0u)
+            << pc.name << ": the refusal guards nothing on these workloads";
     }
 }
 
@@ -975,8 +957,8 @@ TEST(ReplayGolden, L1iProofCountsPhysicalLinesAndSuccessors)
  *  first-touch replay equals the reference there; on a 4 KiB 2-way
  *  L1I, which overflows sets, so does the per-set replay, which
  *  simulates the hot events before the warmup event and counts from
- *  it, and, with 32-byte L1I lines, the fetch pass, whose boundary
- *  event also costs a demand-miss stall. */
+ *  it, and, with 32-byte L1I lines, the in-line fetch of the layout's
+ *  own sum, whose boundary event also costs a demand-miss stall. */
 TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
 {
     const auto &profile = workloads::specFor("400.perlbench").profile;
@@ -999,18 +981,19 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
         layout::Linker().link(prog, layout::LayoutKey{1, true, true});
     const layout::HeapLayout heap(prog, layout::HeapKey::deterministic());
     const layout::PageMap pages(5);
-    for (Fetch fetch : {Fetch::FirstTouch, Fetch::PerSet, Fetch::WholePass}) {
+    for (Fetch fetch :
+         {Fetch::FirstTouch, Fetch::PerSet, Fetch::OwnSumInLine}) {
         for (double frac : {0.0, 0.5}) {
             auto cfg = MachineConfig::xeonE5440();
             if (fetch == Fetch::PerSet)
                 cfg.hierarchy.l1i = cache::CacheConfig{"L1I", 4 << 10, 2, 64};
-            if (fetch == Fetch::WholePass)
+            if (fetch == Fetch::OwnSumInLine)
                 cfg.hierarchy.l1i.lineBytes = 32;
             cfg.warmupFraction = frac;
             const std::string what =
                 std::string(fetch == Fetch::FirstTouch ? "first touch"
                             : fetch == Fetch::PerSet   ? "per set"
-                                                       : "fetch pass") +
+                                                       : "in-line fetch") +
                 ", warmup " + std::to_string(frac);
             bool found = false;
             for (size_t f : frac == 0.0 ? std::vector<size_t>{0} : fresh) {
@@ -1033,12 +1016,15 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 const StreamOutcomes stream = simulateStream(
                     cfg, plan, heap, layout::PageMap(), plan_part);
                 ASSERT_EQ(plan_part.siteFirstEvent[plan.site[warm]], warm);
-                const LayoutTables tables(plan, code, pages,
-                                          cfg.hierarchy.l1i.lineBytes);
+                // Only the own sum reads data addresses.
+                const u32 line = cfg.hierarchy.l1i.lineBytes;
+                const LayoutTables tables =
+                    fetch == Fetch::OwnSumInLine
+                        ? LayoutTables(plan, code, heap, pages, line)
+                        : LayoutTables(plan, code, pages, line);
                 const SharedPaths paths =
                     choosePaths(cfg, plan, tables, plan_part, stream);
-                ASSERT_TRUE(paths.l2Data) << what;
-                ASSERT_EQ(paths.l1i, fetch != Fetch::WholePass) << what;
+                ASSERT_EQ(paths.l2Data, fetch != Fetch::OwnSumInLine) << what;
                 Machine fresh_machine(cfg);
                 const RunResult ref =
                     fresh_machine.runReference(prog, cut, code, heap, pages);
@@ -1072,8 +1058,8 @@ TEST(ReplayGolden, L1iFirstTouchCountsFromTheWarmupEvent)
                 EXPECT_EQ(count("replay.l1i_per_set"),
                           fetch == Fetch::PerSet ? 1u : 0u)
                     << what;
-                EXPECT_EQ(count("replay.l1i_simulated"),
-                          fetch == Fetch::WholePass ? 1u : 0u)
+                EXPECT_EQ(count("replay.l2_simulated"),
+                          fetch == Fetch::OwnSumInLine ? 1u : 0u)
                     << what;
                 break;
             }
@@ -1222,26 +1208,6 @@ TEST(ReplayGolden, CycleSumCountsFromAMispredictedWarmupBranch)
     }
 }
 
-/** The L1I path reads fetch misses as first L2 touches, which only the
- *  L2 proof guarantees: asking for it without the L2 path panics. */
-TEST(ReplayGoldenDeathTest, SharedL1iPathNeedsTheSharedL2Path)
-{
-    auto cfg = MachineConfig::xeonE5440();
-    const Workload &w = workloads()[0];
-    layout::HeapLayout heap(w.prog, layout::HeapKey::deterministic());
-    const LayoutTables tables(w.plan, codeFor(w, 1), heap, layout::PageMap(),
-                              cfg.hierarchy.l1i.lineBytes);
-    const PlanOutcomes plan_part = simulatePlan(cfg, w.plan);
-    const StreamOutcomes stream =
-        simulateStream(cfg, w.plan, heap, tables.pages(), plan_part);
-    Machine machine(cfg);
-    SharedPaths l1i_only;
-    l1i_only.l1i = true;
-    EXPECT_DEATH(
-        machine.replay(w.plan, tables, plan_part, stream, l1i_only),
-                 "the shared L1I path needs the shared L2 data side");
-}
-
 /** Tables without data addresses replay only where the shared
  *  outcomes stand in for every data address: the L1D and the L2. */
 TEST(ReplayGoldenDeathTest, DatalessTablesNeedTheSharedL2Path)
@@ -1275,8 +1241,9 @@ TEST(ReplayGoldenDeathTest, SharedOutcomesForAnotherStreamPanic)
                         cfg.hierarchy.l1i.lineBytes);
     const PlanOutcomes foreign = simulatePlan(cfg, other.plan);
     Machine machine(cfg);
+    StreamScratch own;
     EXPECT_DEATH(machine.replay(w.plan, tables, foreign,
-                                simulateL1d(cfg, w.plan, tables)),
+                                simulateStream(cfg, w.plan, tables, own)),
                  "shared outcomes cover");
     EXPECT_DEATH(machine.replayOwnStream(w.plan, tables, foreign),
                  "shared outcomes cover");

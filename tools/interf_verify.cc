@@ -279,7 +279,7 @@ main(int argc, char **argv)
             l2_facts.add(f.l2);
             btb_facts.add(f.btb);
             l1i_facts.add(f.l1i);
-            if (paths.l1i)
+            if (paths.l2Data)
                 overflow_event_share =
                     std::max(overflow_event_share,
                              static_cast<double>(f.l1i.hotEvents) /

@@ -15,14 +15,13 @@ Two kinds of hot region, configured in HOT_FILES below:
     builder loop, the one event loop both of its forms run (DESIGN.md
     §5u), and the BTB outcome's builder loop, which the plan part and
     the BTB pass both run (§5v); in src/core/timing.cc, the per-layout
-    form's level source, the BTB pass's lookup, the fetch pass loop,
-    the fetch step the fetch pass and the per-layout form call, and the
-    cycle sum's per-layout BTB correction loop; in src/core/shared.cc,
-    the L1D pass, the L2 first-touch pass over the plan's distinct ids
-    (§5x), the shared form's level source and the per-set fetch loop
-    over the events that reach an overflowing L1I set (§5w). Their
-    enclosing functions may do setup
-    work (latency tables, allocation) before entering the loop. The
+    form's level source with its in-line fetch, the BTB pass's lookup
+    and the cycle sum's per-layout BTB correction loop; in
+    src/core/shared.cc, the L1D pass, the L2 first-touch pass over the
+    plan's distinct ids (§5x), the shared form's level source and the
+    per-set fetch loop over the events that reach an overflowing L1I
+    set (§5w). Their enclosing functions may do setup work (latency
+    tables, allocation) before entering the loop. The
     per-branch paths of the Pin-style simulation (L-TAGE, PinSim) are
     marked too;
   * function manifests — named inline member functions in the cache /
